@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 type error, 2 parse error, 3 fuel or search
-depth exhausted, 4 property-report failures.
+Exit codes: 0 success, 1 type error, 2 parse error, 3 a resource limit
+(fuel, search depth or term nesting) exhausted, 4 property-report
+failures.
 """
 
 from __future__ import annotations
@@ -261,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE_ERROR
     except RecursionError:
         _report_error(ns, "input nesting exceeds the supported depth")
-        return EXIT_PARSE_ERROR
+        return EXIT_EXHAUSTED
 
 
 def _report_error(ns: argparse.Namespace, message: str) -> None:

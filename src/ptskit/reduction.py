@@ -3,6 +3,15 @@
 Reduction is defined on raw syntax and never consults a PTS
 specification; ill-typed terms reduce too, which is why every bounded
 operation distinguishes "ran out of fuel" from a definite answer.
+
+``leftmost_step``, ``trace`` and ``normalize`` follow the
+leftmost-outermost (normal-order) strategy.  ``leftmost_step`` contracts
+one redex and ``trace`` repeats it from the root; ``normalize`` makes
+the same contractions in one pass, contracting a term's head redexes
+first and then normalizing its components left to right.  Its fuel
+counts contractions, and on exhaustion ``FuelExhausted.last`` is the
+whole term after exactly ``fuel`` of them, the term ``trace`` shows
+after that many steps.
 """
 
 from __future__ import annotations
@@ -208,18 +217,101 @@ def trace(e: Expr, fuel: int = DEFAULT_FUEL) -> tuple[StepTrace, bool]:
 
 
 def normalize(e: Expr, fuel: int = DEFAULT_FUEL) -> Expr:
-    """Leftmost-outermost normalization; raises FuelExhausted(last)."""
+    """Leftmost-outermost (normal-order) normalization in one pass.
+
+    A term's head redexes are contracted first, in the order ``whnf``
+    uses; then its components are normalized left to right, in the
+    order ``leftmost_step`` visits them (the annotation of a pair is
+    left untouched).  Once a term is in weak head normal form no
+    reduction inside it can create a head redex, so this is exactly the
+    contraction sequence of repeated ``leftmost_step`` from the root,
+    without the re-descent after every step.
+
+    ``fuel`` bounds the number of contractions (beta and projection
+    steps) over the whole term.  A term that needs at most ``fuel`` of
+    them is returned in normal form; otherwise ``FuelExhausted.last``
+    is the whole term after exactly ``fuel`` contractions.  Subterms
+    that need no contraction are returned as the same objects.
+    """
     if fuel < 1:
         raise ValueError("fuel must be >= 1")
-    cur = e
-    for _ in range(fuel):
-        s = leftmost_step(cur)
-        if s is None:
-            return cur
-        cur = s[2]
-    if leftmost_step(cur) is None:
-        return cur
-    raise FuelExhausted(cur)
+    return _nf(e, [fuel])
+
+
+def _nf(e: Expr, budget: list[int], stop_at: type | None = None) -> Expr:
+    """Normal form of ``e``, one frame per term level.
+
+    With ``stop_at`` (``Lam`` for the function of an application,
+    ``Pair`` for the subject of a projection) a weak head normal form of
+    that class is returned as it is, because the redex above it comes
+    next in leftmost-outermost order.  Head redexes are contracted in a
+    loop at this level, so successive contractions at the root do not
+    deepen the stack.  On fuel exhaustion each frame rebuilds its own
+    node around the partial child before re-raising.
+    """
+    while True:
+        match e:
+            case SortE() | Var() | BVar():
+                return e
+            case App(fun, arg):
+                try:
+                    f = _nf(fun, budget, Lam)
+                except FuelExhausted as exc:
+                    exc.last = App(exc.last, arg)
+                    raise
+                if isinstance(f, Lam):
+                    if budget[0] <= 0:
+                        raise FuelExhausted(e if f is fun else App(f, arg))
+                    budget[0] -= 1
+                    e = instantiate(f.body, arg)
+                    continue
+                try:
+                    a = _nf(arg, budget)
+                except FuelExhausted as exc:
+                    exc.last = App(f, exc.last)
+                    raise
+                return e if f is fun and a is arg else App(f, a)
+            case Proj1(p) | Proj2(p):
+                try:
+                    q = _nf(p, budget, Pair)
+                except FuelExhausted as exc:
+                    exc.last = type(e)(exc.last)
+                    raise
+                if isinstance(q, Pair):
+                    if budget[0] <= 0:
+                        raise FuelExhausted(e if q is p else type(e)(q))
+                    budget[0] -= 1
+                    e = q.first if isinstance(e, Proj1) else q.second
+                    continue
+                return e if q is p else type(e)(q)
+            case _ if type(e) is stop_at:
+                return e
+            case Pi(h, dom, cod) | Lam(h, dom, cod) | Sigma(h, dom, cod):
+                try:
+                    d = _nf(dom, budget)
+                except FuelExhausted as exc:
+                    exc.last = type(e)(h, exc.last, cod)
+                    raise
+                try:
+                    c = _nf(cod, budget)
+                except FuelExhausted as exc:
+                    exc.last = type(e)(h, d, exc.last)
+                    raise
+                return e if d is dom and c is cod else type(e)(h, d, c)
+            case Pair(first, second, annot):
+                try:
+                    a = _nf(first, budget)
+                except FuelExhausted as exc:
+                    exc.last = Pair(exc.last, second, annot)
+                    raise
+                try:
+                    b = _nf(second, budget)
+                except FuelExhausted as exc:
+                    exc.last = Pair(a, exc.last, annot)
+                    raise
+                return e if a is first and b is second else Pair(a, b, annot)
+            case _:
+                raise TypeError(f"not an expression: {e!r}")
 
 
 def whnf(e: Expr, fuel: int = DEFAULT_FUEL) -> Expr:

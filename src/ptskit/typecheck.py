@@ -84,10 +84,17 @@ def _as_sort(spec: PtsSpec, ty: Expr, fuel: int, subject: Expr) -> str:
     )
 
 
-def _convertible(a: Expr, b: Expr, fuel: int, where: str) -> None:
+def _convertible(a: Expr, b: Expr, fuel: int, where: str, subject: Expr | None = None) -> None:
+    """Require a and b to be convertible.
+
+    ``where`` names the site, followed by the printed ``subject`` if one
+    is given; the text is rendered only when the check fails.
+    """
     r = beta_eq(a, b, fuel)
     if r is True:
         return
+    if subject is not None:
+        where = f"{where} {print_expr(subject)}"
     if r is UNDETERMINED:
         _fail(ErrorKind.FUEL_EXHAUSTED, f"conversion undecided in {where}")
     _fail(ErrorKind.MISMATCH, f"{where}: {print_expr(a)} is not convertible with {print_expr(b)}")
@@ -155,7 +162,7 @@ def infer_type(spec: PtsSpec, ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -
                     f"{print_expr(fun)} has type {print_expr(fun_ty)}, which is not a function type",
                 )
             arg_ty = infer_type(spec, ctx, arg, fuel)
-            _convertible(arg_ty, head.dom, fuel, f"argument of {print_expr(fun)}")
+            _convertible(arg_ty, head.dom, fuel, "argument of", fun)
             return instantiate(head.cod, arg)
         case Sigma(h, first, second):
             _require_sigma(spec, e)
@@ -221,7 +228,7 @@ def check_type(spec: PtsSpec, ctx: Context, e: Expr, ty: Expr, fuel: int = DEFAU
     top_sort = isinstance(ty, SortE) and ty.name in spec.sorts and spec.axiom_for(ty.name) is None
     if not top_sort:
         _as_sort(spec, infer_type(spec, ctx, ty, fuel), fuel, ty)
-    _convertible(inferred, ty, fuel, f"checking {print_expr(e)}")
+    _convertible(inferred, ty, fuel, "checking", e)
 
 
 # ---------------------------------------------------------------------------

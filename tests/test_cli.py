@@ -215,3 +215,18 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "y"
+
+
+def test_nesting_past_recursion_limit_is_a_resource_limit(capsys):
+    # the normal form, Church numeral 1600, nests deeper than the interpreter allows
+    nat = "(A:*) -> (A -> A) -> A -> A"
+    forty = r"\A:*. \f:A -> A. \x:A. " + "f (" * 40 + "x" + ")" * 40
+    mult = rf"(\m:{nat}. \n:{nat}. \A:*. \f:A -> A. m A (n A f)) ({forty}) ({forty})"
+    message = "input nesting exceeds the supported depth"
+    code, out, err = run(capsys, "normalize", mult)
+    assert code == EXIT_EXHAUSTED
+    assert (out, err) == ("", f"error: {message}\n")
+    code, out, err = run(capsys, "normalize", "--format", "machine", mult)
+    assert code == EXIT_EXHAUSTED
+    assert json.loads(out) == {"command": "normalize", "ok": False, "error": message}
+    assert err == ""

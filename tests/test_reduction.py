@@ -1,8 +1,10 @@
+import os
 import random
 
 import pytest
 
-from ptskit.syntax import App, Pair, Proj1, Var, parse_expr, size
+from ptskit.corpus import load_corpus_dir
+from ptskit.syntax import App, BVar, Lam, Pair, Proj1, Proj2, Var, parse_expr, print_expr, size
 from ptskit.reduction import (
     UNDETERMINED,
     FuelExhausted,
@@ -22,7 +24,7 @@ from ptskit.reduction import (
     whnf,
 )
 
-from generators import untyped_term
+from generators import typed_terms, untyped_term
 
 
 def P(text):
@@ -291,3 +293,119 @@ def test_church_exponentiation_normalizes():
     exp = rf"\m:{n}. \n:{n}. \A:*. n (A -> A) (m A)"
     t = P(f"({exp}) ({two}) ({three})")
     assert normalize(t, 10000) == _church(8)
+
+
+# ---------------------------------------------------------------------------
+# single-pass normalize against the leftmost_step loop it replaced
+
+
+def _reference_normalize(e, fuel):
+    """Repeated leftmost_step from the root: the oracle for normalize."""
+    if fuel < 1:
+        raise ValueError("fuel must be >= 1")
+    cur = e
+    for _ in range(fuel):
+        s = leftmost_step(cur)
+        if s is None:
+            return cur
+        cur = s[2]
+    if leftmost_step(cur) is None:
+        return cur
+    raise FuelExhausted(cur)
+
+
+def _outcome(norm, e, fuel):
+    try:
+        return "normal", norm(e, fuel)
+    except FuelExhausted as err:
+        return "exhausted", err.last
+
+
+def _assert_matches_reference(e, max_steps=40):
+    """Same normal form or same FuelExhausted.last at every fuel up to steps + 1."""
+    steps, cur = 0, e
+    while steps < max_steps and (s := leftmost_step(cur)) is not None:
+        steps, cur = steps + 1, s[2]
+    for fuel in range(1, steps + 2):
+        kind, got = _outcome(normalize, e, fuel)
+        want_kind, want = _outcome(_reference_normalize, e, fuel)
+        assert kind == want_kind, (print_expr(e), fuel)
+        # == ignores binder hints; the printed form compares them too
+        assert got == want and print_expr(got) == print_expr(want), (print_expr(e), fuel)
+
+
+def test_normalize_matches_reference_on_generated_terms():
+    rng = random.Random(21)
+    untyped = [untyped_term(rng, budget=40) for _ in range(1000)]
+    for t in untyped + typed_terms(22, 300, budget=30, max_size=40):
+        _assert_matches_reference(t)
+
+
+def test_normalize_matches_reference_on_corpora():
+    root = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
+    checked = 0
+    for name, sigma in (("cc", False), ("sigma", True)):
+        for j in load_corpus_dir(os.path.join(root, name), sigma):
+            exprs = [j.term] + [ty for _, ty in j.ctx] + ([j.ty] if j.ty is not None else [])
+            for e in exprs:
+                _assert_matches_reference(e)
+                checked += 1
+    assert checked > 100
+
+
+def test_normalize_matches_reference_on_edge_cases():
+    omega = P(r"(\x:*. x x) (\x:*. x x)")
+    # the annotation of a pair is never reduced, by either strategy
+    annot_redex = Pair(P(r"(\y:*. y) a"), Var("b"), P(r"(\T:*. Sig x:T. T) A"))
+    neutral = P(r"f ((\y:*. y) a) ((\y:*. y) b)")
+    for e in [
+        omega,
+        annot_redex,
+        Proj1(neutral),
+        Proj2(neutral),
+        P(r"((\p:*. p) (<(\y:*. y) a, b> : Sig x:A. A)).2"),
+        P(r"(\x:(\T:*. T) A. (\y:*. y) x) ((\z:*. z) w)"),
+    ]:
+        _assert_matches_reference(e)
+    assert normalize(annot_redex).annot is annot_redex.annot
+
+
+def test_normalize_returns_unchanged_subterms_as_is():
+    nf = P(r"\x:A. f x (g x)")
+    assert normalize(nf) is nf
+    e = P(r"f ((\y:*. y) a) (g b)")
+    assert normalize(e).arg is e.arg
+
+
+def _church_value(e):
+    r"""k for the Church numeral \A. \f. \x. f (... (f x)); iterative, unlike ==."""
+    assert isinstance(e, Lam) and isinstance(e.body, Lam) and isinstance(e.body.body, Lam)
+    body, k = e.body.body.body, 0
+    while isinstance(body, App) and body.fun == BVar(1):
+        body, k = body.arg, k + 1
+    assert body == BVar(0)
+    return k
+
+
+def _mult(n):
+    nat = "(A:*) -> (A -> A) -> A -> A"
+    c = r"\A:*. \f:A -> A. \x:A. " + "f (" * n + "x" + ")" * n
+    return P(rf"(\m:{nat}. \n:{nat}. \A:*. \f:A -> A. m A (n A f)) ({c}) ({c})")
+
+
+def test_normalize_deep_church_product():
+    assert _church_value(normalize(_mult(25))) == 625
+
+
+def test_normalize_reaches_every_product_the_reference_does():
+    # the single pass must not lower the recursion ceiling of the loop it replaced
+    ceiling = None
+    for n in range(20, 41):
+        t = _mult(n)
+        try:
+            want = _church_value(_reference_normalize(t, 10**5))
+        except RecursionError:
+            ceiling = n
+            break
+        assert _church_value(normalize(t, 10**5)) == want == n * n
+    assert ceiling is not None

@@ -164,6 +164,27 @@ def test_check_rendered_mismatch_detail():
     assert "A" in str(err.value) and "B" in str(err.value)
 
 
+def test_conversion_failure_messages():
+    # the site of a failed conversion is rendered only on failure, in this wording
+    ctx = C("A : *\nB : *\nx : A")
+    slow_a = P(r"(\B:*. (\C:*. C) B) A")  # two steps from A
+    cases = [
+        (infer_type, [P(r"(\y:A -> A. y) x")], 100, r"Mismatch: argument of \y:A -> A. y: A is not convertible with A -> A"),
+        (check_type, [Var("x"), Var("B")], 100, "Mismatch: checking x: A is not convertible with B"),
+        (check_type, [Var("x"), slow_a], 1, "FuelExhausted: conversion undecided in checking x"),
+        (
+            infer_type,
+            [P(r"(\y:(\B:*. (\C:*. C) B) A. y) x")],
+            1,
+            r"FuelExhausted: conversion undecided in argument of \y:(\B:*. (\C:*. C) B) A. y",
+        ),
+    ]
+    for fn, args, fuel, message in cases:
+        with pytest.raises(TypeCheckError) as err:
+            fn(CC, ctx, *args, fuel)
+        assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Sigma rules
 
