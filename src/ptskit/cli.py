@@ -87,6 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 class _Session:
     def __init__(self, ns: argparse.Namespace):
+        if ns.fuel < 1:
+            raise ValueError("fuel must be >= 1")
+        if ns.depth < 1:
+            raise ValueError("depth must be >= 1")
         self.ns = ns
         self.spec = resolve_spec(ns.system, ns.sigma)
         self.records: list[dict] = []

@@ -12,17 +12,12 @@ from dataclasses import dataclass
 
 from .syntax import (
     CC,
-    App,
-    BVar,
     Context,
     Expr,
-    Lam,
     ParseError,
-    Pi,
     PtsSpec,
     SIGMA_NODES,
-    SortE,
-    Var,
+    children,
     parse_context,
     parse_expr,
     print_expr,
@@ -61,13 +56,10 @@ class Judgement:
 def _mentions_sigma(e: Expr) -> bool:
     if isinstance(e, SIGMA_NODES):
         return True
-    match e:
-        case SortE() | Var() | BVar():
-            return False
-        case Pi(_, a, b) | Lam(_, a, b) | App(a, b):
-            return _mentions_sigma(a) or _mentions_sigma(b)
-        case _:
+    for child, _ in children(e):
+        if _mentions_sigma(child):
             return True
+    return False
 
 
 def judgement_uses_sigma(j: Judgement) -> bool:

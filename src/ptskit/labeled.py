@@ -4,6 +4,13 @@ Lambdas and applications carry the complete product type of the
 function involved; the beta rule fires only when the two labels agree
 up to alpha.  Conversion in the labeled type system is directed: one
 side must actually reduce to the other.
+
+The node classes declare shape tables like the plain ones (see
+``syntax.Node``), so substitution, free variables and the step walks,
+key-redex functions and bounded search of ``reduction`` serve labeled
+terms unchanged; tight reduction is ``step_all`` with ``LApp``'s
+tight-beta rule.  What lives here is the labeled syntax itself,
+erasure, elaboration from plain terms and labeled typing.
 """
 
 from __future__ import annotations
@@ -11,16 +18,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .syntax import (
+    BOUND,
+    CONST,
+    FREE,
     App,
     BVar,
     Context,
     Expr,
     Lam,
+    Node,
     Pi,
     PtsSpec,
     SortE,
     Var,
     _Parser,
+    _mentions_bound,
     _tokenize,
     close_binder,
     fresh_name,
@@ -29,13 +41,24 @@ from .syntax import (
     open_binder,
     print_expr,
 )
-from .reduction import DEFAULT_FUEL, FuelExhausted, beta_eq, whnf
-from .typecheck import ErrorKind, TypeCheckError, _fail, infer_type
+from .reduction import (
+    DEFAULT_FUEL,
+    FuelExhausted,
+    beta_eq,
+    is_base,
+    key_redex_of,
+    reachable,
+    reduce_key_redex,
+    step_all,
+    trace,
+    whnf,
+)
+from .typecheck import ErrorKind, TypeCheckError, _fail, _fresh_for, infer_type
 
 DEFAULT_CONV_DEPTH = 12
 
 
-class LabeledExpr:
+class LabeledExpr(Node):
     __slots__ = ()
 
     def __str__(self) -> str:
@@ -46,15 +69,25 @@ class LabeledExpr:
 class LSort(LabeledExpr):
     name: str
 
-
-@dataclass(frozen=True)
-class LVar(LabeledExpr):
-    name: str
+    _shape = (("name", None, None),)
+    _role = CONST
 
 
 @dataclass(frozen=True)
 class LBVar(LabeledExpr):
     index: int
+
+    _shape = (("index", None, None),)
+    _role = BOUND
+
+
+@dataclass(frozen=True)
+class LVar(LabeledExpr):
+    name: str
+
+    _shape = (("name", None, None),)
+    _role = FREE
+    _bound = LBVar
 
 
 @dataclass(frozen=True)
@@ -62,6 +95,8 @@ class LPi(LabeledExpr):
     hint: str = field(compare=False)
     dom: LabeledExpr
     cod: LabeledExpr  # binds
+
+    _shape = (("hint", None, None), ("dom", 0, "dom"), ("cod", 1, "cod"))
 
 
 @dataclass(frozen=True)
@@ -76,16 +111,38 @@ class LLam(LabeledExpr):
     cod: LabeledExpr  # binds
     body: LabeledExpr  # binds
 
+    _shape = (("hint", None, None), ("dom", 0, "dom"), ("cod", 1, "cod"), ("body", 1, "body"))
+
 
 @dataclass(frozen=True)
 class LApp(LabeledExpr):
-    """Application labeled with the product type of its function."""
+    """Application labeled with the product type of its function.
+
+    Its root tight-beta step fires only when the function is a lambda
+    whose label equals this one.
+    """
 
     hint: str = field(compare=False)
     dom: LabeledExpr
     cod: LabeledExpr  # binds
     fun: LabeledExpr
     arg: LabeledExpr
+
+    _shape = (
+        ("hint", None, None),
+        ("dom", 0, "dom"),
+        ("cod", 1, "cod"),
+        ("fun", 0, "fun"),
+        ("arg", 0, "arg"),
+    )
+    _head = "fun"
+    _redex = "tight-beta"
+
+    def _fires(self) -> bool:
+        return isinstance(self.fun, LLam) and _labels_match(self, self.fun)
+
+    def _contract(self) -> LabeledExpr:
+        return instantiate(self.fun.body, self.arg)
 
 
 def label_of(e: LLam | LApp) -> LPi:
@@ -96,97 +153,8 @@ def _labels_match(app: LApp, lam: LLam) -> bool:
     return app.dom == lam.dom and app.cod == lam.cod
 
 
-def l_free_vars(e: LabeledExpr) -> frozenset[str]:
-    out: set[str] = set()
-    _lfv(e, out)
-    return frozenset(out)
-
-
-def _lfv(e: LabeledExpr, out: set[str]) -> None:
-    match e:
-        case LVar(name):
-            out.add(name)
-        case LSort() | LBVar():
-            pass
-        case LPi(_, dom, cod):
-            _lfv(dom, out)
-            _lfv(cod, out)
-        case LLam(_, dom, cod, body):
-            _lfv(dom, out)
-            _lfv(cod, out)
-            _lfv(body, out)
-        case LApp(_, dom, cod, fun, arg):
-            _lfv(dom, out)
-            _lfv(cod, out)
-            _lfv(fun, out)
-            _lfv(arg, out)
-        case _:
-            raise TypeError(f"not a labeled expression: {e!r}")
-
-
-def _l_shift(e: LabeledExpr, by: int, cutoff: int) -> LabeledExpr:
-    match e:
-        case LBVar(i):
-            return LBVar(i + by) if i >= cutoff else e
-        case LSort() | LVar():
-            return e
-        case LPi(h, dom, cod):
-            return LPi(h, _l_shift(dom, by, cutoff), _l_shift(cod, by, cutoff + 1))
-        case LLam(h, dom, cod, body):
-            return LLam(h, _l_shift(dom, by, cutoff), _l_shift(cod, by, cutoff + 1), _l_shift(body, by, cutoff + 1))
-        case LApp(h, dom, cod, fun, arg):
-            return LApp(h, _l_shift(dom, by, cutoff), _l_shift(cod, by, cutoff + 1), _l_shift(fun, by, cutoff), _l_shift(arg, by, cutoff))
-        case _:
-            raise TypeError(f"not a labeled expression: {e!r}")
-
-
-def l_instantiate(body: LabeledExpr, arg: LabeledExpr, depth: int = 0) -> LabeledExpr:
-    match body:
-        case LBVar(i):
-            if i == depth:
-                return _l_shift(arg, depth, 0) if depth else arg
-            return LBVar(i - 1) if i > depth else body
-        case LSort() | LVar():
-            return body
-        case LPi(h, dom, cod):
-            return LPi(h, l_instantiate(dom, arg, depth), l_instantiate(cod, arg, depth + 1))
-        case LLam(h, dom, cod, b):
-            return LLam(
-                h,
-                l_instantiate(dom, arg, depth),
-                l_instantiate(cod, arg, depth + 1),
-                l_instantiate(b, arg, depth + 1),
-            )
-        case LApp(h, dom, cod, fun, a):
-            return LApp(
-                h,
-                l_instantiate(dom, arg, depth),
-                l_instantiate(cod, arg, depth + 1),
-                l_instantiate(fun, arg, depth),
-                l_instantiate(a, arg, depth),
-            )
-        case _:
-            raise TypeError(f"not a labeled expression: {body!r}")
-
-
 def l_open(body: LabeledExpr, name: str) -> LabeledExpr:
-    return l_instantiate(body, LVar(name))
-
-
-def l_close(e: LabeledExpr, name: str, depth: int = 0) -> LabeledExpr:
-    match e:
-        case LVar(n):
-            return LBVar(depth) if n == name else e
-        case LSort() | LBVar():
-            return e
-        case LPi(h, dom, cod):
-            return LPi(h, l_close(dom, name, depth), l_close(cod, name, depth + 1))
-        case LLam(h, dom, cod, body):
-            return LLam(h, l_close(dom, name, depth), l_close(cod, name, depth + 1), l_close(body, name, depth + 1))
-        case LApp(h, dom, cod, fun, arg):
-            return LApp(h, l_close(dom, name, depth), l_close(cod, name, depth + 1), l_close(fun, name, depth), l_close(arg, name, depth))
-        case _:
-            raise TypeError(f"not a labeled expression: {e!r}")
+    return instantiate(body, LVar(name))
 
 
 # ---------------------------------------------------------------------------
@@ -213,192 +181,34 @@ def erase(la: LabeledExpr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Tight reduction
+# Tight reduction: ``step_all``, ``leftmost_step`` and the key-redex
+# functions of ``reduction`` read the labeled shape tables too.
 
+tight_step_all = step_all
+l_is_base = is_base
+l_key_redex_of = key_redex_of
+l_reduce_key_redex = reduce_key_redex
 
-def enumerate_tight_steps(la: LabeledExpr) -> list[tuple[str, str, LabeledExpr]]:
-    out: list[tuple[str, str, LabeledExpr]] = []
-    _tsteps(la, "", out)
-    return out
-
-
-def _join(path: str, leg: str, sub: str) -> str:
-    base = f"{path}.{leg}" if path else leg
-    return f"{base}.{sub}" if sub else base
-
-
-def _tsteps(la: LabeledExpr, path: str, out: list[tuple[str, str, LabeledExpr]]) -> None:
-    match la:
-        case LSort() | LVar() | LBVar():
-            pass
-        case LPi(h, dom, cod):
-            for p, k, r in enumerate_tight_steps(dom):
-                out.append((_join(path, "dom", p), k, LPi(h, r, cod)))
-            for p, k, r in enumerate_tight_steps(cod):
-                out.append((_join(path, "cod", p), k, LPi(h, dom, r)))
-        case LLam(h, dom, cod, body):
-            for p, k, r in enumerate_tight_steps(dom):
-                out.append((_join(path, "dom", p), k, LLam(h, r, cod, body)))
-            for p, k, r in enumerate_tight_steps(cod):
-                out.append((_join(path, "cod", p), k, LLam(h, dom, r, body)))
-            for p, k, r in enumerate_tight_steps(body):
-                out.append((_join(path, "body", p), k, LLam(h, dom, cod, r)))
-        case LApp(h, dom, cod, fun, arg):
-            if isinstance(fun, LLam) and _labels_match(la, fun):
-                out.append((path, "tight-beta", l_instantiate(fun.body, arg)))
-            for p, k, r in enumerate_tight_steps(dom):
-                out.append((_join(path, "dom", p), k, LApp(h, r, cod, fun, arg)))
-            for p, k, r in enumerate_tight_steps(cod):
-                out.append((_join(path, "cod", p), k, LApp(h, dom, r, fun, arg)))
-            for p, k, r in enumerate_tight_steps(fun):
-                out.append((_join(path, "fun", p), k, LApp(h, dom, cod, r, arg)))
-            for p, k, r in enumerate_tight_steps(arg):
-                out.append((_join(path, "arg", p), k, LApp(h, dom, cod, fun, r)))
-        case _:
-            raise TypeError(f"not a labeled expression: {la!r}")
-
-
-def tight_step_all(la: LabeledExpr) -> set[LabeledExpr]:
-    """One-step tight reducts; the root beta fires only on equal labels."""
-    return {r for _, _, r in enumerate_tight_steps(la)}
-
-
-def l_leftmost_step(la: LabeledExpr) -> LabeledExpr | None:
-    match la:
-        case LSort() | LVar() | LBVar():
-            return None
-        case LPi(h, dom, cod):
-            if (r := l_leftmost_step(dom)) is not None:
-                return LPi(h, r, cod)
-            if (r := l_leftmost_step(cod)) is not None:
-                return LPi(h, dom, r)
-            return None
-        case LLam(h, dom, cod, body):
-            if (r := l_leftmost_step(dom)) is not None:
-                return LLam(h, r, cod, body)
-            if (r := l_leftmost_step(cod)) is not None:
-                return LLam(h, dom, r, body)
-            if (r := l_leftmost_step(body)) is not None:
-                return LLam(h, dom, cod, r)
-            return None
-        case LApp(h, dom, cod, fun, arg):
-            if isinstance(fun, LLam) and _labels_match(la, fun):
-                return l_instantiate(fun.body, arg)
-            if (r := l_leftmost_step(dom)) is not None:
-                return LApp(h, r, cod, fun, arg)
-            if (r := l_leftmost_step(cod)) is not None:
-                return LApp(h, dom, r, fun, arg)
-            if (r := l_leftmost_step(fun)) is not None:
-                return LApp(h, dom, cod, r, arg)
-            if (r := l_leftmost_step(arg)) is not None:
-                return LApp(h, dom, cod, fun, r)
-            return None
-        case _:
-            raise TypeError(f"not a labeled expression: {la!r}")
+# A labeled context is a Context whose types are labeled.
+LabeledContext = Context
 
 
 def l_normalize(la: LabeledExpr, fuel: int = DEFAULT_FUEL) -> LabeledExpr:
-    cur = la
-    for _ in range(fuel):
-        nxt = l_leftmost_step(cur)
-        if nxt is None:
-            return cur
-        cur = nxt
-    if l_leftmost_step(cur) is None:
-        return cur
-    raise FuelExhausted(cur)
-
-
-def l_reachable(a: LabeledExpr, b: LabeledExpr, max_depth: int) -> bool:
-    if a == b:
-        return True
-    visited = {a}
-    frontier = {a}
-    for _ in range(max_depth):
-        nxt: set[LabeledExpr] = set()
-        for t in frontier:
-            nxt.update(tight_step_all(t))
-        if b in nxt:
-            return True
-        frontier = nxt - visited
-        if not frontier:
-            return False
-        visited |= frontier
-    return False
+    """Tight normal form by leftmost-outermost steps, at most ``fuel`` of them."""
+    t, truncated = trace(la, fuel)
+    last = t.terms()[-1]
+    if truncated:
+        raise FuelExhausted(last)
+    return last
 
 
 def directed_convertible(a: LabeledExpr, b: LabeledExpr, depth: int = DEFAULT_CONV_DEPTH) -> bool:
     """The labeled conversion premise: one side reduces to the other."""
-    return l_reachable(a, b, depth) or l_reachable(b, a, depth)
+    return reachable(a, b, depth) or reachable(b, a, depth)
 
 
 # ---------------------------------------------------------------------------
-# Base expressions and key redexes, labeled variant
-
-
-def l_is_base(la: LabeledExpr) -> bool:
-    head = la
-    while isinstance(head, LApp):
-        head = head.fun
-    return isinstance(head, (LVar, LBVar))
-
-
-def l_key_redex_of(la: LabeledExpr) -> LabeledExpr | None:
-    match la:
-        case LApp(_, _, _, fun, _) if isinstance(fun, LLam) and _labels_match(la, fun):
-            return la
-        case LApp(_, _, _, fun, _):
-            return l_key_redex_of(fun)
-        case _:
-            return None
-
-
-def l_reduce_key_redex(la: LabeledExpr) -> LabeledExpr:
-    match la:
-        case LApp(_, _, _, fun, arg) if isinstance(fun, LLam) and _labels_match(la, fun):
-            return l_instantiate(fun.body, arg)
-        case LApp(h, dom, cod, fun, arg):
-            return LApp(h, dom, cod, l_reduce_key_redex(fun), arg)
-        case _:
-            raise ValueError(f"no key redex in {print_labeled(la)}")
-
-
-# ---------------------------------------------------------------------------
-# Labeled contexts and typing
-
-
-@dataclass(frozen=True)
-class LabeledContext:
-    bindings: tuple[tuple[str, LabeledExpr], ...] = ()
-
-    def lookup(self, name: str) -> LabeledExpr | None:
-        for n, ty in self.bindings:
-            if n == name:
-                return ty
-        return None
-
-    def extend(self, name: str, ty: LabeledExpr) -> LabeledContext:
-        return LabeledContext(self.bindings + ((name, ty),))
-
-    def names(self) -> set[str]:
-        return {n for n, _ in self.bindings}
-
-    def __iter__(self):
-        return iter(self.bindings)
-
-
-def erase_context(lctx: LabeledContext) -> Context:
-    ctx = Context()
-    for name, ty in lctx:
-        ctx = ctx.extend(name, erase(ty))
-    return ctx
-
-
-def _l_fresh(lctx: LabeledContext, hint: str, *exprs: LabeledExpr) -> str:
-    avoid = lctx.names()
-    for e in exprs:
-        avoid |= l_free_vars(e)
-    return fresh_name(hint, avoid)
+# Labeled typing
 
 
 def _l_as_sort(spec: PtsSpec, ty: LabeledExpr, fuel: int, subject: LabeledExpr) -> str:
@@ -416,7 +226,7 @@ def _l_as_sort(spec: PtsSpec, ty: LabeledExpr, fuel: int, subject: LabeledExpr) 
 
 def labeled_infer(
     spec: PtsSpec,
-    lctx: LabeledContext,
+    lctx: Context,
     la: LabeledExpr,
     fuel: int = DEFAULT_FUEL,
     conv_depth: int = DEFAULT_CONV_DEPTH,
@@ -444,7 +254,7 @@ def labeled_infer(
             raise ValueError("dangling bound variable reached the labeled checker")
         case LPi(h, dom, cod):
             s1 = _l_as_sort(spec, labeled_infer(spec, lctx, dom, fuel, conv_depth, warnings), fuel, dom)
-            x = _l_fresh(lctx, h, dom, cod)
+            x = _fresh_for(lctx, h, dom, cod)
             cod_x = l_open(cod, x)
             s2 = _l_as_sort(
                 spec,
@@ -458,7 +268,7 @@ def labeled_infer(
             return LSort(s3)
         case LLam(h, dom, cod, body):
             labeled_infer(spec, lctx, LPi(h, dom, cod), fuel, conv_depth, warnings)
-            x = _l_fresh(lctx, h, dom, cod, body)
+            x = _fresh_for(lctx, h, dom, cod, body)
             body_ty = labeled_infer(spec, lctx.extend(x, dom), l_open(body, x), fuel, conv_depth, warnings)
             if not directed_convertible(body_ty, l_open(cod, x), conv_depth):
                 _fail(
@@ -489,13 +299,13 @@ def labeled_infer(
                     ErrorKind.DIRECTED_CONVERSION_UNDETERMINED,
                     f"argument type {print_labeled(arg_ty)} does not reduce to or from {print_labeled(dom)}",
                 )
-            return l_instantiate(cod, arg)
+            return instantiate(cod, arg)
         case _:
             raise TypeError(f"not a labeled expression: {la!r}")
 
 
-def labeled_wf_context(spec: PtsSpec, lctx: LabeledContext, fuel: int = DEFAULT_FUEL) -> None:
-    prefix = LabeledContext()
+def labeled_wf_context(spec: PtsSpec, lctx: Context, fuel: int = DEFAULT_FUEL) -> None:
+    prefix = Context()
     for name, ty in lctx:
         if name in prefix.names():
             _fail(ErrorKind.ILL_FORMED_CONTEXT, f"duplicate binding for {name!r}")
@@ -520,8 +330,8 @@ def label_term(spec: PtsSpec, ctx: Context, a: Expr, fuel: int = DEFAULT_FUEL) -
     return labeled
 
 
-def label_context(spec: PtsSpec, ctx: Context, fuel: int = DEFAULT_FUEL) -> LabeledContext:
-    lctx = LabeledContext()
+def label_context(spec: PtsSpec, ctx: Context, fuel: int = DEFAULT_FUEL) -> Context:
+    lctx = Context()
     prefix = Context()
     for name, ty in ctx:
         lty, _ = _elaborate(spec, prefix, ty, fuel)
@@ -540,21 +350,19 @@ def _elaborate(spec: PtsSpec, ctx: Context, a: Expr, fuel: int) -> tuple[Labeled
             return LVar(name), ty
         case Pi(h, dom, cod):
             ldom, _ = _elaborate(spec, ctx, dom, fuel)
-            avoid = ctx.names() | free_vars(dom) | free_vars(cod)
-            x = fresh_name(h, avoid)
+            x = _fresh_for(ctx, h, dom, cod)
             lcod, _ = _elaborate(spec, ctx.extend(x, dom), open_binder(cod, x), fuel)
             ty = infer_type(spec, ctx, a, fuel)
-            return LPi(h, ldom, l_close(lcod, x)), ty
+            return LPi(h, ldom, close_binder(lcod, x)), ty
         case Lam(h, annot, body):
             lannot, _ = _elaborate(spec, ctx, annot, fuel)
-            avoid = ctx.names() | free_vars(annot) | free_vars(body)
-            x = fresh_name(h, avoid)
+            x = _fresh_for(ctx, h, annot, body)
             inner = ctx.extend(x, annot)
             lbody, body_ty = _elaborate(spec, inner, open_binder(body, x), fuel)
             pi = Pi(h, annot, close_binder(body_ty, x))
             infer_type(spec, ctx, pi, fuel)  # the TLam product premise
             lcod, _ = _elaborate(spec, inner, body_ty, fuel)
-            return LLam(h, lannot, l_close(lcod, x), l_close(lbody, x)), pi
+            return LLam(h, lannot, close_binder(lcod, x), close_binder(lbody, x)), pi
         case App(fun, arg):
             lfun, fun_ty = _elaborate(spec, ctx, fun, fuel)
             try:
@@ -598,9 +406,9 @@ def _lpp(e: LabeledExpr, names: list[str], prec: int) -> str:
         case LBVar(i):
             return names[-1 - i] if i < len(names) else f"?{i}"
         case LPi(hint, dom, cod):
-            mentions = _l_mentions_bound(cod)
+            mentions = _mentions_bound(cod)
             if mentions:
-                x = fresh_name(hint, set(l_free_vars(cod)) | set(names))
+                x = fresh_name(hint, set(free_vars(cod)) | set(names))
                 names.append(x)
                 body = _lpp(cod, names, _L_ARROW)
                 names.pop()
@@ -612,7 +420,7 @@ def _lpp(e: LabeledExpr, names: list[str], prec: int) -> str:
                 s = f"{_lpp(dom, names, _L_APP)} -> {body}"
             return f"({s})" if prec > _L_ARROW else s
         case LLam(hint, dom, cod, body):
-            x = fresh_name(hint, set(l_free_vars(cod)) | set(l_free_vars(body)) | set(names))
+            x = fresh_name(hint, set(free_vars(cod)) | set(free_vars(body)) | set(names))
             dom_s = _lpp(dom, names, _L_APP)
             names.append(x)
             cod_s = _lpp(cod, names, _L_ARROW)
@@ -621,38 +429,13 @@ def _lpp(e: LabeledExpr, names: list[str], prec: int) -> str:
             s = f"\\[{x} : {dom_s} -> {cod_s}] {x} : {dom_s} . {body_s}"
             return f"({s})" if prec > _L_ARROW else s
         case LApp(hint, dom, cod, fun, arg):
-            x = fresh_name(hint, set(l_free_vars(cod)) | set(names))
+            x = fresh_name(hint, set(free_vars(cod)) | set(names))
             dom_s = _lpp(dom, names, _L_APP)
             names.append(x)
             cod_s = _lpp(cod, names, _L_ARROW)
             names.pop()
             s = f"{_lpp(fun, names, _L_APP)} @[{x} : {dom_s} -> {cod_s}] {_lpp(arg, names, _L_ARG)}"
             return f"({s})" if prec > _L_APP else s
-        case _:
-            raise TypeError(f"not a labeled expression: {e!r}")
-
-
-def _l_mentions_bound(e: LabeledExpr, depth: int = 0) -> bool:
-    match e:
-        case LBVar(i):
-            return i == depth
-        case LSort() | LVar():
-            return False
-        case LPi(_, a, b):
-            return _l_mentions_bound(a, depth) or _l_mentions_bound(b, depth + 1)
-        case LLam(_, a, b, c):
-            return (
-                _l_mentions_bound(a, depth)
-                or _l_mentions_bound(b, depth + 1)
-                or _l_mentions_bound(c, depth + 1)
-            )
-        case LApp(_, a, b, f, g):
-            return (
-                _l_mentions_bound(a, depth)
-                or _l_mentions_bound(b, depth + 1)
-                or _l_mentions_bound(f, depth)
-                or _l_mentions_bound(g, depth)
-            )
         case _:
             raise TypeError(f"not a labeled expression: {e!r}")
 
@@ -678,7 +461,7 @@ class _LabeledParser(_Parser):
                 self.error("lambda annotation does not match the label domain")
             self.expect("punct", ".")
             body = self.expr()
-            return LLam(x, dom, l_close_raw(cod, x), l_close_raw(body, x))
+            return LLam(x, dom, close_binder(cod, x), close_binder(body, x))
         return self.arrow()
 
     def label(self):
@@ -698,7 +481,7 @@ class _LabeledParser(_Parser):
             self.expect("punct", ")")
             self.expect("arrow")
             cod = self.expr()
-            return LPi(name, dom, l_close_raw(cod, name))
+            return LPi(name, dom, close_binder(cod, name))
         left = self.app()
         if self.peek().kind == "arrow":
             self.next()
@@ -715,7 +498,7 @@ class _LabeledParser(_Parser):
                 x, dom, cod = self.label()
                 self.expect("punct", "]")
                 arg = self.postfix()
-                e = LApp(x, dom, l_close_raw(cod, x), e, arg)
+                e = LApp(x, dom, close_binder(cod, x), e, arg)
             elif self.at_atom_start():
                 self.error("labeled application must be written with @[...]")
             else:
@@ -740,10 +523,6 @@ class _LabeledParser(_Parser):
             self.expect("punct", ")")
             return e
         self.error(f"expected a labeled expression, found {t.text or 'end of input'!r}")
-
-
-def l_close_raw(e: LabeledExpr, name: str) -> LabeledExpr:
-    return l_close(e, name)
 
 
 def parse_labeled(text: str, allow_reserved: bool = True) -> LabeledExpr:

@@ -4,6 +4,11 @@ Reduction is defined on raw syntax and never consults a PTS
 specification; ill-typed terms reduce too, which is why every bounded
 operation distinguishes "ran out of fuel" from a definite answer.
 
+The step walks (``enumerate_steps``, ``leftmost_step``), the key-redex
+functions and the bounded search read the shape tables of
+``syntax.Node``, so they serve labeled terms, with tight reduction, as
+well as plain ones.  ``normalize`` and ``whnf`` are for plain terms.
+
 ``leftmost_step``, ``trace`` and ``normalize`` follow the
 leftmost-outermost (normal-order) strategy.  ``leftmost_step`` contracts
 one redex and ``trace`` repeats it from the root; ``normalize`` makes
@@ -19,10 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
+    BOUND,
+    FREE,
     App,
     BVar,
     Expr,
     Lam,
+    Node,
     Pair,
     Pi,
     Proj1,
@@ -60,135 +68,48 @@ class _Undetermined:
 UNDETERMINED = _Undetermined()
 
 
-def enumerate_steps(e: Expr) -> list[tuple[str, str, Expr]]:
+def enumerate_steps(e: Node) -> list[tuple[str, str, Node]]:
     """All single-step reducts with their position path and redex kind.
 
     Positions are dotted field paths ("fun.arg", "" for the root);
-    kinds are "beta", "proj1", "proj2".  The result may repeat
-    alpha-equal terms reached at different positions.
+    kinds are "beta", "proj1", "proj2", and "tight-beta" on labeled
+    terms.  The root comes first, then each step position of the shape
+    table in order.  The result may repeat alpha-equal terms reached at
+    different positions.
     """
-    out: list[tuple[str, str, Expr]] = []
-    _steps(e, "", out)
+    out: list[tuple[str, str, Node]] = []
+    if e._redex is not None and e._fires():
+        out.append(("", e._redex, e._contract()))
+    for name, pos in e._positions:
+        for p, k, r in enumerate_steps(getattr(e, name)):
+            out.append((f"{pos}.{p}" if p else pos, k, _rebuild(e, name, r)))
     return out
 
 
-def _at(path: str, field: str) -> str:
-    return f"{path}.{field}" if path else field
+def _rebuild(e: Node, name: str, child: Node) -> Node:
+    """``e`` with its field ``name`` replaced by ``child``."""
+    return type(e)(*[child if f == name else getattr(e, f) for f, _ in e._fields])
 
 
-def _steps(e: Expr, path: str, out: list[tuple[str, str, Expr]]) -> None:
-    match e:
-        case SortE() | Var() | BVar():
-            pass
-        case Pi(h, dom, cod):
-            for p, k, r in enumerate_steps(dom):
-                out.append((_at(path, "dom") + (f".{p}" if p else ""), k, Pi(h, r, cod)))
-            for p, k, r in enumerate_steps(cod):
-                out.append((_at(path, "cod") + (f".{p}" if p else ""), k, Pi(h, dom, r)))
-        case Lam(h, annot, body):
-            for p, k, r in enumerate_steps(annot):
-                out.append((_at(path, "annot") + (f".{p}" if p else ""), k, Lam(h, r, body)))
-            for p, k, r in enumerate_steps(body):
-                out.append((_at(path, "body") + (f".{p}" if p else ""), k, Lam(h, annot, r)))
-        case App(fun, arg):
-            if isinstance(fun, Lam):
-                out.append((path, "beta", instantiate(fun.body, arg)))
-            for p, k, r in enumerate_steps(fun):
-                out.append((_at(path, "fun") + (f".{p}" if p else ""), k, App(r, arg)))
-            for p, k, r in enumerate_steps(arg):
-                out.append((_at(path, "arg") + (f".{p}" if p else ""), k, App(fun, r)))
-        case Sigma(h, first, second):
-            for p, k, r in enumerate_steps(first):
-                out.append((_at(path, "fst") + (f".{p}" if p else ""), k, Sigma(h, r, second)))
-            for p, k, r in enumerate_steps(second):
-                out.append((_at(path, "snd") + (f".{p}" if p else ""), k, Sigma(h, first, r)))
-        case Pair(first, second, annot):
-            for p, k, r in enumerate_steps(first):
-                out.append((_at(path, "fst") + (f".{p}" if p else ""), k, Pair(r, second, annot)))
-            for p, k, r in enumerate_steps(second):
-                out.append((_at(path, "snd") + (f".{p}" if p else ""), k, Pair(first, r, annot)))
-        case Proj1(p0):
-            if isinstance(p0, Pair):
-                out.append((path, "proj1", p0.first))
-            for p, k, r in enumerate_steps(p0):
-                out.append((_at(path, "pair") + (f".{p}" if p else ""), k, Proj1(r)))
-        case Proj2(p0):
-            if isinstance(p0, Pair):
-                out.append((path, "proj2", p0.second))
-            for p, k, r in enumerate_steps(p0):
-                out.append((_at(path, "pair") + (f".{p}" if p else ""), k, Proj2(r)))
-        case _:
-            raise TypeError(f"not an expression: {e!r}")
+def step_all(e: Node) -> set[Node]:
+    """The set of one-step reducts, deduplicated up to alpha-equality.
 
-
-def step_all(e: Expr) -> set[Expr]:
-    """The set of one-step reducts, deduplicated up to alpha-equality."""
+    On labeled terms these are the tight steps: the root beta fires only
+    on equal labels.
+    """
     return {r for _, _, r in enumerate_steps(e)}
 
 
-def leftmost_step(e: Expr) -> tuple[str, str, Expr] | None:
+def leftmost_step(e: Node) -> tuple[str, str, Node] | None:
     """Contract the leftmost-outermost redex; None if e is normal."""
-    match e:
-        case SortE() | Var() | BVar():
-            return None
-        case App(fun, arg):
-            if isinstance(fun, Lam):
-                return "", "beta", instantiate(fun.body, arg)
-            if (s := leftmost_step(fun)) is not None:
-                p, k, r = s
-                return _at("fun", p) if p else "fun", k, App(r, arg)
-            if (s := leftmost_step(arg)) is not None:
-                p, k, r = s
-                return _at("arg", p) if p else "arg", k, App(fun, r)
-            return None
-        case Pi(h, dom, cod):
-            if (s := leftmost_step(dom)) is not None:
-                p, k, r = s
-                return _at("dom", p) if p else "dom", k, Pi(h, r, cod)
-            if (s := leftmost_step(cod)) is not None:
-                p, k, r = s
-                return _at("cod", p) if p else "cod", k, Pi(h, dom, r)
-            return None
-        case Lam(h, annot, body):
-            if (s := leftmost_step(annot)) is not None:
-                p, k, r = s
-                return _at("annot", p) if p else "annot", k, Lam(h, r, body)
-            if (s := leftmost_step(body)) is not None:
-                p, k, r = s
-                return _at("body", p) if p else "body", k, Lam(h, annot, r)
-            return None
-        case Sigma(h, first, second):
-            if (s := leftmost_step(first)) is not None:
-                p, k, r = s
-                return _at("fst", p) if p else "fst", k, Sigma(h, r, second)
-            if (s := leftmost_step(second)) is not None:
-                p, k, r = s
-                return _at("snd", p) if p else "snd", k, Sigma(h, first, r)
-            return None
-        case Pair(first, second, annot):
-            if (s := leftmost_step(first)) is not None:
-                p, k, r = s
-                return _at("fst", p) if p else "fst", k, Pair(r, second, annot)
-            if (s := leftmost_step(second)) is not None:
-                p, k, r = s
-                return _at("snd", p) if p else "snd", k, Pair(first, r, annot)
-            return None
-        case Proj1(p0):
-            if isinstance(p0, Pair):
-                return "", "proj1", p0.first
-            if (s := leftmost_step(p0)) is not None:
-                p, k, r = s
-                return _at("pair", p) if p else "pair", k, Proj1(r)
-            return None
-        case Proj2(p0):
-            if isinstance(p0, Pair):
-                return "", "proj2", p0.second
-            if (s := leftmost_step(p0)) is not None:
-                p, k, r = s
-                return _at("pair", p) if p else "pair", k, Proj2(r)
-            return None
-        case _:
-            raise TypeError(f"not an expression: {e!r}")
+    if e._redex is not None and e._fires():
+        return "", e._redex, e._contract()
+    for name, pos in e._positions:
+        s = leftmost_step(getattr(e, name))
+        if s is not None:
+            p, k, r = s
+            return (f"{pos}.{p}" if p else pos), k, _rebuild(e, name, r)
+    return None
 
 
 @dataclass(frozen=True)
@@ -372,130 +293,105 @@ def beta_eq(a: Expr, b: Expr, fuel: int = DEFAULT_FUEL):
 # Base expressions and key redexes
 
 
-def is_base(e: Expr) -> bool:
+def is_base(e: Node) -> bool:
     """True for a variable applied to any arguments, or projections of such."""
-    match e:
-        case Proj1(p) | Proj2(p):
-            return is_base(p)
-        case _:
-            head = e
-            while isinstance(head, App):
-                head = head.fun
-            return isinstance(head, (Var, BVar))
+    while e._head == "pair":
+        e = e.pair
+    while e._head == "fun":
+        e = e.fun
+    return e._role in (FREE, BOUND)
 
 
-def key_redex_of(e: Expr) -> Expr | None:
+def key_redex_of(e: Node) -> Node | None:
     """The unavoidable head redex, if any.
 
-    A beta redex is its own key redex; an application shares its
-    function's key redex; projections share their subject's.
+    A beta redex (tight-beta on labeled terms) is its own key redex; an
+    application shares its function's key redex; projections share
+    their subject's.
     """
-    match e:
-        case App(fun, _) if isinstance(fun, Lam):
+    while e._head is not None:
+        if e._head == "fun" and e._fires():
             return e
-        case App(fun, _):
-            return key_redex_of(fun)
-        case Proj1(p) | Proj2(p):
-            return key_redex_of(p)
-        case _:
-            return None
+        e = getattr(e, e._head)
+    return None
 
 
-def key_redex_path(e: Expr) -> str | None:
+def key_redex_path(e: Node) -> str | None:
     """Position path of the key redex inside ``e`` (for step filtering)."""
-    match e:
-        case App(fun, _) if isinstance(fun, Lam):
-            return ""
-        case App(fun, _):
-            p = key_redex_path(fun)
-            return None if p is None else (_at("fun", p) if p else "fun")
-        case Proj1(p0) | Proj2(p0):
-            p = key_redex_path(p0)
-            return None if p is None else (_at("pair", p) if p else "pair")
-        case _:
-            return None
+    path = []
+    while e._head is not None:
+        if e._head == "fun" and e._fires():
+            return ".".join(path)
+        path.append(e._head)
+        e = getattr(e, e._head)
+    return None
 
 
-def reduce_key_redex(e: Expr) -> Expr:
+def reduce_key_redex(e: Node) -> Node:
     """Contract exactly the key redex, in place."""
-    match e:
-        case App(fun, arg) if isinstance(fun, Lam):
-            return instantiate(fun.body, arg)
-        case App(fun, arg):
-            return App(reduce_key_redex(fun), arg)
-        case Proj1(p):
-            return Proj1(reduce_key_redex(p))
-        case Proj2(p):
-            return Proj2(reduce_key_redex(p))
-        case _:
-            raise ValueError(f"no key redex in {e}")
+    head = e._head
+    if head is None:
+        raise ValueError(f"no key redex in {e}")
+    if head == "fun" and e._fires():
+        return e._contract()
+    return _rebuild(e, head, reduce_key_redex(getattr(e, head)))
 
 
 # ---------------------------------------------------------------------------
 # Bounded reachability and joinability
 
 
-def reachable(a: Expr, b: Expr, max_depth: int, min_steps: int = 0) -> bool:
-    """Is there a reduction path a ~>* b of length in [min_steps, max_depth]?
+def _search(
+    start: Node, max_depth: int, targets: set[Node] | frozenset[Node], min_steps: int = 0
+) -> tuple[bool, set[Node]]:
+    """The bounded breadth-first search behind every reachability question.
 
-    Breadth-first over step_all with alpha-deduplication of the frontier.
+    Follows ``step_all`` for at most ``max_depth`` steps from ``start``.
+    A search state is a term together with min(steps taken,
+    ``min_steps``): the first ``min_steps`` levels are kept whole, and
+    only from then on is a term already seen skipped.  Returns
+    ``(hit, seen)``: ``hit`` is whether a path of at least ``min_steps``
+    steps reaches a term in ``targets``; ``seen`` holds the terms such
+    paths reached before the search stopped (``start`` included when
+    ``min_steps`` is 0).
     """
-    if min_steps == 0 and a == b:
-        return True
-    visited = {a}
-    frontier = {a}
-    for _ in range(max_depth):
-        nxt: set[Expr] = set()
+    seen = {start} if min_steps == 0 else set()
+    if not targets.isdisjoint(seen):
+        return True, seen
+    frontier = {start}
+    for steps in range(1, max_depth + 1):
+        nxt: set[Node] = set()
         for t in frontier:
             nxt.update(step_all(t))
-        if b in nxt:
-            return True
-        frontier = nxt - visited
-        if not frontier:
-            return False
-        visited |= frontier
-    return False
-
-
-def reducts_within(e: Expr, depth: int) -> set[Expr]:
-    """All terms reachable from e in at most ``depth`` steps (e included)."""
-    visited = {e}
-    frontier = {e}
-    for _ in range(depth):
-        nxt: set[Expr] = set()
-        for t in frontier:
-            nxt.update(step_all(t))
-        frontier = nxt - visited
+        if steps < min_steps:
+            frontier = nxt
+        else:
+            if not targets.isdisjoint(nxt):
+                return True, seen
+            frontier = nxt - seen
+            seen |= frontier
         if not frontier:
             break
-        visited |= frontier
-    return visited
+    return False, seen
 
 
-def joinable(a: Expr, b: Expr, max_depth: int) -> bool:
+def reachable(a: Node, b: Node, max_depth: int, min_steps: int = 0) -> bool:
+    """Is there a reduction path a ~>* b of length in [min_steps, max_depth]?
+
+    ``min_steps`` is the fewest steps a path may take: 0 counts ``a``
+    itself, 1 asks for at least one step (so a term reaches itself only
+    through a cycle), and so on.  Breadth-first over ``step_all`` with
+    alpha-deduplication of the frontier; works on plain and labeled
+    terms alike.
+    """
+    return _search(a, max_depth, {b}, min_steps)[0]
+
+
+def reducts_within(e: Node, depth: int) -> set[Node]:
+    """All terms reachable from e in at most ``depth`` steps (e included)."""
+    return _search(e, depth, frozenset())[1]
+
+
+def joinable(a: Node, b: Node, max_depth: int) -> bool:
     """Do the bounded reduct sets of a and b intersect (up to alpha)?"""
-    seen_a = {a}
-    seen_b = {b}
-    if not seen_a.isdisjoint(seen_b):
-        return True
-    front_a, front_b = {a}, {b}
-    for _ in range(max_depth):
-        if not front_a and not front_b:
-            return False
-        if front_a:
-            nxt: set[Expr] = set()
-            for t in front_a:
-                nxt.update(step_all(t))
-            front_a = nxt - seen_a
-            seen_a |= front_a
-            if not seen_a.isdisjoint(seen_b):
-                return True
-        if front_b:
-            nxt = set()
-            for t in front_b:
-                nxt.update(step_all(t))
-            front_b = nxt - seen_b
-            seen_b |= front_b
-            if not seen_a.isdisjoint(seen_b):
-                return True
-    return False
+    return _search(a, max_depth, reducts_within(b, max_depth))[0]

@@ -5,6 +5,11 @@ nameless representation: bound variables are de Bruijn indices, free
 variables are names.  Binder names are kept only as printing hints and
 are excluded from equality, so ``==`` on expressions *is*
 alpha-equivalence.
+
+Every node class, here and in ``labeled``, declares a shape table (see
+``Node``), and each binder-aware traversal (free variables, size,
+shifting, instantiation, closing, substitution) is one definition over
+those tables.
 """
 
 from __future__ import annotations
@@ -21,7 +26,47 @@ BOX = "#"
 RESERVED_PREFIX = "_"
 
 
-class Expr:
+# Leaf roles in a shape table.
+CONST = "const"
+FREE = "free"
+BOUND = "bound"
+
+
+class Node:
+    """Base of the plain and the labeled AST; each class is one shape table.
+
+    ``_shape`` lists every field in declaration order as
+    ``(name, binders, position)``.  ``binders`` is how many binders the
+    field sits under, or None when the field is not a child (``hint``,
+    ``name``, ``index``).  ``position`` names the field in reduction
+    paths, or is None where reduction never steps (a pair's
+    annotation).  Leaf classes set ``_role`` to CONST, FREE or BOUND; a
+    free-variable class names its bound-variable class in ``_bound``.
+
+    An elimination form names in ``_head`` the field that holds its
+    function or subject.  A class with a root redex names its kind in
+    ``_redex`` and defines ``_fires`` (is this node a redex?) and
+    ``_contract`` (its contractum).
+
+    ``free_vars``, ``size``, ``instantiate``, ``close_binder``,
+    ``subst`` and the reduction walks read these tables, so one
+    definition of each serves every class of both ASTs.
+    """
+
+    __slots__ = ()
+    _role = None
+    _head = None
+    _redex = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        shape = cls.__dict__.get("_shape", ())
+        cls._fields = tuple((name, binders) for name, binders, _ in shape)
+        cls._children = tuple((name, binders) for name, binders, _ in shape if binders is not None)
+        cls._positions = tuple((name, pos) for name, _, pos in shape if pos is not None)
+
+
+class Expr(Node):
     """Base class for expressions; all nodes are immutable."""
 
     __slots__ = ()
@@ -34,12 +79,8 @@ class Expr:
 class SortE(Expr):
     name: str
 
-
-@dataclass(frozen=True)
-class Var(Expr):
-    """A free variable occurrence."""
-
-    name: str
+    _shape = (("name", None, None),)
+    _role = CONST
 
 
 @dataclass(frozen=True)
@@ -48,12 +89,28 @@ class BVar(Expr):
 
     index: int
 
+    _shape = (("index", None, None),)
+    _role = BOUND
+
+
+@dataclass(frozen=True)
+class Var(Expr):
+    """A free variable occurrence."""
+
+    name: str
+
+    _shape = (("name", None, None),)
+    _role = FREE
+    _bound = BVar
+
 
 @dataclass(frozen=True)
 class Pi(Expr):
     hint: str = field(compare=False)
     dom: Expr
     cod: Expr  # binds one variable
+
+    _shape = (("hint", None, None), ("dom", 0, "dom"), ("cod", 1, "cod"))
 
 
 @dataclass(frozen=True)
@@ -62,11 +119,23 @@ class Lam(Expr):
     annot: Expr
     body: Expr  # binds one variable
 
+    _shape = (("hint", None, None), ("annot", 0, "annot"), ("body", 1, "body"))
+
 
 @dataclass(frozen=True)
 class App(Expr):
     fun: Expr
     arg: Expr
+
+    _shape = (("fun", 0, "fun"), ("arg", 0, "arg"))
+    _head = "fun"
+    _redex = "beta"
+
+    def _fires(self) -> bool:
+        return isinstance(self.fun, Lam)
+
+    def _contract(self) -> Expr:
+        return instantiate(self.fun.body, self.arg)
 
 
 @dataclass(frozen=True)
@@ -74,6 +143,8 @@ class Sigma(Expr):
     hint: str = field(compare=False)
     first: Expr
     second: Expr  # binds one variable
+
+    _shape = (("hint", None, None), ("first", 0, "fst"), ("second", 1, "snd"))
 
 
 @dataclass(frozen=True)
@@ -89,15 +160,37 @@ class Pair(Expr):
     second: Expr
     annot: Expr
 
+    _shape = (("first", 0, "fst"), ("second", 0, "snd"), ("annot", 0, None))
+
 
 @dataclass(frozen=True)
 class Proj1(Expr):
     pair: Expr
 
+    _shape = (("pair", 0, "pair"),)
+    _head = "pair"
+    _redex = "proj1"
+
+    def _fires(self) -> bool:
+        return isinstance(self.pair, Pair)
+
+    def _contract(self) -> Expr:
+        return self.pair.first
+
 
 @dataclass(frozen=True)
 class Proj2(Expr):
     pair: Expr
+
+    _shape = (("pair", 0, "pair"),)
+    _head = "pair"
+    _redex = "proj2"
+
+    def _fires(self) -> bool:
+        return isinstance(self.pair, Pair)
+
+    def _contract(self) -> Expr:
+        return self.pair.second
 
 
 SIGMA_NODES = (Sigma, Pair, Proj1, Proj2)
@@ -108,104 +201,63 @@ def alpha_eq(a: Expr, b: Expr) -> bool:
     return a == b
 
 
-def free_vars(e: Expr) -> frozenset[str]:
+def children(e: Node) -> list[tuple[Node, int]]:
+    """``(child, binders)`` for each child of ``e``, in declaration order."""
+    return [(getattr(e, name), binders) for name, binders in e._children]
+
+
+def free_vars(e: Node) -> frozenset[str]:
     out: set[str] = set()
     _free_vars(e, out)
     return frozenset(out)
 
 
-def _free_vars(e: Expr, out: set[str]) -> None:
-    match e:
-        case Var(name):
-            out.add(name)
-        case SortE() | BVar():
-            pass
-        case Pi(_, dom, cod):
-            _free_vars(dom, out)
-            _free_vars(cod, out)
-        case Lam(_, annot, body):
-            _free_vars(annot, out)
-            _free_vars(body, out)
-        case App(fun, arg):
-            _free_vars(fun, out)
-            _free_vars(arg, out)
-        case Sigma(_, first, second):
-            _free_vars(first, out)
-            _free_vars(second, out)
-        case Pair(first, second, annot):
-            _free_vars(first, out)
-            _free_vars(second, out)
-            _free_vars(annot, out)
-        case Proj1(p) | Proj2(p):
-            _free_vars(p, out)
-        case _:
-            raise TypeError(f"not an expression: {e!r}")
+def _free_vars(e: Node, out: set[str]) -> None:
+    role = e._role
+    if role is None:
+        for name, _ in e._children:
+            _free_vars(getattr(e, name), out)
+    elif role == FREE:
+        out.add(e.name)
 
 
-def size(e: Expr) -> int:
-    match e:
-        case SortE() | Var() | BVar():
-            return 1
-        case Pi(_, a, b) | Lam(_, a, b) | Sigma(_, a, b) | App(a, b):
-            return 1 + size(a) + size(b)
-        case Pair(a, b, t):
-            return 1 + size(a) + size(b) + size(t)
-        case Proj1(p) | Proj2(p):
-            return 1 + size(p)
-        case _:
-            raise TypeError(f"not an expression: {e!r}")
+def size(e: Node) -> int:
+    n = 1
+    for name, _ in e._children:
+        n += size(getattr(e, name))
+    return n
 
 
-def _shift(e: Expr, by: int, cutoff: int) -> Expr:
+def _shift(e: Node, by: int, cutoff: int) -> Node:
     """Add ``by`` to every dangling index >= cutoff."""
-    match e:
-        case BVar(i):
-            return BVar(i + by) if i >= cutoff else e
-        case SortE() | Var():
-            return e
-        case Pi(h, dom, cod):
-            return Pi(h, _shift(dom, by, cutoff), _shift(cod, by, cutoff + 1))
-        case Lam(h, annot, body):
-            return Lam(h, _shift(annot, by, cutoff), _shift(body, by, cutoff + 1))
-        case App(f, a):
-            return App(_shift(f, by, cutoff), _shift(a, by, cutoff))
-        case Sigma(h, a, b):
-            return Sigma(h, _shift(a, by, cutoff), _shift(b, by, cutoff + 1))
-        case Pair(a, b, t):
-            return Pair(_shift(a, by, cutoff), _shift(b, by, cutoff), _shift(t, by, cutoff))
-        case Proj1(p):
-            return Proj1(_shift(p, by, cutoff))
-        case Proj2(p):
-            return Proj2(_shift(p, by, cutoff))
-        case _:
-            raise TypeError(f"not an expression: {e!r}")
+    role = e._role
+    if role is None:
+        args = []
+        for name, binders in e._fields:
+            v = getattr(e, name)
+            args.append(v if binders is None else _shift(v, by, cutoff + binders))
+        return type(e)(*args)
+    if role == BOUND and e.index >= cutoff:
+        return type(e)(e.index + by)
+    return e
 
 
-def instantiate(body: Expr, arg: Expr, depth: int = 0) -> Expr:
+def instantiate(body: Node, arg: Node, depth: int = 0) -> Node:
     """Remove the innermost binder of ``body``, replacing its variable by ``arg``."""
-    match body:
-        case BVar(i):
-            if i == depth:
-                return _shift(arg, depth, 0) if depth else arg
-            return BVar(i - 1) if i > depth else body
-        case SortE() | Var():
-            return body
-        case Pi(h, dom, cod):
-            return Pi(h, instantiate(dom, arg, depth), instantiate(cod, arg, depth + 1))
-        case Lam(h, annot, b):
-            return Lam(h, instantiate(annot, arg, depth), instantiate(b, arg, depth + 1))
-        case App(f, a):
-            return App(instantiate(f, arg, depth), instantiate(a, arg, depth))
-        case Sigma(h, a, b):
-            return Sigma(h, instantiate(a, arg, depth), instantiate(b, arg, depth + 1))
-        case Pair(a, b, t):
-            return Pair(instantiate(a, arg, depth), instantiate(b, arg, depth), instantiate(t, arg, depth))
-        case Proj1(p):
-            return Proj1(instantiate(p, arg, depth))
-        case Proj2(p):
-            return Proj2(instantiate(p, arg, depth))
-        case _:
-            raise TypeError(f"not an expression: {body!r}")
+    role = body._role
+    if role is None:
+        args = []
+        for name, binders in body._fields:
+            v = getattr(body, name)
+            args.append(v if binders is None else instantiate(v, arg, depth + binders))
+        return type(body)(*args)
+    if role == BOUND:
+        i = body.index
+        if i == depth:
+            return _shift(arg, depth, 0) if depth else arg
+        if i > depth:
+            return type(body)(i - 1)
+    return body
 
 
 def open_binder(body: Expr, name: str) -> Expr:
@@ -213,61 +265,39 @@ def open_binder(body: Expr, name: str) -> Expr:
     return instantiate(body, Var(name))
 
 
-def close_binder(e: Expr, name: str, depth: int = 0) -> Expr:
+def close_binder(e: Node, name: str, depth: int = 0) -> Node:
     """Abstract free occurrences of ``name`` into the binder being built.
 
     ``e`` must not contain dangling indices of its own.
     """
-    match e:
-        case Var(n):
-            return BVar(depth) if n == name else e
-        case SortE() | BVar():
-            return e
-        case Pi(h, dom, cod):
-            return Pi(h, close_binder(dom, name, depth), close_binder(cod, name, depth + 1))
-        case Lam(h, annot, body):
-            return Lam(h, close_binder(annot, name, depth), close_binder(body, name, depth + 1))
-        case App(f, a):
-            return App(close_binder(f, name, depth), close_binder(a, name, depth))
-        case Sigma(h, a, b):
-            return Sigma(h, close_binder(a, name, depth), close_binder(b, name, depth + 1))
-        case Pair(a, b, t):
-            return Pair(close_binder(a, name, depth), close_binder(b, name, depth), close_binder(t, name, depth))
-        case Proj1(p):
-            return Proj1(close_binder(p, name, depth))
-        case Proj2(p):
-            return Proj2(close_binder(p, name, depth))
-        case _:
-            raise TypeError(f"not an expression: {e!r}")
+    role = e._role
+    if role is None:
+        args = []
+        for f, binders in e._fields:
+            v = getattr(e, f)
+            args.append(v if binders is None else close_binder(v, name, depth + binders))
+        return type(e)(*args)
+    if role == FREE and e.name == name:
+        return e._bound(depth)
+    return e
 
 
-def subst(target: Expr, name: str, replacement: Expr) -> Expr:
+def subst(target: Node, name: str, replacement: Node) -> Node:
     """Capture-avoiding substitution of ``replacement`` for free ``name``.
 
     Capture is impossible by construction: bound variables are indices,
     and the free variables of ``replacement`` stay free.
     """
-    match target:
-        case Var(n):
-            return replacement if n == name else target
-        case SortE() | BVar():
-            return target
-        case Pi(h, dom, cod):
-            return Pi(h, subst(dom, name, replacement), subst(cod, name, replacement))
-        case Lam(h, annot, body):
-            return Lam(h, subst(annot, name, replacement), subst(body, name, replacement))
-        case App(f, a):
-            return App(subst(f, name, replacement), subst(a, name, replacement))
-        case Sigma(h, a, b):
-            return Sigma(h, subst(a, name, replacement), subst(b, name, replacement))
-        case Pair(a, b, t):
-            return Pair(subst(a, name, replacement), subst(b, name, replacement), subst(t, name, replacement))
-        case Proj1(p):
-            return Proj1(subst(p, name, replacement))
-        case Proj2(p):
-            return Proj2(subst(p, name, replacement))
-        case _:
-            raise TypeError(f"not an expression: {target!r}")
+    role = target._role
+    if role is None:
+        args = []
+        for f, binders in target._fields:
+            v = getattr(target, f)
+            args.append(v if binders is None else subst(v, name, replacement))
+        return type(target)(*args)
+    if role == FREE and target.name == name:
+        return replacement
+    return target
 
 
 def fresh_name(base: str, avoid) -> str:
@@ -335,17 +365,21 @@ BUILTIN_SPECS = {"stlc": STLC, "f": SYSTEM_F, "fomega": FOMEGA, "cc": CC}
 
 @dataclass(frozen=True)
 class Context:
-    """An ordered telescope of name : type bindings."""
+    """An ordered telescope of name : type bindings.
 
-    bindings: tuple[tuple[str, Expr], ...] = ()
+    The types are plain expressions, or labeled ones in the contexts of
+    the labeled system.
+    """
 
-    def lookup(self, name: str) -> Expr | None:
+    bindings: tuple[tuple[str, Node], ...] = ()
+
+    def lookup(self, name: str) -> Node | None:
         for n, ty in self.bindings:
             if n == name:
                 return ty
         return None
 
-    def extend(self, name: str, ty: Expr) -> Context:
+    def extend(self, name: str, ty: Node) -> Context:
         return Context(self.bindings + ((name, ty),))
 
     def names(self) -> set[str]:
@@ -604,22 +638,14 @@ _PREC_APP = 1
 _PREC_ARG = 2
 
 
-def _mentions_bound(e: Expr, depth: int = 0) -> bool:
-    match e:
-        case BVar(i):
-            return i == depth
-        case SortE() | Var():
-            return False
-        case Pi(_, a, b) | Lam(_, a, b) | Sigma(_, a, b):
-            return _mentions_bound(a, depth) or _mentions_bound(b, depth + 1)
-        case App(a, b):
-            return _mentions_bound(a, depth) or _mentions_bound(b, depth)
-        case Pair(a, b, t):
-            return any(_mentions_bound(x, depth) for x in (a, b, t))
-        case Proj1(p) | Proj2(p):
-            return _mentions_bound(p, depth)
-        case _:
-            raise TypeError(f"not an expression: {e!r}")
+def _mentions_bound(e: Node, depth: int = 0) -> bool:
+    role = e._role
+    if role is None:
+        for name, binders in e._children:
+            if _mentions_bound(getattr(e, name), depth + binders):
+                return True
+        return False
+    return role == BOUND and e.index == depth
 
 
 def _pick_name(hint: str, body: Expr, names: list[str]) -> str:

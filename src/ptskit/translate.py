@@ -33,7 +33,6 @@ from .syntax import (
     Var,
     close_binder,
     free_vars,
-    fresh_name,
     open_binder,
     print_expr,
     subst,
@@ -47,6 +46,7 @@ from .typecheck import (
     GammaTerm,
     Kind,
     TypeCheckError,
+    _fresh_for,
     check_type,
     classify,
     infer_type,
@@ -109,10 +109,7 @@ class TransEnv:
         return f"{Y_PREFIX}{self._counter[0]}"
 
     def fresh_binder(self, hint: str, *exprs: Expr) -> str:
-        avoid = self.cc_context.names()
-        for e in exprs:
-            avoid |= free_vars(e)
-        return fresh_name(hint, avoid)
+        return _fresh_for(self.cc_context, hint, *exprs)
 
 
 def is_cc_kind(e: Expr) -> bool:

@@ -173,6 +173,21 @@ def test_verify_machine_format(capsys):
     assert all(json.loads(line)["ok"] for line in lines[:-1])
 
 
+def test_non_positive_bounds_are_rejected_up_front(capsys):
+    # verify would otherwise report a zero depth as simulation failures,
+    # and infer of "*" never reduces, so its fuel was never checked
+    for argv in (["verify", CORPUS], ["infer", "*"]):
+        for flag, value in (("--fuel", "0"), ("--fuel", "-3"), ("--depth", "0"), ("--depth", "-3")):
+            message = f"{flag[2:]} must be >= 1"
+            code, out, err = run(capsys, *argv, flag, value)
+            assert code == EXIT_PARSE_ERROR
+            assert (out, err) == ("", f"error: {message}\n")
+            code, out, err = run(capsys, *argv, flag, value, "--format", "machine")
+            assert code == EXIT_PARSE_ERROR
+            assert json.loads(out) == {"command": argv[0], "ok": False, "error": message}
+            assert err == ""
+
+
 def test_verify_sigma_corpus(capsys):
     code, out, _ = run(capsys, "verify", "corpus/sigma", "--sigma")
     assert code == EXIT_OK

@@ -182,6 +182,21 @@ def test_reachable_examples():
     assert not reachable(a, a, 5, min_steps=1)  # beta is terminating here
 
 
+def test_reachable_counts_min_steps():
+    a = P(r"(\x:*. x) y")
+    # the only path from a to y has one step
+    assert reachable(a, Var("y"), 5, min_steps=1)
+    assert not reachable(a, Var("y"), 5, min_steps=2)
+    assert not reachable(a, Var("y"), 1, min_steps=3)
+    nested = P(r"(\x:*. x) ((\x:*. x) y)")
+    assert reachable(nested, Var("y"), 5, min_steps=2)
+    assert not reachable(nested, Var("y"), 5, min_steps=3)
+    assert not reachable(nested, Var("y"), 1, min_steps=1)
+    omega = P(r"(\x:*. x x) (\x:*. x x)")
+    assert reachable(omega, omega, 1, min_steps=1)
+    assert reachable(omega, omega, 3, min_steps=3)
+
+
 def test_joinable_examples():
     e = P(r"(\x:*. f x x) ((\z:*. z) w)")
     b1, b2 = sorted(step_all(e), key=str)
