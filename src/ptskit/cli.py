@@ -205,7 +205,7 @@ def _cmd_label(s: _Session) -> int:
     wf_context(s.spec, ctx, s.ns.fuel)
     la = label_term(s.spec, ctx, s.parse(s.ns.term), s.ns.fuel)
     lctx = label_context(s.spec, ctx, s.ns.fuel)
-    labeled_infer(s.spec, lctx, la, s.ns.fuel)
+    labeled_infer(s.spec, lctx, la, s.ns.fuel, s.ns.depth)
     s.emit({"command": "label", "ok": True, "labeled": print_labeled(la)}, print_labeled(la))
     return EXIT_OK
 

@@ -194,14 +194,16 @@ def _report_one(j: Judgement, spec: PtsSpec, fuel: int, depth: int) -> list[Chec
 
     try:
         la = label_term(CC, j.ctx, j.term, fuel)
-        entries.append(_entry(erase(la) == j.term, "labeled-roundtrip", j))
-        lctx = label_context(CC, j.ctx, fuel)
-        labeled_infer(CC, lctx, la, fuel)
-        plain = step_all(j.term)
-        sim_ok = all(
-            erase(r) == j.term or erase(r) in plain for r in tight_step_all(la)
-        )
-        entries.append(_entry(sim_ok, "tight-erasure", j))
     except TypeCheckError as err:
         entries.append(_entry(False, "labeled-roundtrip", j, str(err)))
+        return entries
+    entries.append(_entry(erase(la) == j.term, "labeled-roundtrip", j))
+    try:
+        labeled_infer(CC, label_context(CC, j.ctx, fuel), la, fuel, depth)
+    except TypeCheckError as err:
+        entries.append(_entry(False, "tight-erasure", j, str(err)))
+        return entries
+    plain = step_all(j.term)
+    sim_ok = all(erase(r) == j.term or erase(r) in plain for r in tight_step_all(la))
+    entries.append(_entry(sim_ok, "tight-erasure", j))
     return entries

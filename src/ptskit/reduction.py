@@ -4,10 +4,10 @@ Reduction is defined on raw syntax and never consults a PTS
 specification; ill-typed terms reduce too, which is why every bounded
 operation distinguishes "ran out of fuel" from a definite answer.
 
-The step walks (``enumerate_steps``, ``leftmost_step``), the key-redex
-functions and the bounded search read the shape tables of
-``syntax.Node``, so they serve labeled terms, with tight reduction, as
-well as plain ones.  ``normalize`` and ``whnf`` are for plain terms.
+Every walk here (``enumerate_steps``, ``leftmost_step``, ``normalize``,
+``whnf``, the key-redex functions and the bounded search) reads the
+shape tables of ``syntax.Node``, so each serves labeled terms, with
+tight reduction, as well as plain ones.
 
 ``leftmost_step``, ``trace`` and ``normalize`` follow the
 leftmost-outermost (normal-order) strategy.  ``leftmost_step`` contracts
@@ -16,30 +16,17 @@ the same contractions in one pass, contracting a term's head redexes
 first and then normalizing its components left to right.  Its fuel
 counts contractions, and on exhaustion ``FuelExhausted.last`` is the
 whole term after exactly ``fuel`` of them, the term ``trace`` shows
-after that many steps.
+after that many steps.  On labeled terms ``leftmost_step`` visits an
+application's labels before its function, so head-first ``normalize``
+is not tight normal order there; ``labeled.l_normalize`` repeats
+``leftmost_step`` instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import (
-    BOUND,
-    FREE,
-    App,
-    BVar,
-    Expr,
-    Lam,
-    Node,
-    Pair,
-    Pi,
-    Proj1,
-    Proj2,
-    Sigma,
-    SortE,
-    Var,
-    instantiate,
-)
+from .syntax import BOUND, FREE, Expr, Node
 
 DEFAULT_FUEL = 10000
 
@@ -159,118 +146,81 @@ def normalize(e: Expr, fuel: int = DEFAULT_FUEL) -> Expr:
     return _nf(e, [fuel])
 
 
-def _nf(e: Expr, budget: list[int], stop_at: type | None = None) -> Expr:
+def _nf(e: Node, budget: list[int], stop_at: type | None = None) -> Node:
     """Normal form of ``e``, one frame per term level.
 
-    With ``stop_at`` (``Lam`` for the function of an application,
-    ``Pair`` for the subject of a projection) a weak head normal form of
-    that class is returned as it is, because the redex above it comes
-    next in leftmost-outermost order.  Head redexes are contracted in a
-    loop at this level, so successive contractions at the root do not
-    deepen the stack.  On fuel exhaustion each frame rebuilds its own
-    node around the partial child before re-raising.
+    An elimination form first brings its head to normal form, stopping
+    at a weak head normal form of its ``_intro`` class (``Lam`` for the
+    function of an application, ``Pair`` for the subject of a
+    projection), because the redex above it comes next in
+    leftmost-outermost order.  With ``stop_at`` such a term is returned
+    as it is.  Head redexes are contracted in a loop at this level, so
+    successive contractions at the root do not deepen the stack; then
+    the other step positions are normalized in table order.  On fuel
+    exhaustion each frame rebuilds its own node around the partial child
+    before re-raising.
     """
+    skip = None
     while True:
-        match e:
-            case SortE() | Var() | BVar():
+        if e._role is not None:
+            return e
+        head = e._head
+        if head is None:
+            if type(e) is stop_at:
                 return e
-            case App(fun, arg):
-                try:
-                    f = _nf(fun, budget, Lam)
-                except FuelExhausted as exc:
-                    exc.last = App(exc.last, arg)
-                    raise
-                if isinstance(f, Lam):
-                    if budget[0] <= 0:
-                        raise FuelExhausted(e if f is fun else App(f, arg))
-                    budget[0] -= 1
-                    e = instantiate(f.body, arg)
-                    continue
-                try:
-                    a = _nf(arg, budget)
-                except FuelExhausted as exc:
-                    exc.last = App(f, exc.last)
-                    raise
-                return e if f is fun and a is arg else App(f, a)
-            case Proj1(p) | Proj2(p):
-                try:
-                    q = _nf(p, budget, Pair)
-                except FuelExhausted as exc:
-                    exc.last = type(e)(exc.last)
-                    raise
-                if isinstance(q, Pair):
-                    if budget[0] <= 0:
-                        raise FuelExhausted(e if q is p else type(e)(q))
-                    budget[0] -= 1
-                    e = q.first if isinstance(e, Proj1) else q.second
-                    continue
-                return e if q is p else type(e)(q)
-            case _ if type(e) is stop_at:
-                return e
-            case Pi(h, dom, cod) | Lam(h, dom, cod) | Sigma(h, dom, cod):
-                try:
-                    d = _nf(dom, budget)
-                except FuelExhausted as exc:
-                    exc.last = type(e)(h, exc.last, cod)
-                    raise
-                try:
-                    c = _nf(cod, budget)
-                except FuelExhausted as exc:
-                    exc.last = type(e)(h, d, exc.last)
-                    raise
-                return e if d is dom and c is cod else type(e)(h, d, c)
-            case Pair(first, second, annot):
-                try:
-                    a = _nf(first, budget)
-                except FuelExhausted as exc:
-                    exc.last = Pair(exc.last, second, annot)
-                    raise
-                try:
-                    b = _nf(second, budget)
-                except FuelExhausted as exc:
-                    exc.last = Pair(a, exc.last, annot)
-                    raise
-                return e if a is first and b is second else Pair(a, b, annot)
-            case _:
-                raise TypeError(f"not an expression: {e!r}")
+            break
+        h = getattr(e, head)
+        try:
+            f = _nf(h, budget, e._intro)
+        except FuelExhausted as exc:
+            exc.last = _rebuild(e, head, exc.last)
+            raise
+        if f is not h:
+            e = _rebuild(e, head, f)
+        if not e._fires():
+            # The head is normal now, unless it stopped at an introduction
+            # form that does not fire (a tight-beta label mismatch).
+            if type(f) is not e._intro:
+                skip = head
+            break
+        if budget[0] <= 0:
+            raise FuelExhausted(e)
+        budget[0] -= 1
+        e = e._contract()
+    for name, _ in e._positions:
+        if name == skip:
+            continue
+        v = getattr(e, name)
+        try:
+            r = _nf(v, budget)
+        except FuelExhausted as exc:
+            exc.last = _rebuild(e, name, exc.last)
+            raise
+        if r is not v:
+            e = _rebuild(e, name, r)
+    return e
 
 
-def whnf(e: Expr, fuel: int = DEFAULT_FUEL) -> Expr:
+def whnf(e: Node, fuel: int = DEFAULT_FUEL) -> Node:
     """Reduce until the head is no beta/projection redex; spine only."""
     if fuel < 1:
         raise ValueError("fuel must be >= 1")
-    budget = [fuel]
-    return _whnf(e, budget)
+    return _whnf(e, [fuel])
 
 
-def _whnf(e: Expr, budget: list[int]) -> Expr:
-    match e:
-        case App(fun, arg):
-            fun = _whnf(fun, budget)
-            if isinstance(fun, Lam):
-                if budget[0] <= 0:
-                    raise FuelExhausted(App(fun, arg))
-                budget[0] -= 1
-                return _whnf(instantiate(fun.body, arg), budget)
-            return App(fun, arg)
-        case Proj1(p):
-            p = _whnf(p, budget)
-            if isinstance(p, Pair):
-                if budget[0] <= 0:
-                    raise FuelExhausted(Proj1(p))
-                budget[0] -= 1
-                return _whnf(p.first, budget)
-            return Proj1(p)
-        case Proj2(p):
-            p = _whnf(p, budget)
-            if isinstance(p, Pair):
-                if budget[0] <= 0:
-                    raise FuelExhausted(Proj2(p))
-                budget[0] -= 1
-                return _whnf(p.second, budget)
-            return Proj2(p)
-        case _:
-            return e
+def _whnf(e: Node, budget: list[int]) -> Node:
+    while e._head is not None:
+        h = getattr(e, e._head)
+        f = _whnf(h, budget)
+        if f is not h:
+            e = _rebuild(e, e._head, f)
+        if not e._fires():
+            break
+        if budget[0] <= 0:
+            raise FuelExhausted(e)
+        budget[0] -= 1
+        e = e._contract()
+    return e
 
 
 def beta_eq(a: Expr, b: Expr, fuel: int = DEFAULT_FUEL):

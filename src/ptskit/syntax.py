@@ -6,10 +6,12 @@ variables are names.  Binder names are kept only as printing hints and
 are excluded from equality, so ``==`` on expressions *is*
 alpha-equivalence.
 
-Every node class, here and in ``labeled``, declares a shape table (see
-``Node``), and each binder-aware traversal (free variables, size,
-shifting, instantiation, closing, substitution) is one definition over
-those tables.
+The fully annotated terms of the labeled system (``LabeledExpr``) live
+here beside the plain ones.  Every node class of both ASTs declares a
+shape table (see ``Node``), and each binder-aware traversal (free
+variables, size, shifting, instantiation, closing, substitution) is one
+definition over those tables; one grammar and one printer cover both
+surface syntaxes.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ class Node:
     free-variable class names its bound-variable class in ``_bound``.
 
     An elimination form names in ``_head`` the field that holds its
-    function or subject.  A class with a root redex names its kind in
-    ``_redex`` and defines ``_fires`` (is this node a redex?) and
-    ``_contract`` (its contractum).
+    function or subject, and in ``_intro`` the introduction class that
+    field must reach for the node to be a redex.  A class with a root
+    redex names its kind in ``_redex`` and defines ``_fires`` (is this
+    node a redex?) and ``_contract`` (its contractum).
 
     ``free_vars``, ``size``, ``instantiate``, ``close_binder``,
     ``subst`` and the reduction walks read these tables, so one
@@ -56,6 +59,7 @@ class Node:
     __slots__ = ()
     _role = None
     _head = None
+    _intro = None
     _redex = None
 
     def __init_subclass__(cls, **kwargs):
@@ -65,14 +69,14 @@ class Node:
         cls._children = tuple((name, binders) for name, binders, _ in shape if binders is not None)
         cls._positions = tuple((name, pos) for name, _, pos in shape if pos is not None)
 
+    def __str__(self) -> str:
+        return print_expr(self)
+
 
 class Expr(Node):
     """Base class for expressions; all nodes are immutable."""
 
     __slots__ = ()
-
-    def __str__(self) -> str:
-        return print_expr(self)
 
 
 @dataclass(frozen=True)
@@ -129,6 +133,7 @@ class App(Expr):
 
     _shape = (("fun", 0, "fun"), ("arg", 0, "arg"))
     _head = "fun"
+    _intro = Lam
     _redex = "beta"
 
     def _fires(self) -> bool:
@@ -169,6 +174,7 @@ class Proj1(Expr):
 
     _shape = (("pair", 0, "pair"),)
     _head = "pair"
+    _intro = Pair
     _redex = "proj1"
 
     def _fires(self) -> bool:
@@ -184,6 +190,7 @@ class Proj2(Expr):
 
     _shape = (("pair", 0, "pair"),)
     _head = "pair"
+    _intro = Pair
     _redex = "proj2"
 
     def _fires(self) -> bool:
@@ -194,6 +201,102 @@ class Proj2(Expr):
 
 
 SIGMA_NODES = (Sigma, Pair, Proj1, Proj2)
+
+
+class LabeledExpr(Node):
+    """Base class for the fully annotated terms of the labeled system.
+
+    Lambdas and applications carry the complete product type of the
+    function involved, and tight beta fires only when the two labels
+    agree up to alpha.
+    """
+
+    __slots__ = ()
+
+
+@dataclass(frozen=True)
+class LSort(LabeledExpr):
+    name: str
+
+    _shape = (("name", None, None),)
+    _role = CONST
+
+
+@dataclass(frozen=True)
+class LBVar(LabeledExpr):
+    index: int
+
+    _shape = (("index", None, None),)
+    _role = BOUND
+
+
+@dataclass(frozen=True)
+class LVar(LabeledExpr):
+    name: str
+
+    _shape = (("name", None, None),)
+    _role = FREE
+    _bound = LBVar
+
+
+@dataclass(frozen=True)
+class LPi(LabeledExpr):
+    hint: str = field(compare=False)
+    dom: LabeledExpr
+    cod: LabeledExpr  # binds
+
+    _shape = (("hint", None, None), ("dom", 0, "dom"), ("cod", 1, "cod"))
+
+
+@dataclass(frozen=True)
+class LLam(LabeledExpr):
+    """Lambda labeled with its full product type (x:dom) -> cod.
+
+    One binder scopes over both the label codomain and the body.
+    """
+
+    hint: str = field(compare=False)
+    dom: LabeledExpr
+    cod: LabeledExpr  # binds
+    body: LabeledExpr  # binds
+
+    _shape = (("hint", None, None), ("dom", 0, "dom"), ("cod", 1, "cod"), ("body", 1, "body"))
+
+
+@dataclass(frozen=True)
+class LApp(LabeledExpr):
+    """Application labeled with the product type of its function.
+
+    Its root tight-beta step fires only when the function is a lambda
+    whose label equals this one.
+    """
+
+    hint: str = field(compare=False)
+    dom: LabeledExpr
+    cod: LabeledExpr  # binds
+    fun: LabeledExpr
+    arg: LabeledExpr
+
+    _shape = (
+        ("hint", None, None),
+        ("dom", 0, "dom"),
+        ("cod", 1, "cod"),
+        ("fun", 0, "fun"),
+        ("arg", 0, "arg"),
+    )
+    _head = "fun"
+    _intro = LLam
+    _redex = "tight-beta"
+
+    def _fires(self) -> bool:
+        return isinstance(self.fun, LLam) and _labels_match(self, self.fun)
+
+    def _contract(self) -> LabeledExpr:
+        return instantiate(self.fun.body, self.arg)
+
+
+def _labels_match(app: LApp, lam: LLam) -> bool:
+    return app.dom == lam.dom and app.cod == lam.cod
 
 
 def alpha_eq(a: Expr, b: Expr) -> bool:
@@ -454,6 +557,18 @@ def _tokenize(text: str) -> list[_Tok]:
 
 
 class _Parser:
+    """Recursive descent over the plain grammar.
+
+    Sorts, variables and products are built through the class
+    attributes ``sort``, ``var`` and ``pi``, so ``_LabeledParser`` shares
+    those productions.  ``sigma_forms`` says whether the grammar has
+    pairs and projections at all; ``sigma`` whether they are enabled.
+    """
+
+    sort, var, pi = SortE, Var, Pi
+    noun = "an expression"
+    sigma_forms = True
+
     def __init__(self, toks: list[_Tok], sigma_enabled: bool, allow_reserved: bool):
         self.toks = toks
         self.pos = 0
@@ -493,27 +608,20 @@ class _Parser:
 
     def expr(self) -> Expr:
         t = self.peek()
-        if t.kind == "punct" and t.text == "\\":
-            self.next()
-            name = self.ident()
-            self.expect("punct", ":")
-            annot = self.expr()
-            self.expect("punct", ".")
-            body = self.expr()
-            return Lam(name, annot, close_binder(body, name))
-        if t.kind == "sig":
-            if not self.sigma:
-                self.error("'Sig' requires the sigma extension")
+        if t.kind == "sig" and not self.sigma:
+            self.error("'Sig' requires the sigma extension")
+        if t.kind == "sig" or (t.kind == "punct" and t.text == "\\"):
             self.next()
             name = self.ident()
             self.expect("punct", ":")
             first = self.expr()
             self.expect("punct", ".")
             second = self.expr()
-            return Sigma(name, first, close_binder(second, name))
+            binder = Sigma if t.kind == "sig" else Lam
+            return binder(name, first, close_binder(second, name))
         return self.arrow()
 
-    def arrow(self) -> Expr:
+    def arrow(self) -> Node:
         if self.at_pi_start():
             self.next()
             name = self.ident()
@@ -522,11 +630,11 @@ class _Parser:
             self.expect("punct", ")")
             self.expect("arrow")
             cod = self.expr()
-            return Pi(name, dom, close_binder(cod, name))
+            return self.pi(name, dom, close_binder(cod, name))
         left = self.app()
         if self.peek().kind == "arrow":
             self.next()
-            return Pi("_", left, self.expr())
+            return self.pi("_", left, self.expr())
         return left
 
     def at_pi_start(self) -> bool:
@@ -553,31 +661,31 @@ class _Parser:
             return True
         return t.kind == "punct" and t.text in ("*", "#", "(", "<")
 
-    def postfix(self) -> Expr:
+    def postfix(self) -> Node:
         e = self.atom()
-        while self.peek().kind == "proj":
+        while self.sigma_forms and self.peek().kind == "proj":
             t = self.next()
             if not self.sigma:
                 self.error("projections require the sigma extension", t)
             e = Proj1(e) if t.text == ".1" else Proj2(e)
         return e
 
-    def atom(self) -> Expr:
+    def atom(self) -> Node:
         t = self.peek()
         if t.kind == "punct" and t.text == "*":
             self.next()
-            return SortE(STAR)
+            return self.sort(STAR)
         if t.kind == "punct" and t.text == "#":
             self.next()
-            return SortE(BOX)
+            return self.sort(BOX)
         if t.kind in ("ident", "reserved"):
-            return Var(self.ident())
+            return self.var(self.ident())
         if t.kind == "punct" and t.text == "(":
             self.next()
             e = self.expr()
             self.expect("punct", ")")
             return e
-        if t.kind == "punct" and t.text == "<":
+        if t.kind == "punct" and t.text == "<" and self.sigma_forms:
             if not self.sigma:
                 self.error("pair syntax requires the sigma extension")
             self.next()
@@ -588,7 +696,67 @@ class _Parser:
             self.expect("punct", ":")
             annot = self.expr()
             return Pair(first, second, annot)
-        self.error(f"expected an expression, found {t.text or 'end of input'!r}")
+        self.error(f"expected {self.noun}, found {t.text or 'end of input'!r}")
+
+
+class _LabeledParser(_Parser):
+    """The labeled grammar: the plain one without the sigma forms, with
+    labeled lambdas and applications in place of the plain ones."""
+
+    sort, var, pi = LSort, LVar, LPi
+    noun = "a labeled expression"
+    sigma_forms = False
+
+    def expr(self) -> LabeledExpr:
+        t = self.peek()
+        if t.kind == "punct" and t.text == "\\":
+            self.next()
+            self.expect("punct", "[")
+            x, dom, cod = self.label()
+            self.expect("punct", "]")
+            x2 = self.ident()
+            if x2 != x:
+                self.error(f"binder {x2!r} does not match the label binder {x!r}")
+            self.expect("punct", ":")
+            dom2 = self.app()
+            if dom2 != dom:
+                self.error("lambda annotation does not match the label domain")
+            self.expect("punct", ".")
+            body = self.expr()
+            return LLam(x, dom, close_binder(cod, x), close_binder(body, x))
+        return self.arrow()
+
+    def label(self) -> tuple[str, LabeledExpr, LabeledExpr]:
+        x = self.ident()
+        self.expect("punct", ":")
+        dom = self.app()
+        self.expect("arrow")
+        cod = self.expr()
+        return x, dom, cod
+
+    def app(self) -> LabeledExpr:
+        e = self.postfix()
+        while True:
+            t = self.peek()
+            if t.kind == "punct" and t.text == "@":
+                self.next()
+                self.expect("punct", "[")
+                x, dom, cod = self.label()
+                self.expect("punct", "]")
+                arg = self.postfix()
+                e = LApp(x, dom, close_binder(cod, x), e, arg)
+            elif self.at_atom_start():
+                self.error("labeled application must be written with @[...]")
+            else:
+                return e
+
+
+def _parse(parser: _Parser) -> Node:
+    e = parser.expr()
+    t = parser.peek()
+    if t.kind != "eof":
+        parser.error(f"unexpected trailing input {t.text!r}")
+    return e
 
 
 def parse_expr(text: str, sigma_enabled: bool = False, allow_reserved: bool = False) -> Expr:
@@ -597,12 +765,12 @@ def parse_expr(text: str, sigma_enabled: bool = False, allow_reserved: bool = Fa
     Raises ParseError with line/column on bad input; identifiers in the
     reserved "_" namespace are rejected unless ``allow_reserved``.
     """
-    p = _Parser(_tokenize(text), sigma_enabled, allow_reserved)
-    e = p.expr()
-    t = p.peek()
-    if t.kind != "eof":
-        p.error(f"unexpected trailing input {t.text!r}")
-    return e
+    return _parse(_Parser(_tokenize(text), sigma_enabled, allow_reserved))
+
+
+def parse_labeled(text: str, allow_reserved: bool = True) -> LabeledExpr:
+    """Parse labeled surface syntax (the form ``print_labeled`` emits)."""
+    return _parse(_LabeledParser(_tokenize(text), False, allow_reserved))
 
 
 def parse_context(text: str, sigma_enabled: bool = False, allow_reserved: bool = False) -> Context:
@@ -648,22 +816,40 @@ def _mentions_bound(e: Node, depth: int = 0) -> bool:
     return role == BOUND and e.index == depth
 
 
-def _pick_name(hint: str, body: Expr, names: list[str]) -> str:
-    avoid = set(free_vars(body)) | set(names)
+def _pick_name(hint: str, names: list[str], *scopes: Node) -> str:
+    avoid = set(names)
+    for e in scopes:
+        avoid |= free_vars(e)
     return fresh_name(hint, avoid)
 
 
-def _pp(e: Expr, names: list[str], prec: int) -> str:
+def _pp(e: Node, names: list[str], prec: int) -> str:
+    """One printer for both ASTs; ``names`` holds the binders in scope.
+
+    Leaves of both ASTs print by their role; the other cases are
+    disjoint and ordered by how often they occur.
+    """
+    role = e._role
+    if role is not None:
+        if role != BOUND:
+            return e.name
+        i = e.index
+        return names[-1 - i] if i < len(names) else f"?{i}"
     match e:
-        case SortE(name):
-            return name
-        case Var(name):
-            return name
-        case BVar(i):
-            return names[-1 - i] if i < len(names) else f"?{i}"
-        case Pi(hint, dom, cod):
+        case App(fun, arg):
+            s = f"{_pp(fun, names, _PREC_APP)} {_pp(arg, names, _PREC_ARG)}"
+            return f"({s})" if prec > _PREC_APP else s
+        case Lam(hint, first, second) | Sigma(hint, first, second):
+            x = _pick_name(hint, names, second)
+            names.append(x)
+            b = _pp(second, names, _PREC_ARROW)
+            names.pop()
+            keyword = "\\" if type(e) is Lam else "Sig "
+            s = f"{keyword}{x}:{_pp(first, names, _PREC_ARROW)}. {b}"
+            return f"({s})" if prec > _PREC_ARROW else s
+        case Pi(hint, dom, cod) | LPi(hint, dom, cod):
             if _mentions_bound(cod):
-                x = _pick_name(hint, cod, names)
+                x = _pick_name(hint, names, cod)
                 names.append(x)
                 body = _pp(cod, names, _PREC_ARROW)
                 names.pop()
@@ -674,23 +860,6 @@ def _pp(e: Expr, names: list[str], prec: int) -> str:
                 names.pop()
                 s = f"{_pp(dom, names, _PREC_APP)} -> {body}"
             return f"({s})" if prec > _PREC_ARROW else s
-        case Lam(hint, annot, body):
-            x = _pick_name(hint, body, names)
-            names.append(x)
-            b = _pp(body, names, _PREC_ARROW)
-            names.pop()
-            s = f"\\{x}:{_pp(annot, names, _PREC_ARROW)}. {b}"
-            return f"({s})" if prec > _PREC_ARROW else s
-        case Sigma(hint, first, second):
-            x = _pick_name(hint, second, names)
-            names.append(x)
-            b = _pp(second, names, _PREC_ARROW)
-            names.pop()
-            s = f"Sig {x}:{_pp(first, names, _PREC_ARROW)}. {b}"
-            return f"({s})" if prec > _PREC_ARROW else s
-        case App(fun, arg):
-            s = f"{_pp(fun, names, _PREC_APP)} {_pp(arg, names, _PREC_ARG)}"
-            return f"({s})" if prec > _PREC_APP else s
         case Pair(first, second, annot):
             s = f"<{_pp(first, names, _PREC_ARROW)}, {_pp(second, names, _PREC_ARROW)}> : {_pp(annot, names, _PREC_ARROW)}"
             return f"({s})" if prec > _PREC_ARROW else s
@@ -698,13 +867,35 @@ def _pp(e: Expr, names: list[str], prec: int) -> str:
             return f"{_pp(p, names, _PREC_ARG)}.1"
         case Proj2(p):
             return f"{_pp(p, names, _PREC_ARG)}.2"
+        case LLam(hint, dom, cod, body):
+            x = _pick_name(hint, names, cod, body)
+            dom_s = _pp(dom, names, _PREC_APP)
+            names.append(x)
+            cod_s = _pp(cod, names, _PREC_ARROW)
+            body_s = _pp(body, names, _PREC_ARROW)
+            names.pop()
+            s = f"\\[{x} : {dom_s} -> {cod_s}] {x} : {dom_s} . {body_s}"
+            return f"({s})" if prec > _PREC_ARROW else s
+        case LApp(hint, dom, cod, fun, arg):
+            x = _pick_name(hint, names, cod)
+            dom_s = _pp(dom, names, _PREC_APP)
+            names.append(x)
+            cod_s = _pp(cod, names, _PREC_ARROW)
+            names.pop()
+            s = f"{_pp(fun, names, _PREC_APP)} @[{x} : {dom_s} -> {cod_s}] {_pp(arg, names, _PREC_ARG)}"
+            return f"({s})" if prec > _PREC_APP else s
         case _:
             raise TypeError(f"not an expression: {e!r}")
 
 
-def print_expr(e: Expr) -> str:
-    """Render an expression; the output re-parses to an alpha-equal term."""
+def print_expr(e: Node) -> str:
+    """Render a plain or labeled term; the output re-parses to an alpha-equal term."""
     return _pp(e, [], _PREC_ARROW)
+
+
+def print_labeled(la: LabeledExpr) -> str:
+    """Render a labeled term (through ``print_expr``, which serves both ASTs)."""
+    return print_expr(la)
 
 
 def print_context(ctx: Context) -> str:

@@ -20,6 +20,8 @@ from .syntax import (
     Context,
     Expr,
     Lam,
+    LSort,
+    Node,
     Pair,
     Pi,
     Proj1,
@@ -70,18 +72,29 @@ def _fresh_for(ctx: Context, hint: str, *exprs: Expr) -> str:
     return fresh_name(hint, avoid)
 
 
-def _as_sort(spec: PtsSpec, ty: Expr, fuel: int, subject: Expr) -> str:
-    """Normalize ``ty`` and require it to be a sort of ``spec``."""
+def _as_sort(spec: PtsSpec, ty: Node, fuel: int, subject: Node, normalizer=normalize) -> str:
+    """Normalize ``ty`` and require it to be a sort of ``spec``.
+
+    The labeled system passes its own ``normalizer`` (tight reduction).
+    """
     try:
-        n = normalize(ty, fuel)
+        n = normalizer(ty, fuel)
     except FuelExhausted:
         _fail(ErrorKind.FUEL_EXHAUSTED, f"normalizing the type of {print_expr(subject)}")
-    if isinstance(n, SortE) and n.name in spec.sorts:
+    if isinstance(n, (SortE, LSort)) and n.name in spec.sorts:
         return n.name
     _fail(
         ErrorKind.SORT_UNTYPEABLE,
         f"{print_expr(subject)} is classified by {print_expr(n)}, not a sort",
     )
+
+
+def _pi_sort(spec: PtsSpec, s1: str, s2: str, pi: Node) -> str:
+    """The sort of product ``pi`` (plain or labeled) from its parts' sorts."""
+    s3 = spec.rule_for(s1, s2)
+    if s3 is None:
+        _fail(ErrorKind.NO_RULE, f"no rule ({s1},{s2},_) to form {print_expr(pi)}")
+    return s3
 
 
 def _convertible(a: Expr, b: Expr, fuel: int, where: str, subject: Expr | None = None) -> None:
@@ -139,10 +152,7 @@ def infer_type(spec: PtsSpec, ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -
             x = _fresh_for(ctx, h, dom, cod)
             cod_x = open_binder(cod, x)
             s2 = _as_sort(spec, infer_type(spec, ctx.extend(x, dom), cod_x, fuel), fuel, cod_x)
-            s3 = spec.rule_for(s1, s2)
-            if s3 is None:
-                _fail(ErrorKind.NO_RULE, f"no rule ({s1},{s2},_) to form {print_expr(e)}")
-            return SortE(s3)
+            return SortE(_pi_sort(spec, s1, s2, e))
         case Lam(h, annot, body):
             x = _fresh_for(ctx, h, annot, body)
             body_ty = infer_type(spec, ctx.extend(x, annot), open_binder(body, x), fuel)

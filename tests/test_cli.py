@@ -245,3 +245,42 @@ def test_nesting_past_recursion_limit_is_a_resource_limit(capsys):
     assert code == EXIT_EXHAUSTED
     assert json.loads(out) == {"command": "normalize", "ok": False, "error": message}
     assert err == ""
+
+
+# Its argument type N reaches the lambda's annotation in two tight steps.
+CONV_TERM = r"(\x:(\B:*. B) ((\C:*. C) N). x) M"
+CONV_ERROR = (
+    "DirectedConversionUndetermined: argument type N does not reduce to or from "
+    r"(\[B : * -> *] B : * . B) @[B : * -> *] ((\[C : * -> *] C : * . C) @[C : * -> *] N)"
+)
+
+
+def test_depth_reaches_labeled_conversion_in_label(capsys):
+    bind = ["--bind", "N : *", "--bind", "M : N"]
+    code, out, err = run(capsys, "label", "--depth", "1", *bind, CONV_TERM)
+    assert (code, out, err) == (EXIT_EXHAUSTED, "", f"error: {CONV_ERROR}\n")
+    code, out, err = run(capsys, "label", "--depth", "1", "--format", "machine", *bind, CONV_TERM)
+    assert code == EXIT_EXHAUSTED and err == ""
+    assert json.loads(out) == {"command": "label", "ok": False, "error": CONV_ERROR}
+    code, out, _ = run(capsys, "label", "--depth", "2", *bind, CONV_TERM)
+    assert code == EXIT_OK and out.startswith(r"(\[x : ")
+    code, out, _ = run(capsys, "label", "--depth", "2", "--format", "machine", *bind, CONV_TERM)
+    assert code == EXIT_OK and json.loads(out)["ok"] is True
+
+
+def test_depth_reaches_labeled_conversion_in_verify(capsys, tmp_path):
+    (tmp_path / "conv.judg").write_text(f"ctx:\nN : *\nM : N\n\nterm:\n{CONV_TERM}\n")
+    subject = f"conv.judg: {CONV_TERM}"
+    code, out, _ = run(capsys, "verify", str(tmp_path), "--depth", "1")
+    assert code == EXIT_REPORT_FAILED
+    lines = out.splitlines()
+    # a labeled-typing failure is one tight-erasure line, after the round trip's PASS
+    assert lines[-3:-1] == [f"PASS labeled-roundtrip {subject}", f"FAIL tight-erasure {subject} ({CONV_ERROR})"]
+    code, out, _ = run(capsys, "verify", str(tmp_path), "--depth", "1", "--format", "machine")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records[-2] == {"ok": False, "check": "tight-erasure", "detail": f"{subject} ({CONV_ERROR})"}
+    assert [r["check"] for r in records[:-1]].count("labeled-roundtrip") == 1
+    code, out, _ = run(capsys, "verify", str(tmp_path), "--depth", "2")
+    assert f"PASS tight-erasure {subject}" in out.splitlines()
+    code, out, _ = run(capsys, "verify", str(tmp_path), "--depth", "2", "--format", "machine")
+    assert {"ok": True, "check": "tight-erasure", "detail": subject} in [json.loads(line) for line in out.splitlines()]

@@ -268,3 +268,56 @@ def test_labeled_syntax_round_trip():
 def test_labeled_parse_rejects_mismatched_binder():
     with pytest.raises(Exception):
         parse_labeled(r"\[x : * -> *] y : * . y")
+
+
+# ---------------------------------------------------------------------------
+# Elaboration errors, pinned: kind and message of every failure, recorded
+# when elaboration still re-inferred each whole product, so reading a
+# product's sort from its elaborated parts reports the same failure.
+
+ELABORATION_ERRORS = [
+    ("stlc", "", r"\A:*. A", 100, "NoRule: no rule (#,#,_) to form * -> *"),
+    ("stlc", "", "(A:*) -> A", 100, "NoRule: no rule (#,*,_) to form (A:*) -> A"),
+    ("f", "", "(A:*) -> *", 100, "NoRule: no rule (#,#,_) to form * -> *"),
+    ("f", "", r"\F:* -> *. F", 100, "NoRule: no rule (#,#,_) to form * -> *"),
+    ("fomega", "", r"\A:*. \x:A. A", 100, "NoRule: no rule (*,#,_) to form A -> *"),
+    ("fomega", "A : *", "(x:A) -> *", 100, "NoRule: no rule (*,#,_) to form A -> *"),
+    ("stlc", "A : *", "A -> *", 100, "NoRule: no rule (*,#,_) to form A -> *"),
+    ("stlc", "", "* -> *", 100, "NoRule: no rule (#,#,_) to form * -> *"),
+    ("stlc", "A : *", r"\x:A. (\y:*. y)", 100, "NoRule: no rule (#,#,_) to form * -> *"),
+    ("f", "", r"\A:*. \F:A -> *. F", 100, "NoRule: no rule (*,#,_) to form A -> *"),
+    ("stlc", "A : *\nx : A", r"\y:x. y", 100, "SortUntypeable: x is classified by A, not a sort"),
+    ("cc", "A : *\nx : A", r"\y:x. y", 100, "SortUntypeable: x is classified by A, not a sort"),
+    ("cc", "A : *\nx : A", "(y:x) -> A", 100, "SortUntypeable: x is classified by A, not a sort"),
+    ("cc", "A : *\nx : A", "(y:A) -> x", 100, "SortUntypeable: x is classified by A, not a sort"),
+    ("cc", "A : *", r"(y:A) -> (\z:*. z)", 100, r"SortUntypeable: \z:*. z is classified by * -> *, not a sort"),
+    ("cc", "A : *", r"\y:A. \z:y. z", 100, "SortUntypeable: y is classified by A, not a sort"),
+    ("cc", "A : *", r"\x:(\B:*. B) A. \y:x. y", 100, "SortUntypeable: x is classified by A, not a sort"),
+    ("cc", "A : *\nP : A -> *", "(a:A) -> P", 100, "SortUntypeable: P is classified by A -> *, not a sort"),
+    ("cc", "", r"(A:*) -> \x:A. x", 100, r"SortUntypeable: \x:A. x is classified by A -> A, not a sort"),
+    ("f", "A : *", r"(\x:A. x) -> A", 100, r"SortUntypeable: \x:A. x is classified by A -> A, not a sort"),
+    ("cc", "", "#", 100, "NoAxiom: sort # has no type"),
+    ("cc", "", "(x:#) -> *", 100, "NoAxiom: sort # has no type"),
+    ("cc", "", r"\x:#. x", 100, "NoAxiom: sort # has no type"),
+    ("cc", "A : *", "x", 100, "UnboundVariable: unbound variable x"),
+    ("cc", "A : *", "A A", 100, "NotAFunction: A is not a function"),
+    ("cc", "A : *\nx : A", "x x", 100, "NotAFunction: x is not a function"),
+    ("cc", "A : *\nP : A -> *", "(a:A) -> P a a", 100, "NotAFunction: P a is not a function"),
+    ("cc", "A : *\nP : A -> *", r"\a:A. \p:P a. p a", 100, "NotAFunction: p is not a function"),
+    ("cc", "A : *\nB : *\nf : A -> A\nb : B", "f b", 100, "Mismatch: argument of f has type B"),
+    ("cc", "A : *\nf : A -> A", r"\x:A. f f", 100, "Mismatch: argument of f has type A -> A"),
+    ("cc", "A : *", r"(\x:A. x) A", 100, r"Mismatch: argument of \x:A. x has type *"),
+    ("cc", "", r"((\x:*. x) (\y:*. y)) -> *", 100, r"Mismatch: argument of \x:*. x has type * -> *"),
+    ("cc", "A : *\nf : (\\B:*. B) ((\\C:*. C) (A -> A))\na : A", "f a", 1, "FuelExhausted: exposing the type of f"),
+    ("cc", "A : *", r"(x:(\B:*. \C:*. B) A A) -> x", 1, "FuelExhausted: normalizing the type of x"),
+    ("cc", "A : *\na : A", r"(\x:(\B:*. \C:*. B) A A. x) a", 1, r"FuelExhausted: argument of \x:(\B:*. \C:*. B) A A. x has type A"),
+]
+
+
+@pytest.mark.parametrize("system, ctx_text, text, fuel, message", ELABORATION_ERRORS)
+def test_elaboration_errors_are_pinned(system, ctx_text, text, fuel, message):
+    from ptskit.syntax import BUILTIN_SPECS
+
+    with pytest.raises(TypeCheckError) as info:
+        label_term(BUILTIN_SPECS[system], C(ctx_text), P(text), fuel)
+    assert str(info.value) == message
