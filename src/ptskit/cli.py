@@ -172,6 +172,7 @@ def _cmd_classify(s: _Session) -> int:
 
 def _cmd_translate(s: _Session) -> int:
     ctx = s.context()
+    wf_context(s.spec, ctx, s.ns.fuel)
     term = s.parse(s.ns.term)
     ty = infer_type(s.spec, ctx, term, s.ns.fuel)
     tctx = translate_context(ctx, s.ns.fuel)

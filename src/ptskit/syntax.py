@@ -17,7 +17,7 @@ surface syntaxes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 STAR = "*"
 BOX = "#"
@@ -51,26 +51,76 @@ class Node:
     redex names its kind in ``_redex`` and defines ``_fires`` (is this
     node a redex?) and ``_contract`` (its contractum).
 
-    ``free_vars``, ``size``, ``instantiate``, ``close_binder``,
-    ``subst`` and the reduction walks read these tables, so one
-    definition of each serves every class of both ASTs.
+    The table is the only place a field is named: ``_node`` makes the
+    class's slots, positional ``__init__``, ``__match_args__``,
+    ``__eq__`` and ``__hash__`` from it, ``__repr__`` reads it, and
+    nodes are immutable.  ``free_vars``, ``size``, ``instantiate``,
+    ``close_binder``, ``subst`` and the reduction walks read these
+    tables, so one definition of each serves every class of both ASTs.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
     _role = None
     _head = None
     _intro = None
     _redex = None
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        shape = cls.__dict__.get("_shape", ())
-        cls._fields = tuple((name, binders) for name, binders, _ in shape)
-        cls._children = tuple((name, binders) for name, binders, _ in shape if binders is not None)
-        cls._positions = tuple((name, pos) for name, _, pos in shape if pos is not None)
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
 
     def __str__(self) -> str:
         return print_expr(self)
+
+
+_METHODS = """\
+def __init__(self, {params}):
+{sets}    set_hash(self, hash((cls, {key})))
+def __eq__(self, other):
+    if other.__class__ is not cls:
+        return NotImplemented
+    return self is other or (self._hash == other._hash and {eq})
+def __hash__(self):
+    return self._hash
+"""
+
+
+def _node(cls):
+    """Make a node class from its class statement and its ``_shape``.
+
+    Slots must exist when a class is created, so the class is created
+    again with them; a metaclass would slow every ``isinstance`` test
+    and class pattern that misses.  A node's hash is fixed at
+    construction from its class, leaf values and children's hashes, so
+    hashing never recurses and ``==`` rejects on it before descending;
+    hints take part in neither.
+    """
+    names = tuple(name for name, _, _ in cls._shape)
+    ns = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
+    cls = type(cls.__name__, cls.__bases__, {**ns, "__slots__": names, "__match_args__": names})
+    cls._fields = tuple((name, binders) for name, binders, _ in cls._shape)
+    cls._children = tuple((name, binders) for name, binders in cls._fields if binders is not None)
+    cls._positions = tuple((name, pos) for name, _, pos in cls._shape if pos is not None)
+    keys = [(name, binders) for name, binders in cls._fields if name != "hint"]
+    env = {"cls": cls, "set_hash": Node._hash.__set__}
+    env.update((f"set_{name}", getattr(cls, name).__set__) for name in names)
+    source = _METHODS.format(
+        params=", ".join(names),
+        sets="".join(f"    set_{name}(self, {name})\n" for name in names),
+        key=", ".join(name if binders is None else f"{name}._hash" for name, binders in keys),
+        eq=" and ".join(f"(self.{k} is other.{k} or self.{k} == other.{k})" for k, _ in keys),
+    )
+    exec(source, env)
+    cls.__init__, cls.__eq__, cls.__hash__ = env["__init__"], env["__eq__"], env["__hash__"]
+    return cls
 
 
 class Expr(Node):
@@ -79,58 +129,41 @@ class Expr(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class SortE(Expr):
-    name: str
-
     _shape = (("name", None, None),)
     _role = CONST
 
 
-@dataclass(frozen=True)
+@_node
 class BVar(Expr):
     """A bound variable as an index into the enclosing binders."""
-
-    index: int
 
     _shape = (("index", None, None),)
     _role = BOUND
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Expr):
     """A free variable occurrence."""
-
-    name: str
 
     _shape = (("name", None, None),)
     _role = FREE
     _bound = BVar
 
 
-@dataclass(frozen=True)
+@_node
 class Pi(Expr):
-    hint: str = field(compare=False)
-    dom: Expr
-    cod: Expr  # binds one variable
-
     _shape = (("hint", None, None), ("dom", 0, "dom"), ("cod", 1, "cod"))
 
 
-@dataclass(frozen=True)
+@_node
 class Lam(Expr):
-    hint: str = field(compare=False)
-    annot: Expr
-    body: Expr  # binds one variable
-
     _shape = (("hint", None, None), ("annot", 0, "annot"), ("body", 1, "body"))
 
 
-@dataclass(frozen=True)
+@_node
 class App(Expr):
-    fun: Expr
-    arg: Expr
-
     _shape = (("fun", 0, "fun"), ("arg", 0, "arg"))
     _head = "fun"
     _intro = Lam
@@ -143,16 +176,12 @@ class App(Expr):
         return instantiate(self.fun.body, self.arg)
 
 
-@dataclass(frozen=True)
+@_node
 class Sigma(Expr):
-    hint: str = field(compare=False)
-    first: Expr
-    second: Expr  # binds one variable
-
     _shape = (("hint", None, None), ("first", 0, "fst"), ("second", 1, "snd"))
 
 
-@dataclass(frozen=True)
+@_node
 class Pair(Expr):
     """A dependent pair.
 
@@ -161,17 +190,11 @@ class Pair(Expr):
     from the pair alone.
     """
 
-    first: Expr
-    second: Expr
-    annot: Expr
-
     _shape = (("first", 0, "fst"), ("second", 0, "snd"), ("annot", 0, None))
 
 
-@dataclass(frozen=True)
+@_node
 class Proj1(Expr):
-    pair: Expr
-
     _shape = (("pair", 0, "pair"),)
     _head = "pair"
     _intro = Pair
@@ -184,10 +207,8 @@ class Proj1(Expr):
         return self.pair.first
 
 
-@dataclass(frozen=True)
+@_node
 class Proj2(Expr):
-    pair: Expr
-
     _shape = (("pair", 0, "pair"),)
     _head = "pair"
     _intro = Pair
@@ -214,68 +235,47 @@ class LabeledExpr(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class LSort(LabeledExpr):
-    name: str
-
     _shape = (("name", None, None),)
     _role = CONST
 
 
-@dataclass(frozen=True)
+@_node
 class LBVar(LabeledExpr):
-    index: int
-
     _shape = (("index", None, None),)
     _role = BOUND
 
 
-@dataclass(frozen=True)
+@_node
 class LVar(LabeledExpr):
-    name: str
-
     _shape = (("name", None, None),)
     _role = FREE
     _bound = LBVar
 
 
-@dataclass(frozen=True)
+@_node
 class LPi(LabeledExpr):
-    hint: str = field(compare=False)
-    dom: LabeledExpr
-    cod: LabeledExpr  # binds
-
     _shape = (("hint", None, None), ("dom", 0, "dom"), ("cod", 1, "cod"))
 
 
-@dataclass(frozen=True)
+@_node
 class LLam(LabeledExpr):
     """Lambda labeled with its full product type (x:dom) -> cod.
 
     One binder scopes over both the label codomain and the body.
     """
 
-    hint: str = field(compare=False)
-    dom: LabeledExpr
-    cod: LabeledExpr  # binds
-    body: LabeledExpr  # binds
-
     _shape = (("hint", None, None), ("dom", 0, "dom"), ("cod", 1, "cod"), ("body", 1, "body"))
 
 
-@dataclass(frozen=True)
+@_node
 class LApp(LabeledExpr):
     """Application labeled with the product type of its function.
 
     Its root tight-beta step fires only when the function is a lambda
     whose label equals this one.
     """
-
-    hint: str = field(compare=False)
-    dom: LabeledExpr
-    cod: LabeledExpr  # binds
-    fun: LabeledExpr
-    arg: LabeledExpr
 
     _shape = (
         ("hint", None, None),
@@ -289,14 +289,11 @@ class LApp(LabeledExpr):
     _redex = "tight-beta"
 
     def _fires(self) -> bool:
-        return isinstance(self.fun, LLam) and _labels_match(self, self.fun)
+        fun = self.fun
+        return isinstance(fun, LLam) and self.dom == fun.dom and self.cod == fun.cod
 
     def _contract(self) -> LabeledExpr:
         return instantiate(self.fun.body, self.arg)
-
-
-def _labels_match(app: LApp, lam: LLam) -> bool:
-    return app.dom == lam.dom and app.cod == lam.cod
 
 
 def alpha_eq(a: Expr, b: Expr) -> bool:

@@ -217,6 +217,25 @@ def test_translate_rejects_sigma_terms(capsys):
     assert "core CC" in err
 
 
+def test_translate_checks_the_context_first(capsys):
+    # like check, infer, classify and label: an ill-formed context is a
+    # type error reported before anything is translated
+    cases = [
+        (["--bind", "A : *", "--bind", "A : *", "A"], "IllFormedContext: duplicate binding for 'A'"),
+        (
+            ["--bind", "x : y", "*"],
+            "IllFormedContext: binding x : y is ill-formed (UnboundVariable: unbound variable y)",
+        ),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, "translate", *argv)
+        assert code == EXIT_TYPE_ERROR
+        assert out == "" and err.strip() == f"error: {message}"
+        code, out, _ = run(capsys, "translate", "--format", "machine", *argv)
+        assert code == EXIT_TYPE_ERROR
+        assert json.loads(out) == {"command": "translate", "error": message, "ok": False}
+
+
 def test_erase_rejects_unlabeled_input(capsys):
     code, _, err = run(capsys, "erase", r"\x:N. x")
     assert code == EXIT_PARSE_ERROR

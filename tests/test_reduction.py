@@ -70,6 +70,38 @@ def test_step_all_projections():
     assert step_all(e) == {Pair(Var("a"), Var("b"), P("Sig x:A. B"))}
 
 
+def preorder(e):
+    """The nodes of ``e`` in preorder as (class, leaf values), without recursion."""
+    out, todo = [], [e]
+    while todo:
+        n = todo.pop()
+        out.append((type(n), *[getattr(n, f) for f, binders in n._fields if binders is None and f != "hint"]))
+        todo.extend(getattr(n, f) for f, _ in reversed(n._children))
+    return out
+
+
+def test_step_all_under_600_levels():
+    # the reducts go into a set, so this also hashes 600-level terms; they
+    # are built directly, since the parser nests deeper than the walks do,
+    # and compared by preorder, since ``==`` on them recurses
+    star, a = P("*"), Var("a")
+
+    def spine(head):
+        for _ in range(600):
+            head = App(head, a)
+        return head
+
+    def nest(body):
+        for _ in range(600):
+            body = Lam("x", star, body)
+        return body
+
+    redex = App(Lam("y", star, BVar(0)), a)
+    for wrap in (spine, nest):
+        (reduct,) = step_all(wrap(redex))
+        assert preorder(reduct) == preorder(wrap(a))
+
+
 def test_step_all_of_normal_form_is_empty():
     for text in ["x", "x a b", "(x:*) -> x", r"\x:*. x", "*"]:
         assert step_all(P(text)) == set()

@@ -1,16 +1,33 @@
+import copy
+import pickle
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ptskit import syntax
+from ptskit.labeled import label_term
 from ptskit.syntax import (
     App,
+    BOUND,
     BOX,
     STAR,
     BVar,
+    LApp,
+    LBVar,
+    LLam,
+    LPi,
+    LSort,
+    LVar,
     Lam,
+    Node,
+    Pair,
     ParseError,
     Pi,
     Proj1,
+    Proj2,
     PtsSpec,
+    Sigma,
     SortE,
     Var,
     alpha_eq,
@@ -19,8 +36,10 @@ from ptskit.syntax import (
     open_binder,
     parse_context,
     parse_expr,
+    parse_labeled,
     print_context,
     print_expr,
+    print_labeled,
     subst,
     BUILTIN_SPECS,
     CC,
@@ -28,6 +47,8 @@ from ptskit.syntax import (
     STLC,
     SYSTEM_F,
 )
+
+from generators import typed_pool_context, typed_terms, untyped_term
 
 
 def P(text, sigma=False):
@@ -290,3 +311,156 @@ def test_builtin_specs_exact_sets():
 def test_spec_rejects_undeclared_sorts():
     with pytest.raises(ValueError):
         PtsSpec(frozenset({"*"}), frozenset({("*", "#")}), frozenset())
+
+
+# ---------------------------------------------------------------------------
+# Node protocol: construction, repr, match args, ==, hash, immutability
+
+A, B = Var("A"), Var("b")
+T = LVar("T")
+
+# one node of each class, with the repr and __match_args__ of the
+# dataclasses these classes replaced
+NODES = [
+    (SortE("*"), "SortE(name='*')", ("name",)),
+    (BVar(0), "BVar(index=0)", ("index",)),
+    (A, "Var(name='A')", ("name",)),
+    (Pi("x", A, BVar(0)), "Pi(hint='x', dom=Var(name='A'), cod=BVar(index=0))", ("hint", "dom", "cod")),
+    (Lam("x", A, BVar(0)), "Lam(hint='x', annot=Var(name='A'), body=BVar(index=0))", ("hint", "annot", "body")),
+    (App(A, B), "App(fun=Var(name='A'), arg=Var(name='b'))", ("fun", "arg")),
+    (Sigma("y", A, A), "Sigma(hint='y', first=Var(name='A'), second=Var(name='A'))", ("hint", "first", "second")),
+    (
+        Pair(A, B, Sigma("_", A, A)),
+        "Pair(first=Var(name='A'), second=Var(name='b'), "
+        "annot=Sigma(hint='_', first=Var(name='A'), second=Var(name='A')))",
+        ("first", "second", "annot"),
+    ),
+    (Proj1(Var("p")), "Proj1(pair=Var(name='p'))", ("pair",)),
+    (Proj2(Var("p")), "Proj2(pair=Var(name='p'))", ("pair",)),
+    (LSort("*"), "LSort(name='*')", ("name",)),
+    (LBVar(1), "LBVar(index=1)", ("index",)),
+    (T, "LVar(name='T')", ("name",)),
+    (LPi("x", T, LBVar(0)), "LPi(hint='x', dom=LVar(name='T'), cod=LBVar(index=0))", ("hint", "dom", "cod")),
+    (
+        LLam("x", T, T, LBVar(0)),
+        "LLam(hint='x', dom=LVar(name='T'), cod=LVar(name='T'), body=LBVar(index=0))",
+        ("hint", "dom", "cod", "body"),
+    ),
+    (
+        LApp("x", T, T, LVar("f"), LVar("a")),
+        "LApp(hint='x', dom=LVar(name='T'), cod=LVar(name='T'), fun=LVar(name='f'), arg=LVar(name='a'))",
+        ("hint", "dom", "cod", "fun", "arg"),
+    ),
+]
+
+
+def ref_eq(a, b):
+    """Hint-blind structural equality, recursive: the oracle for ``==``."""
+    if type(a) is not type(b):
+        return False
+    for name in type(a).__match_args__:
+        x, y = getattr(a, name), getattr(b, name)
+        if name != "hint" and not (ref_eq(x, y) if isinstance(x, Node) else x == y):
+            return False
+    return True
+
+
+def rehint(e):
+    """``e`` with every binder hint renamed: an alpha-variant."""
+    if e._role is not None:
+        return e
+    names = e.__match_args__
+    return type(e)(*[getattr(e, f) + "'" if f == "hint" else rehint(getattr(e, f)) for f in names])
+
+
+def perturbations(e):
+    """``e`` with one leaf changed, for each leaf in turn."""
+    if e._role == BOUND:
+        return [type(e)(e.index + 1)]
+    if e._role is not None:
+        return [type(e)(e.name + "'")]
+    fields = [getattr(e, f) for f in e.__match_args__]
+    out = []
+    for i, v in enumerate(fields):
+        if isinstance(v, Node):
+            out += [type(e)(*fields[:i], p, *fields[i + 1 :]) for p in perturbations(v)]
+    return out
+
+
+def test_node_repr_and_match_args():
+    classes = {c for c in vars(syntax).values() if isinstance(c, type) and "_shape" in c.__dict__}
+    assert len(classes) == 16 and {type(node) for node, _, _ in NODES} == classes
+    for node, text, match_args in NODES:
+        assert repr(node) == text
+        assert type(node).__match_args__ == match_args
+        assert type(node)(*[getattr(node, f) for f in match_args]) == node
+        assert copy.deepcopy(node) == node and repr(pickle.loads(pickle.dumps(node))) == text
+
+
+def test_eq_and_hash_are_hint_blind_and_class_aware():
+    hinted = [node for node, _, match_args in NODES if "hint" in match_args]
+    assert len(hinted) == 6
+    for node in hinted:
+        variant = rehint(node)
+        assert variant.hint != node.hint
+        assert variant == node and hash(variant) == hash(node)
+    assert Lam("x", A, BVar(0)) == Lam("y", A, BVar(0))
+    assert Pi("x", A, B) != Lam("x", A, B) and Var("x") != LVar("x")
+    assert BVar(0) != LBVar(0) and SortE("*") != LSort("*")
+    # binders and applications over the same children hash apart
+    assert len({hash(Pi("x", A, B)), hash(Lam("x", A, B)), hash(Sigma("x", A, B)), hash(App(A, B))}) == 4
+    assert len({hash(Var("x")), hash(LVar("x")), hash(SortE("x"))}) == 3
+    assert Var("x") != "x" and (Var("x") == "x") is False
+
+
+def test_nodes_are_immutable():
+    for node, _, match_args in NODES:
+        for name in (*match_args, "other"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, A)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        assert not hasattr(node, "__dict__")
+
+
+def test_eq_and_hash_agree_with_the_reference():
+    ctx = typed_pool_context()
+    rng = random.Random(6)
+    terms = typed_terms(44, 60) + [untyped_term(rng) for _ in range(60)]
+    labeled = [label_term(CC, ctx, t) for t in terms[:60]]
+    pairs = []
+    for t in terms:
+        pairs += [(t, parse_expr(print_expr(t))), (t, rehint(t))]
+        pairs += [(t, p) for p in perturbations(t)]
+    for la in labeled:
+        pairs += [(la, parse_labeled(print_labeled(la))), (la, rehint(la))]
+        pairs += [(la, p) for p in perturbations(la)]
+    pairs += list(zip(terms, terms[1:])) + list(zip(labeled, labeled[1:])) + list(zip(terms, labeled))
+    equal = 0
+    for a, b in pairs:
+        expected = ref_eq(a, b)
+        assert (a == b) is expected and (b == a) is expected and (a != b) is not expected
+        if expected:
+            assert hash(a) == hash(b)
+            equal += 1
+    assert equal >= 2 * (len(terms) + len(labeled)) and len(pairs) - equal > 1000
+
+
+def test_hash_of_10000_levels():
+    # the hash is fixed at construction, so hashing never recurses
+    spine, nest = A, A
+    for _ in range(10000):
+        spine = App(spine, B)
+        nest = Lam("x", SortE("*"), nest)
+    assert hash(spine) != hash(nest)
+    assert len({spine, nest, spine, nest}) == 2
+
+
+def test_eq_on_350_levels():
+    def spine():
+        e = A
+        for _ in range(350):
+            e = App(e, Var("b"))
+        return e
+
+    assert spine() == spine() and spine() != App(spine(), B)
