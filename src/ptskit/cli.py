@@ -12,6 +12,7 @@ import json
 import sys
 
 from .syntax import (
+    CC,
     Context,
     ParseError,
     parse_context,
@@ -174,10 +175,14 @@ def _cmd_translate(s: _Session) -> int:
     ctx = s.context()
     wf_context(s.spec, ctx, s.ns.fuel)
     term = s.parse(s.ns.term)
-    ty = infer_type(s.spec, ctx, term, s.ns.fuel)
-    tctx = translate_context(ctx, s.ns.fuel)
-    t_term = translate_term(TransEnv(ctx, s.ns.fuel), term)
-    t_ty = translate_type(TransEnv(ctx, s.ns.fuel), ty)
+    infer_type(s.spec, ctx, term, s.ns.fuel)
+    # The translation needs CC typing: every built-in system implies it, a spec file need not.
+    cc = CC.with_sigma(s.ns.sigma)
+    wf_context(cc, ctx, s.ns.fuel)
+    ty = infer_type(cc, ctx, term, s.ns.fuel)
+    tctx = translate_context(ctx)
+    t_term = translate_term(TransEnv(ctx), term)
+    t_ty = translate_type(TransEnv(ctx), ty)
     entries = check_translation(ctx, term, s.ns.fuel)
     ok = all(e.ok for e in entries)
     record = {

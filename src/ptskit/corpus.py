@@ -190,7 +190,7 @@ def _report_one(j: Judgement, spec: PtsSpec, fuel: int, depth: int) -> list[Chec
         return entries
 
     entries.extend(check_translation(j.ctx, j.term, fuel))
-    entries.extend(check_reduction_preservation(j.ctx, j.term, depth, fuel))
+    entries.extend(check_reduction_preservation(j.ctx, j.term, depth))
 
     try:
         la = label_term(CC, j.ctx, j.term, fuel)

@@ -14,6 +14,13 @@ Three mutually supporting maps do the work:
 Translated contexts start with ``_0 : *`` and ``_z : (x:*) -> x``; the
 latter manufactures a canonical inhabitant for any type.  Every
 kind-level binding ``x`` gains a term-level companion ``_w$x``.
+
+Each map branches on kind, constructor or term, read from syntax (Geuvers &
+Nederhof, JFP 1991): in well-typed core CC the kinds are ``*`` under products,
+and a non-kind is a constructor exactly when the head it reaches through lambda
+bodies and application functions is a product or a variable declared at a kind.
+So the input must be well-typed core CC, which ``check_translation``,
+``check_subst_lemmas`` and ``ptskit translate`` check first.
 """
 
 from __future__ import annotations
@@ -41,17 +48,7 @@ from .syntax import (
     CC,
 )
 from .reduction import DEFAULT_FUEL, beta_eq, reachable, step_all
-from .typecheck import (
-    GammaConstructor,
-    GammaTerm,
-    Kind,
-    TypeCheckError,
-    _fresh_for,
-    check_type,
-    classify,
-    infer_type,
-    wf_context,
-)
+from .typecheck import TypeCheckError, _fresh_for, check_type, infer_type, wf_context
 
 ZERO = "_0"
 Z = "_z"
@@ -89,7 +86,6 @@ class TransEnv:
     """
 
     cc_context: Context
-    fuel: int = DEFAULT_FUEL
     _counter: list[int] = field(default_factory=lambda: [0])
     canonical_log: list[tuple[Context, Expr]] = field(default_factory=list)
 
@@ -99,7 +95,6 @@ class TransEnv:
     def extended(self, name: str, ty: Expr) -> TransEnv:
         child = TransEnv.__new__(TransEnv)
         child.cc_context = self.cc_context.extend(name, ty)
-        child.fuel = self.fuel
         child._counter = self._counter
         child.canonical_log = self.canonical_log
         return child
@@ -114,13 +109,29 @@ class TransEnv:
 
 def is_cc_kind(e: Expr) -> bool:
     """Kinds need no context: they are ``*`` under a spine of products."""
-    match e:
-        case SortE(name):
-            return name == STAR
-        case Pi(_, _, cod):
-            return is_cc_kind(cod)
-        case _:
-            return False
+    while isinstance(e, Pi):
+        e = e.cod
+    return isinstance(e, SortE) and e.name == STAR
+
+
+def _is_constructor(ctx: Context, e: Expr) -> bool:
+    """Whether a well-typed non-kind ``e`` is a constructor rather than a term."""
+    binds_kind: list[bool] = []  # per lambda passed, outermost first
+    while True:
+        match e:
+            case Lam(_, annot, body):
+                binds_kind.append(is_cc_kind(annot))
+                e = body
+            case App(fun, _):
+                e = fun
+            case Pi():
+                return True
+            case BVar(index):
+                return binds_kind[-1 - index]
+            case Var(name):
+                return is_cc_kind(ctx.lookup(name))
+            case _:
+                return False
 
 
 def erase_kind(a: Expr) -> Expr:
@@ -171,13 +182,12 @@ def _canonical(b: Expr) -> Expr:
 
 
 def translate_type(env: TransEnv, a: Expr) -> Expr:
-    """The type translation; defined on sorts, kinds and constructors."""
+    """The type translation of a sort, or of a well-typed core CC kind or constructor."""
     _check_input(a)
     return _trans_type(env, a)
 
 
 def _trans_type(env: TransEnv, a: Expr) -> Expr:
-    ctx = env.cc_context
     match a:
         case SortE():
             return _ZERO_VAR
@@ -187,7 +197,7 @@ def _trans_type(env: TransEnv, a: Expr) -> Expr:
             x = env.fresh_binder(h, dom, cod)
             inner = env.extended(x, dom)
             tb = _trans_type(inner, open_binder(cod, x))
-            if isinstance(classify(ctx, dom, env.fuel), Kind):
+            if is_cc_kind(dom):
                 doubled = Pi("_", _trans_type(env, dom), tb)
                 return Pi(h, erase_kind(dom), close_binder(doubled, x))
             return Pi(h, _trans_type(env, dom), close_binder(tb, x))
@@ -195,49 +205,45 @@ def _trans_type(env: TransEnv, a: Expr) -> Expr:
             x = env.fresh_binder(h, annot, body)
             inner = env.extended(x, annot)
             tb = _trans_type(inner, open_binder(body, x))
-            if isinstance(classify(ctx, annot, env.fuel), Kind):
+            if is_cc_kind(annot):
                 return Lam(h, erase_kind(annot), close_binder(tb, x))
             # A term-level binder contributes nothing to the erased type.
             if x in free_vars(tb):
                 raise AssertionError(f"term binder {x} survived type translation")
             return tb
         case App(fun, arg):
-            cls = classify(ctx, arg, env.fuel)
-            if isinstance(cls, GammaConstructor):
+            if _is_constructor(env.cc_context, arg):
                 return App(_trans_type(env, fun), _trans_type(env, arg))
-            if isinstance(cls, GammaTerm):
-                return _trans_type(env, fun)
-            raise ValueError(f"application argument {print_expr(arg)} classifies as a kind")
+            return _trans_type(env, fun)
         case _ if isinstance(a, SIGMA_NODES):
             raise ValueError("the translation covers core CC only, not the sigma extension")
         case _:
             raise ValueError(f"not a sort, kind or constructor: {print_expr(a)}")
 
 
-def translate_context(ctx: Context, fuel: int = DEFAULT_FUEL) -> Context:
+def translate_context(ctx: Context) -> Context:
     """Translate a CC context to its F-omega counterpart.
 
     ``_0`` and ``_z`` go in front; a kind-level binding ``x : A``
     becomes the type variable ``x`` of kind ``erase_kind(A)`` plus the
     term companion ``_w$x`` of type ``translate_type(A)``; a type-level
-    binding keeps its name at the translated type.
+    binding keeps its name at the translated type.  ``ctx`` must be well-formed.
     """
     _check_context(ctx)
+    env = TransEnv(Context())
     out = Context().extend(ZERO, SortE(STAR)).extend(Z, _Z_TYPE)
-    prefix = Context()
     for name, ty in ctx:
-        env = TransEnv(prefix, fuel)
-        if isinstance(classify(prefix, ty, fuel), Kind):
+        if is_cc_kind(ty):
             out = out.extend(name, erase_kind(ty))
             out = out.extend(W_PREFIX + name, _trans_type(env, ty))
         else:
             out = out.extend(name, _trans_type(env, ty))
-        prefix = prefix.extend(name, ty)
+        env = env.extended(name, ty)
     return out
 
 
 def translate_term(env: TransEnv, a: Expr) -> Expr:
-    """The term translation; keeps every reduction of the source alive."""
+    """The term translation of well-typed core CC; keeps every source reduction alive."""
     _check_input(a)
     return _trans_term(env, a)
 
@@ -246,17 +252,16 @@ _C_FN_TYPE = Pi("_", _ZERO_VAR, Pi("_", _ZERO_VAR, _ZERO_VAR))
 
 
 def _trans_term(env: TransEnv, a: Expr) -> Expr:
-    ctx = env.cc_context
     match a:
         case SortE(name):
             if name != STAR:
                 raise ValueError(f"{name} is not a typeable subject, cannot translate it")
             return canonical_inhabitant(env, _ZERO_VAR)
         case Var(name):
-            ty = ctx.lookup(name)
+            ty = env.cc_context.lookup(name)
             if ty is None:
                 raise KeyError(f"variable {name} not bound in the translation context")
-            if isinstance(classify(ctx, ty, env.fuel), Kind):
+            if is_cc_kind(ty):
                 return Var(W_PREFIX + name)
             return a
         case Pi(h, dom, cod):
@@ -265,7 +270,7 @@ def _trans_term(env: TransEnv, a: Expr) -> Expr:
             x = env.fresh_binder(h, dom, cod)
             inner = env.extended(x, dom)
             t_cod = _trans_term(inner, open_binder(cod, x))
-            if isinstance(classify(ctx, dom, env.fuel), Kind):
+            if is_cc_kind(dom):
                 t_cod = subst(t_cod, x, canonical_inhabitant(env, erase_kind(dom)))
                 t_cod = subst(t_cod, W_PREFIX + x, canonical_inhabitant(env, _trans_type(env, dom)))
             else:
@@ -277,7 +282,7 @@ def _trans_term(env: TransEnv, a: Expr) -> Expr:
             x = env.fresh_binder(h, annot, body)
             inner = env.extended(x, annot)
             t_body = _trans_term(inner, open_binder(body, x))
-            if isinstance(classify(ctx, annot, env.fuel), Kind):
+            if is_cc_kind(annot):
                 w = W_PREFIX + x
                 wrapped = Lam(w, _trans_type(env, annot), close_binder(t_body, w))
                 wrapped = Lam(h, erase_kind(annot), close_binder(wrapped, x))
@@ -286,12 +291,9 @@ def _trans_term(env: TransEnv, a: Expr) -> Expr:
             return App(Lam(y, _ZERO_VAR, wrapped), t_annot)
         case App(fun, arg):
             t_fun = _trans_term(env, fun)
-            cls = classify(ctx, arg, env.fuel)
-            if isinstance(cls, GammaConstructor):
+            if _is_constructor(env.cc_context, arg):
                 return App(App(t_fun, _trans_type(env, arg)), _trans_term(env, arg))
-            if isinstance(cls, GammaTerm):
-                return App(t_fun, _trans_term(env, arg))
-            raise ValueError(f"application argument {print_expr(arg)} classifies as a kind")
+            return App(t_fun, _trans_term(env, arg))
         case _ if isinstance(a, SIGMA_NODES):
             raise ValueError("the translation covers core CC only, not the sigma extension")
         case _:
@@ -322,9 +324,9 @@ def check_translation(ctx: Context, a: Expr, fuel: int = DEFAULT_FUEL) -> list[C
     try:
         wf_context(CC, ctx, fuel)
         a_ty = infer_type(CC, ctx, a, fuel)
-        tctx = translate_context(ctx, fuel)
-        ta = translate_term(TransEnv(ctx, fuel), a)
-        t_ty = translate_type(TransEnv(ctx, fuel), a_ty)
+        tctx = translate_context(ctx)
+        ta = translate_term(TransEnv(ctx), a)
+        t_ty = translate_type(TransEnv(ctx), a_ty)
     except (TypeCheckError, ValueError, KeyError) as err:
         return [CheckEntry(False, "translation", f"setup failed: {err}")]
 
@@ -335,10 +337,9 @@ def check_translation(ctx: Context, a: Expr, fuel: int = DEFAULT_FUEL) -> list[C
     except TypeCheckError as err:
         entries.append(CheckEntry(False, "term-translation", f"{judgement} ({err})"))
 
-    cls = classify(ctx, a, fuel)
-    if not isinstance(cls, GammaTerm):
+    if is_cc_kind(a) or _is_constructor(ctx, a):
         try:
-            t_a = translate_type(TransEnv(ctx, fuel), a)
+            t_a = translate_type(TransEnv(ctx), a)
             v_ty = erase_kind(a_ty)
             judgement = f"|- {print_expr(t_a)} : {print_expr(v_ty)}"
             check_type(FOMEGA, tctx, t_a, v_ty, fuel)
@@ -348,20 +349,18 @@ def check_translation(ctx: Context, a: Expr, fuel: int = DEFAULT_FUEL) -> list[C
     return entries
 
 
-def check_reduction_preservation(
-    ctx: Context, a: Expr, max_depth: int = 12, fuel: int = DEFAULT_FUEL
-) -> list[CheckEntry]:
-    """Every source step must be simulated by >= 1 translated steps."""
+def check_reduction_preservation(ctx: Context, a: Expr, max_depth: int = 12) -> list[CheckEntry]:
+    """Every step of a well-typed core CC ``a`` must be simulated by >= 1 translated steps."""
     entries: list[CheckEntry] = []
     try:
-        ta = translate_term(TransEnv(ctx, fuel), a)
-    except (TypeCheckError, ValueError, KeyError) as err:
+        ta = translate_term(TransEnv(ctx), a)
+    except (ValueError, KeyError) as err:
         return [CheckEntry(False, "simulation", f"setup failed: {err}")]
     for reduct in sorted(step_all(a), key=print_expr):
         detail = f"{print_expr(a)} ~> {print_expr(reduct)}"
         try:
-            t_reduct = translate_term(TransEnv(ctx, fuel), reduct)
-        except (TypeCheckError, ValueError, KeyError) as err:
+            t_reduct = translate_term(TransEnv(ctx), reduct)
+        except (ValueError, KeyError) as err:
             entries.append(CheckEntry(False, "simulation", f"{detail} ({err})"))
             continue
         ok = reachable(ta, t_reduct, max_depth, min_steps=1)
@@ -369,9 +368,7 @@ def check_reduction_preservation(
     return entries
 
 
-def check_subst_lemmas(
-    ctx: Context, a: Expr, x: str, b: Expr, fuel: int = DEFAULT_FUEL
-) -> list[CheckEntry]:
+def check_subst_lemmas(ctx: Context, a: Expr, x: str, b: Expr, fuel: int = DEFAULT_FUEL) -> list[CheckEntry]:
     """Substitution commutes with both translations, verbatim equalities.
 
     Hypotheses: ``x`` is bound in ``ctx``, ``b`` has x's type there, and
@@ -385,40 +382,38 @@ def check_subst_lemmas(
     if x in free_vars(b):
         return [CheckEntry(False, "subst-hypotheses", f"replacement mentions {x}")]
     try:
+        wf_context(CC, ctx, fuel)
         inferred = infer_type(CC, ctx, b, fuel)
         if beta_eq(inferred, b_ty, fuel) is not True:
             return [CheckEntry(False, "subst-hypotheses", f"replacement is not of {x}'s type")]
-        binding_is_kind = isinstance(classify(ctx, b_ty, fuel), Kind)
-        a_cls = classify(ctx, a, fuel)
+        infer_type(CC, ctx, a, fuel)
     except TypeCheckError as err:
         return [CheckEntry(False, "subst-hypotheses", str(err))]
     entries.append(CheckEntry(True, "subst-hypotheses", f"[{print_expr(b)}/{x}]"))
 
+    binding_is_kind = is_cc_kind(b_ty)
     substituted = subst(a, x, b)
-    if not isinstance(a_cls, GammaTerm):
+    detail = f"[{print_expr(b)}/{x}]{print_expr(a)}"
+    if is_cc_kind(a) or _is_constructor(ctx, a):
         try:
-            lhs = translate_type(TransEnv(ctx, fuel), substituted)
-            rhs = translate_type(TransEnv(ctx, fuel), a)
+            lhs = translate_type(TransEnv(ctx), substituted)
+            rhs = translate_type(TransEnv(ctx), a)
             if binding_is_kind:
-                rhs = subst(rhs, x, translate_type(TransEnv(ctx, fuel), b))
-            ok = lhs == rhs
-            entries.append(
-                CheckEntry(ok, "type-subst", f"[{print_expr(b)}/{x}]{print_expr(a)}")
-            )
-        except (TypeCheckError, ValueError) as err:
+                rhs = subst(rhs, x, translate_type(TransEnv(ctx), b))
+            entries.append(CheckEntry(lhs == rhs, "type-subst", detail))
+        except ValueError as err:
             entries.append(CheckEntry(False, "type-subst", str(err)))
 
     try:
-        lhs = translate_term(TransEnv(ctx, fuel), substituted)
-        rhs = translate_term(TransEnv(ctx, fuel), a)
+        lhs = translate_term(TransEnv(ctx), substituted)
+        rhs = translate_term(TransEnv(ctx), a)
         if binding_is_kind:
-            rhs = subst(rhs, W_PREFIX + x, translate_term(TransEnv(ctx, fuel), b))
-            rhs = subst(rhs, x, translate_type(TransEnv(ctx, fuel), b))
+            rhs = subst(rhs, W_PREFIX + x, translate_term(TransEnv(ctx), b))
+            rhs = subst(rhs, x, translate_type(TransEnv(ctx), b))
         else:
-            rhs = subst(rhs, x, translate_term(TransEnv(ctx, fuel), b))
-        ok = lhs == rhs
-        entries.append(CheckEntry(ok, "term-subst", f"[{print_expr(b)}/{x}]{print_expr(a)}"))
-    except (TypeCheckError, ValueError) as err:
+            rhs = subst(rhs, x, translate_term(TransEnv(ctx), b))
+        entries.append(CheckEntry(lhs == rhs, "term-subst", detail))
+    except ValueError as err:
         entries.append(CheckEntry(False, "term-subst", str(err)))
     return entries
 
@@ -429,7 +424,7 @@ def check_canonical_inhabitants(env: TransEnv, fuel: int = DEFAULT_FUEL) -> list
     for cc_ctx, b in env.canonical_log:
         detail = f"c^{print_expr(b)}"
         try:
-            tctx = translate_context(cc_ctx, fuel)
+            tctx = translate_context(cc_ctx)
             check_type(FOMEGA, tctx, _canonical(b), b, fuel)
             entries.append(CheckEntry(True, "canonical", detail))
         except (TypeCheckError, ValueError) as err:

@@ -236,6 +236,33 @@ def test_translate_checks_the_context_first(capsys):
         assert json.loads(out) == {"command": "translate", "error": message, "ok": False}
 
 
+def test_translate_rejects_sigma_anywhere(capsys):
+    # a Sig type in the context or under an application is refused like a top-level pair
+    message = "the translation covers core CC only, not the sigma extension"
+    cases = [
+        ["--bind", "A : *", "--bind", "p : Sig x:A. A", "p"],
+        ["--bind", "A : *", "--bind", "a : A", "--bind", "f : (Sig x:A. A) -> A", "f (<a, a> : Sig x:A. A)"],
+    ]
+    for argv in cases:
+        code, out, err = run(capsys, "translate", "--sigma", *argv)
+        assert code == EXIT_PARSE_ERROR
+        assert out == "" and err.strip() == f"error: {message}"
+        code, out, _ = run(capsys, "translate", "--sigma", "--format", "machine", *argv)
+        assert code == EXIT_PARSE_ERROR
+        assert json.loads(out) == {"command": "translate", "error": message, "ok": False}
+
+
+def test_translate_checks_cc_typing_under_a_spec_file(capsys, tmp_path):
+    # a term that types in the given system but not in CC is a type error, not translated
+    spec = tmp_path / "type-in-type.spec"
+    spec.write_text("sort *\naxiom * *\nrule * * *\n")
+    code, out, err = run(capsys, "translate", "--system", str(spec), r"(\A:*. A) *")
+    assert code == EXIT_TYPE_ERROR
+    assert out == "" and err.strip() == r"error: Mismatch: argument of \A:*. A: # is not convertible with *"
+    code, out, _ = run(capsys, "translate", "--system", str(spec), r"\A:*. A")
+    assert code == EXIT_OK and "PASS type-translation |- \\A:*. A : * -> *" in out
+
+
 def test_erase_rejects_unlabeled_input(capsys):
     code, _, err = run(capsys, "erase", r"\x:N. x")
     assert code == EXIT_PARSE_ERROR

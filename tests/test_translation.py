@@ -3,20 +3,27 @@ import pytest
 from ptskit.syntax import (
     BOX,
     CC,
+    App,
+    BVar,
     Context,
     FOMEGA,
+    Lam,
+    Pi,
     STAR,
     SortE,
     Var,
+    open_binder,
     parse_context,
     parse_expr,
     print_expr,
 )
+from ptskit.corpus import load_corpus_dir
 from ptskit.reduction import beta_eq
-from ptskit.typecheck import check_type, infer_type, wf_context
+from ptskit.typecheck import GammaConstructor, GammaTerm, Kind, check_type, classify, infer_type, wf_context
 from ptskit.translate import (
     ReservedNameError,
     TransEnv,
+    _is_constructor,
     canonical_inhabitant,
     check_canonical_inhabitants,
     check_reduction_preservation,
@@ -76,6 +83,66 @@ def test_is_cc_kind():
     assert not is_cc_kind(SortE(BOX))
     assert not is_cc_kind(P("(x:*) -> x"))
     assert not is_cc_kind(Var("A"))
+
+
+# ---------------------------------------------------------------------------
+# Syntactic classification, with classify as the oracle
+
+
+def _classification_points(ctx, a):
+    """Every (context, expression) whose class translating ``ctx |- a`` reads.
+
+    The context's binding types, then, in the judgement's term and its type,
+    each product domain, lambda annotation, application argument and
+    variable's declared type, under the binders the translation opens.
+    """
+    prefix = Context()
+    for name, ty in ctx:
+        yield prefix, ty
+        prefix = prefix.extend(name, ty)
+    stack = [(TransEnv(ctx), a), (TransEnv(ctx), infer_type(CC, ctx, a))]
+    while stack:
+        env, e = stack.pop()
+        match e:
+            case Var(name):
+                yield env.cc_context, env.cc_context.lookup(name)
+            case Pi(h, dom, body) | Lam(h, dom, body):
+                yield env.cc_context, dom
+                x = env.fresh_binder(h, dom, body)
+                stack += [(env, dom), (env.extended(x, dom), open_binder(body, x))]
+            case App(fun, arg):
+                yield env.cc_context, arg
+                stack += [(env, fun), (env, arg)]
+
+
+def _syntactic_class(ctx, e):
+    if is_cc_kind(e):
+        return Kind
+    return GammaConstructor if _is_constructor(ctx, e) else GammaTerm
+
+
+def test_syntactic_classification_matches_classify():
+    judgements = [(typed_pool_context(), t) for seed in range(1, 6) for t in typed_terms(seed=seed, count=150)]
+    judgements += [(j.ctx, j.term) for j in load_corpus_dir("corpus/cc")]
+    seen = {Kind: 0, GammaConstructor: 0, GammaTerm: 0}
+    for ctx, a in judgements:
+        for sub_ctx, e in _classification_points(ctx, a):
+            cls = type(classify(sub_ctx, e))
+            assert _syntactic_class(sub_ctx, e) is cls, print_expr(e)
+            seen[cls] += 1
+    assert min(seen.values()) > 500, seen
+
+
+def test_syntactic_classification_is_depth_safe():
+    n = 10_000
+    arrows, nest, spine = SortE(STAR), BVar(n - 1), Var("f")
+    for _ in range(n):
+        arrows = Pi("_", Var("A"), arrows)
+        nest = Lam("X", SortE(STAR), nest)
+        spine = App(spine, Var("a"))
+    ctx = C("A : *\na : A\nf : A -> A")
+    assert [is_cc_kind(e) for e in (arrows, nest, spine)] == [True, False, False]
+    assert [_is_constructor(ctx, e) for e in (arrows, nest, spine)] == [True, True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +324,19 @@ def test_check_translation_examples():
     assert all(e.ok for e in check_translation(Context(), SortE(STAR)))
 
 
+def test_check_translation_rejects_before_translating():
+    # messages recorded before the translation stopped calling the type checker
+    cases = [
+        ("A : *\nx : A", "x x", "NotAFunction: x has type A, which is not a function type"),
+        ("A : *\nx : A", r"\y:A. y A", "NotAFunction: y has type A, which is not a function type"),
+        ("x : y", "*", "IllFormedContext: binding x : y is ill-formed (UnboundVariable: unbound variable y)"),
+        ("A : *\nA : *", "A", "IllFormedContext: duplicate binding for 'A'"),
+    ]
+    for ctx_text, text, message in cases:
+        entries = check_translation(C(ctx_text), P(text))
+        assert render_report(entries) == f"FAIL translation setup failed: {message}"
+
+
 def test_check_translation_star_judgement_shape():
     entries = check_translation(Context(), SortE(STAR))
     assert any("_z _0 : _0" in e.detail for e in entries)
@@ -360,6 +440,18 @@ def test_subst_lemma_rejects_bad_hypotheses():
     assert not entries[0].ok
     entries = check_subst_lemmas(ctx, Var("X"), "X", Var("X"))
     assert not entries[0].ok
+
+
+def test_subst_lemma_rejects_ill_typed_subject():
+    # messages recorded before the translation stopped calling the type checker
+    ctx = C("A : *\nX : *\nx : X\nN : *")
+    cases = [
+        ("x x", "NotAFunction: x has type X, which is not a function type"),
+        ("X A", "NotAFunction: X has type *, which is not a function type"),
+    ]
+    for text, message in cases:
+        entries = check_subst_lemmas(ctx, P(text), "X", Var("A"))
+        assert render_report(entries) == f"FAIL subst-hypotheses {message}"
 
 
 def test_substitution_order_is_immaterial():
