@@ -175,11 +175,13 @@ def _cmd_translate(s: _Session) -> int:
     ctx = s.context()
     wf_context(s.spec, ctx, s.ns.fuel)
     term = s.parse(s.ns.term)
-    infer_type(s.spec, ctx, term, s.ns.fuel)
-    # The translation needs CC typing: every built-in system implies it, a spec file need not.
+    ty = infer_type(s.spec, ctx, term, s.ns.fuel)
+    # The translation needs CC typing: every built-in system implies it, a spec file need not;
+    # under CC itself it is the check just made.
     cc = CC.with_sigma(s.ns.sigma)
-    wf_context(cc, ctx, s.ns.fuel)
-    ty = infer_type(cc, ctx, term, s.ns.fuel)
+    if s.spec != cc:
+        wf_context(cc, ctx, s.ns.fuel)
+        ty = infer_type(cc, ctx, term, s.ns.fuel)
     tctx = translate_context(ctx)
     t_term = translate_term(TransEnv(ctx), term)
     t_ty = translate_type(TransEnv(ctx), ty)

@@ -50,7 +50,7 @@ from .reduction import (
     trace,
     whnf,
 )
-from .typecheck import ErrorKind, TypeCheckError, _as_sort, _fail, _fresh_for, _pi_sort, infer_type
+from .typecheck import ErrorKind, TypeCheckError, _as_sort, _fail, _fresh_for, _infer, _pi_sort
 
 DEFAULT_CONV_DEPTH = 12
 
@@ -153,15 +153,25 @@ def labeled_infer(
             s2 = _as_sort(spec, cod_ty, fuel, cod_x, l_normalize)
             return LSort(_pi_sort(spec, s1, s2, la))
         case LLam(h, dom, cod, body):
-            labeled_infer(spec, lctx, LPi(h, dom, cod), fuel, conv_depth, warnings)
-            x = _fresh_for(lctx, h, dom, cod, body)
-            body_ty = labeled_infer(spec, lctx.extend(x, dom), l_open(body, x), fuel, conv_depth, warnings)
-            if not directed_convertible(body_ty, l_open(cod, x), conv_depth):
+            label = label_of(la)
+            labeled_infer(spec, lctx, label, fuel, conv_depth, warnings)
+            # That checked the codomain whole, so a body lambda labeled with the
+            # opened codomain is entered here without checking its label again:
+            # once its own body checks, its type is that codomain.
+            while True:
+                x = _fresh_for(lctx, h, dom, cod, body)
+                lctx = lctx.extend(x, dom)
+                body, cod = l_open(body, x), l_open(cod, x)
+                if not (isinstance(body, LLam) and label_of(body) == cod):
+                    break
+                h, dom, cod, body = body.hint, body.dom, body.cod, body.body
+            body_ty = labeled_infer(spec, lctx, body, fuel, conv_depth, warnings)
+            if not directed_convertible(body_ty, cod, conv_depth):
                 _fail(
                     ErrorKind.DIRECTED_CONVERSION_UNDETERMINED,
                     f"body type {print_labeled(body_ty)} does not reduce to or from the label codomain",
                 )
-            return LPi(h, dom, cod)
+            return label
         case LApp(h, dom, cod, fun, arg):
             fun_ty = labeled_infer(spec, lctx, fun, fuel, conv_depth, warnings)
             label = LPi(h, dom, cod)
@@ -211,67 +221,71 @@ def label_term(spec: PtsSpec, ctx: Context, a: Expr, fuel: int = DEFAULT_FUEL) -
 
     Lambdas receive the synthesized product, applications the product
     exposed for the function; erasure undoes the elaboration exactly.
+    The walk types ``a`` once, as ``infer_type`` does: the sort and the
+    labeled form of a lambda's type travel up with it, so an enclosing
+    lambda neither re-checks nor re-elaborates the product.
     """
-    labeled, _ = _elaborate(spec, ctx, a, fuel)
-    return labeled
+    return _elaborate(spec, ctx, a, fuel)[0]
 
 
 def label_context(spec: PtsSpec, ctx: Context, fuel: int = DEFAULT_FUEL) -> Context:
     lctx = Context()
     prefix = Context()
     for name, ty in ctx:
-        lty, _ = _elaborate(spec, prefix, ty, fuel)
-        lctx = lctx.extend(name, lty)
+        lctx = lctx.extend(name, _elaborate(spec, prefix, ty, fuel)[0])
         prefix = prefix.extend(name, ty)
     return lctx
 
 
-def _elaborate(spec: PtsSpec, ctx: Context, a: Expr, fuel: int) -> tuple[LabeledExpr, Expr]:
+def _elaborate(spec: PtsSpec, ctx: Context, a: Expr, fuel: int) -> tuple[LabeledExpr, Expr, str | None, LabeledExpr | None]:
+    """``(labeled a, A, s, labeled A)``: A and s as ``_infer`` gives them; the
+    labeled A is known for a lambda, None elsewhere."""
     match a:
         case SortE(s):
-            ty = infer_type(spec, ctx, a, fuel)
-            return LSort(s), ty
+            return LSort(s), *_infer(spec, ctx, a, fuel), None
         case Var(name):
-            ty = infer_type(spec, ctx, a, fuel)
-            return LVar(name), ty
+            return LVar(name), *_infer(spec, ctx, a, fuel), None
         case Pi(h, dom, cod):
-            ldom, dom_ty = _elaborate(spec, ctx, dom, fuel)
+            ldom, dom_ty, _, _ = _elaborate(spec, ctx, dom, fuel)
             x = _fresh_for(ctx, h, dom, cod)
             cod_x = open_binder(cod, x)
-            lcod, cod_ty = _elaborate(spec, ctx.extend(x, dom), cod_x, fuel)
+            lcod, cod_ty, _, _ = _elaborate(spec, ctx.extend(x, dom), cod_x, fuel)
             # the parts' types are the ones infer_type would find, so the
             # product's sort comes from them, checked in the same order
             s1 = _as_sort(spec, dom_ty, fuel, dom)
             s2 = _as_sort(spec, cod_ty, fuel, cod_x)
-            return LPi(h, ldom, close_binder(lcod, x)), SortE(_pi_sort(spec, s1, s2, a))
+            s3 = _pi_sort(spec, s1, s2, a)
+            return LPi(h, ldom, close_binder(lcod, x)), SortE(s3), spec.axiom_for(s3), None
         case Lam(h, annot, body):
-            lannot, _ = _elaborate(spec, ctx, annot, fuel)
+            lannot, annot_ty, _, _ = _elaborate(spec, ctx, annot, fuel)
             x = _fresh_for(ctx, h, annot, body)
             inner = ctx.extend(x, annot)
-            lbody, body_ty = _elaborate(spec, inner, open_binder(body, x), fuel)
+            lbody, body_ty, s2, lcod = _elaborate(spec, inner, open_binder(body, x), fuel)
             pi = Pi(h, annot, close_binder(body_ty, x))
-            infer_type(spec, ctx, pi, fuel)  # the TLam product premise
-            lcod, _ = _elaborate(spec, inner, body_ty, fuel)
-            return LLam(h, lannot, close_binder(lcod, x), close_binder(lbody, x)), pi
+            # the TLam product premise, settled as in _infer
+            if s2 is None:
+                s3 = _infer(spec, ctx, pi, fuel)[0].name
+            else:
+                s3 = _pi_sort(spec, _as_sort(spec, annot_ty, fuel, annot), s2, pi)
+            if lcod is None:
+                lcod = _elaborate(spec, inner, body_ty, fuel)[0]
+            lcod = close_binder(lcod, x)
+            return LLam(h, lannot, lcod, close_binder(lbody, x)), pi, s3, LPi(h, lannot, lcod)
         case App(fun, arg):
-            lfun, fun_ty = _elaborate(spec, ctx, fun, fuel)
+            lfun, fun_ty, _, lfun_ty = _elaborate(spec, ctx, fun, fuel)
             try:
                 head = whnf(fun_ty, fuel)
             except FuelExhausted:
                 _fail(ErrorKind.FUEL_EXHAUSTED, f"exposing the type of {print_expr(fun)}")
             if not isinstance(head, Pi):
                 _fail(ErrorKind.NOT_A_FUNCTION, f"{print_expr(fun)} is not a function")
-            larg, arg_ty = _elaborate(spec, ctx, arg, fuel)
+            larg, arg_ty, _, _ = _elaborate(spec, ctx, arg, fuel)
             conv = beta_eq(arg_ty, head.dom, fuel)
             if conv is not True:
                 kind = ErrorKind.MISMATCH if conv is False else ErrorKind.FUEL_EXHAUSTED
                 _fail(kind, f"argument of {print_expr(fun)} has type {print_expr(arg_ty)}")
-            lpi, _ = _elaborate(spec, ctx, head, fuel)
-            assert isinstance(lpi, LPi)
-            return (
-                LApp(lpi.hint, lpi.dom, lpi.cod, lfun, larg),
-                instantiate(head.cod, arg),
-            )
+            lpi = lfun_ty if lfun_ty is not None else _elaborate(spec, ctx, head, fuel)[0]
+            return LApp(lpi.hint, lpi.dom, lpi.cod, lfun, larg), instantiate(head.cod, arg), None, None
         case _:
             _fail(
                 ErrorKind.SIGMA_DISABLED,

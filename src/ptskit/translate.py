@@ -209,7 +209,7 @@ def _trans_type(env: TransEnv, a: Expr) -> Expr:
                 return Lam(h, erase_kind(annot), close_binder(tb, x))
             # A term-level binder contributes nothing to the erased type.
             if x in free_vars(tb):
-                raise AssertionError(f"term binder {x} survived type translation")
+                raise ValueError(f"term binder {x} survived type translation")
             return tb
         case App(fun, arg):
             if _is_constructor(env.cc_context, arg):

@@ -131,7 +131,23 @@ def wf_context(spec: PtsSpec, ctx: Context, fuel: int = DEFAULT_FUEL) -> None:
 
 
 def infer_type(spec: PtsSpec, ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -> Expr:
-    """Return a type A with ctx |- e : A, or raise TypeCheckError."""
+    """Return a type A with ctx |- e : A, or raise TypeCheckError.
+
+    One pass: the walk (``_infer``) hands each type up with its sort where
+    a rule settled it, so a lambda whose body's type has a known sort
+    checks only its annotation for the product premise, never the whole
+    product it synthesized again.
+    """
+    return _infer(spec, ctx, e, fuel)[0]
+
+
+def _infer(spec: PtsSpec, ctx: Context, e: Expr, fuel: int) -> tuple[Expr, str | None]:
+    """``(A, s)`` with ctx |- e : A and, unless s is None, ctx |- A : s.
+
+    s is known for a sort, product or Sig type (the axiom of the sort that
+    types it) and for a lambda (the sort of its product); ``Var``, ``App``,
+    pairs and projections give None.
+    """
     match e:
         case SortE(s):
             if s not in spec.sorts:
@@ -139,29 +155,32 @@ def infer_type(spec: PtsSpec, ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -
             s2 = spec.axiom_for(s)
             if s2 is None:
                 _fail(ErrorKind.NO_AXIOM, f"sort {s} has no type")
-            return SortE(s2)
+            return SortE(s2), spec.axiom_for(s2)
         case Var(name):
             ty = ctx.lookup(name)
             if ty is None:
                 _fail(ErrorKind.UNBOUND_VARIABLE, f"unbound variable {name}")
-            return ty
+            return ty, None
         case BVar():
             raise ValueError("dangling bound variable reached the type checker")
         case Pi(h, dom, cod):
-            s1 = _as_sort(spec, infer_type(spec, ctx, dom, fuel), fuel, dom)
+            s1 = _as_sort(spec, _infer(spec, ctx, dom, fuel)[0], fuel, dom)
             x = _fresh_for(ctx, h, dom, cod)
             cod_x = open_binder(cod, x)
-            s2 = _as_sort(spec, infer_type(spec, ctx.extend(x, dom), cod_x, fuel), fuel, cod_x)
-            return SortE(_pi_sort(spec, s1, s2, e))
+            s2 = _as_sort(spec, _infer(spec, ctx.extend(x, dom), cod_x, fuel)[0], fuel, cod_x)
+            s3 = _pi_sort(spec, s1, s2, e)
+            return SortE(s3), spec.axiom_for(s3)
         case Lam(h, annot, body):
             x = _fresh_for(ctx, h, annot, body)
-            body_ty = infer_type(spec, ctx.extend(x, annot), open_binder(body, x), fuel)
+            body_ty, s2 = _infer(spec, ctx.extend(x, annot), open_binder(body, x), fuel)
             pi = Pi(h, annot, close_binder(body_ty, x))
             # TLam demands the synthesized product itself be well-sorted.
-            infer_type(spec, ctx, pi, fuel)
-            return pi
+            if s2 is None:
+                return pi, _infer(spec, ctx, pi, fuel)[0].name
+            s1 = _as_sort(spec, _infer(spec, ctx, annot, fuel)[0], fuel, annot)
+            return pi, _pi_sort(spec, s1, s2, pi)
         case App(fun, arg):
-            fun_ty = infer_type(spec, ctx, fun, fuel)
+            fun_ty = _infer(spec, ctx, fun, fuel)[0]
             try:
                 head = whnf(fun_ty, fuel)
             except FuelExhausted:
@@ -171,12 +190,12 @@ def infer_type(spec: PtsSpec, ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -
                     ErrorKind.NOT_A_FUNCTION,
                     f"{print_expr(fun)} has type {print_expr(fun_ty)}, which is not a function type",
                 )
-            arg_ty = infer_type(spec, ctx, arg, fuel)
+            arg_ty = _infer(spec, ctx, arg, fuel)[0]
             _convertible(arg_ty, head.dom, fuel, "argument of", fun)
-            return instantiate(head.cod, arg)
+            return instantiate(head.cod, arg), None
         case Sigma(h, first, second):
             _require_sigma(spec, e)
-            first_sort = _as_sort(spec, infer_type(spec, ctx, first, fuel), fuel, first)
+            first_sort = _as_sort(spec, _infer(spec, ctx, first, fuel)[0], fuel, first)
             if first_sort != STAR:
                 _fail(
                     ErrorKind.MISMATCH,
@@ -184,8 +203,8 @@ def infer_type(spec: PtsSpec, ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -
                 )
             x = _fresh_for(ctx, h, first, second)
             second_x = open_binder(second, x)
-            s = _as_sort(spec, infer_type(spec, ctx.extend(x, first), second_x, fuel), fuel, second_x)
-            return SortE(s)
+            s = _as_sort(spec, _infer(spec, ctx.extend(x, first), second_x, fuel)[0], fuel, second_x)
+            return SortE(s), spec.axiom_for(s)
         case Pair(first, second, annot):
             _require_sigma(spec, e)
             try:
@@ -194,20 +213,18 @@ def infer_type(spec: PtsSpec, ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -
                 _fail(ErrorKind.FUEL_EXHAUSTED, f"exposing the pair annotation {print_expr(annot)}")
             if not isinstance(head, Sigma):
                 _fail(ErrorKind.MISMATCH, f"pair annotation {print_expr(annot)} is not a Sig type")
-            first_ty = infer_type(spec, ctx, first, fuel)
+            first_ty = _infer(spec, ctx, first, fuel)[0]
             _convertible(first_ty, head.first, fuel, "first pair component")
-            second_ty = infer_type(spec, ctx, second, fuel)
+            second_ty = _infer(spec, ctx, second, fuel)[0]
             _convertible(second_ty, instantiate(head.second, first), fuel, "second pair component")
-            infer_type(spec, ctx, annot, fuel)
-            return annot
+            _infer(spec, ctx, annot, fuel)
+            return annot, None
         case Proj1(p):
             _require_sigma(spec, e)
-            head = _sigma_head(spec, ctx, p, fuel)
-            return head.first
+            return _sigma_head(spec, ctx, p, fuel).first, None
         case Proj2(p):
             _require_sigma(spec, e)
-            head = _sigma_head(spec, ctx, p, fuel)
-            return instantiate(head.second, Proj1(p))
+            return instantiate(_sigma_head(spec, ctx, p, fuel).second, Proj1(p)), None
         case _:
             raise TypeError(f"not an expression: {e!r}")
 
@@ -218,7 +235,7 @@ def _require_sigma(spec: PtsSpec, e: Expr) -> None:
 
 
 def _sigma_head(spec: PtsSpec, ctx: Context, p: Expr, fuel: int) -> Sigma:
-    ty = infer_type(spec, ctx, p, fuel)
+    ty = _infer(spec, ctx, p, fuel)[0]
     try:
         head = whnf(ty, fuel)
     except FuelExhausted:
@@ -268,15 +285,15 @@ _CC = BUILTIN_SPECS["cc"]
 def classify(ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL, spec: PtsSpec | None = None) -> Classification:
     """Sort a typeable CC expression into kind / constructor / term."""
     spec = spec or _CC
-    ty = infer_type(spec, ctx, e, fuel)
+    ty, s = _infer(spec, ctx, e, fuel)
     try:
         nty = normalize(ty, fuel)
     except FuelExhausted:
         _fail(ErrorKind.FUEL_EXHAUSTED, f"normalizing the type of {print_expr(e)}")
     if nty == SortE(BOX):
         return Kind()
-    ty_of_ty = infer_type(spec, ctx, ty, fuel)
-    s = _as_sort(spec, ty_of_ty, fuel, ty)
+    if s is None:
+        s = _as_sort(spec, infer_type(spec, ctx, ty, fuel), fuel, ty)
     if s == BOX:
         return GammaConstructor(is_type=nty == SortE(STAR))
     if s == STAR:

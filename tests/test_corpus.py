@@ -94,3 +94,21 @@ def test_run_report_skips_translation_for_sigma():
     entries = run_report(sigma, CCS)
     assert all(e.ok for e in entries)
     assert not any(e.name in ("term-translation", "simulation") for e in entries)
+
+
+def test_run_report_runs_cc_checks_only_under_cc_axioms():
+    # CC's sorts and rules with one more axiom (# : *) type judgements CC
+    # rejects, so the CC-only checks must not run on them
+    from ptskit.typecheck import parse_spec_text
+
+    spec = parse_spec_text(
+        "sort *\nsort #\naxiom * #\naxiom # *\nrule * * *\nrule * # #\nrule # * *\nrule # # #\n"
+    )
+    judgements = [
+        parse_judgement("term:\n(\\x:*. x) #\n", name="01.judg"),
+        parse_judgement("ctx:\nA : *\n\nterm:\n\\y:#. A\n", name="02.judg"),
+    ]
+    entries = run_report(judgements, spec)
+    assert [(e.ok, e.name) for e in entries] == 2 * [
+        (True, "ctx-wf"), (True, "typing"), (True, "preservation"), (True, "normalizes")
+    ]

@@ -1,6 +1,7 @@
 import pytest
 
 from ptskit.syntax import (
+    BUILTIN_SPECS,
     CC,
     Context,
     STAR,
@@ -35,6 +36,8 @@ from ptskit.labeled import (
 )
 
 from generators import typed_pool_context, typed_terms
+import typing_oracle as oracle
+from typing_oracle import outcome
 
 
 def P(text):
@@ -321,3 +324,72 @@ def test_elaboration_errors_are_pinned(system, ctx_text, text, fuel, message):
     with pytest.raises(TypeCheckError) as info:
         label_term(BUILTIN_SPECS[system], C(ctx_text), P(text), fuel)
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# Elaboration and labeled typing against the walks that re-checked every
+# product and label
+
+
+def _labeled_infer_outcome(infer, spec, lctx, la, fuel, depth):
+    """The outcome, and the warnings in order of first appearance: a label
+    checked once is no longer warned about once per enclosing lambda."""
+    warnings: list[str] = []
+    return outcome(infer, spec, lctx, la, fuel, depth, warnings), list(dict.fromkeys(warnings))
+
+
+def test_elaboration_matches_the_rechecking_oracle():
+    for system, ctx, term, fuel in oracle.typing_cases():
+        spec = BUILTIN_SPECS[system]
+        got = outcome(label_term, spec, ctx, term, fuel)
+        assert got == outcome(oracle.label_term, spec, ctx, term, fuel), (system, fuel, str(term))
+        got_ctx = outcome(label_context, spec, ctx, fuel)
+        assert got_ctx == outcome(oracle.label_context, spec, ctx, fuel), (system, fuel, str(ctx))
+        if got[0] == got_ctx[0] == "ok":
+            for depth in (12, 1):
+                args = (spec, got_ctx[1], got[1], fuel, depth)
+                want = _labeled_infer_outcome(oracle.labeled_infer, *args)
+                assert _labeled_infer_outcome(labeled_infer, *args) == want, (system, fuel, depth, str(term))
+
+
+def test_labeled_infer_matches_the_rechecking_oracle_on_mismatched_labels():
+    for system, la, fuel, depth in oracle.labeled_cases():
+        args = (BUILTIN_SPECS[system], Context(), la, fuel, depth)
+        want = _labeled_infer_outcome(oracle.labeled_infer, *args)
+        assert _labeled_infer_outcome(labeled_infer, *args) == want, (system, fuel, depth, str(la))
+
+
+def test_typing_walks_grow_linearly_with_nest_depth(monkeypatch):
+    from ptskit import labeled, typecheck
+
+    counts: dict[str, int] = {}
+
+    def counted(module, name, key):
+        f = getattr(module, name)
+
+        def wrapper(*args):
+            counts[key] = counts.get(key, 0) + 1
+            return f(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    # infer_type is a view of _infer, which both modules call directly
+    counted(typecheck, "_infer", "infer_type")
+    counted(labeled, "_infer", "infer_type")
+    counted(labeled, "_elaborate", "_elaborate")
+    counted(labeled, "labeled_infer", "labeled_infer")
+
+    def calls(d):
+        t = P(r"\A:*. " + "".join(rf"\x{i}:A. " for i in range(d)) + "x0")
+        counts.clear()
+        infer_type(CC, Context(), t)
+        typed = counts["infer_type"]
+        counts.clear()
+        la = labeled.label_term(CC, Context(), t)
+        elaborated = counts["_elaborate"]
+        counts.clear()
+        labeled.labeled_infer(CC, Context(), la)
+        return typed, elaborated, counts["labeled_infer"]
+
+    for at_32, at_64 in zip(calls(32), calls(64)):
+        assert at_64 <= 2.2 * at_32, (at_32, at_64)

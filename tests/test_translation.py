@@ -185,6 +185,14 @@ def test_translate_type_lambda_clauses():
     assert translate_type(env, P(r"\x:A. A")) == Var("A")
 
 
+def test_translate_type_rejects_terms_with_value_error():
+    # a term-level lambda is outside the type translation's domain; the
+    # check_* functions guard the translation with ``except ValueError``
+    term = P(r"(\r01:(C:*) -> C -> C. r01 ((x:A) -> P x)) (\q11:*. \q22:q11. q22)")
+    with pytest.raises(ValueError, match="^term binder r01 survived type translation$"):
+        translate_type(TransEnv(typed_pool_context()), term)
+
+
 # ---------------------------------------------------------------------------
 # Context translation
 

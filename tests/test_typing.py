@@ -2,6 +2,7 @@ import pytest
 
 from ptskit.syntax import (
     BOX,
+    BUILTIN_SPECS,
     CC,
     Context,
     FOMEGA,
@@ -26,6 +27,9 @@ from ptskit.typecheck import (
     resolve_spec,
     wf_context,
 )
+
+import typing_oracle as oracle
+from typing_oracle import outcome
 
 CCS = CC.with_sigma()
 
@@ -321,3 +325,26 @@ def test_fuel_exhaustion_is_not_mismatch():
     ty = P(r"(\B:*. (\C:*. C) B) A")
     kind = err_kind(check_type, CC, ctx, Var("x"), ty, 1)
     assert kind is ErrorKind.FUEL_EXHAUSTED
+
+
+# ---------------------------------------------------------------------------
+# The single typing pass against the walk that re-checked every product
+
+
+@pytest.fixture(scope="module")
+def typing_cases():
+    return oracle.typing_cases()
+
+
+def test_infer_type_matches_the_rechecking_oracle(typing_cases):
+    for system, ctx, term, fuel in typing_cases:
+        spec = BUILTIN_SPECS[system]
+        want = outcome(oracle.infer_type, spec, ctx, term, fuel)
+        assert outcome(infer_type, spec, ctx, term, fuel) == want, (system, fuel, str(term))
+
+
+def test_classify_matches_the_rechecking_oracle(typing_cases):
+    for system, ctx, term, fuel in typing_cases:
+        spec = BUILTIN_SPECS[system]
+        want = outcome(oracle.classify, ctx, term, fuel, spec)
+        assert outcome(classify, ctx, term, fuel, spec) == want, (system, fuel, str(term))
