@@ -6,10 +6,11 @@ up to alpha.  Conversion in the labeled type system is directed: one
 side must actually reduce to the other.
 
 The labeled node classes, their surface syntax and its printer live in
-``syntax`` beside the plain ones, and tight reduction is the shared
-``step_all`` with ``LApp``'s tight-beta rule; they are re-exported
-here.  What lives here is erasure, elaboration from plain terms,
-labeled typing and directed conversion.
+``syntax`` beside the plain ones; tight reduction and tight
+normalization are the shared ``step_all`` and ``normalize`` with
+``LApp``'s tight-beta rule; labeled typing is the one walk of
+``typecheck``.  They are re-exported here under their labeled names.
+What lives here is erasure and elaboration from plain terms.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .syntax import (
     open_binder,
     parse_labeled as parse_labeled,
     print_expr,
-    print_labeled,
+    print_labeled as print_labeled,
 )
 from .reduction import (
     DEFAULT_FUEL,
@@ -44,24 +45,23 @@ from .reduction import (
     beta_eq,
     is_base,
     key_redex_of,
-    reachable,
+    normalize,
     reduce_key_redex,
     step_all,
-    trace,
     whnf,
 )
-from .typecheck import ErrorKind, TypeCheckError, _as_sort, _fail, _fresh_for, _infer, _pi_sort
-
-DEFAULT_CONV_DEPTH = 12
-
-
-def label_of(e: LLam | LApp) -> LPi:
-    return LPi(e.hint, e.dom, e.cod)
-
-
-def l_open(body: LabeledExpr, name: str) -> LabeledExpr:
-    return instantiate(body, LVar(name))
-
+from .typecheck import (
+    DEFAULT_CONV_DEPTH,
+    ErrorKind,
+    _as_sort,
+    _fail,
+    _fresh_for,
+    _infer,
+    _pi_sort,
+    directed_convertible as directed_convertible,
+    label_of as label_of,
+    wf_context,
+)
 
 # ---------------------------------------------------------------------------
 # Erasure
@@ -87,34 +87,19 @@ def erase(la: LabeledExpr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Tight reduction: ``step_all``, ``leftmost_step`` and the key-redex
-# functions of ``reduction`` read the labeled shape tables too.
+# Tight reduction and labeled typing: the functions of ``reduction`` and
+# ``typecheck`` read the labeled shape tables and rules too.
 
 tight_step_all = step_all
 l_is_base = is_base
 l_key_redex_of = key_redex_of
 l_reduce_key_redex = reduce_key_redex
+l_normalize = normalize
+l_open = open_binder
+labeled_wf_context = wf_context
 
 # A labeled context is a Context whose types are labeled.
 LabeledContext = Context
-
-
-def l_normalize(la: LabeledExpr, fuel: int = DEFAULT_FUEL) -> LabeledExpr:
-    """Tight normal form by leftmost-outermost steps, at most ``fuel`` of them."""
-    t, truncated = trace(la, fuel)
-    last = t.terms()[-1]
-    if truncated:
-        raise FuelExhausted(last)
-    return last
-
-
-def directed_convertible(a: LabeledExpr, b: LabeledExpr, depth: int = DEFAULT_CONV_DEPTH) -> bool:
-    """The labeled conversion premise: one side reduces to the other."""
-    return reachable(a, b, depth) or reachable(b, a, depth)
-
-
-# ---------------------------------------------------------------------------
-# Labeled typing
 
 
 def labeled_infer(
@@ -130,86 +115,7 @@ def labeled_infer(
     An application label that differs from the function's type after
     normalization is recorded in ``warnings`` (when given), not rejected.
     """
-    match la:
-        case LSort(s):
-            if s not in spec.sorts:
-                _fail(ErrorKind.SORT_UNTYPEABLE, f"unknown sort {s}")
-            s2 = spec.axiom_for(s)
-            if s2 is None:
-                _fail(ErrorKind.NO_AXIOM, f"sort {s} has no type")
-            return LSort(s2)
-        case LVar(name):
-            ty = lctx.lookup(name)
-            if ty is None:
-                _fail(ErrorKind.UNBOUND_VARIABLE, f"unbound variable {name}")
-            return ty
-        case LBVar():
-            raise ValueError("dangling bound variable reached the labeled checker")
-        case LPi(h, dom, cod):
-            s1 = _as_sort(spec, labeled_infer(spec, lctx, dom, fuel, conv_depth, warnings), fuel, dom, l_normalize)
-            x = _fresh_for(lctx, h, dom, cod)
-            cod_x = l_open(cod, x)
-            cod_ty = labeled_infer(spec, lctx.extend(x, dom), cod_x, fuel, conv_depth, warnings)
-            s2 = _as_sort(spec, cod_ty, fuel, cod_x, l_normalize)
-            return LSort(_pi_sort(spec, s1, s2, la))
-        case LLam(h, dom, cod, body):
-            label = label_of(la)
-            labeled_infer(spec, lctx, label, fuel, conv_depth, warnings)
-            # That checked the codomain whole, so a body lambda labeled with the
-            # opened codomain is entered here without checking its label again:
-            # once its own body checks, its type is that codomain.
-            while True:
-                x = _fresh_for(lctx, h, dom, cod, body)
-                lctx = lctx.extend(x, dom)
-                body, cod = l_open(body, x), l_open(cod, x)
-                if not (isinstance(body, LLam) and label_of(body) == cod):
-                    break
-                h, dom, cod, body = body.hint, body.dom, body.cod, body.body
-            body_ty = labeled_infer(spec, lctx, body, fuel, conv_depth, warnings)
-            if not directed_convertible(body_ty, cod, conv_depth):
-                _fail(
-                    ErrorKind.DIRECTED_CONVERSION_UNDETERMINED,
-                    f"body type {print_labeled(body_ty)} does not reduce to or from the label codomain",
-                )
-            return label
-        case LApp(h, dom, cod, fun, arg):
-            fun_ty = labeled_infer(spec, lctx, fun, fuel, conv_depth, warnings)
-            label = LPi(h, dom, cod)
-            if not directed_convertible(fun_ty, label, conv_depth):
-                _fail(
-                    ErrorKind.DIRECTED_CONVERSION_UNDETERMINED,
-                    f"function type {print_labeled(fun_ty)} does not reduce to or from the label {print_labeled(label)}",
-                )
-            if warnings is not None:
-                try:
-                    if l_normalize(fun_ty, fuel) != l_normalize(label, fuel):
-                        warnings.append(
-                            f"application label {print_labeled(label)} differs from the function type "
-                            f"{print_labeled(fun_ty)} after normalization"
-                        )
-                except FuelExhausted:
-                    warnings.append("label comparison ran out of fuel")
-            arg_ty = labeled_infer(spec, lctx, arg, fuel, conv_depth, warnings)
-            if not directed_convertible(arg_ty, dom, conv_depth):
-                _fail(
-                    ErrorKind.DIRECTED_CONVERSION_UNDETERMINED,
-                    f"argument type {print_labeled(arg_ty)} does not reduce to or from {print_labeled(dom)}",
-                )
-            return instantiate(cod, arg)
-        case _:
-            raise TypeError(f"not a labeled expression: {la!r}")
-
-
-def labeled_wf_context(spec: PtsSpec, lctx: Context, fuel: int = DEFAULT_FUEL) -> None:
-    prefix = Context()
-    for name, ty in lctx:
-        if name in prefix.names():
-            _fail(ErrorKind.ILL_FORMED_CONTEXT, f"duplicate binding for {name!r}")
-        try:
-            _as_sort(spec, labeled_infer(spec, prefix, ty, fuel), fuel, ty, l_normalize)
-        except TypeCheckError as err:
-            _fail(ErrorKind.ILL_FORMED_CONTEXT, f"binding {name} is ill-formed ({err})")
-        prefix = prefix.extend(name, ty)
+    return _infer(spec, lctx, la, fuel, conv_depth, warnings)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ first and then normalizing its components left to right.  Its fuel
 counts contractions, and on exhaustion ``FuelExhausted.last`` is the
 whole term after exactly ``fuel`` of them, the term ``trace`` shows
 after that many steps.  On labeled terms ``leftmost_step`` visits an
-application's labels before its function, so head-first ``normalize``
-is not tight normal order there; ``labeled.l_normalize`` repeats
-``leftmost_step`` instead.
+application's labels before its function, so there ``normalize``
+contracts in another order than ``trace`` but reaches the same tight
+normal form.
 """
 
 from __future__ import annotations
@@ -156,49 +156,49 @@ def _nf(e: Node, budget: list[int], stop_at: type | None = None) -> Node:
     leftmost-outermost order.  With ``stop_at`` such a term is returned
     as it is.  Head redexes are contracted in a loop at this level, so
     successive contractions at the root do not deepen the stack; then
-    the other step positions are normalized in table order.  On fuel
-    exhaustion each frame rebuilds its own node around the partial child
-    before re-raising.
+    the other step positions are normalized in table order.  A head that
+    stopped at an introduction form that does not fire (tight-beta on
+    unequal labels) is normalized with them, and the node is checked
+    again, since normal labels may agree.  On fuel exhaustion each frame
+    rebuilds its own node around the partial child before re-raising.
     """
-    skip = None
     while True:
         if e._role is not None:
             return e
-        head = e._head
+        head = skip = e._head
         if head is None:
             if type(e) is stop_at:
                 return e
-            break
-        h = getattr(e, head)
-        try:
-            f = _nf(h, budget, e._intro)
-        except FuelExhausted as exc:
-            exc.last = _rebuild(e, head, exc.last)
-            raise
-        if f is not h:
-            e = _rebuild(e, head, f)
-        if not e._fires():
-            # The head is normal now, unless it stopped at an introduction
-            # form that does not fire (a tight-beta label mismatch).
-            if type(f) is not e._intro:
-                skip = head
-            break
-        if budget[0] <= 0:
-            raise FuelExhausted(e)
-        budget[0] -= 1
-        e = e._contract()
-    for name, _ in e._positions:
-        if name == skip:
-            continue
-        v = getattr(e, name)
-        try:
-            r = _nf(v, budget)
-        except FuelExhausted as exc:
-            exc.last = _rebuild(e, name, exc.last)
-            raise
-        if r is not v:
-            e = _rebuild(e, name, r)
-    return e
+        else:
+            h = getattr(e, head)
+            try:
+                f = _nf(h, budget, e._intro)
+            except FuelExhausted as exc:
+                exc.last = _rebuild(e, head, exc.last)
+                raise
+            if f is not h:
+                e = _rebuild(e, head, f)
+            if e._fires():
+                if budget[0] <= 0:
+                    raise FuelExhausted(e)
+                budget[0] -= 1
+                e = e._contract()
+                continue
+            if type(f) is e._intro:
+                skip = None  # a tight-beta blocked by labels: see below
+        for name, _ in e._positions:
+            if name == skip:
+                continue
+            v = getattr(e, name)
+            try:
+                r = _nf(v, budget)
+            except FuelExhausted as exc:
+                exc.last = _rebuild(e, name, exc.last)
+                raise
+            if r is not v:
+                e = _rebuild(e, name, r)
+        if skip is not None or head is None or not e._fires():
+            return e
 
 
 def whnf(e: Node, fuel: int = DEFAULT_FUEL) -> Node:

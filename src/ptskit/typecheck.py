@@ -4,6 +4,10 @@ Conversion is folded into the application and checking sites via
 bounded beta-equality; with confluence and normalization of well-typed
 terms this recovers the declarative conversion rule for the built-in
 systems.
+
+One walk types plain and labeled terms.  Labeled lambdas and
+applications check their labels and decide conversion by directed
+search: one side must reduce to the other.
 """
 
 from __future__ import annotations
@@ -20,7 +24,12 @@ from .syntax import (
     Context,
     Expr,
     Lam,
+    LApp,
+    LBVar,
+    LLam,
+    LPi,
     LSort,
+    LVar,
     Node,
     Pair,
     Pi,
@@ -38,7 +47,9 @@ from .syntax import (
     open_binder,
     print_expr,
 )
-from .reduction import DEFAULT_FUEL, UNDETERMINED, FuelExhausted, beta_eq, normalize, whnf
+from .reduction import DEFAULT_FUEL, UNDETERMINED, FuelExhausted, beta_eq, normalize, reachable, whnf
+
+DEFAULT_CONV_DEPTH = 12
 
 
 class ErrorKind(enum.Enum):
@@ -72,13 +83,10 @@ def _fresh_for(ctx: Context, hint: str, *exprs: Expr) -> str:
     return fresh_name(hint, avoid)
 
 
-def _as_sort(spec: PtsSpec, ty: Node, fuel: int, subject: Node, normalizer=normalize) -> str:
-    """Normalize ``ty`` and require it to be a sort of ``spec``.
-
-    The labeled system passes its own ``normalizer`` (tight reduction).
-    """
+def _as_sort(spec: PtsSpec, ty: Node, fuel: int, subject: Node) -> str:
+    """Normalize ``ty`` (plain or labeled) and require it to be a sort of ``spec``."""
     try:
-        n = normalizer(ty, fuel)
+        n = normalize(ty, fuel)
     except FuelExhausted:
         _fail(ErrorKind.FUEL_EXHAUSTED, f"normalizing the type of {print_expr(subject)}")
     if isinstance(n, (SortE, LSort)) and n.name in spec.sorts:
@@ -113,8 +121,25 @@ def _convertible(a: Expr, b: Expr, fuel: int, where: str, subject: Expr | None =
     _fail(ErrorKind.MISMATCH, f"{where}: {print_expr(a)} is not convertible with {print_expr(b)}")
 
 
+def label_of(e: LLam | LApp) -> LPi:
+    return LPi(e.hint, e.dom, e.cod)
+
+
+def directed_convertible(a: Node, b: Node, depth: int = DEFAULT_CONV_DEPTH) -> bool:
+    """The labeled conversion premise: one side reduces to the other."""
+    return reachable(a, b, depth) or reachable(b, a, depth)
+
+
+def _directed(a: Node, b: Node, depth: int, what: str, target: str = "{}") -> None:
+    """Require a directed conversion; the message calls ``a`` the ``what``
+    type and ``b`` its ``target``, where ``{}`` stands for printed ``b``."""
+    if not directed_convertible(a, b, depth):
+        message = f"{what} type {print_expr(a)} does not reduce to or from {target.format(print_expr(b))}"
+        _fail(ErrorKind.DIRECTED_CONVERSION_UNDETERMINED, message)
+
+
 def wf_context(spec: PtsSpec, ctx: Context, fuel: int = DEFAULT_FUEL) -> None:
-    """Check names are distinct and every binding type has a sort."""
+    """Check names are distinct and every binding type (plain or labeled) has a sort."""
     prefix = Context()
     for name, ty in ctx:
         if name in prefix.names():
@@ -136,40 +161,44 @@ def infer_type(spec: PtsSpec, ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -
     One pass: the walk (``_infer``) hands each type up with its sort where
     a rule settled it, so a lambda whose body's type has a known sort
     checks only its annotation for the product premise, never the whole
-    product it synthesized again.
+    product it synthesized again.  A labeled term gets its labeled type.
     """
     return _infer(spec, ctx, e, fuel)[0]
 
 
-def _infer(spec: PtsSpec, ctx: Context, e: Expr, fuel: int) -> tuple[Expr, str | None]:
+def _infer(
+    spec: PtsSpec, ctx: Context, e: Node, fuel: int, conv_depth: int = DEFAULT_CONV_DEPTH, warnings: list[str] | None = None
+) -> tuple[Node, str | None]:
     """``(A, s)`` with ctx |- e : A and, unless s is None, ctx |- A : s.
 
     s is known for a sort, product or Sig type (the axiom of the sort that
-    types it) and for a lambda (the sort of its product); ``Var``, ``App``,
-    pairs and projections give None.
+    types it) and for a lambda (the sort of its product); variables,
+    applications, pairs and projections give None.  A sort or product
+    is typed by a sort of its own AST.  ``conv_depth`` and ``warnings``
+    serve labeled terms, as ``labeled.labeled_infer`` describes.
     """
     match e:
-        case SortE(s):
+        case SortE(s) | LSort(s):
             if s not in spec.sorts:
                 _fail(ErrorKind.SORT_UNTYPEABLE, f"unknown sort {s}")
             s2 = spec.axiom_for(s)
             if s2 is None:
                 _fail(ErrorKind.NO_AXIOM, f"sort {s} has no type")
-            return SortE(s2), spec.axiom_for(s2)
-        case Var(name):
+            return type(e)(s2), spec.axiom_for(s2)
+        case Var(name) | LVar(name):
             ty = ctx.lookup(name)
             if ty is None:
                 _fail(ErrorKind.UNBOUND_VARIABLE, f"unbound variable {name}")
             return ty, None
-        case BVar():
+        case BVar() | LBVar():
             raise ValueError("dangling bound variable reached the type checker")
-        case Pi(h, dom, cod):
-            s1 = _as_sort(spec, _infer(spec, ctx, dom, fuel)[0], fuel, dom)
+        case Pi(h, dom, cod) | LPi(h, dom, cod):
+            s1 = _as_sort(spec, _infer(spec, ctx, dom, fuel, conv_depth, warnings)[0], fuel, dom)
             x = _fresh_for(ctx, h, dom, cod)
             cod_x = open_binder(cod, x)
-            s2 = _as_sort(spec, _infer(spec, ctx.extend(x, dom), cod_x, fuel)[0], fuel, cod_x)
+            s2 = _as_sort(spec, _infer(spec, ctx.extend(x, dom), cod_x, fuel, conv_depth, warnings)[0], fuel, cod_x)
             s3 = _pi_sort(spec, s1, s2, e)
-            return SortE(s3), spec.axiom_for(s3)
+            return (SortE if type(e) is Pi else LSort)(s3), spec.axiom_for(s3)
         case Lam(h, annot, body):
             x = _fresh_for(ctx, h, annot, body)
             body_ty, s2 = _infer(spec, ctx.extend(x, annot), open_binder(body, x), fuel)
@@ -193,6 +222,38 @@ def _infer(spec: PtsSpec, ctx: Context, e: Expr, fuel: int) -> tuple[Expr, str |
             arg_ty = _infer(spec, ctx, arg, fuel)[0]
             _convertible(arg_ty, head.dom, fuel, "argument of", fun)
             return instantiate(head.cod, arg), None
+        case LLam(h, dom, cod, body):
+            label = label_of(e)
+            s3 = _infer(spec, ctx, label, fuel, conv_depth, warnings)[0].name
+            # That checked the codomain whole, so a body lambda labeled with the
+            # opened codomain is entered here without checking its label again:
+            # once its own body checks, its type is that codomain.
+            while True:
+                x = _fresh_for(ctx, h, dom, cod, body)
+                ctx = ctx.extend(x, dom)
+                body, cod = open_binder(body, x), open_binder(cod, x)
+                if not (isinstance(body, LLam) and label_of(body) == cod):
+                    break
+                h, dom, cod, body = body.hint, body.dom, body.cod, body.body
+            body_ty = _infer(spec, ctx, body, fuel, conv_depth, warnings)[0]
+            _directed(body_ty, cod, conv_depth, "body", "the label codomain")
+            return label, s3
+        case LApp(h, dom, cod, fun, arg):
+            fun_ty = _infer(spec, ctx, fun, fuel, conv_depth, warnings)[0]
+            label = label_of(e)
+            _directed(fun_ty, label, conv_depth, "function", "the label {}")
+            if warnings is not None:
+                try:
+                    if normalize(fun_ty, fuel) != normalize(label, fuel):
+                        warnings.append(
+                            f"application label {print_expr(label)} differs from the function type "
+                            f"{print_expr(fun_ty)} after normalization"
+                        )
+                except FuelExhausted:
+                    warnings.append("label comparison ran out of fuel")
+            arg_ty = _infer(spec, ctx, arg, fuel, conv_depth, warnings)[0]
+            _directed(arg_ty, dom, conv_depth, "argument")
+            return instantiate(cod, arg), None
         case Sigma(h, first, second):
             _require_sigma(spec, e)
             first_sort = _as_sort(spec, _infer(spec, ctx, first, fuel)[0], fuel, first)
@@ -319,16 +380,13 @@ def parse_spec_text(text: str, sigma_enabled: bool = False) -> PtsSpec:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        try:
-            if parts[0] == "sort" and len(parts) == 2:
-                sorts.add(parts[1])
-            elif parts[0] == "axiom" and len(parts) == 3:
-                axioms.add((parts[1], parts[2]))
-            elif parts[0] == "rule" and len(parts) == 4:
-                rules.add((parts[1], parts[2], parts[3]))
-            else:
-                raise ValueError
-        except ValueError:
+        if parts[0] == "sort" and len(parts) == 2:
+            sorts.add(parts[1])
+        elif parts[0] == "axiom" and len(parts) == 3:
+            axioms.add((parts[1], parts[2]))
+        elif parts[0] == "rule" and len(parts) == 4:
+            rules.add((parts[1], parts[2], parts[3]))
+        else:
             raise ValueError(f"spec line {lineno}: expected 'sort s', 'axiom s1 s2' or 'rule s1 s2 s3'")
     try:
         return PtsSpec(frozenset(sorts), frozenset(axioms), frozenset(rules), sigma_enabled)

@@ -209,6 +209,14 @@ def test_spec_file_system(capsys, tmp_path):
     assert code == EXIT_TYPE_ERROR
 
 
+def test_non_functional_spec_file_is_a_bad_spec(capsys, tmp_path):
+    spec = tmp_path / "two-axioms.pts"
+    spec.write_text("sort *\nsort #\naxiom * #\naxiom * *\nrule * * *\nrule * * #\n")
+    code, _, err = run(capsys, "infer", "--system", str(spec), r"\x:*. x")
+    assert code == EXIT_PARSE_ERROR
+    assert err.strip() == "error: bad spec: not functional: several axioms for sort *"
+
+
 def test_translate_rejects_sigma_terms(capsys):
     code, _, err = run(
         capsys, "translate", "--sigma", "--bind", "A : *", "--bind", "a : A", "<a, a> : Sig x:A. A"

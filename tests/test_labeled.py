@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from ptskit.syntax import (
@@ -10,7 +12,7 @@ from ptskit.syntax import (
     parse_expr,
 )
 from ptskit.reduction import normalize, step_all
-from ptskit.typecheck import ErrorKind, TypeCheckError, infer_type
+from ptskit.typecheck import ErrorKind, TypeCheckError, infer_type, wf_context
 from ptskit.labeled import (
     LApp,
     LBVar,
@@ -116,6 +118,60 @@ def test_labeled_key_redexes():
     assert not l_is_base(app)
     mismatched = LApp("x", STAR_L, LVar("N"), ID_LAM, LVar("N"))
     assert l_key_redex_of(mismatched) is None
+
+
+def test_normalize_fires_a_tight_redex_once_its_labels_are_normal():
+    # the application's label domain is itself a tight redex: only its
+    # normal form agrees with the function's label
+    la = parse_labeled(r"(\[x : N -> N] x : N . x) @[x : (\[B : * -> *] B : * . B) @[B : * -> *] N -> N] M")
+    assert normalize(la) == LVar("M") == oracle.l_normalize(la)
+    assert l_normalize is normalize
+
+
+def _blocked(d):
+    r"""A tight redex ``(\[B : * -> *] B : * . B) @[B : * -> *] d`` that contracts to ``d``."""
+    return LApp("B", STAR_L, STAR_L, LLam("B", STAR_L, STAR_L, LBVar(0)), d)
+
+
+def _with_blocked_label(la):
+    """``la`` with the label domain D of its first application (preorder)
+    replaced by ``_blocked(D)``, or None if it has no application."""
+    from ptskit.reduction import _rebuild
+
+    if isinstance(la, LApp):
+        return _rebuild(la, "dom", _blocked(la.dom))
+    for name, _ in la._children:
+        v = _with_blocked_label(getattr(la, name))
+        if v is not None:
+            return _rebuild(la, name, v)
+    return None
+
+
+def _tight_normalization_cases():
+    """Elaborated generated terms with their tight reducts and elaborated
+    types, and elaborated ``corpus/cc`` terms with their tight reducts."""
+    from ptskit.corpus import load_corpus_dir
+
+    pool = typed_pool_context()
+    out = []
+    for seed in (1, 2, 3):
+        for t in typed_terms(seed=seed, count=150):
+            la = label_term(CC, pool, t)
+            out += [la, *tight_step_all(la), label_term(CC, pool, infer_type(CC, pool, t))]
+    for j in load_corpus_dir(os.path.join(os.path.dirname(__file__), "..", "corpus", "cc")):
+        la = label_term(CC, j.ctx, j.term)
+        out += [la, *tight_step_all(la)]
+    return out
+
+
+def test_normalize_matches_the_tight_trace_loop():
+    # the trace loop that repeats leftmost_step is the reference tight
+    # normal form; normalize contracts head first, in another order
+    cases = _tight_normalization_cases()
+    variants = [v for v in map(_with_blocked_label, cases) if v is not None]
+    assert len(cases) == 1524 and len(variants) > 1000
+    for la in cases + variants:
+        assert normalize(la) == oracle.l_normalize(la), str(la)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +415,42 @@ def test_labeled_infer_matches_the_rechecking_oracle_on_mismatched_labels():
         assert _labeled_infer_outcome(labeled_infer, *args) == want, (system, fuel, depth, str(la))
 
 
+def _labeled_wf_reference(spec, lctx, fuel):
+    """The labeled context check over the oracle's walk and trace-loop
+    normal form, with each failing binding printed as wf_context prints it."""
+    prefix = Context()
+    for name, ty in lctx:
+        if name in prefix.names():
+            raise TypeCheckError(ErrorKind.ILL_FORMED_CONTEXT, f"duplicate binding for {name!r}")
+        try:
+            oracle._as_sort(spec, oracle.labeled_infer(spec, prefix, ty, fuel), fuel, ty, oracle.l_normalize)
+        except TypeCheckError as err:
+            raise TypeCheckError(ErrorKind.ILL_FORMED_CONTEXT, f"binding {name} : {print_labeled(ty)} is ill-formed ({err})")
+        prefix = prefix.extend(name, ty)
+
+
+def test_infer_type_and_wf_context_on_labeled_input_match_the_oracle():
+    # infer_type is labeled_infer at the default search depth, and
+    # wf_context checks labeled contexts as labeled_wf_context did
+    cases = []
+    for system, ctx, term, fuel in oracle.typing_cases():
+        spec = BUILTIN_SPECS[system]
+        la, lctx = outcome(label_term, spec, ctx, term, fuel), outcome(label_context, spec, ctx, fuel)
+        if la[0] == lctx[0] == "ok":
+            cases.append((spec, lctx[1], la[1], fuel))
+    for system, la, fuel, _ in oracle.labeled_cases():
+        cases.append((BUILTIN_SPECS[system], Context(), la, fuel))
+    assert len(cases) > 1000
+    for spec, lctx, la, fuel in cases:
+        want = outcome(oracle.labeled_infer, spec, lctx, la, fuel)
+        assert outcome(infer_type, spec, lctx, la, fuel) == want, str(la)
+        # the term itself as a binding type, and a repeated binding
+        for ctx in (lctx, lctx.extend("t'", la), lctx.extend("t'", la).extend("t'", STAR_L)):
+            want = outcome(_labeled_wf_reference, spec, ctx, fuel)
+            assert outcome(wf_context, spec, ctx, fuel) == want, str(ctx)
+            assert outcome(labeled_wf_context, spec, ctx, fuel) == want, str(ctx)
+
+
 def test_typing_walks_grow_linearly_with_nest_depth(monkeypatch):
     from ptskit import labeled, typecheck
 
@@ -373,11 +465,11 @@ def test_typing_walks_grow_linearly_with_nest_depth(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    # infer_type is a view of _infer, which both modules call directly
+    # infer_type and labeled_infer are views of _infer, which both modules
+    # call directly
     counted(typecheck, "_infer", "infer_type")
     counted(labeled, "_infer", "infer_type")
     counted(labeled, "_elaborate", "_elaborate")
-    counted(labeled, "labeled_infer", "labeled_infer")
 
     def calls(d):
         t = P(r"\A:*. " + "".join(rf"\x{i}:A. " for i in range(d)) + "x0")
@@ -389,7 +481,7 @@ def test_typing_walks_grow_linearly_with_nest_depth(monkeypatch):
         elaborated = counts["_elaborate"]
         counts.clear()
         labeled.labeled_infer(CC, Context(), la)
-        return typed, elaborated, counts["labeled_infer"]
+        return typed, elaborated, counts["infer_type"]
 
     for at_32, at_64 in zip(calls(32), calls(64)):
         assert at_64 <= 2.2 * at_32, (at_32, at_64)

@@ -83,7 +83,7 @@ def preorder(e):
 def test_step_all_under_600_levels():
     # the reducts go into a set, so this also hashes 600-level terms; they
     # are built directly, since the parser nests deeper than the walks do,
-    # and compared by preorder, since ``==`` on them recurses
+    # and compared by preorder too, which does not rely on ``==``
     star, a = P("*"), Var("a")
 
     def spine(head):
@@ -100,6 +100,19 @@ def test_step_all_under_600_levels():
     for wrap in (spine, nest):
         (reduct,) = step_all(wrap(redex))
         assert preorder(reduct) == preorder(wrap(a))
+        assert reduct == wrap(a)
+
+
+def test_reachable_finds_a_target_600_levels_deep():
+    # the search meets its target as an equal, distinct term
+    def spine(e):
+        for _ in range(600):
+            e = App(Var("f"), e)
+        return e
+
+    redex = App(Lam("x", P("*"), BVar(0)), Var("y"))
+    assert reachable(spine(redex), spine(Var("y")), 1)
+    assert not reachable(spine(redex), spine(Var("z")), 1)
 
 
 def test_step_all_of_normal_form_is_empty():

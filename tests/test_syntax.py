@@ -313,6 +313,20 @@ def test_spec_rejects_undeclared_sorts():
         PtsSpec(frozenset({"*"}), frozenset({("*", "#")}), frozenset())
 
 
+def test_spec_rejects_two_axioms_for_one_sort():
+    # axiom_for would answer by set order, which follows the hash seed
+    with pytest.raises(ValueError, match=r"several axioms for sort \*"):
+        PtsSpec(frozenset({"*", "#"}), frozenset({("*", "#"), ("*", "*")}), frozenset({("*", "*", "*")}))
+
+
+def test_spec_rejects_two_rules_for_one_pair():
+    rules = frozenset({("*", "*", "*"), ("*", "*", "#"), ("#", "*", "*")})
+    with pytest.raises(ValueError, match=r"several rules for sorts \(\*,\*\)$"):
+        PtsSpec(frozenset({"*", "#"}), frozenset({("*", "#")}), rules)
+    # one rule per pair is functional, whatever the third sorts
+    PtsSpec(frozenset({"*", "#"}), frozenset({("*", "#")}), frozenset({("*", "*", "*"), ("#", "*", "*")}))
+
+
 # ---------------------------------------------------------------------------
 # Node protocol: construction, repr, match args, ==, hash, immutability
 
@@ -454,6 +468,28 @@ def test_hash_of_10000_levels():
         nest = Lam("x", SortE("*"), nest)
     assert hash(spine) != hash(nest)
     assert len({spine, nest, spine, nest}) == 2
+
+
+def test_eq_on_10000_levels():
+    # == walks equal, distinct terms with an explicit stack, never recursing
+    def spine(leaf):
+        e = leaf
+        for _ in range(10000):
+            e = App(Var("f"), App(e, B))
+        return e
+
+    def nest(leaf, hint):
+        e = leaf
+        for _ in range(10000):
+            e = Lam(hint, Pi(hint, SortE("*"), BVar(0)), e)
+        return e
+
+    for build in (spine, lambda leaf: nest(leaf, "x")):
+        a, b, c = build(A), build(A), build(Var("c"))
+        assert a is not b
+        assert (a == b) is True and (b == a) is True and (a != b) is False
+        assert (a == c) is False and (a != c) is True
+    assert (nest(A, "x") == nest(A, "y")) is True and hash(nest(A, "x")) == hash(nest(A, "y"))
 
 
 def test_eq_on_350_levels():

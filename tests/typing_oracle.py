@@ -46,7 +46,7 @@ from ptskit.syntax import (
     parse_labeled,
     print_labeled,
 )
-from ptskit.reduction import DEFAULT_FUEL, FuelExhausted, beta_eq, normalize, whnf
+from ptskit.reduction import DEFAULT_FUEL, FuelExhausted, beta_eq, normalize, trace, whnf
 from ptskit.typecheck import (
     _CC,
     Classification,
@@ -55,17 +55,42 @@ from ptskit.typecheck import (
     GammaTerm,
     Kind,
     TypeCheckError,
-    _as_sort,
     _convertible,
     _fail,
     _fresh_for,
     _pi_sort,
     _require_sigma,
 )
-from ptskit.labeled import DEFAULT_CONV_DEPTH, directed_convertible, l_normalize, l_open
+from ptskit.labeled import DEFAULT_CONV_DEPTH, directed_convertible, l_open
 from ptskit.corpus import load_corpus_dir
 
 from generators import typed_pool_context, typed_terms
+
+
+def l_normalize(la: LabeledExpr, fuel: int = DEFAULT_FUEL) -> LabeledExpr:
+    """Tight normal form by leftmost-outermost steps, at most ``fuel`` of them."""
+    t, truncated = trace(la, fuel)
+    last = t.terms()[-1]
+    if truncated:
+        raise FuelExhausted(last)
+    return last
+
+
+def _as_sort(spec: PtsSpec, ty: Node, fuel: int, subject: Node, normalizer=normalize) -> str:
+    """Normalize ``ty`` and require it to be a sort of ``spec``.
+
+    The labeled system passes its own ``normalizer`` (tight reduction).
+    """
+    try:
+        n = normalizer(ty, fuel)
+    except FuelExhausted:
+        _fail(ErrorKind.FUEL_EXHAUSTED, f"normalizing the type of {print_expr(subject)}")
+    if isinstance(n, (SortE, LSort)) and n.name in spec.sorts:
+        return n.name
+    _fail(
+        ErrorKind.SORT_UNTYPEABLE,
+        f"{print_expr(subject)} is classified by {print_expr(n)}, not a sort",
+    )
 
 
 def infer_type(spec: PtsSpec, ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -> Expr:
