@@ -94,19 +94,23 @@ def __eq__(self, other):
     later = [(self, other)]
     while later:
         a, b = later.pop()
-        if not a._eq(b, max_depth, later):
+        if not a._eq(b, later):
             return False
     return True
 def __hash__(self):
     return self._hash
-def _eq(a, b, depth, later):
-    if b.__class__ is not cls:
+def _eq(a, b, later):
+    if b.__class__ is not cls{leaves}:
         return False
-    if not depth:
-        later.append((a, b))
-        return True
-    depth -= 1
-    return {eq}
+{children}    return True
+"""
+
+_PUSH = """\
+    x, y = a.{name}, b.{name}
+    if x is not y:
+        if x._hash != y._hash:
+            return False
+        later.append((x, y))
 """
 
 
@@ -118,11 +122,10 @@ def _node(cls):
     and class pattern that misses.  A node's hash is fixed at
     construction from its class, leaf values and children's hashes, so
     hashing never recurses and ``==`` rejects on it before descending;
-    hints take part in neither.  ``a._eq(b, depth, later)`` compares
-    leaf values and descends into children that differ but hash alike,
-    ``depth`` levels at most: deeper pairs wait on the explicit stack
-    ``later`` that ``==`` works off, so ``==`` recurses 64 levels at
-    most, however deep the terms.
+    hints take part in neither.  ``a._eq(b, later)`` compares leaf
+    values and pushes onto ``later`` each pair of children that differ
+    but hash alike; ``==`` works off that stack, so it never recurses,
+    however deep the terms.
     """
     names = tuple(name for name, _, _ in cls._shape)
     ns = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
@@ -131,17 +134,14 @@ def _node(cls):
     cls._children = tuple((name, binders) for name, binders in cls._fields if binders is not None)
     cls._positions = tuple((name, pos) for name, _, pos in cls._shape if pos is not None)
     keys = [(name, binders) for name, binders in cls._fields if name != "hint"]
-    env = {"cls": cls, "set_hash": Node._hash.__set__, "max_depth": 64}
+    env = {"cls": cls, "set_hash": Node._hash.__set__}
     env.update((f"set_{name}", getattr(cls, name).__set__) for name in names)
     source = _METHODS.format(
         params=", ".join(names),
         sets="".join(f"    set_{name}(self, {name})\n" for name in names),
         key=", ".join(name if binders is None else f"{name}._hash" for name, binders in keys),
-        eq=" and ".join(
-            f"a.{k} == b.{k}" if binders is None
-            else f"((x := a.{k}) is (y := b.{k}) or (x._hash == y._hash and x._eq(y, depth, later)))"
-            for k, binders in keys
-        ),
+        leaves="".join(f" or a.{k} != b.{k}" for k, binders in keys if binders is None),
+        children="".join(_PUSH.format(name=k) for k, binders in keys if binders is not None),
     )
     exec(source, env)
     cls.__init__, cls.__eq__, cls.__hash__, cls._eq = (env[f] for f in ("__init__", "__eq__", "__hash__", "_eq"))
@@ -452,13 +452,13 @@ class PtsSpec:
         if stray:
             raise ValueError(f"axioms/rules mention undeclared sorts: {sorted(stray)}")
         # axiom_for and rule_for take the first match in set order
-        for what, keys in (
-            ("axioms for sort", [s for s, _ in self.axioms]),
-            ("rules for sorts", [f"({s1},{s2})" for s1, s2, _ in self.rules]),
+        for what, keys, show in (
+            ("axioms for sort", [s for s, _ in self.axioms], str),
+            ("rules for sorts", [(s1, s2) for s1, s2, _ in self.rules], "({0[0]},{0[1]})".format),
         ):
             clash = sorted({k for k in keys if keys.count(k) > 1})
             if clash:
-                raise ValueError(f"not functional: several {what} {', '.join(clash)}")
+                raise ValueError(f"not functional: several {what} {', '.join(map(show, clash))}")
 
     def axiom_for(self, s: str) -> str | None:
         for s1, s2 in self.axioms:

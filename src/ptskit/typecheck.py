@@ -130,14 +130,6 @@ def directed_convertible(a: Node, b: Node, depth: int = DEFAULT_CONV_DEPTH) -> b
     return reachable(a, b, depth) or reachable(b, a, depth)
 
 
-def _directed(a: Node, b: Node, depth: int, what: str, target: str = "{}") -> None:
-    """Require a directed conversion; the message calls ``a`` the ``what``
-    type and ``b`` its ``target``, where ``{}`` stands for printed ``b``."""
-    if not directed_convertible(a, b, depth):
-        message = f"{what} type {print_expr(a)} does not reduce to or from {target.format(print_expr(b))}"
-        _fail(ErrorKind.DIRECTED_CONVERSION_UNDETERMINED, message)
-
-
 def wf_context(spec: PtsSpec, ctx: Context, fuel: int = DEFAULT_FUEL) -> None:
     """Check names are distinct and every binding type (plain or labeled) has a sort."""
     prefix = Context()
@@ -236,12 +228,16 @@ def _infer(
                     break
                 h, dom, cod, body = body.hint, body.dom, body.cod, body.body
             body_ty = _infer(spec, ctx, body, fuel, conv_depth, warnings)[0]
-            _directed(body_ty, cod, conv_depth, "body", "the label codomain")
+            if not directed_convertible(body_ty, cod, conv_depth):
+                message = f"body type {print_expr(body_ty)} does not reduce to or from the label codomain"
+                _fail(ErrorKind.DIRECTED_CONVERSION_UNDETERMINED, message)
             return label, s3
         case LApp(h, dom, cod, fun, arg):
             fun_ty = _infer(spec, ctx, fun, fuel, conv_depth, warnings)[0]
             label = label_of(e)
-            _directed(fun_ty, label, conv_depth, "function", "the label {}")
+            if not directed_convertible(fun_ty, label, conv_depth):
+                message = f"function type {print_expr(fun_ty)} does not reduce to or from the label {print_expr(label)}"
+                _fail(ErrorKind.DIRECTED_CONVERSION_UNDETERMINED, message)
             if warnings is not None:
                 try:
                     if normalize(fun_ty, fuel) != normalize(label, fuel):
@@ -252,7 +248,9 @@ def _infer(
                 except FuelExhausted:
                     warnings.append("label comparison ran out of fuel")
             arg_ty = _infer(spec, ctx, arg, fuel, conv_depth, warnings)[0]
-            _directed(arg_ty, dom, conv_depth, "argument")
+            if not directed_convertible(arg_ty, dom, conv_depth):
+                message = f"argument type {print_expr(arg_ty)} does not reduce to or from {print_expr(dom)}"
+                _fail(ErrorKind.DIRECTED_CONVERSION_UNDETERMINED, message)
             return instantiate(cod, arg), None
         case Sigma(h, first, second):
             _require_sigma(spec, e)

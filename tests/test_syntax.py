@@ -325,6 +325,8 @@ def test_spec_rejects_two_rules_for_one_pair():
         PtsSpec(frozenset({"*", "#"}), frozenset({("*", "#")}), rules)
     # one rule per pair is functional, whatever the third sorts
     PtsSpec(frozenset({"*", "#"}), frozenset({("*", "#")}), frozenset({("*", "*", "*"), ("#", "*", "*")}))
+    # pairs are compared as pairs, not as printed: a sort name may hold a comma
+    PtsSpec(frozenset({"a,b", "c", "a", "b,c"}), frozenset(), frozenset({("a,b", "c", "c"), ("a", "b,c", "c")}))
 
 
 # ---------------------------------------------------------------------------
