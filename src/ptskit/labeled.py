@@ -33,6 +33,7 @@ from .syntax import (
     SortE,
     Var,
     close_binder,
+    fresh_name,
     instantiate,
     open_binder,
     parse_labeled as parse_labeled,
@@ -41,21 +42,20 @@ from .syntax import (
 )
 from .reduction import (
     DEFAULT_FUEL,
-    FuelExhausted,
-    beta_eq,
     is_base,
     key_redex_of,
     normalize,
     reduce_key_redex,
     step_all,
-    whnf,
 )
 from .typecheck import (
     DEFAULT_CONV_DEPTH,
     ErrorKind,
     _as_sort,
+    _cod_sort,
+    _convertible,
     _fail,
-    _fresh_for,
+    _fun_head,
     _infer,
     _pi_sort,
     directed_convertible as directed_convertible,
@@ -153,7 +153,7 @@ def _elaborate(spec: PtsSpec, ctx: Context, a: Expr, fuel: int) -> tuple[Labeled
             return LVar(name), *_infer(spec, ctx, a, fuel), None
         case Pi(h, dom, cod):
             ldom, dom_ty, _, _ = _elaborate(spec, ctx, dom, fuel)
-            x = _fresh_for(ctx, h, dom, cod)
+            x = fresh_name(h, ctx, dom, cod)
             cod_x = open_binder(cod, x)
             lcod, cod_ty, _, _ = _elaborate(spec, ctx.extend(x, dom), cod_x, fuel)
             # the parts' types are the ones infer_type would find, so the
@@ -164,7 +164,7 @@ def _elaborate(spec: PtsSpec, ctx: Context, a: Expr, fuel: int) -> tuple[Labeled
             return LPi(h, ldom, close_binder(lcod, x)), SortE(s3), spec.axiom_for(s3), None
         case Lam(h, annot, body):
             lannot, annot_ty, _, _ = _elaborate(spec, ctx, annot, fuel)
-            x = _fresh_for(ctx, h, annot, body)
+            x = fresh_name(h, ctx, annot, body)
             inner = ctx.extend(x, annot)
             lbody, body_ty, s2, lcod = _elaborate(spec, inner, open_binder(body, x), fuel)
             pi = Pi(h, annot, close_binder(body_ty, x))
@@ -178,20 +178,12 @@ def _elaborate(spec: PtsSpec, ctx: Context, a: Expr, fuel: int) -> tuple[Labeled
             lcod = close_binder(lcod, x)
             return LLam(h, lannot, lcod, close_binder(lbody, x)), pi, s3, LPi(h, lannot, lcod)
         case App(fun, arg):
-            lfun, fun_ty, _, lfun_ty = _elaborate(spec, ctx, fun, fuel)
-            try:
-                head = whnf(fun_ty, fuel)
-            except FuelExhausted:
-                _fail(ErrorKind.FUEL_EXHAUSTED, f"exposing the type of {print_expr(fun)}")
-            if not isinstance(head, Pi):
-                _fail(ErrorKind.NOT_A_FUNCTION, f"{print_expr(fun)} is not a function")
+            lfun, fun_ty, s3, lfun_ty = _elaborate(spec, ctx, fun, fuel)
+            head = _fun_head(fun, fun_ty, fuel)
             larg, arg_ty, _, _ = _elaborate(spec, ctx, arg, fuel)
-            conv = beta_eq(arg_ty, head.dom, fuel)
-            if conv is not True:
-                kind = ErrorKind.MISMATCH if conv is False else ErrorKind.FUEL_EXHAUSTED
-                _fail(kind, f"argument of {print_expr(fun)} has type {print_expr(arg_ty)}")
+            _convertible(arg_ty, head.dom, fuel, "argument of", fun)
             lpi = lfun_ty if lfun_ty is not None else _elaborate(spec, ctx, head, fuel)[0]
-            return LApp(lpi.hint, lpi.dom, lpi.cod, lfun, larg), instantiate(head.cod, arg), None, None
+            return LApp(lpi.hint, lpi.dom, lpi.cod, lfun, larg), instantiate(head.cod, arg), _cod_sort(spec, s3), None
         case _:
             _fail(
                 ErrorKind.SIGMA_DISABLED,

@@ -12,6 +12,14 @@ shape table (see ``Node``), and each binder-aware traversal (free
 variables, size, shifting, instantiation, closing, substitution) is one
 definition over those tables; one grammar and one printer cover both
 surface syntaxes.
+
+Each node also records two summaries of itself, fixed at construction:
+the range of its dangling indices and a mask of its free names (see
+``Node``).  The binder walks return a subterm whose summaries show that
+the walk cannot change it, without entering it, so opening or closing a
+binder costs the part of the body that mentions the variable, not the
+whole body (Charguéraud, "The Locally Nameless Representation", JAR
+2012; Lean 4 keeps the same data in its expressions).
 """
 
 from __future__ import annotations
@@ -57,9 +65,25 @@ class Node:
     nodes are immutable.  ``free_vars``, ``size``, ``instantiate``,
     ``close_binder``, ``subst`` and the reduction walks read these
     tables, so one definition of each serves every class of both ASTs.
+
+    Next to its hash, each node holds two summaries of its subterm:
+
+    * ``_loose`` is 1 + the largest index that dangles out of it, or 0
+      if none does: a walk that changes only indices >= d (shifting,
+      instantiating at depth d) returns a node with ``_loose <= d`` as
+      it is;
+    * ``_fv`` is the OR, over its free names, of two bits per name
+      taken from ``hash(name)`` (``_name_bits``): a walk after one name
+      (closing, substitution, ``occurs``) returns a node whose mask
+      lacks either bit of the name as it is, and enters the others,
+      where the name may still be absent.
+
+    Neither takes part in equality or the hash.  The bits follow
+    ``PYTHONHASHSEED``, so they may decide only how much is walked,
+    never a result.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_loose", "_fv")
     _role = None
     _head = None
     _intro = None
@@ -84,7 +108,7 @@ class Node:
 _METHODS = """\
 def __init__(self, {params}):
 {sets}    set_hash(self, hash((cls, {key})))
-def __eq__(self, other):
+{summaries}def __eq__(self, other):
     if other.__class__ is not cls:
         return NotImplemented
     if self is other:
@@ -114,6 +138,26 @@ _PUSH = """\
 """
 
 
+def _summaries(cls) -> str:
+    """The lines of ``__init__`` that set ``_loose`` and ``_fv``: a child
+    under b binders bounds ``_loose`` by its own minus b."""
+    if cls._role == BOUND:
+        return "    set_loose(self, index + 1)\n"
+    if cls._role == FREE:
+        return "    h = hash(name)\n    set_fv(self, 1 << (h & 63) | 1 << (h >> 6 & 63))\n"
+    if cls._role == CONST:
+        return ""
+    # a child under no binder goes first: its range is never negative
+    kids = sorted(cls._children, key=lambda kid: kid[1])
+    lines = ["    loose = 0\n"] if kids[0][1] else []
+    for name, binders in kids:
+        loose = f"{name}._loose - {binders}" if binders else f"{name}._loose"
+        lines.append(f"    n = {loose}\n    if n > loose:\n        loose = n\n" if lines else f"    loose = {loose}\n")
+    lines.append("    set_loose(self, loose)\n")
+    lines.append(f"    set_fv(self, {' | '.join(f'{name}._fv' for name, _ in kids)})\n")
+    return "".join(lines)
+
+
 def _node(cls):
     """Make a node class from its class statement and its ``_shape``.
 
@@ -122,24 +166,33 @@ def _node(cls):
     and class pattern that misses.  A node's hash is fixed at
     construction from its class, leaf values and children's hashes, so
     hashing never recurses and ``==`` rejects on it before descending;
-    hints take part in neither.  ``a._eq(b, later)`` compares leaf
-    values and pushes onto ``later`` each pair of children that differ
-    but hash alike; ``==`` works off that stack, so it never recurses,
-    however deep the terms.
+    hints take part in neither.  ``_loose`` and ``_fv`` are set next to
+    the hash from the children's, by inline compares and ORs, so they
+    never recurse either.  ``a._eq(b, later)`` compares leaf values and
+    pushes onto ``later`` each pair of children that differ but hash
+    alike; ``==`` works off that stack, so it never recurses, however
+    deep the terms.
     """
     names = tuple(name for name, _, _ in cls._shape)
     ns = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
     cls = type(cls.__name__, cls.__bases__, {**ns, "__slots__": names, "__match_args__": names})
+    # a leaf summary that no field sets is a class constant, which hides
+    # the slot that would hold it
+    if cls._role in (CONST, FREE):
+        cls._loose = 0
+    if cls._role in (CONST, BOUND):
+        cls._fv = 0
     cls._fields = tuple((name, binders) for name, binders, _ in cls._shape)
     cls._children = tuple((name, binders) for name, binders in cls._fields if binders is not None)
     cls._positions = tuple((name, pos) for name, _, pos in cls._shape if pos is not None)
     keys = [(name, binders) for name, binders in cls._fields if name != "hint"]
-    env = {"cls": cls, "set_hash": Node._hash.__set__}
+    env = {"cls": cls, "set_hash": Node._hash.__set__, "set_loose": Node._loose.__set__, "set_fv": Node._fv.__set__}
     env.update((f"set_{name}", getattr(cls, name).__set__) for name in names)
     source = _METHODS.format(
         params=", ".join(names),
         sets="".join(f"    set_{name}(self, {name})\n" for name in names),
         key=", ".join(name if binders is None else f"{name}._hash" for name, binders in keys),
+        summaries=_summaries(cls),
         leaves="".join(f" or a.{k} != b.{k}" for k, binders in keys if binders is None),
         children="".join(_PUSH.format(name=k) for k, binders in keys if binders is not None),
     )
@@ -338,12 +391,34 @@ def free_vars(e: Node) -> frozenset[str]:
 
 
 def _free_vars(e: Node, out: set[str]) -> None:
-    role = e._role
-    if role is None:
-        for name, _ in e._children:
-            _free_vars(getattr(e, name), out)
-    elif role == FREE:
-        out.add(e.name)
+    if e._fv:
+        if e._role is None:
+            for name, _ in e._children:
+                _free_vars(getattr(e, name), out)
+        else:
+            out.add(e.name)
+
+
+def _name_bits(name: str) -> int:
+    """The two bits that stand for ``name`` in a free-name mask, as the
+    ``__init__`` of a free-variable class sets them."""
+    h = hash(name)
+    return 1 << (h & 63) | 1 << (h >> 6 & 63)
+
+
+def occurs(name: str, *es: Node) -> bool:
+    """Whether ``name`` occurs free in any of ``es``; walks only the
+    subterms whose free-name mask has both bits of ``name``."""
+    bits = _name_bits(name)
+    todo = list(es)
+    while todo:
+        e = todo.pop()
+        if e._fv & bits == bits:
+            if e._role is None:
+                todo.extend(getattr(e, f) for f, _ in e._children)
+            elif e.name == name:
+                return True
+    return False
 
 
 def size(e: Node) -> int:
@@ -355,34 +430,31 @@ def size(e: Node) -> int:
 
 def _shift(e: Node, by: int, cutoff: int) -> Node:
     """Add ``by`` to every dangling index >= cutoff."""
-    role = e._role
-    if role is None:
+    if e._loose <= cutoff:
+        return e
+    if e._role is None:
         args = []
         for name, binders in e._fields:
             v = getattr(e, name)
             args.append(v if binders is None else _shift(v, by, cutoff + binders))
         return type(e)(*args)
-    if role == BOUND and e.index >= cutoff:
-        return type(e)(e.index + by)
-    return e
+    return type(e)(e.index + by)
 
 
 def instantiate(body: Node, arg: Node, depth: int = 0) -> Node:
     """Remove the innermost binder of ``body``, replacing its variable by ``arg``."""
-    role = body._role
-    if role is None:
+    if body._loose <= depth:
+        return body
+    if body._role is None:
         args = []
         for name, binders in body._fields:
             v = getattr(body, name)
             args.append(v if binders is None else instantiate(v, arg, depth + binders))
         return type(body)(*args)
-    if role == BOUND:
-        i = body.index
-        if i == depth:
-            return _shift(arg, depth, 0) if depth else arg
-        if i > depth:
-            return type(body)(i - 1)
-    return body
+    i = body.index
+    if i == depth:
+        return _shift(arg, depth, 0) if depth else arg
+    return type(body)(i - 1)
 
 
 def open_binder(body: Node, name: str) -> Node:
@@ -395,16 +467,19 @@ def close_binder(e: Node, name: str, depth: int = 0) -> Node:
 
     ``e`` must not contain dangling indices of its own.
     """
-    role = e._role
-    if role is None:
+    return _close(e, name, _name_bits(name), depth)
+
+
+def _close(e: Node, name: str, bits: int, depth: int) -> Node:
+    if e._fv & bits != bits:
+        return e
+    if e._role is None:
         args = []
         for f, binders in e._fields:
             v = getattr(e, f)
-            args.append(v if binders is None else close_binder(v, name, depth + binders))
+            args.append(v if binders is None else _close(v, name, bits, depth + binders))
         return type(e)(*args)
-    if role == FREE and e.name == name:
-        return e._bound(depth)
-    return e
+    return e._bound(depth) if e.name == name else e
 
 
 def subst(target: Node, name: str, replacement: Node) -> Node:
@@ -413,21 +488,26 @@ def subst(target: Node, name: str, replacement: Node) -> Node:
     Capture is impossible by construction: bound variables are indices,
     and the free variables of ``replacement`` stay free.
     """
-    role = target._role
-    if role is None:
+    return _subst(target, name, _name_bits(name), replacement)
+
+
+def _subst(target: Node, name: str, bits: int, replacement: Node) -> Node:
+    if target._fv & bits != bits:
+        return target
+    if target._role is None:
         args = []
         for f, binders in target._fields:
             v = getattr(target, f)
-            args.append(v if binders is None else subst(v, name, replacement))
+            args.append(v if binders is None else _subst(v, name, bits, replacement))
         return type(target)(*args)
-    if role == FREE and target.name == name:
-        return replacement
-    return target
+    return replacement if target.name == name else target
 
 
-def fresh_name(base: str, avoid) -> str:
+def fresh_name(base: str, avoid, *scopes: Node) -> str:
+    """``base`` (``x`` if blank), primed until it is not in ``avoid`` and
+    occurs free in none of ``scopes``."""
     name = base if base and base != "_" else "x"
-    while name in avoid:
+    while name in avoid or occurs(name, *scopes):
         name += "'"
     return name
 
@@ -517,6 +597,12 @@ class Context:
 
     def names(self) -> set[str]:
         return {n for n, _ in self.bindings}
+
+    def __contains__(self, name: str) -> bool:
+        for n, _ in self.bindings:
+            if n == name:
+                return True
+        return False
 
     def __iter__(self):
         return iter(self.bindings)
@@ -837,20 +923,14 @@ _PREC_ARG = 2
 
 
 def _mentions_bound(e: Node, depth: int = 0) -> bool:
-    role = e._role
-    if role is None:
+    if e._loose <= depth:
+        return False
+    if e._role is None:
         for name, binders in e._children:
             if _mentions_bound(getattr(e, name), depth + binders):
                 return True
         return False
-    return role == BOUND and e.index == depth
-
-
-def _pick_name(hint: str, names: list[str], *scopes: Node) -> str:
-    avoid = set(names)
-    for e in scopes:
-        avoid |= free_vars(e)
-    return fresh_name(hint, avoid)
+    return e.index == depth
 
 
 def _pp(e: Node, names: list[str], prec: int) -> str:
@@ -870,7 +950,7 @@ def _pp(e: Node, names: list[str], prec: int) -> str:
             s = f"{_pp(fun, names, _PREC_APP)} {_pp(arg, names, _PREC_ARG)}"
             return f"({s})" if prec > _PREC_APP else s
         case Lam(hint, first, second) | Sigma(hint, first, second):
-            x = _pick_name(hint, names, second)
+            x = fresh_name(hint, names, second)
             names.append(x)
             b = _pp(second, names, _PREC_ARROW)
             names.pop()
@@ -879,7 +959,7 @@ def _pp(e: Node, names: list[str], prec: int) -> str:
             return f"({s})" if prec > _PREC_ARROW else s
         case Pi(hint, dom, cod) | LPi(hint, dom, cod):
             if _mentions_bound(cod):
-                x = _pick_name(hint, names, cod)
+                x = fresh_name(hint, names, cod)
                 names.append(x)
                 body = _pp(cod, names, _PREC_ARROW)
                 names.pop()
@@ -898,7 +978,7 @@ def _pp(e: Node, names: list[str], prec: int) -> str:
         case Proj2(p):
             return f"{_pp(p, names, _PREC_ARG)}.2"
         case LLam(hint, dom, cod, body):
-            x = _pick_name(hint, names, cod, body)
+            x = fresh_name(hint, names, cod, body)
             dom_s = _pp(dom, names, _PREC_APP)
             names.append(x)
             cod_s = _pp(cod, names, _PREC_ARROW)
@@ -907,7 +987,7 @@ def _pp(e: Node, names: list[str], prec: int) -> str:
             s = f"\\[{x} : {dom_s} -> {cod_s}] {x} : {dom_s} . {body_s}"
             return f"({s})" if prec > _PREC_ARROW else s
         case LApp(hint, dom, cod, fun, arg):
-            x = _pick_name(hint, names, cod)
+            x = fresh_name(hint, names, cod)
             dom_s = _pp(dom, names, _PREC_APP)
             names.append(x)
             cod_s = _pp(cod, names, _PREC_ARROW)

@@ -40,6 +40,8 @@ from .syntax import (
     Var,
     close_binder,
     free_vars,
+    fresh_name,
+    occurs,
     open_binder,
     print_expr,
     subst,
@@ -48,7 +50,7 @@ from .syntax import (
     CC,
 )
 from .reduction import DEFAULT_FUEL, beta_eq, reachable, step_all
-from .typecheck import TypeCheckError, _fresh_for, check_type, infer_type, wf_context
+from .typecheck import TypeCheckError, check_type, infer_type, wf_context
 
 ZERO = "_0"
 Z = "_z"
@@ -104,7 +106,7 @@ class TransEnv:
         return f"{Y_PREFIX}{self._counter[0]}"
 
     def fresh_binder(self, hint: str, *exprs: Expr) -> str:
-        return _fresh_for(self.cc_context, hint, *exprs)
+        return fresh_name(hint, self.cc_context, *exprs)
 
 
 def is_cc_kind(e: Expr) -> bool:
@@ -208,7 +210,7 @@ def _trans_type(env: TransEnv, a: Expr) -> Expr:
             if is_cc_kind(annot):
                 return Lam(h, erase_kind(annot), close_binder(tb, x))
             # A term-level binder contributes nothing to the erased type.
-            if x in free_vars(tb):
+            if occurs(x, tb):
                 raise ValueError(f"term binder {x} survived type translation")
             return tb
         case App(fun, arg):
@@ -379,7 +381,7 @@ def check_subst_lemmas(ctx: Context, a: Expr, x: str, b: Expr, fuel: int = DEFAU
     b_ty = ctx.lookup(x)
     if b_ty is None:
         return [CheckEntry(False, "subst-hypotheses", f"{x} not bound in context")]
-    if x in free_vars(b):
+    if occurs(x, b):
         return [CheckEntry(False, "subst-hypotheses", f"replacement mentions {x}")]
     try:
         wf_context(CC, ctx, fuel)

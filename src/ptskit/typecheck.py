@@ -41,7 +41,6 @@ from .syntax import (
     Var,
     BUILTIN_SPECS,
     close_binder,
-    free_vars,
     fresh_name,
     instantiate,
     open_binder,
@@ -76,13 +75,6 @@ def _fail(kind: ErrorKind, message: str):
     raise TypeCheckError(kind, message)
 
 
-def _fresh_for(ctx: Context, hint: str, *exprs: Expr) -> str:
-    avoid = ctx.names()
-    for e in exprs:
-        avoid |= free_vars(e)
-    return fresh_name(hint, avoid)
-
-
 def _as_sort(spec: PtsSpec, ty: Node, fuel: int, subject: Node) -> str:
     """Normalize ``ty`` (plain or labeled) and require it to be a sort of ``spec``."""
     try:
@@ -103,6 +95,30 @@ def _pi_sort(spec: PtsSpec, s1: str, s2: str, pi: Node) -> str:
     if s3 is None:
         _fail(ErrorKind.NO_RULE, f"no rule ({s1},{s2},_) to form {print_expr(pi)}")
     return s3
+
+
+def _cod_sort(spec: PtsSpec, s3: str | None) -> str | None:
+    """The sort of a product's codomain, from the product's sort ``s3``:
+    known when the rules that form ``s3`` agree on it, as in every
+    built-in system, where each rule has s2 = s3."""
+    if s3 is None:
+        return None
+    cods = {r2 for _, r2, r3 in spec.rules if r3 == s3}
+    return cods.pop() if len(cods) == 1 else None
+
+
+def _fun_head(fun: Expr, fun_ty: Expr, fuel: int) -> Pi:
+    """The product that ``fun``'s type ``fun_ty`` exposes at its head."""
+    try:
+        head = whnf(fun_ty, fuel)
+    except FuelExhausted:
+        _fail(ErrorKind.FUEL_EXHAUSTED, f"exposing the type of {print_expr(fun)}")
+    if not isinstance(head, Pi):
+        _fail(
+            ErrorKind.NOT_A_FUNCTION,
+            f"{print_expr(fun)} has type {print_expr(fun_ty)}, which is not a function type",
+        )
+    return head
 
 
 def _convertible(a: Expr, b: Expr, fuel: int, where: str, subject: Expr | None = None) -> None:
@@ -134,7 +150,7 @@ def wf_context(spec: PtsSpec, ctx: Context, fuel: int = DEFAULT_FUEL) -> None:
     """Check names are distinct and every binding type (plain or labeled) has a sort."""
     prefix = Context()
     for name, ty in ctx:
-        if name in prefix.names():
+        if name in prefix:
             _fail(ErrorKind.ILL_FORMED_CONTEXT, f"duplicate binding for {name!r}")
         try:
             ty_of_ty = infer_type(spec, prefix, ty, fuel)
@@ -164,7 +180,9 @@ def _infer(
     """``(A, s)`` with ctx |- e : A and, unless s is None, ctx |- A : s.
 
     s is known for a sort, product or Sig type (the axiom of the sort that
-    types it) and for a lambda (the sort of its product); variables,
+    types it), for a lambda (the sort of its product) and for a
+    plain application whose function's type has a known sort that fixes
+    the codomain sort (see ``_cod_sort``); variables, labeled
     applications, pairs and projections give None.  A sort or product
     is typed by a sort of its own AST.  ``conv_depth`` and ``warnings``
     serve labeled terms, as ``labeled.labeled_infer`` describes.
@@ -186,13 +204,13 @@ def _infer(
             raise ValueError("dangling bound variable reached the type checker")
         case Pi(h, dom, cod) | LPi(h, dom, cod):
             s1 = _as_sort(spec, _infer(spec, ctx, dom, fuel, conv_depth, warnings)[0], fuel, dom)
-            x = _fresh_for(ctx, h, dom, cod)
+            x = fresh_name(h, ctx, dom, cod)
             cod_x = open_binder(cod, x)
             s2 = _as_sort(spec, _infer(spec, ctx.extend(x, dom), cod_x, fuel, conv_depth, warnings)[0], fuel, cod_x)
             s3 = _pi_sort(spec, s1, s2, e)
             return (SortE if type(e) is Pi else LSort)(s3), spec.axiom_for(s3)
         case Lam(h, annot, body):
-            x = _fresh_for(ctx, h, annot, body)
+            x = fresh_name(h, ctx, annot, body)
             body_ty, s2 = _infer(spec, ctx.extend(x, annot), open_binder(body, x), fuel)
             pi = Pi(h, annot, close_binder(body_ty, x))
             # TLam demands the synthesized product itself be well-sorted.
@@ -201,19 +219,12 @@ def _infer(
             s1 = _as_sort(spec, _infer(spec, ctx, annot, fuel)[0], fuel, annot)
             return pi, _pi_sort(spec, s1, s2, pi)
         case App(fun, arg):
-            fun_ty = _infer(spec, ctx, fun, fuel)[0]
-            try:
-                head = whnf(fun_ty, fuel)
-            except FuelExhausted:
-                _fail(ErrorKind.FUEL_EXHAUSTED, f"exposing the type of {print_expr(fun)}")
-            if not isinstance(head, Pi):
-                _fail(
-                    ErrorKind.NOT_A_FUNCTION,
-                    f"{print_expr(fun)} has type {print_expr(fun_ty)}, which is not a function type",
-                )
+            fun_ty, s3 = _infer(spec, ctx, fun, fuel)
+            head = _fun_head(fun, fun_ty, fuel)
             arg_ty = _infer(spec, ctx, arg, fuel)[0]
             _convertible(arg_ty, head.dom, fuel, "argument of", fun)
-            return instantiate(head.cod, arg), None
+            # head reduces from fun_ty, so it has fun_ty's sort s3
+            return instantiate(head.cod, arg), _cod_sort(spec, s3)
         case LLam(h, dom, cod, body):
             label = label_of(e)
             s3 = _infer(spec, ctx, label, fuel, conv_depth, warnings)[0].name
@@ -221,7 +232,7 @@ def _infer(
             # opened codomain is entered here without checking its label again:
             # once its own body checks, its type is that codomain.
             while True:
-                x = _fresh_for(ctx, h, dom, cod, body)
+                x = fresh_name(h, ctx, dom, cod, body)
                 ctx = ctx.extend(x, dom)
                 body, cod = open_binder(body, x), open_binder(cod, x)
                 if not (isinstance(body, LLam) and label_of(body) == cod):
@@ -260,7 +271,7 @@ def _infer(
                     ErrorKind.MISMATCH,
                     f"Sig first component {print_expr(first)} must be a type, has sort {first_sort}",
                 )
-            x = _fresh_for(ctx, h, first, second)
+            x = fresh_name(h, ctx, first, second)
             second_x = open_binder(second, x)
             s = _as_sort(spec, _infer(spec, ctx.extend(x, first), second_x, fuel)[0], fuel, second_x)
             return SortE(s), spec.axiom_for(s)

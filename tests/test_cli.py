@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -284,6 +285,26 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "y"
+
+
+def test_output_does_not_follow_the_hash_seed():
+    # free-name masks take their bits from hash(str), which PYTHONHASHSEED
+    # changes; they only let walks skip subterms, so no byte may depend on them
+    import ptskit
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ptskit.__file__)))
+    root = os.path.dirname(src)
+    nest = r"\A:*. " + "".join(rf"\x{i}:A. " for i in range(16)) + "x0"
+    commands = [["verify", CORPUS], ["label", nest], ["translate", nest]]
+
+    def runs(seed):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        procs = [subprocess.run([sys.executable, "-m", "ptskit", *argv], capture_output=True, cwd=root, env=env) for argv in commands]
+        return [(proc.returncode, proc.stdout) for proc in procs]
+
+    first = runs("1")
+    assert [code for code, _ in first] == [EXIT_OK] * len(commands)
+    assert runs("2") == first
 
 
 def test_nesting_past_recursion_limit_is_a_resource_limit(capsys):

@@ -332,7 +332,8 @@ def test_labeled_parse_rejects_mismatched_binder():
 # ---------------------------------------------------------------------------
 # Elaboration errors, pinned: kind and message of every failure, recorded
 # when elaboration still re-inferred each whole product, so reading a
-# product's sort from its elaborated parts reports the same failure.
+# product's sort from its elaborated parts reports the same failure.  An
+# ill-typed application fails in infer_type's words.
 
 ELABORATION_ERRORS = [
     ("stlc", "", r"\A:*. A", 100, "NoRule: no rule (#,#,_) to form * -> *"),
@@ -359,17 +360,17 @@ ELABORATION_ERRORS = [
     ("cc", "", "(x:#) -> *", 100, "NoAxiom: sort # has no type"),
     ("cc", "", r"\x:#. x", 100, "NoAxiom: sort # has no type"),
     ("cc", "A : *", "x", 100, "UnboundVariable: unbound variable x"),
-    ("cc", "A : *", "A A", 100, "NotAFunction: A is not a function"),
-    ("cc", "A : *\nx : A", "x x", 100, "NotAFunction: x is not a function"),
-    ("cc", "A : *\nP : A -> *", "(a:A) -> P a a", 100, "NotAFunction: P a is not a function"),
-    ("cc", "A : *\nP : A -> *", r"\a:A. \p:P a. p a", 100, "NotAFunction: p is not a function"),
-    ("cc", "A : *\nB : *\nf : A -> A\nb : B", "f b", 100, "Mismatch: argument of f has type B"),
-    ("cc", "A : *\nf : A -> A", r"\x:A. f f", 100, "Mismatch: argument of f has type A -> A"),
-    ("cc", "A : *", r"(\x:A. x) A", 100, r"Mismatch: argument of \x:A. x has type *"),
-    ("cc", "", r"((\x:*. x) (\y:*. y)) -> *", 100, r"Mismatch: argument of \x:*. x has type * -> *"),
+    ("cc", "A : *", "A A", 100, "NotAFunction: A has type *, which is not a function type"),
+    ("cc", "A : *\nx : A", "x x", 100, "NotAFunction: x has type A, which is not a function type"),
+    ("cc", "A : *\nP : A -> *", "(a:A) -> P a a", 100, "NotAFunction: P a has type *, which is not a function type"),
+    ("cc", "A : *\nP : A -> *", r"\a:A. \p:P a. p a", 100, "NotAFunction: p has type P a, which is not a function type"),
+    ("cc", "A : *\nB : *\nf : A -> A\nb : B", "f b", 100, "Mismatch: argument of f: B is not convertible with A"),
+    ("cc", "A : *\nf : A -> A", r"\x:A. f f", 100, "Mismatch: argument of f: A -> A is not convertible with A"),
+    ("cc", "A : *", r"(\x:A. x) A", 100, r"Mismatch: argument of \x:A. x: * is not convertible with A"),
+    ("cc", "", r"((\x:*. x) (\y:*. y)) -> *", 100, r"Mismatch: argument of \x:*. x: * -> * is not convertible with *"),
     ("cc", "A : *\nf : (\\B:*. B) ((\\C:*. C) (A -> A))\na : A", "f a", 1, "FuelExhausted: exposing the type of f"),
     ("cc", "A : *", r"(x:(\B:*. \C:*. B) A A) -> x", 1, "FuelExhausted: normalizing the type of x"),
-    ("cc", "A : *\na : A", r"(\x:(\B:*. \C:*. B) A A. x) a", 1, r"FuelExhausted: argument of \x:(\B:*. \C:*. B) A A. x has type A"),
+    ("cc", "A : *\na : A", r"(\x:(\B:*. \C:*. B) A A. x) a", 1, r"FuelExhausted: conversion undecided in argument of \x:(\B:*. \C:*. B) A A. x"),
 ]
 
 
@@ -451,28 +452,38 @@ def test_infer_type_and_wf_context_on_labeled_input_match_the_oracle():
             assert outcome(labeled_wf_context, spec, ctx, fuel) == want, str(ctx)
 
 
-def test_typing_walks_grow_linearly_with_nest_depth(monkeypatch):
-    from ptskit import labeled, typecheck
+def _nest(d):
+    return P(r"\A:*. " + "".join(rf"\x{i}:A. " for i in range(d)) + "x0")
 
-    counts: dict[str, int] = {}
 
-    def counted(module, name, key):
+def _counting(monkeypatch, counts, *sites):
+    """Count the calls to each ``(module, name, key)`` site under ``key``."""
+    for module, name, key in sites:
         f = getattr(module, name)
 
-        def wrapper(*args):
+        def wrapper(*args, f=f, key=key):
             counts[key] = counts.get(key, 0) + 1
             return f(*args)
 
         monkeypatch.setattr(module, name, wrapper)
 
+
+def test_typing_walks_grow_linearly_with_nest_depth(monkeypatch):
+    from ptskit import labeled, typecheck
+
+    counts: dict[str, int] = {}
     # infer_type and labeled_infer are views of _infer, which both modules
     # call directly
-    counted(typecheck, "_infer", "infer_type")
-    counted(labeled, "_infer", "infer_type")
-    counted(labeled, "_elaborate", "_elaborate")
+    _counting(
+        monkeypatch,
+        counts,
+        (typecheck, "_infer", "infer_type"),
+        (labeled, "_infer", "infer_type"),
+        (labeled, "_elaborate", "_elaborate"),
+    )
 
     def calls(d):
-        t = P(r"\A:*. " + "".join(rf"\x{i}:A. " for i in range(d)) + "x0")
+        t = _nest(d)
         counts.clear()
         infer_type(CC, Context(), t)
         typed = counts["infer_type"]
@@ -485,3 +496,45 @@ def test_typing_walks_grow_linearly_with_nest_depth(monkeypatch):
 
     for at_32, at_64 in zip(calls(32), calls(64)):
         assert at_64 <= 2.2 * at_32, (at_32, at_64)
+
+
+def test_translation_check_grows_linearly_with_nest_depth(monkeypatch):
+    # each translated lambda is an application (\y:_0. \x:T. ...) t; its
+    # sort travels up, so no enclosing lambda re-checks its product
+    from ptskit import typecheck
+    from ptskit.translate import check_translation
+
+    counts: dict[str, int] = {}
+    _counting(monkeypatch, counts, (typecheck, "_infer", "_infer"))
+
+    def calls(d):
+        counts.clear()
+        assert all(entry.ok for entry in check_translation(Context(), _nest(d)))
+        return counts["_infer"]
+
+    at_32, at_64 = calls(32), calls(64)
+    assert at_64 <= 2.2 * at_32, (at_32, at_64)
+
+
+def test_labeled_binder_walks_grow_at_most_quadratically(monkeypatch):
+    # a labeled nest of depth d has O(d^2) nodes, its labels; opening and
+    # closing visit only the subterms that mention the binder
+    from ptskit import labeled, syntax, typecheck
+
+    counts: dict[str, int] = {}
+    _counting(
+        monkeypatch,
+        counts,
+        (syntax, "_close", "visits"),
+        (syntax, "instantiate", "visits"),
+        (labeled, "instantiate", "visits"),
+        (typecheck, "instantiate", "visits"),
+    )
+
+    def visits(d):
+        counts.clear()
+        labeled.labeled_infer(CC, Context(), labeled.label_term(CC, Context(), _nest(d)))
+        return counts["visits"]
+
+    at_32, at_64 = visits(32), visits(64)
+    assert at_64 <= 4.5 * at_32, (at_32, at_64)

@@ -36,6 +36,7 @@ from ptskit.syntax import (
     SortE,
     Var,
     close_binder,
+    fresh_name,
     instantiate,
     open_binder,
     print_expr,
@@ -46,7 +47,7 @@ from ptskit.syntax import (
     parse_labeled,
     print_labeled,
 )
-from ptskit.reduction import DEFAULT_FUEL, FuelExhausted, beta_eq, normalize, trace, whnf
+from ptskit.reduction import DEFAULT_FUEL, FuelExhausted, normalize, trace, whnf
 from ptskit.typecheck import (
     _CC,
     Classification,
@@ -57,7 +58,6 @@ from ptskit.typecheck import (
     TypeCheckError,
     _convertible,
     _fail,
-    _fresh_for,
     _pi_sort,
     _require_sigma,
 )
@@ -112,12 +112,12 @@ def infer_type(spec: PtsSpec, ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -
             raise ValueError("dangling bound variable reached the type checker")
         case Pi(h, dom, cod):
             s1 = _as_sort(spec, infer_type(spec, ctx, dom, fuel), fuel, dom)
-            x = _fresh_for(ctx, h, dom, cod)
+            x = fresh_name(h, ctx, dom, cod)
             cod_x = open_binder(cod, x)
             s2 = _as_sort(spec, infer_type(spec, ctx.extend(x, dom), cod_x, fuel), fuel, cod_x)
             return SortE(_pi_sort(spec, s1, s2, e))
         case Lam(h, annot, body):
-            x = _fresh_for(ctx, h, annot, body)
+            x = fresh_name(h, ctx, annot, body)
             body_ty = infer_type(spec, ctx.extend(x, annot), open_binder(body, x), fuel)
             pi = Pi(h, annot, close_binder(body_ty, x))
             # TLam demands the synthesized product itself be well-sorted.
@@ -145,7 +145,7 @@ def infer_type(spec: PtsSpec, ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -
                     ErrorKind.MISMATCH,
                     f"Sig first component {print_expr(first)} must be a type, has sort {first_sort}",
                 )
-            x = _fresh_for(ctx, h, first, second)
+            x = fresh_name(h, ctx, first, second)
             second_x = open_binder(second, x)
             s = _as_sort(spec, infer_type(spec, ctx.extend(x, first), second_x, fuel), fuel, second_x)
             return SortE(s)
@@ -250,14 +250,14 @@ def labeled_infer(
             raise ValueError("dangling bound variable reached the labeled checker")
         case LPi(h, dom, cod):
             s1 = _as_sort(spec, labeled_infer(spec, lctx, dom, fuel, conv_depth, warnings), fuel, dom, l_normalize)
-            x = _fresh_for(lctx, h, dom, cod)
+            x = fresh_name(h, lctx, dom, cod)
             cod_x = l_open(cod, x)
             cod_ty = labeled_infer(spec, lctx.extend(x, dom), cod_x, fuel, conv_depth, warnings)
             s2 = _as_sort(spec, cod_ty, fuel, cod_x, l_normalize)
             return LSort(_pi_sort(spec, s1, s2, la))
         case LLam(h, dom, cod, body):
             labeled_infer(spec, lctx, LPi(h, dom, cod), fuel, conv_depth, warnings)
-            x = _fresh_for(lctx, h, dom, cod, body)
+            x = fresh_name(h, lctx, dom, cod, body)
             body_ty = labeled_infer(spec, lctx.extend(x, dom), l_open(body, x), fuel, conv_depth, warnings)
             if not directed_convertible(body_ty, l_open(cod, x), conv_depth):
                 _fail(
@@ -324,7 +324,7 @@ def _elaborate(spec: PtsSpec, ctx: Context, a: Expr, fuel: int) -> tuple[Labeled
             return LVar(name), ty
         case Pi(h, dom, cod):
             ldom, dom_ty = _elaborate(spec, ctx, dom, fuel)
-            x = _fresh_for(ctx, h, dom, cod)
+            x = fresh_name(h, ctx, dom, cod)
             cod_x = open_binder(cod, x)
             lcod, cod_ty = _elaborate(spec, ctx.extend(x, dom), cod_x, fuel)
             # the parts' types are the ones infer_type would find, so the
@@ -334,7 +334,7 @@ def _elaborate(spec: PtsSpec, ctx: Context, a: Expr, fuel: int) -> tuple[Labeled
             return LPi(h, ldom, close_binder(lcod, x)), SortE(_pi_sort(spec, s1, s2, a))
         case Lam(h, annot, body):
             lannot, _ = _elaborate(spec, ctx, annot, fuel)
-            x = _fresh_for(ctx, h, annot, body)
+            x = fresh_name(h, ctx, annot, body)
             inner = ctx.extend(x, annot)
             lbody, body_ty = _elaborate(spec, inner, open_binder(body, x), fuel)
             pi = Pi(h, annot, close_binder(body_ty, x))
@@ -348,12 +348,12 @@ def _elaborate(spec: PtsSpec, ctx: Context, a: Expr, fuel: int) -> tuple[Labeled
             except FuelExhausted:
                 _fail(ErrorKind.FUEL_EXHAUSTED, f"exposing the type of {print_expr(fun)}")
             if not isinstance(head, Pi):
-                _fail(ErrorKind.NOT_A_FUNCTION, f"{print_expr(fun)} is not a function")
+                _fail(
+                    ErrorKind.NOT_A_FUNCTION,
+                    f"{print_expr(fun)} has type {print_expr(fun_ty)}, which is not a function type",
+                )
             larg, arg_ty = _elaborate(spec, ctx, arg, fuel)
-            conv = beta_eq(arg_ty, head.dom, fuel)
-            if conv is not True:
-                kind = ErrorKind.MISMATCH if conv is False else ErrorKind.FUEL_EXHAUSTED
-                _fail(kind, f"argument of {print_expr(fun)} has type {print_expr(arg_ty)}")
+            _convertible(arg_ty, head.dom, fuel, "argument of", fun)
             lpi, _ = _elaborate(spec, ctx, head, fuel)
             assert isinstance(lpi, LPi)
             return (
