@@ -133,28 +133,26 @@ def run_report(
     return entries
 
 
-def _entry(ok: bool, name: str, j: Judgement, extra: str = "") -> CheckEntry:
-    detail = f"{j.name}: {print_expr(j.term)}"
-    if extra:
-        detail += f" ({extra})"
-    return CheckEntry(ok, name, detail)
+def _entry(ok: bool, name: str, subject: str, extra: str = "") -> CheckEntry:
+    return CheckEntry(ok, name, f"{subject} ({extra})" if extra else subject)
 
 
 def _report_one(j: Judgement, spec: PtsSpec, fuel: int, depth: int) -> list[CheckEntry]:
     entries: list[CheckEntry] = []
+    subject = f"{j.name}: {print_expr(j.term)}"
     try:
         wf_context(spec, j.ctx, fuel)
-        entries.append(_entry(True, "ctx-wf", j))
+        entries.append(_entry(True, "ctx-wf", subject))
     except TypeCheckError as err:
-        return [_entry(False, "ctx-wf", j, str(err))]
+        return [_entry(False, "ctx-wf", subject, str(err))]
 
     try:
         inferred = infer_type(spec, j.ctx, j.term, fuel)
         if j.ty is not None:
             check_type(spec, j.ctx, j.term, j.ty, fuel)
-        entries.append(_entry(True, "typing", j))
+        entries.append(_entry(True, "typing", subject))
     except TypeCheckError as err:
-        entries.append(_entry(False, "typing", j, str(err)))
+        entries.append(_entry(False, "typing", subject, str(err)))
         return entries
 
     ok = True
@@ -164,26 +162,27 @@ def _report_one(j: Judgement, spec: PtsSpec, fuel: int, depth: int) -> list[Chec
             r = beta_eq(infer_type(spec, j.ctx, reduct, fuel), inferred, fuel)
             if r is not True:
                 ok = False
-                why = f"type changed across {print_expr(j.term)} ~>* {print_expr(reduct)}"
+                why = "type changed" if r is False else f"type conversion undecided within {fuel} steps"
+                why += f" across {print_expr(j.term)} ~>* {print_expr(reduct)}"
                 break
     except TypeCheckError as err:
         ok, why = False, str(err)
-    entries.append(_entry(ok, "preservation", j, why))
+    entries.append(_entry(ok, "preservation", subject, why))
 
     try:
         normalize(j.term, fuel)
-        entries.append(_entry(True, "normalizes", j))
+        entries.append(_entry(True, "normalizes", subject))
     except FuelExhausted:
-        entries.append(_entry(False, "normalizes", j, f"no normal form within {fuel} steps"))
+        entries.append(_entry(False, "normalizes", subject, f"no normal form within {fuel} steps"))
 
     if (spec.sorts, spec.axioms, spec.rules) != (CC.sorts, CC.axioms, CC.rules):
         return entries
 
     try:
         classify(j.ctx, j.term, fuel, spec)
-        entries.append(_entry(True, "classification", j))
+        entries.append(_entry(True, "classification", subject))
     except TypeCheckError as err:
-        entries.append(_entry(False, "classification", j, str(err)))
+        entries.append(_entry(False, "classification", subject, str(err)))
 
     if judgement_uses_sigma(j):
         return entries
@@ -194,15 +193,15 @@ def _report_one(j: Judgement, spec: PtsSpec, fuel: int, depth: int) -> list[Chec
     try:
         la = label_term(CC, j.ctx, j.term, fuel)
     except TypeCheckError as err:
-        entries.append(_entry(False, "labeled-roundtrip", j, str(err)))
+        entries.append(_entry(False, "labeled-roundtrip", subject, str(err)))
         return entries
-    entries.append(_entry(erase(la) == j.term, "labeled-roundtrip", j))
+    entries.append(_entry(erase(la) == j.term, "labeled-roundtrip", subject))
     try:
         labeled_infer(CC, label_context(CC, j.ctx, fuel), la, fuel, depth)
     except TypeCheckError as err:
-        entries.append(_entry(False, "tight-erasure", j, str(err)))
+        entries.append(_entry(False, "tight-erasure", subject, str(err)))
         return entries
     plain = step_all(j.term)
     sim_ok = all(erase(r) == j.term or erase(r) in plain for r in tight_step_all(la))
-    entries.append(_entry(sim_ok, "tight-erasure", j))
+    entries.append(_entry(sim_ok, "tight-erasure", subject))
     return entries

@@ -7,10 +7,10 @@ side must actually reduce to the other.
 
 The labeled node classes, their surface syntax and its printer live in
 ``syntax`` beside the plain ones; tight reduction and tight
-normalization are the shared ``step_all`` and ``normalize`` with
-``LApp``'s tight-beta rule; labeled typing is the one walk of
-``typecheck``.  They are re-exported here under their labeled names.
-What lives here is erasure and elaboration from plain terms.
+normalization are the shared ``step_all`` (re-exported here as
+``tight_step_all``) and ``normalize`` with ``LApp``'s tight-beta rule;
+labeled typing is the one walk of ``typecheck``.  What lives here is
+erasure and elaboration from plain terms.
 """
 
 from __future__ import annotations
@@ -40,14 +40,7 @@ from .syntax import (
     print_expr,
     print_labeled as print_labeled,
 )
-from .reduction import (
-    DEFAULT_FUEL,
-    is_base,
-    key_redex_of,
-    normalize,
-    reduce_key_redex,
-    step_all,
-)
+from .reduction import DEFAULT_FUEL, step_all
 from .typecheck import (
     DEFAULT_CONV_DEPTH,
     ErrorKind,
@@ -60,7 +53,6 @@ from .typecheck import (
     _pi_sort,
     directed_convertible as directed_convertible,
     label_of as label_of,
-    wf_context,
 )
 
 # ---------------------------------------------------------------------------
@@ -91,12 +83,6 @@ def erase(la: LabeledExpr) -> Expr:
 # ``typecheck`` read the labeled shape tables and rules too.
 
 tight_step_all = step_all
-l_is_base = is_base
-l_key_redex_of = key_redex_of
-l_reduce_key_redex = reduce_key_redex
-l_normalize = normalize
-l_open = open_binder
-labeled_wf_context = wf_context
 
 # A labeled context is a Context whose types are labeled.
 LabeledContext = Context
@@ -127,9 +113,11 @@ def label_term(spec: PtsSpec, ctx: Context, a: Expr, fuel: int = DEFAULT_FUEL) -
 
     Lambdas receive the synthesized product, applications the product
     exposed for the function; erasure undoes the elaboration exactly.
-    The walk types ``a`` once, as ``infer_type`` does: the sort and the
-    labeled form of a lambda's type travel up with it, so an enclosing
-    lambda neither re-checks nor re-elaborates the product.
+    The walk types ``a`` once, in ``infer_type``'s premise order: a
+    binder's annotation is elaborated and its sort checked before
+    anything under the binder.  The sort and the labeled form of a
+    lambda's type travel up with it, so an enclosing lambda neither
+    re-checks nor re-elaborates the product.
     """
     return _elaborate(spec, ctx, a, fuel)[0]
 
@@ -152,31 +140,30 @@ def _elaborate(spec: PtsSpec, ctx: Context, a: Expr, fuel: int) -> tuple[Labeled
         case Var(name):
             return LVar(name), *_infer(spec, ctx, a, fuel), None
         case Pi(h, dom, cod):
+            # the parts' types are the ones _infer finds, so the product's
+            # sort comes from them, checked in the same order
             ldom, dom_ty, _, _ = _elaborate(spec, ctx, dom, fuel)
+            s1 = _as_sort(spec, dom_ty, fuel, dom)
             x = fresh_name(h, ctx, dom, cod)
             cod_x = open_binder(cod, x)
             lcod, cod_ty, _, _ = _elaborate(spec, ctx.extend(x, dom), cod_x, fuel)
-            # the parts' types are the ones infer_type would find, so the
-            # product's sort comes from them, checked in the same order
-            s1 = _as_sort(spec, dom_ty, fuel, dom)
-            s2 = _as_sort(spec, cod_ty, fuel, cod_x)
-            s3 = _pi_sort(spec, s1, s2, a)
+            s3 = _pi_sort(spec, s1, _as_sort(spec, cod_ty, fuel, cod_x), a)
             return LPi(h, ldom, close_binder(lcod, x)), SortE(s3), spec.axiom_for(s3), None
         case Lam(h, annot, body):
             lannot, annot_ty, _, _ = _elaborate(spec, ctx, annot, fuel)
+            s1 = _as_sort(spec, annot_ty, fuel, annot)
             x = fresh_name(h, ctx, annot, body)
-            inner = ctx.extend(x, annot)
-            lbody, body_ty, s2, lcod = _elaborate(spec, inner, open_binder(body, x), fuel)
-            pi = Pi(h, annot, close_binder(body_ty, x))
-            # the TLam product premise, settled as in _infer
-            if s2 is None:
-                s3 = _infer(spec, ctx, pi, fuel)[0].name
-            else:
-                s3 = _pi_sort(spec, _as_sort(spec, annot_ty, fuel, annot), s2, pi)
+            ctx = ctx.extend(x, annot)
+            lbody, body_ty, s2, lcod = _elaborate(spec, ctx, open_binder(body, x), fuel)
+            # the TLam product premise, settled as in _infer; elaborating the
+            # body's type gives its labeled form and, if missing, its sort
             if lcod is None:
-                lcod = _elaborate(spec, inner, body_ty, fuel)[0]
+                lcod, cod_ty, _, _ = _elaborate(spec, ctx, body_ty, fuel)
+                if s2 is None:
+                    s2 = _as_sort(spec, cod_ty, fuel, body_ty)
+            pi = Pi(h, annot, close_binder(body_ty, x))
             lcod = close_binder(lcod, x)
-            return LLam(h, lannot, lcod, close_binder(lbody, x)), pi, s3, LPi(h, lannot, lcod)
+            return LLam(h, lannot, lcod, close_binder(lbody, x)), pi, _pi_sort(spec, s1, s2, pi), LPi(h, lannot, lcod)
         case App(fun, arg):
             lfun, fun_ty, s3, lfun_ty = _elaborate(spec, ctx, fun, fuel)
             head = _fun_head(fun, fun_ty, fuel)

@@ -166,10 +166,12 @@ def wf_context(spec: PtsSpec, ctx: Context, fuel: int = DEFAULT_FUEL) -> None:
 def infer_type(spec: PtsSpec, ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -> Expr:
     """Return a type A with ctx |- e : A, or raise TypeCheckError.
 
-    One pass: the walk (``_infer``) hands each type up with its sort where
-    a rule settled it, so a lambda whose body's type has a known sort
-    checks only its annotation for the product premise, never the whole
-    product it synthesized again.  A labeled term gets its labeled type.
+    Every rule checks a binder's annotation (a product's domain, a
+    lambda's annotation, a pair's Sig type) before it uses it, so an
+    ill-typed annotation is reported before anything under the binder
+    and is never reduced.  One pass: the walk (``_infer``) hands each
+    type up with its sort where a rule settled it, so no lambda types
+    the product it synthesized.  A labeled term gets its labeled type.
     """
     return _infer(spec, ctx, e, fuel)[0]
 
@@ -184,8 +186,12 @@ def _infer(
     plain application whose function's type has a known sort that fixes
     the codomain sort (see ``_cod_sort``); variables, labeled
     applications, pairs and projections give None.  A sort or product
-    is typed by a sort of its own AST.  ``conv_depth`` and ``warnings``
-    serve labeled terms, as ``labeled.labeled_infer`` describes.
+    is typed by a sort of its own AST.  Premises go in rule order: a
+    product's domain sort, then its codomain; a lambda's annotation
+    sort, then its body, then, if the body gave no sort, the sort of the
+    body's type in the same extended context; a pair's annotation, then
+    its components.  ``conv_depth`` and ``warnings`` serve labeled
+    terms, as ``labeled.labeled_infer`` describes.
     """
     match e:
         case SortE(s) | LSort(s):
@@ -210,13 +216,14 @@ def _infer(
             s3 = _pi_sort(spec, s1, s2, e)
             return (SortE if type(e) is Pi else LSort)(s3), spec.axiom_for(s3)
         case Lam(h, annot, body):
-            x = fresh_name(h, ctx, annot, body)
-            body_ty, s2 = _infer(spec, ctx.extend(x, annot), open_binder(body, x), fuel)
-            pi = Pi(h, annot, close_binder(body_ty, x))
-            # TLam demands the synthesized product itself be well-sorted.
-            if s2 is None:
-                return pi, _infer(spec, ctx, pi, fuel)[0].name
             s1 = _as_sort(spec, _infer(spec, ctx, annot, fuel)[0], fuel, annot)
+            x = fresh_name(h, ctx, annot, body)
+            ctx = ctx.extend(x, annot)
+            body_ty, s2 = _infer(spec, ctx, open_binder(body, x), fuel)
+            if s2 is None:
+                s2 = _as_sort(spec, _infer(spec, ctx, body_ty, fuel)[0], fuel, body_ty)
+            # TLam demands the synthesized product itself be well-sorted.
+            pi = Pi(h, annot, close_binder(body_ty, x))
             return pi, _pi_sort(spec, s1, s2, pi)
         case App(fun, arg):
             fun_ty, s3 = _infer(spec, ctx, fun, fuel)
@@ -277,6 +284,7 @@ def _infer(
             return SortE(s), spec.axiom_for(s)
         case Pair(first, second, annot):
             _require_sigma(spec, e)
+            _infer(spec, ctx, annot, fuel)
             try:
                 head = whnf(annot, fuel)
             except FuelExhausted:
@@ -287,7 +295,6 @@ def _infer(
             _convertible(first_ty, head.first, fuel, "first pair component")
             second_ty = _infer(spec, ctx, second, fuel)[0]
             _convertible(second_ty, instantiate(head.second, first), fuel, "second pair component")
-            _infer(spec, ctx, annot, fuel)
             return annot, None
         case Proj1(p):
             _require_sigma(spec, e)

@@ -61,7 +61,6 @@ from ptskit.labeled import (
     LLam,
     LPi,
     erase,
-    l_normalize,
     label_of,
     label_term,
     tight_step_all,
@@ -289,7 +288,7 @@ def test_criterion_10_labeled_round_trip_and_simulation(cc_corpus):
                 erased = erase(reduct)
                 assert erased == j.term or erased in plain_reducts, j.name
             for app, lam in _root_beta_redexes(labeled):
-                assert l_normalize(label_of(app)) == l_normalize(label_of(lam)), j.name
+                assert normalize(label_of(app)) == normalize(label_of(lam)), j.name
 
 
 def _root_beta_redexes(la):

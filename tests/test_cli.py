@@ -78,6 +78,8 @@ def test_classify(capsys):
     assert out.strip() == "kind"
     code, out, _ = run(capsys, "classify", "--bind", "A : *", "--bind", "x : A", "x")
     assert out.strip() == "term"
+    code, out, _ = run(capsys, "classify", "--bind", "F : * -> *", "F")
+    assert code == EXIT_OK and out.strip() == "constructor"
 
 
 def test_sigma_flag_gates_pairs(capsys):
@@ -359,3 +361,33 @@ def test_depth_reaches_labeled_conversion_in_verify(capsys, tmp_path):
     assert f"PASS tight-erasure {subject}" in out.splitlines()
     code, out, _ = run(capsys, "verify", str(tmp_path), "--depth", "2", "--format", "machine")
     assert {"ok": True, "check": "tight-erasure", "detail": subject} in [json.loads(line) for line in out.splitlines()]
+
+
+def test_an_ill_typed_annotation_is_a_type_error_before_any_reduction(capsys):
+    # the annotation's head self-applies a type; reducing it first would
+    # run out of fuel instead of reporting the error
+    term = r"\x:((\y:*. y y) (\y:*. y y)). x x"
+    not_a_function = "NotAFunction: y has type *, which is not a function type"
+    for argv in (["infer", term], ["check", term, "*"], ["classify", term], ["label", term]):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_TYPE_ERROR and not_a_function in err, argv
+    code, _, err = run(capsys, "infer", "--sigma", r"<*, *> : ((\y:*. y y) (\y:*. y y))")
+    assert code == EXIT_TYPE_ERROR and not_a_function in err
+
+
+def test_infer_and_label_report_the_annotation_error_first(capsys):
+    for term in (r"\z:a. (A A)", "(x:a) -> x x"):
+        for command in ("infer", "label"):
+            code, _, err = run(capsys, command, "--bind", "A : *", "--bind", "a : A", term)
+            assert code == EXIT_TYPE_ERROR, (command, term)
+            assert err.strip() == "error: SortUntypeable: a is classified by A, not a sort", (command, term)
+
+
+def test_malformed_bindings_are_parse_errors(capsys):
+    for binding, message in (
+        ("x", "expected 'name : type'"),
+        ("1x : *", "bad binding name '1x'"),
+        ("x : ((", "in binding 'x'"),
+    ):
+        code, _, err = run(capsys, "infer", "--bind", binding, "*")
+        assert code == EXIT_PARSE_ERROR and message in err, binding

@@ -1,7 +1,7 @@
 import pytest
 
 from ptskit.syntax import CC, FOMEGA, STLC, SYSTEM_F, ParseError, print_expr
-from ptskit.reduction import beta_eq
+from ptskit.reduction import beta_eq, reducts_within
 from ptskit.typecheck import TypeCheckError, check_type, infer_type
 from ptskit.translate import (
     TransEnv,
@@ -112,3 +112,38 @@ def test_run_report_runs_cc_checks_only_under_cc_axioms():
     assert [(e.ok, e.name) for e in entries] == 2 * [
         (True, "ctx-wf"), (True, "typing"), (True, "preservation"), (True, "normalizes")
     ]
+
+
+def test_run_report_fail_lines_name_their_cause():
+    bad_ctx = parse_judgement("ctx:\nx : y\n\nterm:\nx\n", name="ctx.judg")
+    assert [e.line() for e in run_report([bad_ctx])] == [
+        "FAIL ctx-wf ctx.judg: x (IllFormedContext: binding x : y is ill-formed "
+        "(UnboundVariable: unbound variable y))"
+    ]
+    slow = parse_judgement("ctx:\nA : *\na : A\n\nterm:\n(\\x:A. x) ((\\y:A. y) a)\n", name="nf.judg")
+    lines = [e.line() for e in run_report([slow], fuel=1)]
+    assert r"FAIL normalizes nf.judg: (\x:A. x) ((\y:A. y) a) (no normal form within 1 steps)" in lines
+
+
+def test_preservation_tells_an_undecided_conversion_from_a_changed_type(monkeypatch):
+    from ptskit import corpus
+
+    j = parse_judgement("ctx:\nA : *\n\nterm:\n\\y:(\\X:*. X) ((\\X:*. X) A). y\n", name="p.judg")
+    term = print_expr(j.term)
+    reducts = reducts_within(j.term, 3) - {j.term}
+
+    def details(why):
+        # which reduct is named first depends on set order
+        return {f"p.judg: {term} ({why} across {term} ~>* {print_expr(r)})" for r in reducts}
+
+    def preservation(fuel):
+        [entry] = [e for e in run_report([j], fuel=fuel) if e.name == "preservation"]
+        return entry
+
+    assert preservation(10000).ok
+    for fuel in (1, 2, 3):
+        entry = preservation(fuel)
+        assert not entry.ok and entry.detail in details(f"type conversion undecided within {fuel} steps"), fuel
+    monkeypatch.setattr(corpus, "beta_eq", lambda a, b, fuel: False)
+    entry = preservation(10000)
+    assert not entry.ok and entry.detail in details("type changed")

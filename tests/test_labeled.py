@@ -11,7 +11,7 @@ from ptskit.syntax import (
     parse_context,
     parse_expr,
 )
-from ptskit.reduction import normalize, step_all
+from ptskit.reduction import is_base, key_redex_of, normalize, reduce_key_redex, step_all
 from ptskit.typecheck import ErrorKind, TypeCheckError, infer_type, wf_context
 from ptskit.labeled import (
     LApp,
@@ -23,15 +23,10 @@ from ptskit.labeled import (
     LabeledContext,
     directed_convertible,
     erase,
-    l_is_base,
-    l_key_redex_of,
-    l_normalize,
-    l_reduce_key_redex,
     label_context,
     label_of,
     label_term,
     labeled_infer,
-    labeled_wf_context,
     parse_labeled,
     print_labeled,
     tight_step_all,
@@ -112,12 +107,12 @@ def test_erasure_simulation_forward():
 
 def test_labeled_key_redexes():
     app = LApp("x", STAR_L, STAR_L, ID_LAM, LVar("N"))
-    assert l_key_redex_of(app) == app
-    assert l_reduce_key_redex(app) == LVar("N")
-    assert l_is_base(LVar("x"))
-    assert not l_is_base(app)
+    assert key_redex_of(app) == app
+    assert reduce_key_redex(app) == LVar("N")
+    assert is_base(LVar("x"))
+    assert not is_base(app)
     mismatched = LApp("x", STAR_L, LVar("N"), ID_LAM, LVar("N"))
-    assert l_key_redex_of(mismatched) is None
+    assert key_redex_of(mismatched) is None
 
 
 def test_normalize_fires_a_tight_redex_once_its_labels_are_normal():
@@ -125,7 +120,6 @@ def test_normalize_fires_a_tight_redex_once_its_labels_are_normal():
     # normal form agrees with the function's label
     la = parse_labeled(r"(\[x : N -> N] x : N . x) @[x : (\[B : * -> *] B : * . B) @[B : * -> *] N -> N] M")
     assert normalize(la) == LVar("M") == oracle.l_normalize(la)
-    assert l_normalize is normalize
 
 
 def _blocked(d):
@@ -271,7 +265,7 @@ def test_labeled_infer_warning_channel_stays_quiet_on_agreement():
 def test_labeled_infer_agrees_with_plain_on_corpus():
     ctx = typed_pool_context()
     lctx = label_context(CC, ctx)
-    labeled_wf_context(CC, lctx)
+    wf_context(CC, lctx)
     for t in typed_terms(seed=31, count=30):
         la = label_term(CC, ctx, t)
         lty = labeled_infer(CC, lctx, la)
@@ -293,7 +287,7 @@ def test_elaborated_redexes_have_matching_labels():
     ctx = C("N : *\nM : N")
     la = label_term(CC, ctx, P(r"(\x:N. x) M"))
     assert isinstance(la, LApp) and isinstance(la.fun, LLam)
-    assert l_normalize(label_of(la)) == l_normalize(label_of(la.fun))
+    assert normalize(label_of(la)) == normalize(label_of(la.fun))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +307,7 @@ def test_tight_normalization_erases_to_plain_normal_form():
         ctx = C(ctx_text)
         t = P(text)
         la = label_term(CC, ctx, t)
-        assert erase(l_normalize(la, 10000)) == normalize(t, 10000)
+        assert erase(normalize(la, 10000)) == normalize(t, 10000)
 
 
 def test_labeled_syntax_round_trip():
@@ -432,7 +426,7 @@ def _labeled_wf_reference(spec, lctx, fuel):
 
 def test_infer_type_and_wf_context_on_labeled_input_match_the_oracle():
     # infer_type is labeled_infer at the default search depth, and
-    # wf_context checks labeled contexts as labeled_wf_context did
+    # wf_context checks labeled contexts with the labeled walk
     cases = []
     for system, ctx, term, fuel in oracle.typing_cases():
         spec = BUILTIN_SPECS[system]
@@ -449,7 +443,6 @@ def test_infer_type_and_wf_context_on_labeled_input_match_the_oracle():
         for ctx in (lctx, lctx.extend("t'", la), lctx.extend("t'", la).extend("t'", STAR_L)):
             want = outcome(_labeled_wf_reference, spec, ctx, fuel)
             assert outcome(wf_context, spec, ctx, fuel) == want, str(ctx)
-            assert outcome(labeled_wf_context, spec, ctx, fuel) == want, str(ctx)
 
 
 def _nest(d):

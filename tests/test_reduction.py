@@ -168,6 +168,27 @@ def test_whnf_leaves_subterms_alone():
     assert whnf(inner) == inner  # argument positions are not head positions
 
 
+def test_whnf_is_repeated_leftmost_steps_on_the_head_spine():
+    # a head that reduces under an application ("fun...") is rebuilt around
+    # its weak head normal form before the application is contracted
+    rng = random.Random(41)
+    terms = [untyped_term(rng) for _ in range(400)]
+    under_an_application = exhausted = 0
+    for fuel in (2, 30):
+        for e in terms:
+            cur, steps = e, 0
+            while steps <= fuel and (s := leftmost_step(cur)) is not None and not set(s[0].split(".")) - {"", "fun"}:
+                under_an_application += s[0] != ""
+                steps, cur = steps + 1, s[2]
+            if steps > fuel:
+                exhausted += 1
+                with pytest.raises(FuelExhausted):
+                    whnf(e, fuel)
+            else:
+                assert whnf(e, fuel) == cur, print_expr(e)
+    assert under_an_application > 0 and exhausted > 0
+
+
 def test_beta_eq_examples():
     assert beta_eq(P(r"(\x:*. x) y"), Var("y")) is True
     assert beta_eq(Var("y"), Var("z")) is False

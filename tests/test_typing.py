@@ -6,6 +6,7 @@ from ptskit.syntax import (
     CC,
     Context,
     FOMEGA,
+    Lam,
     STAR,
     STLC,
     SYSTEM_F,
@@ -348,3 +349,31 @@ def test_classify_matches_the_rechecking_oracle(typing_cases):
         spec = BUILTIN_SPECS[system]
         want = outcome(oracle.classify, ctx, term, fuel, spec)
         assert outcome(classify, ctx, term, fuel, spec) == want, (system, fuel, str(term))
+
+
+def test_no_lambda_types_the_product_it_synthesized(monkeypatch, typing_cases):
+    # a lambda checks its annotation's sort before its body and takes its
+    # body's sort from the body or the body's type, never from the product
+    from ptskit import typecheck
+    from ptskit.translate import check_translation
+
+    received, products = [], []
+    infer = typecheck._infer
+
+    def guarded(spec, ctx, e, *args):
+        received.append(e)
+        ty, s = infer(spec, ctx, e, *args)
+        if isinstance(e, Lam):
+            products.append(ty)
+        return ty, s
+
+    monkeypatch.setattr(typecheck, "_infer", guarded)
+    for system, ctx, term, fuel in typing_cases:
+        spec = BUILTIN_SPECS[system]
+        outcome(infer_type, spec, ctx, term, fuel)
+        outcome(classify, ctx, term, fuel, spec)
+    for d in (16, 24, 32):
+        nest = parse_expr(r"\A:*. " + "".join(rf"\x{i}:A. " for i in range(d)) + "x0")
+        assert all(entry.ok for entry in check_translation(Context(), nest))
+    assert len(products) > 1000
+    assert not {id(p) for p in products} & {id(e) for e in received}

@@ -3,9 +3,11 @@
 ``infer_type`` re-checks every product a lambda synthesizes, ``_elaborate``
 re-elaborates each lambda's body type and each application's function type,
 and ``labeled_infer`` checks each lambda's label whole, also where an
-enclosing lambda's label already covered it.  They are kept verbatim as
+enclosing lambda's label already covered it.  They are kept as
 differential oracles: the fast paths must give the same results and the
-same errors, in the same order.
+same errors, in the same order.  Their premise order is the rule order of
+the kernel: a binder's annotation (a product's domain, a lambda's
+annotation, a pair's Sig type) is checked before anything that uses it.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from ptskit.typecheck import (
     _pi_sort,
     _require_sigma,
 )
-from ptskit.labeled import DEFAULT_CONV_DEPTH, directed_convertible, l_open
+from ptskit.labeled import DEFAULT_CONV_DEPTH, directed_convertible
 from ptskit.corpus import load_corpus_dir
 
 from generators import typed_pool_context, typed_terms
@@ -117,6 +119,7 @@ def infer_type(spec: PtsSpec, ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -
             s2 = _as_sort(spec, infer_type(spec, ctx.extend(x, dom), cod_x, fuel), fuel, cod_x)
             return SortE(_pi_sort(spec, s1, s2, e))
         case Lam(h, annot, body):
+            _as_sort(spec, infer_type(spec, ctx, annot, fuel), fuel, annot)
             x = fresh_name(h, ctx, annot, body)
             body_ty = infer_type(spec, ctx.extend(x, annot), open_binder(body, x), fuel)
             pi = Pi(h, annot, close_binder(body_ty, x))
@@ -151,6 +154,7 @@ def infer_type(spec: PtsSpec, ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -
             return SortE(s)
         case Pair(first, second, annot):
             _require_sigma(spec, e)
+            infer_type(spec, ctx, annot, fuel)
             try:
                 head = whnf(annot, fuel)
             except FuelExhausted:
@@ -161,7 +165,6 @@ def infer_type(spec: PtsSpec, ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -
             _convertible(first_ty, head.first, fuel, "first pair component")
             second_ty = infer_type(spec, ctx, second, fuel)
             _convertible(second_ty, instantiate(head.second, first), fuel, "second pair component")
-            infer_type(spec, ctx, annot, fuel)
             return annot
         case Proj1(p):
             _require_sigma(spec, e)
@@ -251,15 +254,15 @@ def labeled_infer(
         case LPi(h, dom, cod):
             s1 = _as_sort(spec, labeled_infer(spec, lctx, dom, fuel, conv_depth, warnings), fuel, dom, l_normalize)
             x = fresh_name(h, lctx, dom, cod)
-            cod_x = l_open(cod, x)
+            cod_x = open_binder(cod, x)
             cod_ty = labeled_infer(spec, lctx.extend(x, dom), cod_x, fuel, conv_depth, warnings)
             s2 = _as_sort(spec, cod_ty, fuel, cod_x, l_normalize)
             return LSort(_pi_sort(spec, s1, s2, la))
         case LLam(h, dom, cod, body):
             labeled_infer(spec, lctx, LPi(h, dom, cod), fuel, conv_depth, warnings)
             x = fresh_name(h, lctx, dom, cod, body)
-            body_ty = labeled_infer(spec, lctx.extend(x, dom), l_open(body, x), fuel, conv_depth, warnings)
-            if not directed_convertible(body_ty, l_open(cod, x), conv_depth):
+            body_ty = labeled_infer(spec, lctx.extend(x, dom), open_binder(body, x), fuel, conv_depth, warnings)
+            if not directed_convertible(body_ty, open_binder(cod, x), conv_depth):
                 _fail(
                     ErrorKind.DIRECTED_CONVERSION_UNDETERMINED,
                     f"body type {print_labeled(body_ty)} does not reduce to or from the label codomain",
@@ -323,17 +326,18 @@ def _elaborate(spec: PtsSpec, ctx: Context, a: Expr, fuel: int) -> tuple[Labeled
             ty = infer_type(spec, ctx, a, fuel)
             return LVar(name), ty
         case Pi(h, dom, cod):
+            # the parts' types are the ones infer_type would find, so the
+            # product's sort comes from them, checked in the same order
             ldom, dom_ty = _elaborate(spec, ctx, dom, fuel)
+            s1 = _as_sort(spec, dom_ty, fuel, dom)
             x = fresh_name(h, ctx, dom, cod)
             cod_x = open_binder(cod, x)
             lcod, cod_ty = _elaborate(spec, ctx.extend(x, dom), cod_x, fuel)
-            # the parts' types are the ones infer_type would find, so the
-            # product's sort comes from them, checked in the same order
-            s1 = _as_sort(spec, dom_ty, fuel, dom)
             s2 = _as_sort(spec, cod_ty, fuel, cod_x)
             return LPi(h, ldom, close_binder(lcod, x)), SortE(_pi_sort(spec, s1, s2, a))
         case Lam(h, annot, body):
-            lannot, _ = _elaborate(spec, ctx, annot, fuel)
+            lannot, annot_ty = _elaborate(spec, ctx, annot, fuel)
+            _as_sort(spec, annot_ty, fuel, annot)
             x = fresh_name(h, ctx, annot, body)
             inner = ctx.extend(x, annot)
             lbody, body_ty = _elaborate(spec, inner, open_binder(body, x), fuel)
@@ -388,6 +392,10 @@ NESTS = [
     ("A : *\nP : A -> *", r"\a:A. \p:P a. \b:A. p b"),
     ("A : *", r"\x:(\B:*. \C:*. B) A A. \y:A. \z:x. y"),
     ("A : *\nf : (\\B:*. B) ((\\C:*. C) (A -> A))\na : A", r"\x:A. \y:A. f a"),
+    # an error in the annotation and one under it: the annotation's comes first
+    ("", r"\x:((\y:*. y y) (\y:*. y y)). x x"),
+    ("A : *\na : A", r"\z:a. (A A)"),
+    ("A : *\na : A", r"(x:a) -> x x"),
 ]
 
 # Labeled lambdas whose inner labels disagree with, or break, the outer ones.
