@@ -33,14 +33,7 @@ from .typecheck import (
     resolve_spec,
     wf_context,
 )
-from .translate import (
-    TransEnv,
-    check_translation,
-    render_report,
-    translate_context,
-    translate_term,
-    translate_type,
-)
+from .translate import _check_translated, _translate_judgement, render_report
 from .labeled import erase, label_context, label_term, labeled_infer, parse_labeled, print_labeled
 from .corpus import load_corpus_dir, run_report
 
@@ -182,10 +175,8 @@ def _cmd_translate(s: _Session) -> int:
     if s.spec != cc:
         wf_context(cc, ctx, s.ns.fuel)
         ty = infer_type(cc, ctx, term, s.ns.fuel)
-    tctx = translate_context(ctx)
-    t_term = translate_term(TransEnv(ctx), term)
-    t_ty = translate_type(TransEnv(ctx), ty)
-    entries = check_translation(ctx, term, s.ns.fuel)
+    env, tctx, t_term, t_ty = _translate_judgement(ctx, term, ty)
+    entries = _check_translated(env, term, ty, tctx, t_term, t_ty, s.ns.fuel)
     ok = all(e.ok for e in entries)
     record = {
         "command": "translate",

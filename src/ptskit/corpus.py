@@ -30,12 +30,8 @@ from .reduction import (
     reducts_within,
     step_all,
 )
-from .typecheck import TypeCheckError, check_type, classify, infer_type, wf_context
-from .translate import (
-    CheckEntry,
-    check_reduction_preservation,
-    check_translation,
-)
+from .typecheck import TypeCheckError, _check_inferred, _classify, _infer, infer_type, wf_context
+from .translate import CheckEntry, _check_translated, _simulation, _translate_judgement, check_reduction_preservation
 from .labeled import (
     erase,
     label_context,
@@ -133,41 +129,42 @@ def run_report(
     return entries
 
 
-def _entry(ok: bool, name: str, subject: str, extra: str = "") -> CheckEntry:
-    return CheckEntry(ok, name, f"{subject} ({extra})" if extra else subject)
+def _entry(ok: bool, name: str, subject, extra: str = "") -> CheckEntry:
+    return CheckEntry(ok, name, (lambda: f"{subject()} ({extra})") if extra else subject)
 
 
 def _report_one(j: Judgement, spec: PtsSpec, fuel: int, depth: int) -> list[CheckEntry]:
+    """Each job once: one typing, one translation, details rendered when read."""
     entries: list[CheckEntry] = []
-    subject = f"{j.name}: {print_expr(j.term)}"
+    first = CheckEntry(True, "ctx-wf", lambda: f"{j.name}: {print_expr(j.term)}")
+    subject = lambda: first.detail  # rendered once, when an entry is first read
     try:
         wf_context(spec, j.ctx, fuel)
-        entries.append(_entry(True, "ctx-wf", subject))
+        entries.append(first)
     except TypeCheckError as err:
         return [_entry(False, "ctx-wf", subject, str(err))]
 
     try:
-        inferred = infer_type(spec, j.ctx, j.term, fuel)
+        inferred, sort = _infer(spec, j.ctx, j.term, fuel)
         if j.ty is not None:
-            check_type(spec, j.ctx, j.term, j.ty, fuel)
+            _check_inferred(spec, j.ctx, j.term, inferred, j.ty, fuel)
         entries.append(_entry(True, "typing", subject))
     except TypeCheckError as err:
         entries.append(_entry(False, "typing", subject, str(err)))
         return entries
 
-    ok = True
-    why = ""
-    try:
-        for reduct in reducts_within(j.term, 3) - {j.term}:
+    # every reduct is checked; a failure names the first failing reduct in print order
+    failures = []
+    for reduct in reducts_within(j.term, 3) - {j.term}:
+        try:
             r = beta_eq(infer_type(spec, j.ctx, reduct, fuel), inferred, fuel)
-            if r is not True:
-                ok = False
-                why = "type changed" if r is False else f"type conversion undecided within {fuel} steps"
-                why += f" across {print_expr(j.term)} ~>* {print_expr(reduct)}"
-                break
-    except TypeCheckError as err:
-        ok, why = False, str(err)
-    entries.append(_entry(ok, "preservation", subject, why))
+        except TypeCheckError as err:
+            failures.append((print_expr(reduct), str(err)))
+            continue
+        if r is not True:
+            why = "type changed" if r is False else f"type conversion undecided within {fuel} steps"
+            failures.append((print_expr(reduct), f"{why} across {print_expr(j.term)} ~>* {print_expr(reduct)}"))
+    entries.append(_entry(not failures, "preservation", subject, min(failures)[1] if failures else ""))
 
     try:
         normalize(j.term, fuel)
@@ -179,7 +176,7 @@ def _report_one(j: Judgement, spec: PtsSpec, fuel: int, depth: int) -> list[Chec
         return entries
 
     try:
-        classify(j.ctx, j.term, fuel, spec)
+        _classify(spec, j.ctx, j.term, inferred, sort, fuel)
         entries.append(_entry(True, "classification", subject))
     except TypeCheckError as err:
         entries.append(_entry(False, "classification", subject, str(err)))
@@ -187,8 +184,15 @@ def _report_one(j: Judgement, spec: PtsSpec, fuel: int, depth: int) -> list[Chec
     if judgement_uses_sigma(j):
         return entries
 
-    entries.extend(check_translation(j.ctx, j.term, fuel))
-    entries.extend(check_reduction_preservation(j.ctx, j.term, depth))
+    # CC's sorts, axioms and rules, no sigma: this is check_translation's CC typing
+    try:
+        env, tctx, ta, t_ty = _translate_judgement(j.ctx, j.term, inferred)
+    except (ValueError, KeyError) as err:
+        entries.append(CheckEntry(False, "translation", f"setup failed: {err}"))
+        entries.extend(check_reduction_preservation(j.ctx, j.term, depth))
+    else:
+        entries.extend(_check_translated(env, j.term, inferred, tctx, ta, t_ty, fuel))
+        entries.extend(_simulation(env, j.term, ta, depth))
 
     try:
         la = label_term(CC, j.ctx, j.term, fuel)

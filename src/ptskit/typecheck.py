@@ -328,7 +328,11 @@ def check_type(spec: PtsSpec, ctx: Context, e: Expr, ty: Expr, fuel: int = DEFAU
     A sort with no successor axiom (box in the built-ins) is accepted as
     the classifier of kinds even though it has no type itself.
     """
-    inferred = infer_type(spec, ctx, e, fuel)
+    _check_inferred(spec, ctx, e, infer_type(spec, ctx, e, fuel), ty, fuel)
+
+
+def _check_inferred(spec: PtsSpec, ctx: Context, e: Expr, inferred: Expr, ty: Expr, fuel: int) -> None:
+    """``check_type`` once ``e``'s type has been inferred as ``inferred``."""
     top_sort = isinstance(ty, SortE) and ty.name in spec.sorts and spec.axiom_for(ty.name) is None
     if not top_sort:
         _as_sort(spec, infer_type(spec, ctx, ty, fuel), fuel, ty)
@@ -362,7 +366,11 @@ _CC = BUILTIN_SPECS["cc"]
 def classify(ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL, spec: PtsSpec | None = None) -> Classification:
     """Sort a typeable CC expression into kind / constructor / term."""
     spec = spec or _CC
-    ty, s = _infer(spec, ctx, e, fuel)
+    return _classify(spec, ctx, e, *_infer(spec, ctx, e, fuel), fuel)
+
+
+def _classify(spec: PtsSpec, ctx: Context, e: Expr, ty: Expr, s: str | None, fuel: int) -> Classification:
+    """``classify`` from the pair ``(ty, s)`` that ``_infer`` gives for ``e``."""
     try:
         nty = normalize(ty, fuel)
     except FuelExhausted:

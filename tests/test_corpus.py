@@ -130,11 +130,9 @@ def test_preservation_tells_an_undecided_conversion_from_a_changed_type(monkeypa
 
     j = parse_judgement("ctx:\nA : *\n\nterm:\n\\y:(\\X:*. X) ((\\X:*. X) A). y\n", name="p.judg")
     term = print_expr(j.term)
-    reducts = reducts_within(j.term, 3) - {j.term}
-
-    def details(why):
-        # which reduct is named first depends on set order
-        return {f"p.judg: {term} ({why} across {term} ~>* {print_expr(r)})" for r in reducts}
+    # every reduct is checked; the line names the failing one that prints first
+    first = r"\y:(\X:*. X) A. y"
+    assert first == min(print_expr(r) for r in reducts_within(j.term, 3) - {j.term})
 
     def preservation(fuel):
         [entry] = [e for e in run_report([j], fuel=fuel) if e.name == "preservation"]
@@ -142,8 +140,77 @@ def test_preservation_tells_an_undecided_conversion_from_a_changed_type(monkeypa
 
     assert preservation(10000).ok
     for fuel in (1, 2, 3):
-        entry = preservation(fuel)
-        assert not entry.ok and entry.detail in details(f"type conversion undecided within {fuel} steps"), fuel
+        why = f"type conversion undecided within {fuel} steps"
+        assert preservation(fuel).line() == f"FAIL preservation p.judg: {term} ({why} across {term} ~>* {first})", fuel
     monkeypatch.setattr(corpus, "beta_eq", lambda a, b, fuel: False)
-    entry = preservation(10000)
-    assert not entry.ok and entry.detail in details("type changed")
+    assert preservation(10000).line() == f"FAIL preservation p.judg: {term} (type changed across {term} ~>* {first})"
+
+
+def test_preservation_names_the_first_reduct_whose_typing_fails(monkeypatch):
+    from ptskit import corpus
+    from ptskit.typecheck import ErrorKind
+
+    j = parse_judgement("ctx:\nA : *\n\nterm:\n\\y:(\\X:*. X) ((\\X:*. X) A). y\n", name="p.judg")
+    reducts = reducts_within(j.term, 3) - {j.term}
+    first = min(print_expr(r) for r in reducts)
+    infer = corpus.infer_type
+
+    def failing(spec, ctx, e, fuel):
+        if e in reducts:
+            raise TypeCheckError(ErrorKind.MISMATCH, f"cannot type {print_expr(e)}")
+        return infer(spec, ctx, e, fuel)
+
+    monkeypatch.setattr(corpus, "infer_type", failing)
+    [entry] = [e for e in run_report([j]) if e.name == "preservation"]
+    assert entry.line() == f"FAIL preservation p.judg: {print_expr(j.term)} (Mismatch: cannot type {first})"
+
+
+def test_report_does_each_job_once(monkeypatch):
+    """One judgement's report types its term and checks its context once,
+    translates its term once, and prints nothing but the simulation's
+    ordering keys until a detail is read."""
+    from ptskit import corpus, labeled, reduction, syntax, translate, typecheck
+    from ptskit.reduction import step_all
+    from ptskit.syntax import Lam
+    from generators import typed_pool_context, typed_terms
+
+    ctx = typed_pool_context()
+    term = next(t for t in typed_terms(1, 100) if isinstance(t, Lam) and step_all(t))
+    j = Judgement("lam", ctx, term, infer_type(CC, ctx, term))
+    calls = {}
+
+    def spy(name):
+        original = getattr(typecheck, name, None) or getattr(translate, name, None) or getattr(syntax, name)
+        calls[name] = []
+
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return original(*args, **kwargs)
+
+        for mod in (syntax, reduction, typecheck, translate, labeled, corpus):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, wrapper)
+
+    for name in ("_infer", "wf_context", "_trans_term", "print_expr"):
+        spy(name)
+    entries = run_report([j])
+    assert all(e.ok for e in entries) and "simulation" in {e.name for e in entries}
+    assert sum(args[2] is term for args in calls["_infer"]) == 1
+    assert sum(args[1] is ctx for args in calls["wf_context"]) == 1
+    assert sum(args[1] is term for args in calls["_trans_term"]) == 1
+    printed = [args[0] for args in calls["print_expr"]]
+    assert len(printed) == len(step_all(term)) and set(printed) == step_all(term)
+    assert [e.line() for e in entries][0] == f"PASS ctx-wf lam: {print_expr(term)}"
+    assert len(calls["print_expr"]) > len(printed)
+
+
+def test_report_on_a_context_the_translation_rejects():
+    from ptskit.syntax import parse_context, parse_expr
+
+    ctx = parse_context("_q : *\nx : _q", allow_reserved=True)
+    lines = [e.line() for e in run_report([Judgement("r", ctx, parse_expr("x"), None)])]
+    assert lines[5:7] == [
+        "FAIL translation setup failed: context binds reserved name '_q'",
+        "FAIL simulation setup failed: context binds reserved name '_q'",
+    ]
+    assert [line.split()[:2] for line in lines[7:]] == [["PASS", "labeled-roundtrip"], ["PASS", "tight-erasure"]]

@@ -356,6 +356,24 @@ def test_check_translation_report_lines_are_machine_grepable():
         assert line.startswith(("PASS ", "FAIL "))
 
 
+def test_a_lazy_detail_reads_as_its_text():
+    from ptskit.translate import CheckEntry
+
+    calls = []
+
+    def render():
+        calls.append(1)
+        return "x : A"
+
+    lazy, eager = CheckEntry(True, "typing", render), CheckEntry(True, "typing", "x : A")
+    assert calls == []
+    assert lazy == eager and hash(lazy) == hash(eager) and repr(lazy) == repr(eager)
+    assert repr(eager) == "CheckEntry(ok=True, name='typing', detail='x : A')"
+    assert lazy.line() == eager.line() == "PASS typing x : A" and lazy.detail == "x : A"
+    assert calls == [1]
+    assert lazy != CheckEntry(False, "typing", "x : A") and {lazy, eager} == {eager}
+
+
 def test_type_level_soundness_on_examples():
     # constructors land at the kind the kind map predicts
     cases = [
