@@ -2,40 +2,20 @@
 
 Exit codes: 0 success, 1 type error, 2 parse error, 3 a resource limit
 (fuel, search depth or term nesting) exhausted, 4 property-report
-failures.
+failures.  A command imports the translation, the labeled system, the
+corpus and ``json`` only if it runs them, so typing commands start lean.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .syntax import (
-    CC,
-    Context,
-    ParseError,
-    parse_context,
-    parse_expr,
-    print_context,
-    print_expr,
-)
+from .syntax import CC, Context, ParseError, parse_context, parse_expr, print_context, print_expr
 from .reduction import DEFAULT_FUEL, FuelExhausted, normalize, trace
 from .typecheck import (
-    ErrorKind,
-    GammaConstructor,
-    GammaTerm,
-    Kind,
-    TypeCheckError,
-    check_type,
-    classify,
-    infer_type,
-    resolve_spec,
-    wf_context,
+    ErrorKind, GammaConstructor, GammaTerm, Kind, TypeCheckError, check_type, classify, infer_type, resolve_spec, wf_context
 )
-from .translate import _check_translated, _translate_judgement, render_report
-from .labeled import erase, label_context, label_term, labeled_infer, parse_labeled, print_labeled
-from .corpus import load_corpus_dir, run_report
 
 EXIT_OK = 0
 EXIT_TYPE_ERROR = 1
@@ -102,6 +82,7 @@ class _Session:
 
     def emit(self, record: dict, text: str) -> None:
         if self.ns.format == "machine":
+            import json
             print(json.dumps(record, sort_keys=True))
         else:
             print(text)
@@ -165,6 +146,7 @@ def _cmd_classify(s: _Session) -> int:
 
 
 def _cmd_translate(s: _Session) -> int:
+    from .translate import _check_translated, _translate_judgement, render_report
     ctx = s.context()
     wf_context(s.spec, ctx, s.ns.fuel)
     term = s.parse(s.ns.term)
@@ -200,6 +182,7 @@ def _cmd_translate(s: _Session) -> int:
 
 
 def _cmd_label(s: _Session) -> int:
+    from .labeled import label_context, label_term, labeled_infer, print_labeled
     ctx = s.context()
     wf_context(s.spec, ctx, s.ns.fuel)
     la = label_term(s.spec, ctx, s.parse(s.ns.term), s.ns.fuel)
@@ -210,6 +193,7 @@ def _cmd_label(s: _Session) -> int:
 
 
 def _cmd_erase(s: _Session) -> int:
+    from .labeled import erase, parse_labeled
     la = parse_labeled(s.ns.term, allow_reserved=True)
     plain = erase(la)
     s.emit({"command": "erase", "ok": True, "term": print_expr(plain)}, print_expr(plain))
@@ -217,10 +201,13 @@ def _cmd_erase(s: _Session) -> int:
 
 
 def _cmd_verify(s: _Session) -> int:
+    from .corpus import load_corpus_dir, run_report
+    from .translate import render_report
     judgements = load_corpus_dir(s.ns.corpus, s.ns.sigma)
     entries = run_report(judgements, s.spec, s.ns.fuel, s.ns.depth)
     failures = [e for e in entries if not e.ok]
     if s.ns.format == "machine":
+        import json
         for e in entries:
             print(json.dumps({"ok": e.ok, "check": e.name, "detail": e.detail}, sort_keys=True))
         print(json.dumps({"summary": True, "checks": len(entries), "failures": len(failures)}))
@@ -270,6 +257,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _report_error(ns: argparse.Namespace, message: str) -> None:
     if getattr(ns, "format", "text") == "machine":
+        import json
         print(json.dumps({"command": ns.command, "ok": False, "error": message}, sort_keys=True))
     else:
         print(f"error: {message}", file=sys.stderr)

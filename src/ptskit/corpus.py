@@ -8,7 +8,6 @@ binding per line, a blank line, a ``term:`` section, and optionally a
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .syntax import (
     CC,
@@ -16,11 +15,13 @@ from .syntax import (
     Expr,
     ParseError,
     PtsSpec,
+    Record,
     SIGMA_NODES,
     children,
     parse_context,
     parse_expr,
     print_expr,
+    _set,
 )
 from .reduction import (
     DEFAULT_FUEL,
@@ -41,12 +42,14 @@ from .labeled import (
 )
 
 
-@dataclass(frozen=True)
-class Judgement:
-    name: str
-    ctx: Context
-    term: Expr
-    ty: Expr | None
+class Judgement(Record):
+    __slots__ = __match_args__ = ("name", "ctx", "term", "ty")
+
+    def __init__(self, name: str, ctx: Context, term: Expr, ty: Expr | None):
+        _set(self, "name", name)
+        _set(self, "ctx", ctx)
+        _set(self, "term", term)
+        _set(self, "ty", ty)
 
 
 def _mentions_sigma(e: Expr) -> bool:

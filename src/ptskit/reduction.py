@@ -24,9 +24,7 @@ normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .syntax import BOUND, FREE, Expr, Node
+from .syntax import BOUND, FREE, Expr, Node, Record, _set
 
 DEFAULT_FUEL = 10000
 
@@ -99,12 +97,14 @@ def leftmost_step(e: Node) -> tuple[str, str, Node] | None:
     return None
 
 
-@dataclass(frozen=True)
-class StepTrace:
+class StepTrace(Record):
     """A reduction sequence with one (position, kind, result) per step."""
 
-    start: Expr
-    steps: tuple[tuple[str, str, Expr], ...]
+    __slots__ = __match_args__ = ("start", "steps")
+
+    def __init__(self, start: Expr, steps: tuple[tuple[str, str, Expr], ...]):
+        _set(self, "start", start)
+        _set(self, "steps", steps)
 
     def terms(self) -> list[Expr]:
         return [self.start] + [r for _, _, r in self.steps]

@@ -25,7 +25,6 @@ whole body (Charguéraud, "The Locally Nameless Representation", JAR
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 
 STAR = "*"
 BOX = "#"
@@ -42,7 +41,41 @@ FREE = "free"
 BOUND = "bound"
 
 
-class Node:
+class Record:
+    """Base of the immutable classes with slots: ``==`` (same class, equal fields),
+    ``hash``, ``repr``, pickling and copying read the fields ``__match_args__``
+    names, and ``__init__`` sets them with ``_set``, as ``__setattr__`` refuses."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+_set = object.__setattr__
+
+
+class Node(Record):
     """Base of the plain and the labeled AST; each class is one shape table.
 
     ``_shape`` lists every field in declaration order as
@@ -59,12 +92,12 @@ class Node:
     redex names its kind in ``_redex`` and defines ``_fires`` (is this
     node a redex?) and ``_contract`` (its contractum).
 
-    The table is the only place a field is named: ``_node`` makes the
-    class's slots, positional ``__init__``, ``__match_args__``,
-    ``__eq__`` and ``__hash__`` from it, ``__repr__`` reads it, and
-    nodes are immutable.  ``free_vars``, ``size``, ``instantiate``,
-    ``close_binder``, ``subst`` and the reduction walks read these
-    tables, so one definition of each serves every class of both ASTs.
+    The table is the only place a field is named: ``_node`` and
+    ``_build_nodes`` make the class's slots, positional ``__init__``,
+    ``__match_args__``, ``__eq__`` and ``__hash__`` from it, ``__repr__``
+    reads it, and nodes are immutable.  ``free_vars``, ``size``,
+    ``instantiate``, ``close_binder``, ``subst`` and the reduction walks
+    read these tables, so one definition of each serves every class.
 
     Next to its hash, each node holds two summaries of its subterm:
 
@@ -89,52 +122,27 @@ class Node:
     _intro = None
     _redex = None
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot set or delete field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
-
     def __str__(self) -> str:
         return print_expr(self)
 
 
 _METHODS = """\
-def __init__(self, {params}):
-{sets}    set_hash(self, hash((cls, {key})))
-{summaries}def __eq__(self, other):
-    if other.__class__ is not cls:
-        return NotImplemented
-    if self is other:
-        return True
-    if self._hash != other._hash:
-        return False
-    later = [(self, other)]
-    while later:
-        a, b = later.pop()
-        if not a._eq(b, later):
+def make_{cls}(cls, {setters}):
+    def __init__(self, {params}):
+{sets}        set_hash(self, hash((cls, {key})))
+{summaries}    def _eq(a, b, later):
+        if b.__class__ is not cls{leaves}:
             return False
-    return True
-def __hash__(self):
-    return self._hash
-def _eq(a, b, later):
-    if b.__class__ is not cls{leaves}:
-        return False
-{children}    return True
+{children}        return True
+    return __init__, _eq
 """
 
 _PUSH = """\
-    x, y = a.{name}, b.{name}
-    if x is not y:
-        if x._hash != y._hash:
-            return False
-        later.append((x, y))
+        x, y = a.{name}, b.{name}
+        if x is not y:
+            if x._hash != y._hash:
+                return False
+            later.append((x, y))
 """
 
 
@@ -142,20 +150,50 @@ def _summaries(cls) -> str:
     """The lines of ``__init__`` that set ``_loose`` and ``_fv``: a child
     under b binders bounds ``_loose`` by its own minus b."""
     if cls._role == BOUND:
-        return "    set_loose(self, index + 1)\n"
+        return "        set_loose(self, index + 1)\n"
     if cls._role == FREE:
-        return "    h = hash(name)\n    set_fv(self, 1 << (h & 63) | 1 << (h >> 6 & 63))\n"
+        return "        h = hash(name)\n        set_fv(self, 1 << (h & 63) | 1 << (h >> 6 & 63))\n"
     if cls._role == CONST:
         return ""
     # a child under no binder goes first: its range is never negative
     kids = sorted(cls._children, key=lambda kid: kid[1])
-    lines = ["    loose = 0\n"] if kids[0][1] else []
+    lines = ["        loose = 0\n"] if kids[0][1] else []
     for name, binders in kids:
         loose = f"{name}._loose - {binders}" if binders else f"{name}._loose"
-        lines.append(f"    n = {loose}\n    if n > loose:\n        loose = n\n" if lines else f"    loose = {loose}\n")
-    lines.append("    set_loose(self, loose)\n")
-    lines.append(f"    set_fv(self, {' | '.join(f'{name}._fv' for name, _ in kids)})\n")
+        lines.append(f"        n = {loose}\n        if n > loose:\n            loose = n\n" if lines else f"        loose = {loose}\n")
+    lines.append("        set_loose(self, loose)\n")
+    lines.append(f"        set_fv(self, {' | '.join(f'{name}._fv' for name, _ in kids)})\n")
     return "".join(lines)
+
+
+def _eq_hash(cls):
+    """``==`` and ``hash`` for the node class ``cls``, with code objects of
+    their own named after it, so that profilers tell the classes apart."""
+    def __eq__(self, other):
+        if other.__class__ is not cls:
+            return NotImplemented
+        if self is other:
+            return True
+        if self._hash != other._hash:
+            return False
+        later = [(self, other)]
+        while later:
+            a, b = later.pop()
+            if not a._eq(b, later):
+                return False
+        return True
+
+    def __hash__(self):
+        return self._hash
+
+    # code objects compare by value: renamed, each class's are its own
+    for fn in (__eq__, __hash__):
+        fn.__code__ = fn.__code__.replace(co_name=f"{cls.__name__}.{fn.__name__}")
+        fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
+    return __eq__, __hash__
+
+
+_UNBUILT: list[tuple[type, str]] = []  # each node class with the source of its maker, until ``_build_nodes``
 
 
 def _node(cls):
@@ -171,7 +209,8 @@ def _node(cls):
     never recurse either.  ``a._eq(b, later)`` compares leaf values and
     pushes onto ``later`` each pair of children that differ but hash
     alike; ``==`` works off that stack, so it never recurses, however
-    deep the terms.
+    deep the terms.  ``__init__`` and ``_eq`` are generated for each
+    class, and ``_build_nodes`` compiles them for all classes at once.
     """
     names = tuple(name for name, _, _ in cls._shape)
     ns = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
@@ -186,19 +225,29 @@ def _node(cls):
     cls._children = tuple((name, binders) for name, binders in cls._fields if binders is not None)
     cls._positions = tuple((name, pos) for name, _, pos in cls._shape if pos is not None)
     keys = [(name, binders) for name, binders in cls._fields if name != "hint"]
-    env = {"cls": cls, "set_hash": Node._hash.__set__, "set_loose": Node._loose.__set__, "set_fv": Node._fv.__set__}
-    env.update((f"set_{name}", getattr(cls, name).__set__) for name in names)
     source = _METHODS.format(
+        cls=cls.__name__,
+        setters=", ".join(f"set_{name}" for name in names),
         params=", ".join(names),
-        sets="".join(f"    set_{name}(self, {name})\n" for name in names),
+        sets="".join(f"        set_{name}(self, {name})\n" for name in names),
         key=", ".join(name if binders is None else f"{name}._hash" for name, binders in keys),
         summaries=_summaries(cls),
         leaves="".join(f" or a.{k} != b.{k}" for k, binders in keys if binders is None),
         children="".join(_PUSH.format(name=k) for k, binders in keys if binders is not None),
     )
-    exec(source, env)
-    cls.__init__, cls.__eq__, cls.__hash__, cls._eq = (env[f] for f in ("__init__", "__eq__", "__hash__", "_eq"))
+    _UNBUILT.append((cls, source))
     return cls
+
+
+def _build_nodes() -> None:
+    """Give every class ``_node`` made its methods, with one ``exec`` for all."""
+    env = {"set_hash": Node._hash.__set__, "set_loose": Node._loose.__set__, "set_fv": Node._fv.__set__}
+    exec("".join(source for _, source in _UNBUILT), env)
+    for cls, _ in _UNBUILT:
+        setters = (getattr(cls, name).__set__ for name in cls.__match_args__)
+        cls.__init__, cls._eq = env[f"make_{cls.__name__}"](cls, *setters)
+        cls.__eq__, cls.__hash__ = _eq_hash(cls)
+    _UNBUILT.clear()
 
 
 class Expr(Node):
@@ -374,6 +423,9 @@ class LApp(LabeledExpr):
         return instantiate(self.fun.body, self.arg)
 
 
+_build_nodes()
+
+
 def alpha_eq(a: Expr, b: Expr) -> bool:
     """Equality up to bound-variable names (structural under the hood)."""
     return a == b
@@ -516,16 +568,17 @@ def fresh_name(base: str, avoid, *scopes: Node) -> str:
 # PTS specifications
 
 
-@dataclass(frozen=True)
-class PtsSpec:
+class PtsSpec(Record):
     """A pure type system: sorts, axioms over them, and product rules."""
 
-    sorts: frozenset[str]
-    axioms: frozenset[tuple[str, str]]
-    rules: frozenset[tuple[str, str, str]]
-    sigma_enabled: bool = False
+    __slots__ = __match_args__ = ("sorts", "axioms", "rules", "sigma_enabled")
 
-    def __post_init__(self):
+    def __init__(self, sorts: frozenset[str], axioms: frozenset[tuple[str, str]], rules: frozenset[tuple[str, str, str]],
+                 sigma_enabled: bool = False):
+        _set(self, "sorts", sorts)
+        _set(self, "axioms", axioms)
+        _set(self, "rules", rules)
+        _set(self, "sigma_enabled", sigma_enabled)
         mentioned = {s for ax in self.axioms for s in ax}
         mentioned.update(s for r in self.rules for s in r)
         stray = mentioned - self.sorts
@@ -553,7 +606,7 @@ class PtsSpec:
         return None
 
     def with_sigma(self, enabled: bool = True) -> PtsSpec:
-        return replace(self, sigma_enabled=enabled)
+        return PtsSpec(self.sorts, self.axioms, self.rules, enabled)
 
 
 def _spec(rules) -> PtsSpec:
@@ -576,15 +629,17 @@ BUILTIN_SPECS = {"stlc": STLC, "f": SYSTEM_F, "fomega": FOMEGA, "cc": CC}
 # Contexts
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(Record):
     """An ordered telescope of name : type bindings.
 
     The types are plain expressions, or labeled ones in the contexts of
     the labeled system.
     """
 
-    bindings: tuple[tuple[str, Node], ...] = ()
+    __slots__ = __match_args__ = ("bindings",)
+
+    def __init__(self, bindings: tuple[tuple[str, Node], ...] = ()):
+        _set(self, "bindings", bindings)
 
     def lookup(self, name: str) -> Node | None:
         for n, ty in self.bindings:
@@ -639,12 +694,14 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # arrow | proj | ident | reserved | punct | eof | sig
-    text: str
-    line: int
-    col: int
+class _Tok(Record):
+    __slots__ = __match_args__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        _set(self, "kind", kind)  # arrow | proj | ident | reserved | punct | eof | sig
+        _set(self, "text", text)
+        _set(self, "line", line)
+        _set(self, "col", col)
 
 
 def _tokenize(text: str) -> list[_Tok]:

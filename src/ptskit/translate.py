@@ -25,8 +25,6 @@ So the input must be well-typed core CC, which ``check_translation``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .syntax import (
     STAR,
     App,
@@ -36,6 +34,7 @@ from .syntax import (
     Lam,
     Pi,
     RESERVED_PREFIX,
+    Record,
     SortE,
     Var,
     close_binder,
@@ -78,21 +77,22 @@ def _check_context(ctx: Context) -> None:
         _check_input(ty)
 
 
-@dataclass
-class TransEnv:
+class TransEnv(Record):
     """Context index for the translation plus a fresh-name supply.
 
     Child environments created by ``extended`` share the counter and the
     canonical-inhabitant log, so one translation run is deterministic
-    and auditable end to end.
+    and auditable end to end.  An environment is mutable and unhashable.
     """
 
-    cc_context: Context
-    _counter: list[int] = field(default_factory=lambda: [0])
-    canonical_log: list[tuple[Context, Expr]] = field(default_factory=list)
+    __slots__ = __match_args__ = ("cc_context", "_counter", "canonical_log")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
-    def __post_init__(self):
-        _check_context(self.cc_context)
+    def __init__(self, cc_context: Context, _counter: list[int] | None = None, canonical_log: list | None = None):
+        _check_context(cc_context)
+        self.cc_context = cc_context
+        self._counter = [0] if _counter is None else _counter
+        self.canonical_log = [] if canonical_log is None else canonical_log  # (context, type) per inhabitant
 
     def extended(self, name: str, ty: Expr) -> TransEnv:
         child = TransEnv.__new__(TransEnv)
@@ -232,6 +232,11 @@ def translate_context(ctx: Context) -> Context:
     binding keeps its name at the translated type.  ``ctx`` must be well-formed.
     """
     _check_context(ctx)
+    return _translate_context(ctx)
+
+
+def _translate_context(ctx: Context) -> Context:
+    """``translate_context`` once ``ctx`` is known to bind and mention no reserved name."""
     env = TransEnv(Context())
     out = Context().extend(ZERO, SortE(STAR)).extend(Z, _Z_TYPE)
     for name, ty in ctx:
@@ -355,8 +360,8 @@ def check_translation(ctx: Context, a: Expr, fuel: int = DEFAULT_FUEL) -> list[C
 def _translate_judgement(ctx: Context, a: Expr, a_ty: Expr) -> tuple[TransEnv, Context, Expr, Expr]:
     """``(env, translated ctx, translated a, translated a_ty)`` for ctx |- a : a_ty
     in well-typed core CC; the translations of a and of its reducts share ``env``."""
-    tctx = translate_context(ctx)
-    env = TransEnv(ctx)
+    env = TransEnv(ctx)  # checks the context for reserved names, for both translations
+    tctx = _translate_context(ctx)
     return env, tctx, translate_term(env, a), translate_type(env, a_ty)
 
 

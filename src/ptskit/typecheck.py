@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass
 
 from .syntax import (
     BOX,
@@ -36,6 +35,7 @@ from .syntax import (
     Proj1,
     Proj2,
     PtsSpec,
+    Record,
     Sigma,
     SortE,
     Var,
@@ -45,6 +45,7 @@ from .syntax import (
     instantiate,
     open_binder,
     print_expr,
+    _set,
 )
 from .reduction import DEFAULT_FUEL, UNDETERMINED, FuelExhausted, beta_eq, normalize, reachable, whnf
 
@@ -343,19 +344,19 @@ def _check_inferred(spec: PtsSpec, ctx: Context, e: Expr, inferred: Expr, ty: Ex
 # Classification
 
 
-@dataclass(frozen=True)
-class Kind:
-    pass
+class Kind(Record):
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True)
-class GammaConstructor:
-    is_type: bool
+class GammaConstructor(Record):
+    __slots__ = __match_args__ = ("is_type",)
+
+    def __init__(self, is_type: bool):
+        _set(self, "is_type", is_type)
 
 
-@dataclass(frozen=True)
-class GammaTerm:
-    pass
+class GammaTerm(Record):
+    __slots__ = __match_args__ = ()
 
 
 Classification = Kind | GammaConstructor | GammaTerm

@@ -1,6 +1,6 @@
 import pytest
 
-from ptskit.syntax import CC, FOMEGA, STLC, SYSTEM_F, ParseError, print_expr
+from ptskit.syntax import CC, FOMEGA, STLC, SYSTEM_F, ParseError, parse_context, print_expr
 from ptskit.reduction import beta_eq, reducts_within
 from ptskit.typecheck import TypeCheckError, check_type, infer_type
 from ptskit.translate import (
@@ -202,6 +202,29 @@ def test_report_does_each_job_once(monkeypatch):
     assert len(printed) == len(step_all(term)) and set(printed) == step_all(term)
     assert [e.line() for e in entries][0] == f"PASS ctx-wf lam: {print_expr(term)}"
     assert len(calls["print_expr"]) > len(printed)
+
+
+def test_report_scans_each_context_for_reserved_names_once(monkeypatch, cc_corpus):
+    from ptskit import translate
+
+    scanned = []
+    original = translate._check_context
+    monkeypatch.setattr(translate, "_check_context", lambda ctx: scanned.append(ctx) or original(ctx))
+    translated = 0
+    for j in cc_corpus:
+        del scanned[:]
+        entries = run_report([j])
+        if any(e.name == "term-translation" for e in entries):
+            translated += 1
+            assert sum(ctx is j.ctx for ctx in scanned) == 1, j.name
+    assert translated == len(cc_corpus)
+    # called directly, both entry points still scan
+    bad = parse_context("_q : *", allow_reserved=True)
+    for entry in (translate.translate_context, TransEnv):
+        with pytest.raises(translate.ReservedNameError, match="^context binds reserved name '_q'$"):
+            entry(bad)
+    with pytest.raises(translate.ReservedNameError, match="^input mentions reserved names: _q$"):
+        TransEnv(parse_context("x : _q", allow_reserved=True))
 
 
 def test_report_on_a_context_the_translation_rejects():
