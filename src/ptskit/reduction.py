@@ -4,10 +4,10 @@ Reduction is defined on raw syntax and never consults a PTS
 specification; ill-typed terms reduce too, which is why every bounded
 operation distinguishes "ran out of fuel" from a definite answer.
 
-Every walk here (``enumerate_steps``, ``leftmost_step``, ``normalize``,
-``whnf``, the key-redex functions and the bounded search) reads the
-shape tables of ``syntax.Node``, so each serves labeled terms, with
-tight reduction, as well as plain ones.
+Every walk here but the evaluator (``enumerate_steps``,
+``leftmost_step``, ``_nf``, ``whnf``, the key-redex functions and the
+bounded search) reads the shape tables of ``syntax.Node``, so each
+serves labeled terms, with tight reduction, as well as plain ones.
 
 ``leftmost_step``, ``trace`` and ``normalize`` follow the
 leftmost-outermost (normal-order) strategy.  ``leftmost_step`` contracts
@@ -20,11 +20,18 @@ after that many steps.  On labeled terms ``leftmost_step`` visits an
 application's labels before its function, so there ``normalize``
 contracts in another order than ``trace`` but reaches the same tight
 normal form.
+
+``normalize`` and ``beta_eq`` evaluate plain core terms to closures and
+read them back (``_eval``, ``_quote``), call-by-name without sharing:
+each occurrence of an argument is reduced on its own, as substitution
+copies it, so the contractions and their order are normal order's.  The
+substituting ``_nf`` stays for labeled terms (tight-beta compares labels),
+pairs and projections, dangling indices, and ``FuelExhausted.last``.
 """
 
 from __future__ import annotations
 
-from .syntax import BOUND, FREE, Expr, Node, Record, _set
+from .syntax import BOUND, FREE, App, BVar, Expr, Lam, Node, Pi, Record, SortE, Var, _set
 
 DEFAULT_FUEL = 10000
 
@@ -125,7 +132,7 @@ def trace(e: Expr, fuel: int = DEFAULT_FUEL) -> tuple[StepTrace, bool]:
 
 
 def normalize(e: Expr, fuel: int = DEFAULT_FUEL) -> Expr:
-    """Leftmost-outermost (normal-order) normalization in one pass.
+    """Leftmost-outermost (normal-order) normalization.
 
     A term's head redexes are contracted first, in the order ``whnf``
     uses; then its components are normalized left to right, in the
@@ -135,19 +142,40 @@ def normalize(e: Expr, fuel: int = DEFAULT_FUEL) -> Expr:
     contraction sequence of repeated ``leftmost_step`` from the root,
     without the re-descent after every step.
 
+    Plain core terms are evaluated and read back, which makes the same
+    contractions (see the module docstring); other terms go to ``_nf``.
+
     ``fuel`` bounds the number of contractions (beta and projection
     steps) over the whole term.  A term that needs at most ``fuel`` of
     them is returned in normal form; otherwise ``FuelExhausted.last``
-    is the whole term after exactly ``fuel`` contractions.  Subterms
-    that need no contraction are returned as the same objects.
+    is the whole term after exactly ``fuel`` contractions, which ``_nf``
+    rebuilds when the evaluator ran out.  Subterms that need no
+    contraction are returned as the same objects.
     """
+    try:
+        return _normal_form(e, fuel)
+    except FuelExhausted as exc:
+        if exc.last is not None:
+            raise
+    return _nf(e, [fuel])  # the evaluator keeps no partial term: replay its steps
+
+
+def _normal_form(e: Node, fuel: int) -> Node:
+    """``normalize`` whose ``FuelExhausted.last`` is None when the evaluator ran out."""
     if fuel < 1:
         raise ValueError("fuel must be >= 1")
+    if e._role is not None:
+        return e
+    if not e._loose and isinstance(e, Expr):
+        try:
+            return _quote(e, None, 0, [fuel])
+        except _Unsupported:
+            pass
     return _nf(e, [fuel])
 
 
 def _nf(e: Node, budget: list[int], stop_at: type | None = None) -> Node:
-    """Normal form of ``e``, one frame per term level.
+    """Normal form of ``e`` by substitution, one frame per term level.
 
     An elimination form first brings its head to normal form, stopping
     at a weak head normal form of its ``_intro`` class (``Lam`` for the
@@ -201,6 +229,89 @@ def _nf(e: Node, budget: list[int], stop_at: type | None = None) -> Node:
             return e
 
 
+class _Unsupported(Exception):
+    """The evaluator met a node it leaves to ``_nf``: a Sigma, a pair or a projection."""
+
+
+def _eval(t: Expr, env: tuple | None, budget: list[int]):
+    """The weak head normal form of ``t`` under ``env``: a level (an int), a
+    ``Var`` or ``SortE``, a closure ``(term, env)`` of a ``Lam`` or ``Pi``, or a
+    stuck application ``(app, env, fun)`` whose function's value ``fun`` is no
+    lambda.  An environment links ``(entry, rest)``, None at the end; the entry,
+    index 0, is the level of a binder the read-back entered or an unevaluated
+    argument ``(term, env)``."""
+    while True:
+        cls = type(t)
+        if cls is App:
+            f = _eval(t.fun, env, budget)
+            if type(f) is not tuple or type(f[0]) is not Lam:
+                return t, env, f
+            if budget[0] <= 0:
+                raise FuelExhausted(None)
+            budget[0] -= 1
+            t, env = f[0].body, ((t.arg, env), f[1])
+        elif cls is BVar:
+            for _ in range(t.index):
+                env = env[1]
+            if type(env[0]) is int:
+                return env[0]
+            t, env = env[0]
+        elif cls is Lam or cls is Pi:
+            return t, env
+        elif cls is Var or cls is SortE:
+            return t
+        else:
+            raise _Unsupported
+
+
+def _quote(t: Expr, env: tuple | None, depth: int, budget: list[int], own: int = 0) -> Expr:
+    """The normal form of ``t`` under ``env``, read back under ``depth`` binders
+    (Coquand, SCP 1996; Abel, 2013).  Binders are entered with levels, and
+    annotations, domains and arguments read back in ``_positions`` order; a
+    subterm comes back as the same object when its children do.  The innermost
+    ``own`` entries of ``env`` are the levels of the binders this read-back
+    entered, so an index below ``own`` stands for itself, without a lookup."""
+    while True:
+        cls = type(t)
+        if cls is Lam or cls is Pi:
+            x, y = (t.annot, t.body) if cls is Lam else (t.dom, t.cod)
+            a = _quote(x, env, depth, budget, own)
+            b = _quote(y, (depth, env), depth + 1, budget, own + 1)
+            return t if a is x and b is y else cls(t.hint, a, b)
+        if cls is Var or cls is SortE:
+            return t
+        if cls is BVar:
+            if t.index < own:
+                return t
+            link = env
+            for _ in range(t.index):
+                link = link[1]
+            if type(link[0]) is not int:
+                (t, env), own = link[0], 0  # an argument: read back its term
+                continue
+            i = depth - 1 - link[0]
+            return t if i == t.index else BVar(i)
+        v = _eval(t, env, budget)
+        spine = []
+        while type(v) is tuple and len(v) == 3:
+            spine.append(v)
+            t, v = v[0].fun, v[2]  # t: the term the head's value came from
+        if type(v) is int:  # a variable the read-back bound: t if it is that one
+            i = depth - 1 - v
+            f = t if type(t) is BVar and t.index == i else BVar(i)
+        elif type(v) is not tuple:
+            f = v
+        elif spine:  # a product applied
+            f = _quote(*v, depth, budget)
+        else:  # a closure: read back its binder
+            (t, env), own = v, 0
+            continue
+        for app, arg_env, _ in reversed(spine):
+            a = _quote(app.arg, arg_env, depth, budget, own if arg_env is env else 0)
+            f = app if f is app.fun and a is app.arg else App(f, a)
+        return f
+
+
 def whnf(e: Node, fuel: int = DEFAULT_FUEL) -> Node:
     """Reduce until the head is no beta/projection redex; spine only."""
     if fuel < 1:
@@ -232,8 +343,8 @@ def beta_eq(a: Expr, b: Expr, fuel: int = DEFAULT_FUEL):
     if a == b:
         return True
     try:
-        na = normalize(a, fuel)
-        nb = normalize(b, fuel)
+        na = _normal_form(a, fuel)
+        nb = _normal_form(b, fuel)
     except FuelExhausted:
         return UNDETERMINED
     return na == nb

@@ -473,27 +473,34 @@ def check_subst_lemmas(ctx: Context, a: Expr, x: str, b: Expr, fuel: int = DEFAU
         return [CheckEntry(False, "subst-hypotheses", str(err))]
     entries.append(CheckEntry(True, "subst-hypotheses", f"[{print_expr(b)}/{x}]"))
 
+    type_level = is_cc_kind(a) or _is_constructor(ctx, a)
+    try:
+        env = TransEnv(ctx)  # one scan; the ``_y`` names it hands out are hints, which == ignores
+    except ReservedNameError as err:
+        kinds = ("type-subst", "term-subst") if type_level else ("term-subst",)
+        return entries + [CheckEntry(False, kind, str(err)) for kind in kinds]
+
     binding_is_kind = is_cc_kind(b_ty)
     substituted = subst(a, x, b)
     detail = f"[{print_expr(b)}/{x}]{print_expr(a)}"
-    if is_cc_kind(a) or _is_constructor(ctx, a):
+    if type_level:
         try:
-            lhs = translate_type(TransEnv(ctx), substituted)
-            rhs = translate_type(TransEnv(ctx), a)
+            lhs = translate_type(env, substituted)
+            rhs = translate_type(env, a)
             if binding_is_kind:
-                rhs = subst(rhs, x, translate_type(TransEnv(ctx), b))
+                rhs = subst(rhs, x, translate_type(env, b))
             entries.append(CheckEntry(lhs == rhs, "type-subst", detail))
         except ValueError as err:
             entries.append(CheckEntry(False, "type-subst", str(err)))
 
     try:
-        lhs = translate_term(TransEnv(ctx), substituted)
-        rhs = translate_term(TransEnv(ctx), a)
+        lhs = translate_term(env, substituted)
+        rhs = translate_term(env, a)
         if binding_is_kind:
-            rhs = subst(rhs, W_PREFIX + x, translate_term(TransEnv(ctx), b))
-            rhs = subst(rhs, x, translate_type(TransEnv(ctx), b))
+            rhs = subst(rhs, W_PREFIX + x, translate_term(env, b))
+            rhs = subst(rhs, x, translate_type(env, b))
         else:
-            rhs = subst(rhs, x, translate_term(TransEnv(ctx), b))
+            rhs = subst(rhs, x, translate_term(env, b))
         entries.append(CheckEntry(lhs == rhs, "term-subst", detail))
     except ValueError as err:
         entries.append(CheckEntry(False, "term-subst", str(err)))

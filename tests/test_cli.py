@@ -56,6 +56,30 @@ def test_fuel_exhaustion_exit_three(capsys):
     assert code == EXIT_EXHAUSTED
 
 
+def test_fuel_exhaustion_reports_the_normal_order_term(capsys):
+    # mult 3 3 takes 13 contractions; with 12 the message shows the term
+    # that 12 leftmost-outermost steps reach
+    from ptskit.reduction import FuelExhausted
+    from ptskit.syntax import parse_expr, print_expr
+    from test_reduction import _reference_normalize
+
+    nat = "(A:*) -> (A -> A) -> A -> A"
+    three = r"\A:*. \f:A -> A. \x:A. f (f (f x))"
+    mult = rf"(\m:{nat}. \n:{nat}. \A:*. \f:A -> A. m A (n A f)) ({three}) ({three})"
+    try:
+        _reference_normalize(parse_expr(mult), 12)
+        raise AssertionError("the reference reached a normal form")
+    except FuelExhausted as exhausted:
+        message = f"fuel exhausted; last term: {print_expr(exhausted.last)}"
+    code, out, err = run(capsys, "normalize", "--fuel", "12", mult)
+    assert (code, out, err) == (EXIT_EXHAUSTED, "", f"error: {message}\n")
+    code, out, err = run(capsys, "normalize", "--fuel", "12", "--format", "machine", mult)
+    assert code == EXIT_EXHAUSTED and err == ""
+    assert json.loads(out) == {"command": "normalize", "ok": False, "error": message}
+    code, out, _ = run(capsys, "normalize", "--fuel", "13", mult)
+    assert code == EXIT_OK and out == r"\A:*. \f:A -> A. \x:A. " + "f (" * 8 + "f x" + ")" * 8 + "\n"
+
+
 def test_trace_marks_truncation(capsys):
     code, out, _ = run(capsys, "trace", "--fuel", "4", r"(\x:*. x x) (\x:*. x x)")
     assert code == EXIT_EXHAUSTED

@@ -490,3 +490,68 @@ def test_normalize_reaches_every_product_the_reference_does():
             break
         assert _church_value(normalize(t, 10**5)) == want == n * n
     assert ceiling is not None
+
+
+# ---------------------------------------------------------------------------
+# normalization by evaluation against the substituting _nf
+
+
+def _spy(monkeypatch, module, name):
+    """Record the arguments of every call to ``module.name``."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def test_normalize_evaluates_core_terms_without_substitution(monkeypatch):
+    # without this guard the evaluator could silently stop being taken
+    from ptskit import reduction, syntax
+
+    instantiated = _spy(monkeypatch, syntax, "instantiate")
+    substituted = _spy(monkeypatch, reduction, "_nf")
+    assert _church_value(normalize(_mult(10))) == 100
+    assert instantiated == substituted == []
+
+
+def test_beta_eq_does_not_replay_an_exhausted_evaluation(monkeypatch):
+    # beta_eq never reads FuelExhausted.last, so it need not be rebuilt
+    from ptskit import reduction
+
+    substituted = _spy(monkeypatch, reduction, "_nf")
+    assert beta_eq(_mult(10), _church(100), fuel=33) is UNDETERMINED
+    assert beta_eq(_mult(10), _church(100), fuel=34) is True
+    assert beta_eq(_mult(10), _church(99), fuel=34) is False
+    assert substituted == []
+
+
+def test_church_product_takes_3n_plus_4_contractions():
+    for n in (10, 20, 30):
+        t = _mult(n)
+        assert _church_value(normalize(t, 3 * n + 4)) == n * n
+        with pytest.raises(FuelExhausted) as err:
+            normalize(t, 3 * n + 3)
+        assert _outcome(_reference_normalize, t, 3 * n + 3) == ("exhausted", err.value.last)
+
+
+def test_normalize_leaves_labeled_sigma_and_open_terms_to_substitution(monkeypatch):
+    from ptskit import reduction
+    from ptskit.labeled import label_term
+    from ptskit.syntax import CC, Context
+
+    nf = reduction._nf
+    substituted = _spy(monkeypatch, reduction, "_nf")
+    terms = [
+        label_term(CC, Context(), _mult(2)),
+        # the evaluator contracts once, then meets the projection
+        P(r"(\p:*. p.2) (<(\y:*. y) a, (\y:*. y) b> : Sig x:A. A)"),
+        Pair(P(r"(\x:*. x x) (\x:*. x x)"), Var("b"), P("Sig x:A. A")),
+        App(Lam("x", P("*"), App(BVar(0), BVar(1))), P(r"\y:*. (\z:*. z) y")),  # index 1 dangles
+    ]
+    for e in terms:
+        for fuel in range(1, 12):
+            del substituted[:]
+            kind, got = _outcome(normalize, e, fuel)
+            assert substituted and substituted[0][0] is e
+            want_kind, want = _outcome(lambda e, fuel: nf(e, [fuel]), e, fuel)
+            assert kind == want_kind and got == want and print_expr(got) == print_expr(want), (print_expr(e), fuel)

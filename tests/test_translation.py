@@ -480,6 +480,29 @@ def test_subst_lemma_rejects_ill_typed_subject():
         assert render_report(entries) == f"FAIL subst-hypotheses {message}"
 
 
+def test_subst_lemmas_scan_the_context_once(monkeypatch):
+    from ptskit import translate
+
+    scanned = []
+    original = translate._check_context
+    monkeypatch.setattr(translate, "_check_context", lambda ctx: scanned.append(ctx) or original(ctx))
+    ctx = C("A : *\nP : A -> *\nX : *")
+    entries = check_subst_lemmas(ctx, P("X -> X"), "X", Var("A"))
+    # seven translations in one environment
+    assert render_report(entries) == "PASS subst-hypotheses [A/X]\nPASS type-subst [A/X]X -> X\nPASS term-subst [A/X]X -> X"
+    assert scanned == [ctx]
+    # a context that binds a reserved name fails each translation alike
+    del scanned[:]
+    ctx = parse_context("_q : *\nA : *\nX : *", allow_reserved=True)
+    entries = check_subst_lemmas(ctx, P("X -> X"), "X", Var("A"))
+    assert render_report(entries).splitlines() == [
+        "PASS subst-hypotheses [A/X]",
+        "FAIL type-subst context binds reserved name '_q'",
+        "FAIL term-subst context binds reserved name '_q'",
+    ]
+    assert scanned == [ctx]
+
+
 def test_substitution_order_is_immaterial():
     # the two replacements in the product clause target distinct names,
     # so applying them in either order gives the same translated term
