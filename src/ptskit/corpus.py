@@ -26,12 +26,12 @@ from .syntax import (
 from .reduction import (
     DEFAULT_FUEL,
     FuelExhausted,
+    _normal_form,
     beta_eq,
-    normalize,
     reducts_within,
     step_all,
 )
-from .typecheck import TypeCheckError, _check_inferred, _classify, _infer, infer_type, wf_context
+from .typecheck import TypeCheckError, _check_inferred, _classify, _infer, _Scope, infer_type, wf_context
 from .translate import CheckEntry, _check_translated, _simulation, _translate_judgement, check_reduction_preservation
 from .labeled import (
     erase,
@@ -148,7 +148,7 @@ def _report_one(j: Judgement, spec: PtsSpec, fuel: int, depth: int) -> list[Chec
         return [_entry(False, "ctx-wf", subject, str(err))]
 
     try:
-        inferred, sort = _infer(spec, j.ctx, j.term, fuel)
+        inferred, sort = _infer(spec, _Scope(spec, j.ctx, fuel), j.term, fuel)
         if j.ty is not None:
             _check_inferred(spec, j.ctx, j.term, inferred, j.ty, fuel)
         entries.append(_entry(True, "typing", subject))
@@ -170,7 +170,7 @@ def _report_one(j: Judgement, spec: PtsSpec, fuel: int, depth: int) -> list[Chec
     entries.append(_entry(not failures, "preservation", subject, min(failures)[1] if failures else ""))
 
     try:
-        normalize(j.term, fuel)
+        _normal_form(j.term, fuel)
         entries.append(_entry(True, "normalizes", subject))
     except FuelExhausted:
         entries.append(_entry(False, "normalizes", subject, f"no normal form within {fuel} steps"))

@@ -32,12 +32,9 @@ from .syntax import (
     PtsSpec,
     SortE,
     Var,
-    close_binder,
-    fresh_name,
+    _shift,
     instantiate,
-    open_binder,
     parse_labeled as parse_labeled,
-    print_expr,
     print_labeled as print_labeled,
 )
 from .reduction import DEFAULT_FUEL, step_all
@@ -45,12 +42,13 @@ from .typecheck import (
     DEFAULT_CONV_DEPTH,
     ErrorKind,
     _as_sort,
-    _cod_sort,
     _convertible,
     _fail,
     _fun_head,
     _infer,
     _pi_sort,
+    _Scope,
+    _show,
     directed_convertible as directed_convertible,
     label_of as label_of,
 )
@@ -101,7 +99,7 @@ def labeled_infer(
     An application label that differs from the function's type after
     normalization is recorded in ``warnings`` (when given), not rejected.
     """
-    return _infer(spec, lctx, la, fuel, conv_depth, warnings)[0]
+    return _infer(spec, _Scope(spec, lctx, fuel), la, fuel, conv_depth, warnings)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -116,63 +114,75 @@ def label_term(spec: PtsSpec, ctx: Context, a: Expr, fuel: int = DEFAULT_FUEL) -
     The walk types ``a`` once, in ``infer_type``'s premise order: a
     binder's annotation is elaborated and its sort checked before
     anything under the binder.  The sort and the labeled form of a
-    lambda's type travel up with it, so an enclosing lambda neither
-    re-checks nor re-elaborates the product.
+    variable's or a lambda's type travel up with it, so an enclosing
+    lambda neither re-checks nor re-elaborates the product, and an
+    application of a variable takes its label from the variable's binder.
     """
-    return _elaborate(spec, ctx, a, fuel)[0]
+    return _elaborate(spec, _Scope(spec, ctx, fuel), a, fuel)[0]
 
 
 def label_context(spec: PtsSpec, ctx: Context, fuel: int = DEFAULT_FUEL) -> Context:
     lctx = Context()
-    prefix = Context()
+    prefix = _Scope(spec, Context(), fuel)
     for name, ty in ctx:
-        lctx = lctx.extend(name, _elaborate(spec, prefix, ty, fuel)[0])
-        prefix = prefix.extend(name, ty)
+        lty = _elaborate(spec, prefix, ty, fuel)[0]
+        lctx = lctx.extend(name, lty)
+        prefix.types.setdefault(name, ty)
+        prefix.ltypes.setdefault(name, lty)
     return lctx
 
 
-def _elaborate(spec: PtsSpec, ctx: Context, a: Expr, fuel: int) -> tuple[LabeledExpr, Expr, str | None, LabeledExpr | None]:
-    """``(labeled a, A, s, labeled A)``: A and s as ``_infer`` gives them; the
-    labeled A is known for a lambda, None elsewhere."""
+def _ltype_of(scope: _Scope, ty: Expr) -> LabeledExpr:
+    return _elaborate(scope.spec, scope, ty, scope.fuel)[0]
+
+
+def _elaborate(spec: PtsSpec, scope: _Scope, a: Expr, fuel: int) -> tuple[LabeledExpr, Expr, str | None, LabeledExpr | None]:
+    """``(labeled a, A, s, labeled A)``: A and s as ``_infer`` gives them, open
+    over ``scope``'s binders, whose entries also hold the labeled
+    annotation; the labeled A is known for a variable whose type
+    elaborates and for a lambda, None elsewhere."""
     match a:
         case SortE(s):
-            return LSort(s), *_infer(spec, ctx, a, fuel), None
+            return LSort(s), *_infer(spec, scope, a, fuel), None
         case Var(name):
-            return LVar(name), *_infer(spec, ctx, a, fuel), None
+            return LVar(name), *_infer(spec, scope, a, fuel), scope.once(scope.ltypes, name, _ltype_of)
+        case BVar(i):
+            return LBVar(i), *_infer(spec, scope, a, fuel), _shift(scope.binders[-1 - i][3], i + 1, 0)
         case Pi(h, dom, cod):
             # the parts' types are the ones _infer finds, so the product's
             # sort comes from them, checked in the same order
-            ldom, dom_ty, _, _ = _elaborate(spec, ctx, dom, fuel)
-            s1 = _as_sort(spec, dom_ty, fuel, dom)
-            x = fresh_name(h, ctx, dom, cod)
-            cod_x = open_binder(cod, x)
-            lcod, cod_ty, _, _ = _elaborate(spec, ctx.extend(x, dom), cod_x, fuel)
-            s3 = _pi_sort(spec, s1, _as_sort(spec, cod_ty, fuel, cod_x), a)
-            return LPi(h, ldom, close_binder(lcod, x)), SortE(s3), spec.axiom_for(s3), None
+            ldom, dom_ty, _, _ = _elaborate(spec, scope, dom, fuel)
+            s1 = _as_sort(spec, dom_ty, fuel, dom, scope)
+            scope.binders.append((a, dom, s1, ldom))
+            lcod, cod_ty, _, _ = _elaborate(spec, scope, cod, fuel)
+            s2 = _as_sort(spec, cod_ty, fuel, cod, scope)
+            scope.binders.pop()
+            s3 = _pi_sort(spec, s1, s2, a, scope)
+            return LPi(h, ldom, lcod), SortE(s3), spec.axiom_for(s3), None
         case Lam(h, annot, body):
-            lannot, annot_ty, _, _ = _elaborate(spec, ctx, annot, fuel)
-            s1 = _as_sort(spec, annot_ty, fuel, annot)
-            x = fresh_name(h, ctx, annot, body)
-            ctx = ctx.extend(x, annot)
-            lbody, body_ty, s2, lcod = _elaborate(spec, ctx, open_binder(body, x), fuel)
+            lannot, annot_ty, _, _ = _elaborate(spec, scope, annot, fuel)
+            s1 = _as_sort(spec, annot_ty, fuel, annot, scope)
+            scope.binders.append((a, annot, s1, lannot))
+            lbody, body_ty, s2, lcod = _elaborate(spec, scope, body, fuel)
             # the TLam product premise, settled as in _infer; elaborating the
             # body's type gives its labeled form and, if missing, its sort
-            if lcod is None:
-                lcod, cod_ty, _, _ = _elaborate(spec, ctx, body_ty, fuel)
+            if lcod is None or s2 is None:
+                lcod, cod_ty, _, _ = _elaborate(spec, scope, body_ty, fuel)
                 if s2 is None:
-                    s2 = _as_sort(spec, cod_ty, fuel, body_ty)
-            pi = Pi(h, annot, close_binder(body_ty, x))
-            lcod = close_binder(lcod, x)
-            return LLam(h, lannot, lcod, close_binder(lbody, x)), pi, _pi_sort(spec, s1, s2, pi), LPi(h, lannot, lcod)
+                    s2 = _as_sort(spec, cod_ty, fuel, body_ty, scope)
+            scope.binders.pop()
+            pi = Pi(h, annot, body_ty)
+            return LLam(h, lannot, lcod, lbody), pi, _pi_sort(spec, s1, s2, pi, scope), LPi(h, lannot, lcod)
         case App(fun, arg):
-            lfun, fun_ty, s3, lfun_ty = _elaborate(spec, ctx, fun, fuel)
-            head = _fun_head(fun, fun_ty, fuel)
-            larg, arg_ty, _, _ = _elaborate(spec, ctx, arg, fuel)
-            _convertible(arg_ty, head.dom, fuel, "argument of", fun)
-            lpi = lfun_ty if lfun_ty is not None else _elaborate(spec, ctx, head, fuel)[0]
-            return LApp(lpi.hint, lpi.dom, lpi.cod, lfun, larg), instantiate(head.cod, arg), _cod_sort(spec, s3), None
+            lfun, fun_ty, s3, lfun_ty = _elaborate(spec, scope, fun, fuel)
+            head = _fun_head(fun, fun_ty, fuel, scope)
+            larg, arg_ty, _, _ = _elaborate(spec, scope, arg, fuel)
+            _convertible(arg_ty, head.dom, fuel, "argument of", fun, scope)
+            # the function's labeled type is its label unless its type had to reduce
+            lpi = lfun_ty if lfun_ty is not None and head is fun_ty else _elaborate(spec, scope, head, fuel)[0]
+            return LApp(lpi.hint, lpi.dom, lpi.cod, lfun, larg), instantiate(head.cod, arg), spec.cod_sorts.get(s3), None
         case _:
             _fail(
                 ErrorKind.SIGMA_DISABLED,
-                f"the labeled system covers core terms only: {print_expr(a)}",
+                f"the labeled system covers core terms only: {_show(a, scope)}",
             )

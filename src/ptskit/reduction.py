@@ -24,9 +24,10 @@ normal form.
 ``normalize`` and ``beta_eq`` evaluate plain core terms to closures and
 read them back (``_eval``, ``_quote``), call-by-name without sharing:
 each occurrence of an argument is reduced on its own, as substitution
-copies it, so the contractions and their order are normal order's.  The
-substituting ``_nf`` stays for labeled terms (tight-beta compares labels),
-pairs and projections, dangling indices, and ``FuelExhausted.last``.
+copies it, so the contractions and their order are normal order's.  A
+dangling index is a read-back level, as the typing walks' open types
+need.  The substituting ``_nf`` stays for labeled terms (tight-beta
+compares labels), pairs and projections, and ``FuelExhausted.last``.
 """
 
 from __future__ import annotations
@@ -166,9 +167,12 @@ def _normal_form(e: Node, fuel: int) -> Node:
         raise ValueError("fuel must be >= 1")
     if e._role is not None:
         return e
-    if not e._loose and isinstance(e, Expr):
+    if isinstance(e, Expr):
+        env = None
+        for level in range(e._loose):  # a dangling index i stands for level _loose - 1 - i
+            env = (level, env)
         try:
-            return _quote(e, None, 0, [fuel])
+            return _quote(e, env, e._loose, [fuel], e._loose)
         except _Unsupported:
             pass
     return _nf(e, [fuel])

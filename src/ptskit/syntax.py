@@ -571,7 +571,8 @@ def fresh_name(base: str, avoid, *scopes: Node) -> str:
 class PtsSpec(Record):
     """A pure type system: sorts, axioms over them, and product rules."""
 
-    __slots__ = __match_args__ = ("sorts", "axioms", "rules", "sigma_enabled")
+    __match_args__ = ("sorts", "axioms", "rules", "sigma_enabled")
+    __slots__ = (*__match_args__, "cod_sorts")
 
     def __init__(self, sorts: frozenset[str], axioms: frozenset[tuple[str, str]], rules: frozenset[tuple[str, str, str]],
                  sigma_enabled: bool = False):
@@ -592,6 +593,10 @@ class PtsSpec(Record):
             clash = sorted({k for k in keys if keys.count(k) > 1})
             if clash:
                 raise ValueError(f"not functional: several {what} {', '.join(map(show, clash))}")
+        # a product's sort s3 -> its codomain's sort, where the rules forming s3
+        # agree on it, as in every built-in system, where each rule has s2 = s3
+        cods = {s3: {r2 for _, r2, r3 in self.rules if r3 == s3} for _, _, s3 in self.rules}
+        _set(self, "cod_sorts", {s3: s2s.pop() for s3, s2s in cods.items() if len(s2s) == 1})
 
     def axiom_for(self, s: str) -> str | None:
         for s1, s2 in self.axioms:

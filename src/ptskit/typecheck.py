@@ -40,14 +40,14 @@ from .syntax import (
     SortE,
     Var,
     BUILTIN_SPECS,
-    close_binder,
     fresh_name,
     instantiate,
     open_binder,
     print_expr,
     _set,
+    _shift,
 )
-from .reduction import DEFAULT_FUEL, UNDETERMINED, FuelExhausted, beta_eq, normalize, reachable, whnf
+from .reduction import DEFAULT_FUEL, UNDETERMINED, FuelExhausted, _normal_form, beta_eq, reachable, whnf
 
 DEFAULT_CONV_DEPTH = 12
 
@@ -76,53 +76,90 @@ def _fail(kind: ErrorKind, message: str):
     raise TypeCheckError(kind, message)
 
 
-def _as_sort(spec: PtsSpec, ty: Node, fuel: int, subject: Node) -> str:
+class _Scope:
+    """What a typing walk is under: the API's context, indexed by name, and
+    the binders entered, innermost last.  Entering a binder pushes ``(binder
+    node, annotation, its sort)``, plus the labeled annotation in
+    elaboration, and leaving pops it, so no body is opened and no type
+    closed: ``BVar i`` is typed by entry ``-1 - i``, its annotation shifted
+    by ``i + 1``.  Names are made only to print a subterm (``_show``)."""
+
+    __slots__ = ("spec", "fuel", "types", "sorts", "ltypes", "binders")
+
+    def __init__(self, spec: PtsSpec, ctx: Context, fuel: int):
+        self.spec, self.fuel, self.sorts, self.ltypes, self.binders = spec, fuel, {}, {}, []
+        self.types = dict(reversed(ctx.bindings))  # the first binding of a name wins, as in lookup
+
+    def once(self, found: dict, name: str, find):
+        """``find(self, t)`` for context variable ``name``'s type t, under no
+        binder and once per call; None while it runs, or if it fails,
+        leaving the error to the walk that needs the value."""
+        if name not in found:
+            found[name], binders, self.binders = None, self.binders, []
+            try:
+                found[name] = find(self, self.types[name])
+            except TypeCheckError:
+                pass
+            finally:
+                self.binders = binders
+        return found[name]
+
+
+def _sort_of(scope: _Scope, ty: Node) -> str:
+    return _as_sort(scope.spec, _infer(scope.spec, scope, ty, scope.fuel)[0], scope.fuel, ty)
+
+
+def _show(t: Node, scope: _Scope | None) -> str:
+    """``print_expr`` of ``t`` with its dangling indices opened to the names
+    ``fresh_name`` gives ``scope``'s binders, from the outermost in."""
+    if scope is None or not t._loose:
+        return print_expr(t)
+    avoid, names = set(scope.types), []
+    for node, *_ in scope.binders:
+        names.append(fresh_name(node.hint, avoid, *(getattr(node, f) for f, _ in node._children)))
+        avoid.add(names[-1])
+    for x in reversed(names):
+        t = open_binder(t, x)
+    return print_expr(t)
+
+
+def _as_sort(spec: PtsSpec, ty: Node, fuel: int, subject: Node, scope: _Scope | None = None) -> str:
     """Normalize ``ty`` (plain or labeled) and require it to be a sort of ``spec``."""
     try:
-        n = normalize(ty, fuel)
+        n = _normal_form(ty, fuel)
     except FuelExhausted:
-        _fail(ErrorKind.FUEL_EXHAUSTED, f"normalizing the type of {print_expr(subject)}")
+        _fail(ErrorKind.FUEL_EXHAUSTED, f"normalizing the type of {_show(subject, scope)}")
     if isinstance(n, (SortE, LSort)) and n.name in spec.sorts:
         return n.name
     _fail(
         ErrorKind.SORT_UNTYPEABLE,
-        f"{print_expr(subject)} is classified by {print_expr(n)}, not a sort",
+        f"{_show(subject, scope)} is classified by {_show(n, scope)}, not a sort",
     )
 
 
-def _pi_sort(spec: PtsSpec, s1: str, s2: str, pi: Node) -> str:
+def _pi_sort(spec: PtsSpec, s1: str, s2: str, pi: Node, scope: _Scope | None = None) -> str:
     """The sort of product ``pi`` (plain or labeled) from its parts' sorts."""
     s3 = spec.rule_for(s1, s2)
     if s3 is None:
-        _fail(ErrorKind.NO_RULE, f"no rule ({s1},{s2},_) to form {print_expr(pi)}")
+        _fail(ErrorKind.NO_RULE, f"no rule ({s1},{s2},_) to form {_show(pi, scope)}")
     return s3
 
 
-def _cod_sort(spec: PtsSpec, s3: str | None) -> str | None:
-    """The sort of a product's codomain, from the product's sort ``s3``:
-    known when the rules that form ``s3`` agree on it, as in every
-    built-in system, where each rule has s2 = s3."""
-    if s3 is None:
-        return None
-    cods = {r2 for _, r2, r3 in spec.rules if r3 == s3}
-    return cods.pop() if len(cods) == 1 else None
-
-
-def _fun_head(fun: Expr, fun_ty: Expr, fuel: int) -> Pi:
+def _fun_head(fun: Expr, fun_ty: Expr, fuel: int, scope: _Scope) -> Pi:
     """The product that ``fun``'s type ``fun_ty`` exposes at its head."""
     try:
         head = whnf(fun_ty, fuel)
     except FuelExhausted:
-        _fail(ErrorKind.FUEL_EXHAUSTED, f"exposing the type of {print_expr(fun)}")
+        _fail(ErrorKind.FUEL_EXHAUSTED, f"exposing the type of {_show(fun, scope)}")
     if not isinstance(head, Pi):
         _fail(
             ErrorKind.NOT_A_FUNCTION,
-            f"{print_expr(fun)} has type {print_expr(fun_ty)}, which is not a function type",
+            f"{_show(fun, scope)} has type {_show(fun_ty, scope)}, which is not a function type",
         )
     return head
 
 
-def _convertible(a: Expr, b: Expr, fuel: int, where: str, subject: Expr | None = None) -> None:
+def _convertible(a: Expr, b: Expr, fuel: int, where: str, subject: Expr | None = None, scope: _Scope | None = None) -> None:
     """Require a and b to be convertible.
 
     ``where`` names the site, followed by the printed ``subject`` if one
@@ -132,10 +169,10 @@ def _convertible(a: Expr, b: Expr, fuel: int, where: str, subject: Expr | None =
     if r is True:
         return
     if subject is not None:
-        where = f"{where} {print_expr(subject)}"
+        where = f"{where} {_show(subject, scope)}"
     if r is UNDETERMINED:
         _fail(ErrorKind.FUEL_EXHAUSTED, f"conversion undecided in {where}")
-    _fail(ErrorKind.MISMATCH, f"{where}: {print_expr(a)} is not convertible with {print_expr(b)}")
+    _fail(ErrorKind.MISMATCH, f"{where}: {_show(a, scope)} is not convertible with {_show(b, scope)}")
 
 
 def label_of(e: LLam | LApp) -> LPi:
@@ -149,19 +186,18 @@ def directed_convertible(a: Node, b: Node, depth: int = DEFAULT_CONV_DEPTH) -> b
 
 def wf_context(spec: PtsSpec, ctx: Context, fuel: int = DEFAULT_FUEL) -> None:
     """Check names are distinct and every binding type (plain or labeled) has a sort."""
-    prefix = Context()
+    prefix = _Scope(spec, Context(), fuel)
     for name, ty in ctx:
-        if name in prefix:
+        if name in prefix.types:
             _fail(ErrorKind.ILL_FORMED_CONTEXT, f"duplicate binding for {name!r}")
         try:
-            ty_of_ty = infer_type(spec, prefix, ty, fuel)
-            _as_sort(spec, ty_of_ty, fuel, ty)
+            s = _sort_of(prefix, ty)
         except TypeCheckError as err:
             _fail(
                 ErrorKind.ILL_FORMED_CONTEXT,
                 f"binding {name} : {print_expr(ty)} is ill-formed ({err})",
             )
-        prefix = prefix.extend(name, ty)
+        prefix.types[name], prefix.sorts[name] = ty, s
 
 
 def infer_type(spec: PtsSpec, ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -> Expr:
@@ -174,27 +210,64 @@ def infer_type(spec: PtsSpec, ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -
     type up with its sort where a rule settled it, so no lambda types
     the product it synthesized.  A labeled term gets its labeled type.
     """
-    return _infer(spec, ctx, e, fuel)[0]
+    return _infer(spec, _Scope(spec, ctx, fuel), e, fuel)[0]
 
 
 def _infer(
-    spec: PtsSpec, ctx: Context, e: Node, fuel: int, conv_depth: int = DEFAULT_CONV_DEPTH, warnings: list[str] | None = None
+    spec: PtsSpec, scope: _Scope, e: Node, fuel: int, conv_depth: int = DEFAULT_CONV_DEPTH, warnings: list[str] | None = None
 ) -> tuple[Node, str | None]:
-    """``(A, s)`` with ctx |- e : A and, unless s is None, ctx |- A : s.
+    """``(A, s)`` with scope |- e : A and, unless s is None, scope |- A : s;
+    ``e`` and ``A`` are open over ``scope``'s binders (see ``_Scope``).
 
     s is known for a sort, product or Sig type (the axiom of the sort that
-    types it), for a lambda (the sort of its product) and for a
-    plain application whose function's type has a known sort that fixes
-    the codomain sort (see ``_cod_sort``); variables, labeled
+    types it), for a plain variable whose type checks (the sort of its
+    type), for a lambda (the sort of its product) and for a plain
+    application whose function's type has a known sort that fixes the
+    codomain sort (``PtsSpec.cod_sorts``); labeled variables and
     applications, pairs and projections give None.  A sort or product
     is typed by a sort of its own AST.  Premises go in rule order: a
     product's domain sort, then its codomain; a lambda's annotation
     sort, then its body, then, if the body gave no sort, the sort of the
-    body's type in the same extended context; a pair's annotation, then
-    its components.  ``conv_depth`` and ``warnings`` serve labeled
-    terms, as ``labeled.labeled_infer`` describes.
+    body's type; a pair's annotation, then its components.  The cases
+    are disjoint and ordered by how often they occur.  ``conv_depth``
+    and ``warnings`` serve labeled terms, as ``labeled.labeled_infer``
+    describes.
     """
     match e:
+        case App(fun, arg):
+            fun_ty, s3 = _infer(spec, scope, fun, fuel)
+            head = _fun_head(fun, fun_ty, fuel, scope)
+            arg_ty = _infer(spec, scope, arg, fuel)[0]
+            _convertible(arg_ty, head.dom, fuel, "argument of", fun, scope)
+            # head reduces from fun_ty, so it has fun_ty's sort s3
+            return instantiate(head.cod, arg), spec.cod_sorts.get(s3)
+        case Var(name) | LVar(name):
+            ty = scope.types.get(name)
+            if ty is None:
+                _fail(ErrorKind.UNBOUND_VARIABLE, f"unbound variable {name}")
+            return ty, scope.once(scope.sorts, name, _sort_of) if type(e) is Var else None
+        case BVar(i) | LBVar(i):
+            if i >= len(scope.binders):
+                raise ValueError("dangling bound variable reached the type checker")
+            entry = scope.binders[-1 - i]
+            return _shift(entry[1], i + 1, 0), entry[2]
+        case Lam(h, annot, body):
+            s1 = _as_sort(spec, _infer(spec, scope, annot, fuel)[0], fuel, annot, scope)
+            scope.binders.append((e, annot, s1))
+            body_ty, s2 = _infer(spec, scope, body, fuel)
+            if s2 is None:
+                s2 = _as_sort(spec, _infer(spec, scope, body_ty, fuel)[0], fuel, body_ty, scope)
+            scope.binders.pop()
+            # TLam demands the synthesized product itself be well-sorted.
+            pi = Pi(h, annot, body_ty)
+            return pi, _pi_sort(spec, s1, s2, pi, scope)
+        case Pi(h, dom, cod) | LPi(h, dom, cod):
+            s1 = _as_sort(spec, _infer(spec, scope, dom, fuel, conv_depth, warnings)[0], fuel, dom, scope)
+            scope.binders.append((e, dom, s1))
+            s2 = _as_sort(spec, _infer(spec, scope, cod, fuel, conv_depth, warnings)[0], fuel, cod, scope)
+            scope.binders.pop()
+            s3 = _pi_sort(spec, s1, s2, e, scope)
+            return (SortE if type(e) is Pi else LSort)(s3), spec.axiom_for(s3)
         case SortE(s) | LSort(s):
             if s not in spec.sorts:
                 _fail(ErrorKind.SORT_UNTYPEABLE, f"unknown sort {s}")
@@ -202,124 +275,93 @@ def _infer(
             if s2 is None:
                 _fail(ErrorKind.NO_AXIOM, f"sort {s} has no type")
             return type(e)(s2), spec.axiom_for(s2)
-        case Var(name) | LVar(name):
-            ty = ctx.lookup(name)
-            if ty is None:
-                _fail(ErrorKind.UNBOUND_VARIABLE, f"unbound variable {name}")
-            return ty, None
-        case BVar() | LBVar():
-            raise ValueError("dangling bound variable reached the type checker")
-        case Pi(h, dom, cod) | LPi(h, dom, cod):
-            s1 = _as_sort(spec, _infer(spec, ctx, dom, fuel, conv_depth, warnings)[0], fuel, dom)
-            x = fresh_name(h, ctx, dom, cod)
-            cod_x = open_binder(cod, x)
-            s2 = _as_sort(spec, _infer(spec, ctx.extend(x, dom), cod_x, fuel, conv_depth, warnings)[0], fuel, cod_x)
-            s3 = _pi_sort(spec, s1, s2, e)
-            return (SortE if type(e) is Pi else LSort)(s3), spec.axiom_for(s3)
-        case Lam(h, annot, body):
-            s1 = _as_sort(spec, _infer(spec, ctx, annot, fuel)[0], fuel, annot)
-            x = fresh_name(h, ctx, annot, body)
-            ctx = ctx.extend(x, annot)
-            body_ty, s2 = _infer(spec, ctx, open_binder(body, x), fuel)
-            if s2 is None:
-                s2 = _as_sort(spec, _infer(spec, ctx, body_ty, fuel)[0], fuel, body_ty)
-            # TLam demands the synthesized product itself be well-sorted.
-            pi = Pi(h, annot, close_binder(body_ty, x))
-            return pi, _pi_sort(spec, s1, s2, pi)
-        case App(fun, arg):
-            fun_ty, s3 = _infer(spec, ctx, fun, fuel)
-            head = _fun_head(fun, fun_ty, fuel)
-            arg_ty = _infer(spec, ctx, arg, fuel)[0]
-            _convertible(arg_ty, head.dom, fuel, "argument of", fun)
-            # head reduces from fun_ty, so it has fun_ty's sort s3
-            return instantiate(head.cod, arg), _cod_sort(spec, s3)
         case LLam(h, dom, cod, body):
             label = label_of(e)
-            s3 = _infer(spec, ctx, label, fuel, conv_depth, warnings)[0].name
+            s3 = _infer(spec, scope, label, fuel, conv_depth, warnings)[0].name
             # That checked the codomain whole, so a body lambda labeled with the
-            # opened codomain is entered here without checking its label again:
-            # once its own body checks, its type is that codomain.
+            # codomain is entered here without checking its label again: once
+            # its own body checks, its type is that codomain.
+            depth = len(scope.binders)
             while True:
-                x = fresh_name(h, ctx, dom, cod, body)
-                ctx = ctx.extend(x, dom)
-                body, cod = open_binder(body, x), open_binder(cod, x)
+                scope.binders.append((e, dom, None))
                 if not (isinstance(body, LLam) and label_of(body) == cod):
                     break
-                h, dom, cod, body = body.hint, body.dom, body.cod, body.body
-            body_ty = _infer(spec, ctx, body, fuel, conv_depth, warnings)[0]
+                e, dom, cod, body = body, body.dom, body.cod, body.body
+            body_ty = _infer(spec, scope, body, fuel, conv_depth, warnings)[0]
             if not directed_convertible(body_ty, cod, conv_depth):
-                message = f"body type {print_expr(body_ty)} does not reduce to or from the label codomain"
+                message = f"body type {_show(body_ty, scope)} does not reduce to or from the label codomain"
                 _fail(ErrorKind.DIRECTED_CONVERSION_UNDETERMINED, message)
+            del scope.binders[depth:]
             return label, s3
         case LApp(h, dom, cod, fun, arg):
-            fun_ty = _infer(spec, ctx, fun, fuel, conv_depth, warnings)[0]
+            fun_ty = _infer(spec, scope, fun, fuel, conv_depth, warnings)[0]
             label = label_of(e)
             if not directed_convertible(fun_ty, label, conv_depth):
-                message = f"function type {print_expr(fun_ty)} does not reduce to or from the label {print_expr(label)}"
+                message = f"function type {_show(fun_ty, scope)} does not reduce to or from the label {_show(label, scope)}"
                 _fail(ErrorKind.DIRECTED_CONVERSION_UNDETERMINED, message)
             if warnings is not None:
                 try:
-                    if normalize(fun_ty, fuel) != normalize(label, fuel):
+                    if _normal_form(fun_ty, fuel) != _normal_form(label, fuel):
                         warnings.append(
-                            f"application label {print_expr(label)} differs from the function type "
-                            f"{print_expr(fun_ty)} after normalization"
+                            f"application label {_show(label, scope)} differs from the function type "
+                            f"{_show(fun_ty, scope)} after normalization"
                         )
                 except FuelExhausted:
                     warnings.append("label comparison ran out of fuel")
-            arg_ty = _infer(spec, ctx, arg, fuel, conv_depth, warnings)[0]
+            arg_ty = _infer(spec, scope, arg, fuel, conv_depth, warnings)[0]
             if not directed_convertible(arg_ty, dom, conv_depth):
-                message = f"argument type {print_expr(arg_ty)} does not reduce to or from {print_expr(dom)}"
+                message = f"argument type {_show(arg_ty, scope)} does not reduce to or from {_show(dom, scope)}"
                 _fail(ErrorKind.DIRECTED_CONVERSION_UNDETERMINED, message)
             return instantiate(cod, arg), None
         case Sigma(h, first, second):
-            _require_sigma(spec, e)
-            first_sort = _as_sort(spec, _infer(spec, ctx, first, fuel)[0], fuel, first)
+            _require_sigma(spec, e, scope)
+            first_sort = _as_sort(spec, _infer(spec, scope, first, fuel)[0], fuel, first, scope)
             if first_sort != STAR:
                 _fail(
                     ErrorKind.MISMATCH,
-                    f"Sig first component {print_expr(first)} must be a type, has sort {first_sort}",
+                    f"Sig first component {_show(first, scope)} must be a type, has sort {first_sort}",
                 )
-            x = fresh_name(h, ctx, first, second)
-            second_x = open_binder(second, x)
-            s = _as_sort(spec, _infer(spec, ctx.extend(x, first), second_x, fuel)[0], fuel, second_x)
+            scope.binders.append((e, first, first_sort))
+            s = _as_sort(spec, _infer(spec, scope, second, fuel)[0], fuel, second, scope)
+            scope.binders.pop()
             return SortE(s), spec.axiom_for(s)
         case Pair(first, second, annot):
-            _require_sigma(spec, e)
-            _infer(spec, ctx, annot, fuel)
+            _require_sigma(spec, e, scope)
+            _infer(spec, scope, annot, fuel)
             try:
                 head = whnf(annot, fuel)
             except FuelExhausted:
-                _fail(ErrorKind.FUEL_EXHAUSTED, f"exposing the pair annotation {print_expr(annot)}")
+                _fail(ErrorKind.FUEL_EXHAUSTED, f"exposing the pair annotation {_show(annot, scope)}")
             if not isinstance(head, Sigma):
-                _fail(ErrorKind.MISMATCH, f"pair annotation {print_expr(annot)} is not a Sig type")
-            first_ty = _infer(spec, ctx, first, fuel)[0]
-            _convertible(first_ty, head.first, fuel, "first pair component")
-            second_ty = _infer(spec, ctx, second, fuel)[0]
-            _convertible(second_ty, instantiate(head.second, first), fuel, "second pair component")
+                _fail(ErrorKind.MISMATCH, f"pair annotation {_show(annot, scope)} is not a Sig type")
+            first_ty = _infer(spec, scope, first, fuel)[0]
+            _convertible(first_ty, head.first, fuel, "first pair component", None, scope)
+            second_ty = _infer(spec, scope, second, fuel)[0]
+            _convertible(second_ty, instantiate(head.second, first), fuel, "second pair component", None, scope)
             return annot, None
         case Proj1(p):
-            _require_sigma(spec, e)
-            return _sigma_head(spec, ctx, p, fuel).first, None
+            _require_sigma(spec, e, scope)
+            return _sigma_head(spec, scope, p, fuel).first, None
         case Proj2(p):
-            _require_sigma(spec, e)
-            return instantiate(_sigma_head(spec, ctx, p, fuel).second, Proj1(p)), None
+            _require_sigma(spec, e, scope)
+            return instantiate(_sigma_head(spec, scope, p, fuel).second, Proj1(p)), None
         case _:
             raise TypeError(f"not an expression: {e!r}")
 
 
-def _require_sigma(spec: PtsSpec, e: Expr) -> None:
+def _require_sigma(spec: PtsSpec, e: Expr, scope: _Scope | None = None) -> None:
     if not spec.sigma_enabled:
-        _fail(ErrorKind.SIGMA_DISABLED, f"sigma extension is disabled: {print_expr(e)}")
+        _fail(ErrorKind.SIGMA_DISABLED, f"sigma extension is disabled: {_show(e, scope)}")
 
 
-def _sigma_head(spec: PtsSpec, ctx: Context, p: Expr, fuel: int) -> Sigma:
-    ty = _infer(spec, ctx, p, fuel)[0]
+def _sigma_head(spec: PtsSpec, scope: _Scope, p: Expr, fuel: int) -> Sigma:
+    ty = _infer(spec, scope, p, fuel)[0]
     try:
         head = whnf(ty, fuel)
     except FuelExhausted:
-        _fail(ErrorKind.FUEL_EXHAUSTED, f"exposing the type of {print_expr(p)}")
+        _fail(ErrorKind.FUEL_EXHAUSTED, f"exposing the type of {_show(p, scope)}")
     if not isinstance(head, Sigma):
-        _fail(ErrorKind.MISMATCH, f"{print_expr(p)} has type {print_expr(ty)}, not a Sig type")
+        _fail(ErrorKind.MISMATCH, f"{_show(p, scope)} has type {_show(ty, scope)}, not a Sig type")
     return head
 
 
@@ -367,13 +409,13 @@ _CC = BUILTIN_SPECS["cc"]
 def classify(ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL, spec: PtsSpec | None = None) -> Classification:
     """Sort a typeable CC expression into kind / constructor / term."""
     spec = spec or _CC
-    return _classify(spec, ctx, e, *_infer(spec, ctx, e, fuel), fuel)
+    return _classify(spec, ctx, e, *_infer(spec, _Scope(spec, ctx, fuel), e, fuel), fuel)
 
 
 def _classify(spec: PtsSpec, ctx: Context, e: Expr, ty: Expr, s: str | None, fuel: int) -> Classification:
     """``classify`` from the pair ``(ty, s)`` that ``_infer`` gives for ``e``."""
     try:
-        nty = normalize(ty, fuel)
+        nty = _normal_form(ty, fuel)
     except FuelExhausted:
         _fail(ErrorKind.FUEL_EXHAUSTED, f"normalizing the type of {print_expr(e)}")
     if nty == SortE(BOX):

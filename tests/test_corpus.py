@@ -237,3 +237,19 @@ def test_report_on_a_context_the_translation_rejects():
         "FAIL simulation setup failed: context binds reserved name '_q'",
     ]
     assert [line.split()[:2] for line in lines[7:]] == [["PASS", "labeled-roundtrip"], ["PASS", "tight-erasure"]]
+
+
+def test_normalizes_check_reports_exhaustion_without_the_replay(monkeypatch):
+    # the check reads no FuelExhausted.last, so the evaluator's exhaustion is
+    # reported without replaying it by substitution
+    from ptskit import reduction
+    from ptskit.syntax import parse_expr
+
+    substituted = []
+    nf = reduction._nf
+    monkeypatch.setattr(reduction, "_nf", lambda *args: substituted.append(args) or nf(*args))
+    j = Judgement("n", parse_context("A : *"), parse_expr(r"(\X:*. X) ((\X:*. X) A)"), None)
+    lines = [e.line() for e in run_report([j], CC, fuel=1)]
+    assert r"FAIL normalizes n: (\X:*. X) ((\X:*. X) A) (no normal form within 1 steps)" in lines
+    assert substituted == []
+    assert r"PASS normalizes n: (\X:*. X) ((\X:*. X) A)" in [e.line() for e in run_report([j], CC, fuel=2)]

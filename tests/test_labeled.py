@@ -531,3 +531,98 @@ def test_labeled_binder_walks_grow_at_most_quadratically(monkeypatch):
 
     at_32, at_64 = visits(32), visits(64)
     assert at_64 <= 4.5 * at_32, (at_32, at_64)
+
+
+# ---------------------------------------------------------------------------
+# Elaboration and labeled typing under binders on a scope
+
+
+def test_label_spine_elaborates_the_function_type_once(monkeypatch):
+    # an application of a context variable takes its label from the
+    # variable's labeled type, elaborated once per call
+    from ptskit import labeled
+
+    counts: dict[str, int] = {}
+    elaborate = labeled._elaborate
+
+    def counting(spec, scope, a, fuel):
+        if a == P("A -> A"):
+            counts["A -> A"] = counts.get("A -> A", 0) + 1
+        return elaborate(spec, scope, a, fuel)
+
+    monkeypatch.setattr(labeled, "_elaborate", counting)
+    spine = P("f (" * 149 + "f x" + ")" * 149)
+    la = label_term(CC, C("A : *\nf : A -> A\nx : A"), spine)
+    assert erase(la) == spine and label_of(la) == LPi("_", LVar("A"), LVar("A"))
+    assert counts == {"A -> A": 1}
+
+
+def test_no_lambda_over_a_variable_elaborates_its_body_type(monkeypatch):
+    # a variable's labeled type comes from its binder's labeled annotation,
+    # or once per call from its type in the context
+    from ptskit import labeled
+
+    elaborate = labeled._elaborate
+    frames, fallbacks = [], []
+
+    def guarded(spec, scope, a, fuel):
+        parent = frames[-1] if frames else None
+        if parent is not None and type(parent[0]) is Lam and parent[1] is a:
+            fallbacks.append(parent[0])
+        frames.append([a, None])
+        try:
+            result = elaborate(spec, scope, a, fuel)
+        finally:
+            frames.pop()
+        if parent is not None and type(parent[0]) is Lam and a is parent[0].body:
+            parent[1] = result[1]  # the body's type: the fallback would elaborate it next
+        return result
+
+    from ptskit.syntax import BVar, Lam
+
+    ctx = typed_pool_context()
+    terms = [t for seed in (1, 2, 3) for t in typed_terms(seed=seed, count=100)]
+    terms += [P(r"\A:*. \x:A. \y:A. x"), P(r"\x:A. \y:P x. a"), P(r"\g:A -> A. \y:A. g")]
+    monkeypatch.setattr(labeled, "_elaborate", guarded)
+    lambdas = 0
+    for t in terms:
+        label_term(CC, ctx, t)
+        todo = [t]
+        while todo:
+            e = todo.pop()
+            todo.extend(getattr(e, f) for f, _ in e._children)
+            lambdas += isinstance(e, Lam) and isinstance(e.body, (Var, BVar))
+    assert lambdas > 50
+    assert [f for f in fallbacks if isinstance(f.body, (Var, BVar))] == []
+
+
+LABELED_MESSAGES_UNDER_BINDERS = [
+    # binders x, x', x'' under a context that binds x: named x', x'', x'''
+    (r"x'", "DirectedConversionUndetermined: body type x' -> x' does not reduce to or from the label codomain"),
+    (r"x' @[y : x -> *] x''",
+     "DirectedConversionUndetermined: function type x' -> x' does not reduce to or from the label x' -> *"),
+    (r"x' @[y : x -> x] x'", "DirectedConversionUndetermined: argument type x' -> x' does not reduce to or from x'"),
+    (r"f @[y : x -> x] x''",
+     "DirectedConversionUndetermined: function type x -> x does not reduce to or from the label x' -> x'"),
+]
+_NEST = r"\[x : * -> (x -> x) -> x -> x] x : * . \[x' : (x -> x) -> x -> x] x' : (x -> x) . \[x'' : x -> x] x'' : x . "
+
+
+@pytest.mark.parametrize("body, message", LABELED_MESSAGES_UNDER_BINDERS)
+def test_labeled_messages_under_colliding_binders_are_pinned(body, message):
+    lctx = label_context(CC, C("x : *\nf : x -> x"))
+    for infer in (labeled_infer, oracle.labeled_infer):
+        with pytest.raises(TypeCheckError) as info:
+            infer(CC, lctx, parse_labeled(_NEST + body))
+        assert str(info.value) == message, infer
+
+
+def test_label_comparison_warns_when_normalizing_runs_out_of_fuel():
+    # the function's type and the label reduce to each other, but the label
+    # needs two contractions to reach its normal form
+    la = parse_labeled(_NEST + r"x' @[y : (\[X : * -> *] X : * . X) @[X : * -> *] ((\[X : * -> *] X : * . X) @[X : * -> *] x) -> x] x''")
+    lctx = label_context(CC, C("x : *\nf : x -> x"))
+    for fuel, want in ((1, ["label comparison ran out of fuel"]), (2, [])):
+        warnings: list[str] = []
+        assert print_labeled(labeled_infer(CC, lctx, la, fuel, 12, warnings)) == "(x:*) -> (x -> x) -> x -> x"
+        assert warnings == want

@@ -534,7 +534,7 @@ def test_church_product_takes_3n_plus_4_contractions():
         assert _outcome(_reference_normalize, t, 3 * n + 3) == ("exhausted", err.value.last)
 
 
-def test_normalize_leaves_labeled_sigma_and_open_terms_to_substitution(monkeypatch):
+def test_normalize_leaves_labeled_and_sigma_terms_to_substitution(monkeypatch):
     from ptskit import reduction
     from ptskit.labeled import label_term
     from ptskit.syntax import CC, Context
@@ -546,7 +546,6 @@ def test_normalize_leaves_labeled_sigma_and_open_terms_to_substitution(monkeypat
         # the evaluator contracts once, then meets the projection
         P(r"(\p:*. p.2) (<(\y:*. y) a, (\y:*. y) b> : Sig x:A. A)"),
         Pair(P(r"(\x:*. x x) (\x:*. x x)"), Var("b"), P("Sig x:A. A")),
-        App(Lam("x", P("*"), App(BVar(0), BVar(1))), P(r"\y:*. (\z:*. z) y")),  # index 1 dangles
     ]
     for e in terms:
         for fuel in range(1, 12):
@@ -555,3 +554,58 @@ def test_normalize_leaves_labeled_sigma_and_open_terms_to_substitution(monkeypat
             assert substituted and substituted[0][0] is e
             want_kind, want = _outcome(lambda e, fuel: nf(e, [fuel]), e, fuel)
             assert kind == want_kind and got == want and print_expr(got) == print_expr(want), (print_expr(e), fuel)
+
+
+def _open_terms():
+    """Generated terms with dangling indices: untyped terms with pool names
+    turned into the indices 0 and 1, and the bodies of the lambdas among
+    them, which the typing walks meet under their binders."""
+    from ptskit.syntax import close_binder
+
+    out = [App(Lam("x", P("*"), App(BVar(0), BVar(1))), P(r"\y:*. (\z:*. z) y"))]  # index 1 dangles
+    for seed in range(40):
+        t = close_binder(close_binder(untyped_term(random.Random(seed), 16), "a"), "f", 1)
+        out.append(t)
+        while isinstance(t, (Lam, App)):
+            t = t.body if isinstance(t, Lam) else t.fun
+            if isinstance(t, Lam):
+                out.append(t.body)
+    return [t for t in out if t._loose]
+
+
+def test_open_terms_evaluate_as_substitution_normalizes_them(monkeypatch):
+    # the typing walks convert types with dangling indices; they stay off _nf
+    # when the evaluator succeeds, and agree with it at every fuel
+    from ptskit import reduction
+
+    nf = reduction._nf
+    substituted = _spy(monkeypatch, reduction, "_nf")
+
+    def reference_beta_eq(a, b, fuel):
+        if a == b:
+            return True
+        try:
+            return nf(a, [fuel]) == nf(b, [fuel])
+        except FuelExhausted:
+            return UNDETERMINED
+
+    terms = _open_terms()
+    assert len(terms) > 40 and max(t._loose for t in terms) >= 2
+    checked = 0
+    for e, other in zip(terms, terms[1:] + terms[:1]):
+        budget = [200]
+        try:
+            want = nf(e, budget)
+        except FuelExhausted:
+            continue  # no normal form within 200 contractions
+        needed = 200 - budget[0]
+        del substituted[:]
+        assert normalize(e, needed + 1) == want and print_expr(normalize(e, needed + 1)) == print_expr(want)
+        assert substituted == []
+        for fuel in range(1, needed + 1):
+            got, expected = _outcome(normalize, e, fuel), _outcome(lambda e, fuel: nf(e, [fuel]), e, fuel)
+            assert got == expected and print_expr(got[1]) == print_expr(expected[1]), (print_expr(e), fuel)
+            for b in (want, other):
+                assert beta_eq(e, b, fuel) is reference_beta_eq(e, b, fuel), (print_expr(e), print_expr(b), fuel)
+        checked += needed > 0
+    assert checked > 20

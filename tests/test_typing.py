@@ -377,3 +377,174 @@ def test_no_lambda_types_the_product_it_synthesized(monkeypatch, typing_cases):
         assert all(entry.ok for entry in check_translation(Context(), nest))
     assert len(products) > 1000
     assert not {id(p) for p in products} & {id(e) for e in received}
+
+
+# ---------------------------------------------------------------------------
+# Typing under binders on a scope: nothing opened, closed or named
+
+
+def _well_typed_core_cases():
+    """``(ctx, term)`` for the well-typed core CC cases of the oracle
+    comparisons under well-formed contexts: generated terms (``typed_terms``
+    seeds 1-5), the ``corpus/cc`` judgements that type, and lambda nests."""
+    return [
+        (ctx, term)
+        for system, ctx, term, fuel in oracle.typing_cases()
+        if system == "cc" and fuel > 1 and outcome(wf_context, CC, ctx)[0] == outcome(infer_type, CC, ctx, term)[0] == "ok"
+    ]
+
+
+def test_typing_and_elaborating_open_close_and_name_nothing(monkeypatch):
+    # the walks push and pop binders on a scope: no body is opened, no type
+    # closed, and no name is made unless an error message prints a subterm
+    from ptskit import labeled, syntax, typecheck
+
+    cases = _well_typed_core_cases()
+    assert len(cases) > 800
+    calls = []
+    for module in (syntax, typecheck, labeled):
+        for name in ("open_binder", "close_binder", "fresh_name"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+    for ctx, term in cases:
+        wf_context(CC, ctx)
+        infer_type(CC, ctx, term)
+        classify(ctx, term)
+        lctx = labeled.label_context(CC, ctx)
+        labeled.labeled_infer(CC, lctx, labeled.label_term(CC, ctx, term))
+    assert calls == []
+
+
+def test_no_lambda_over_a_variable_or_variable_headed_application_types_its_body_type(monkeypatch):
+    # a variable's sort comes from its binder (a context variable's from its
+    # type, found once per call), and an application's from its function's
+    # type, so no lambda body leaves its sort to be found from its type
+    from ptskit import typecheck
+    from ptskit.syntax import App, BVar
+
+    infer = typecheck._infer
+    frames, fallbacks, bodies = [], [], {"var": 0, "app": 0}
+
+    def guarded(spec, scope, e, *args):
+        parent = frames[-1] if frames else None
+        if parent is not None and type(parent[0]) is Lam and parent[1] is e:
+            fallbacks.append(parent[0])
+        frames.append([e, None])
+        try:
+            ty, s = infer(spec, scope, e, *args)
+        finally:
+            frames.pop()
+        if parent is not None and type(parent[0]) is Lam and e is parent[0].body:
+            parent[1] = ty  # the body's type: the fallback would type it next
+        return ty, s
+
+    cases = _well_typed_core_cases()
+    monkeypatch.setattr(typecheck, "_infer", guarded)
+    for ctx, term in cases:
+        infer_type(CC, ctx, term)
+        todo = [term]
+        while todo:
+            t = todo.pop()
+            todo.extend(getattr(t, f) for f, _ in t._children)
+            if isinstance(t, Lam):
+                head = t.body
+                while isinstance(head, App):
+                    head = head.fun
+                if isinstance(head, (Var, BVar)):
+                    bodies["var" if head is t.body else "app"] += 1
+    assert bodies["var"] > 50 and bodies["app"] > 50, bodies
+    assert fallbacks == []
+
+
+def test_lambdas_whose_body_gives_no_sort_still_type_its_type():
+    # a pair's sort is not handed up, so its type is typed under the binder
+    ctx = C("A : *\na : A", sigma=True)
+    term = P(r"\x:A. <x, a> : Sig y:A. A", sigma=True)
+    assert infer_type(CCS, ctx, term) == P(r"A -> Sig y:A. A", sigma=True)
+    bad = P(r"\x:A. <x, a> : Sig y:A. x", sigma=True)
+    assert outcome(infer_type, CCS, ctx, bad) == outcome(oracle.infer_type, CCS, ctx, bad)
+
+
+# ---------------------------------------------------------------------------
+# Messages under binders name them as a walk that opened each binder did
+
+MESSAGES_UNDER_BINDERS = [
+    ("x : *", r"\x:x. \x:x. x x", "SortUntypeable: x' is classified by x, not a sort"),
+    ("x : *", r"\x:*. \x':x. \y:x'. y", "SortUntypeable: x'' is classified by x', not a sort"),
+    ("x : *\nf : x -> x", r"\x:*. \y:x. f y", "Mismatch: argument of f: x' is not convertible with x"),
+    # the printer's own binder keeps its hint beside the opened name x'
+    ("x : *", r"\x:*. \y:x. (\x':x -> x. x') y",
+     "Mismatch: argument of \\x':x' -> x'. x': x' is not convertible with x' -> x'"),
+    ("x : *", r"\x:*. \x':x. (\x'':x -> x. x'') x'",
+     "Mismatch: argument of \\x'':x' -> x'. x'': x' is not convertible with x' -> x'"),
+    ("x : *", r"\x:*. \x:x. (\y:(\X:*. X) x. y) *", "Mismatch: argument of \\X:*. X: x' is not convertible with *"),
+    ("x : *", r"(x:*) -> (x:x) -> x x", "NotAFunction: x'' has type x', which is not a function type"),
+]
+
+SIGMA_MESSAGES_UNDER_BINDERS = [
+    (CCS, "x : *", r"\x:*. Sig x:x. x x", "NotAFunction: x'' has type x', which is not a function type"),
+    (CCS, "x : *", r"\x:*. \p:(Sig y:x. x). p.2 p", "NotAFunction: p.2 has type x', which is not a function type"),
+    (CCS, "x : *\na : x", r"\x:*. \y:x. (<y, a> : Sig z:x. x)",
+     "Mismatch: second pair component: x is not convertible with x'"),
+    (CCS, "x : *", r"\x:*. \y:x. y.1", "Mismatch: y has type x', not a Sig type"),
+    (CCS, "x : *", r"\x:*. Sig y:x. y", "SortUntypeable: y is classified by x', not a sort"),
+    (CCS, "x : *", r"\x:*. \x':x. <x', x'> : x", "Mismatch: pair annotation x' is not a Sig type"),
+    (CC, "x : *", r"\x:*. \x':x. <x', x'> : x", "SigmaDisabled: sigma extension is disabled: <x'', x''> : x'"),
+    (CC, "x : *", r"\x:*. Sig x:x. x x", "SigmaDisabled: sigma extension is disabled: Sig x:x'. x x"),
+]
+
+
+@pytest.mark.parametrize("ctx_text, text, message", MESSAGES_UNDER_BINDERS)
+def test_messages_under_colliding_binders_are_pinned(ctx_text, text, message):
+    from ptskit.labeled import label_term
+
+    for walk in (infer_type, label_term, oracle.infer_type):
+        with pytest.raises(TypeCheckError) as info:
+            walk(CC, C(ctx_text), P(text))
+        assert str(info.value) == message, walk
+
+
+@pytest.mark.parametrize("spec, ctx_text, text, message", SIGMA_MESSAGES_UNDER_BINDERS)
+def test_sigma_messages_under_colliding_binders_are_pinned(spec, ctx_text, text, message):
+    for walk in (infer_type, oracle.infer_type):
+        with pytest.raises(TypeCheckError) as info:
+            walk(spec, C(ctx_text, sigma=True), P(text, sigma=True))
+        assert str(info.value) == message, walk
+
+
+def test_errors_under_binders_named_like_the_context_match_the_oracle():
+    # each generated term under lambdas that rebind its pool names a and b,
+    # well-typed and as the ill-typed (\x:T -> T. x) t, typed and elaborated
+    from generators import typed_pool_context, typed_terms
+    from ptskit.labeled import label_term
+    from ptskit.syntax import App, BVar, Pi, close_binder
+
+    pool = typed_pool_context()
+    compared = errors = 0
+    for seed in (1, 2, 3):
+        for t in typed_terms(seed=seed, count=60):
+            ty = infer_type(CC, pool, t)
+            for inner in (t, App(Lam("x", Pi("_", ty, ty), BVar(0)), t)):
+                e = Lam("a", Var("A"), Lam("b", Var("B"), close_binder(close_binder(inner, "b"), "a", 1)))
+                for walk, reference in ((infer_type, oracle.infer_type), (label_term, oracle.label_term)):
+                    got = outcome(walk, CC, pool, e)
+                    assert got == outcome(reference, CC, pool, e), str(e)
+                    compared += 1
+                    errors += got[0] == "error"
+    assert compared == 720 and errors >= 360
+
+
+def test_fuel_exhaustion_messages_skip_the_normal_form_replay(monkeypatch):
+    # _as_sort and classify never read FuelExhausted.last, so the evaluator's
+    # exhaustion is reported without replaying it by substitution
+    from ptskit import reduction
+
+    substituted = []
+    nf = reduction._nf
+    monkeypatch.setattr(reduction, "_nf", lambda *args: substituted.append(args) or nf(*args))
+    ctx = C("A : *\na : (\\X:*. X) ((\\X:*. X) A)")
+    for walk, args in ((infer_type, (CC, ctx, P(r"\y:a. y"), 1)), (classify, (ctx, Var("a"), 1))):
+        with pytest.raises(TypeCheckError) as info:
+            walk(*args)
+        assert str(info.value) == "FuelExhausted: normalizing the type of a"
+    assert substituted == []
