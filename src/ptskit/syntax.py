@@ -682,14 +682,14 @@ _TOKEN_RE = re.compile(
     (?P<ws>\s+)
   | (?P<arrow>->)
   | (?P<proj>\.[12](?![A-Za-z0-9'$_]))
+  | (?P<sig>Sig(?![A-Za-z0-9']))
   | (?P<ident>[A-Za-z][A-Za-z0-9']*)
   | (?P<reserved>_[A-Za-z0-9'$_]*)
   | (?P<punct>[*\#()\\.:<>,@\[\]])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
-
-_KEYWORDS = {"Sig"}
 
 
 class ParseError(Exception):
@@ -699,38 +699,25 @@ class ParseError(Exception):
         self.col = col
 
 
-class _Tok(Record):
-    __slots__ = __match_args__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        _set(self, "kind", kind)  # arrow | proj | ident | reserved | punct | eof | sig
-        _set(self, "text", text)
-        _set(self, "line", line)
-        _set(self, "col", col)
+def _error_at(text: str, offset: int, message: str) -> ParseError:
+    """The error at character ``offset`` of ``text``, with its 1-based line and column."""
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` tokens, where a punctuation mark is its own
+    kind, ended by three ``eof`` tokens so the parser may look two ahead."""
+    toks = []
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        lexeme = m.group()
         if kind != "ws":
-            if kind == "ident" and lexeme in _KEYWORDS:
-                kind = "sig"
-            toks.append(_Tok(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    toks.append(_Tok("eof", "", line, col))
+            lexeme = m.group()
+            if kind == "punct":
+                kind = lexeme
+            elif kind == "bad":
+                raise _error_at(text, m.start(), f"unexpected character {lexeme!r}")
+            toks.append((kind, lexeme, m.start()))
+    toks += [("eof", "", len(text))] * 3
     return toks
 
 
@@ -747,55 +734,52 @@ class _Parser:
     noun = "an expression"
     sigma_forms = True
 
-    def __init__(self, toks: list[_Tok], sigma_enabled: bool, allow_reserved: bool):
-        self.toks = toks
+    def __init__(self, text: str, sigma_enabled: bool, allow_reserved: bool):
+        self.text = text
+        self.toks = _tokenize(text)
         self.pos = 0
         self.sigma = sigma_enabled
         self.allow_reserved = allow_reserved
 
-    def peek(self, ahead: int = 0) -> _Tok:
-        i = min(self.pos + ahead, len(self.toks) - 1)
-        return self.toks[i]
+    def peek(self, ahead: int = 0) -> str:
+        return self.toks[self.pos + ahead][0]
 
-    def next(self) -> _Tok:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
+    def next(self) -> str:
+        # every caller has checked the kind, so this never steps past an eof
+        self.pos += 1
+        return self.toks[self.pos - 1][1]
 
-    def error(self, message: str, tok: _Tok | None = None):
-        t = tok or self.peek()
-        raise ParseError(message, t.line, t.col)
+    def found(self) -> str:
+        return repr(self.toks[self.pos][1] or "end of input")
 
-    def expect(self, kind: str, text: str | None = None) -> _Tok:
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
-            want = text or kind
-            self.error(f"expected {want!r}, found {t.text or 'end of input'!r}")
-        return self.next()
+    def error(self, message: str):
+        raise _error_at(self.text, self.toks[self.pos][2], message)
+
+    def expect(self, kind: str) -> None:
+        if self.peek() != kind:
+            self.error(f"expected {kind!r}, found {self.found()}")
+        self.pos += 1
 
     def ident(self) -> str:
-        t = self.peek()
-        if t.kind == "ident":
-            return self.next().text
-        if t.kind == "reserved":
-            if self.allow_reserved:
-                return self.next().text
+        kind = self.peek()
+        if kind == "ident" or kind == "reserved" and self.allow_reserved:
+            return self.next()
+        if kind == "reserved":
             self.error("identifiers starting with '_' are reserved for generated names")
-        self.error(f"expected an identifier, found {t.text or 'end of input'!r}")
+        self.error(f"expected an identifier, found {self.found()}")
 
     def expr(self) -> Expr:
-        t = self.peek()
-        if t.kind == "sig" and not self.sigma:
+        kind = self.peek()
+        if kind == "sig" and not self.sigma:
             self.error("'Sig' requires the sigma extension")
-        if t.kind == "sig" or (t.kind == "punct" and t.text == "\\"):
+        if kind == "sig" or kind == "\\":
             self.next()
             name = self.ident()
-            self.expect("punct", ":")
+            self.expect(":")
             first = self.expr()
-            self.expect("punct", ".")
+            self.expect(".")
             second = self.expr()
-            binder = Sigma if t.kind == "sig" else Lam
+            binder = Sigma if kind == "sig" else Lam
             return binder(name, first, close_binder(second, name))
         return self.arrow()
 
@@ -803,27 +787,20 @@ class _Parser:
         if self.at_pi_start():
             self.next()
             name = self.ident()
-            self.expect("punct", ":")
+            self.expect(":")
             dom = self.expr()
-            self.expect("punct", ")")
+            self.expect(")")
             self.expect("arrow")
             cod = self.expr()
             return self.pi(name, dom, close_binder(cod, name))
         left = self.app()
-        if self.peek().kind == "arrow":
+        if self.peek() == "arrow":
             self.next()
             return self.pi("_", left, self.expr())
         return left
 
     def at_pi_start(self) -> bool:
-        t0, t1, t2 = self.peek(0), self.peek(1), self.peek(2)
-        return (
-            t0.kind == "punct"
-            and t0.text == "("
-            and t1.kind in ("ident", "reserved")
-            and t2.kind == "punct"
-            and t2.text == ":"
-        )
+        return self.peek() == "(" and self.peek(1) in ("ident", "reserved") and self.peek(2) == ":"
 
     def app(self) -> Expr:
         e = self.postfix()
@@ -834,47 +811,39 @@ class _Parser:
         return e
 
     def at_atom_start(self) -> bool:
-        t = self.peek()
-        if t.kind in ("ident", "reserved"):
-            return True
-        return t.kind == "punct" and t.text in ("*", "#", "(", "<")
+        return self.peek() in ("ident", "reserved", "*", "#", "(", "<")
 
     def postfix(self) -> Node:
         e = self.atom()
-        while self.sigma_forms and self.peek().kind == "proj":
-            t = self.next()
+        while self.sigma_forms and self.peek() == "proj":
             if not self.sigma:
-                self.error("projections require the sigma extension", t)
-            e = Proj1(e) if t.text == ".1" else Proj2(e)
+                self.error("projections require the sigma extension")
+            e = Proj1(e) if self.next() == ".1" else Proj2(e)
         return e
 
     def atom(self) -> Node:
-        t = self.peek()
-        if t.kind == "punct" and t.text == "*":
-            self.next()
-            return self.sort(STAR)
-        if t.kind == "punct" and t.text == "#":
-            self.next()
-            return self.sort(BOX)
-        if t.kind in ("ident", "reserved"):
+        kind = self.peek()
+        if kind == "*" or kind == "#":
+            return self.sort(self.next())
+        if kind == "ident" or kind == "reserved":
             return self.var(self.ident())
-        if t.kind == "punct" and t.text == "(":
+        if kind == "(":
             self.next()
             e = self.expr()
-            self.expect("punct", ")")
+            self.expect(")")
             return e
-        if t.kind == "punct" and t.text == "<" and self.sigma_forms:
+        if kind == "<" and self.sigma_forms:
             if not self.sigma:
                 self.error("pair syntax requires the sigma extension")
             self.next()
             first = self.expr()
-            self.expect("punct", ",")
+            self.expect(",")
             second = self.expr()
-            self.expect("punct", ">")
-            self.expect("punct", ":")
+            self.expect(">")
+            self.expect(":")
             annot = self.expr()
             return Pair(first, second, annot)
-        self.error(f"expected {self.noun}, found {t.text or 'end of input'!r}")
+        self.error(f"expected {self.noun}, found {self.found()}")
 
 
 class _LabeledParser(_Parser):
@@ -886,27 +855,26 @@ class _LabeledParser(_Parser):
     sigma_forms = False
 
     def expr(self) -> LabeledExpr:
-        t = self.peek()
-        if t.kind == "punct" and t.text == "\\":
+        if self.peek() == "\\":
             self.next()
-            self.expect("punct", "[")
+            self.expect("[")
             x, dom, cod = self.label()
-            self.expect("punct", "]")
+            self.expect("]")
             x2 = self.ident()
             if x2 != x:
                 self.error(f"binder {x2!r} does not match the label binder {x!r}")
-            self.expect("punct", ":")
+            self.expect(":")
             dom2 = self.app()
             if dom2 != dom:
                 self.error("lambda annotation does not match the label domain")
-            self.expect("punct", ".")
+            self.expect(".")
             body = self.expr()
             return LLam(x, dom, close_binder(cod, x), close_binder(body, x))
         return self.arrow()
 
     def label(self) -> tuple[str, LabeledExpr, LabeledExpr]:
         x = self.ident()
-        self.expect("punct", ":")
+        self.expect(":")
         dom = self.app()
         self.expect("arrow")
         cod = self.expr()
@@ -915,12 +883,11 @@ class _LabeledParser(_Parser):
     def app(self) -> LabeledExpr:
         e = self.postfix()
         while True:
-            t = self.peek()
-            if t.kind == "punct" and t.text == "@":
+            if self.peek() == "@":
                 self.next()
-                self.expect("punct", "[")
+                self.expect("[")
                 x, dom, cod = self.label()
-                self.expect("punct", "]")
+                self.expect("]")
                 arg = self.postfix()
                 e = LApp(x, dom, close_binder(cod, x), e, arg)
             elif self.at_atom_start():
@@ -931,9 +898,8 @@ class _LabeledParser(_Parser):
 
 def _parse(parser: _Parser) -> Node:
     e = parser.expr()
-    t = parser.peek()
-    if t.kind != "eof":
-        parser.error(f"unexpected trailing input {t.text!r}")
+    if parser.peek() != "eof":
+        parser.error(f"unexpected trailing input {parser.found()}")
     return e
 
 
@@ -943,16 +909,19 @@ def parse_expr(text: str, sigma_enabled: bool = False, allow_reserved: bool = Fa
     Raises ParseError with line/column on bad input; identifiers in the
     reserved "_" namespace are rejected unless ``allow_reserved``.
     """
-    return _parse(_Parser(_tokenize(text), sigma_enabled, allow_reserved))
+    return _parse(_Parser(text, sigma_enabled, allow_reserved))
 
 
 def parse_labeled(text: str, allow_reserved: bool = True) -> LabeledExpr:
     """Parse labeled surface syntax (the form ``print_labeled`` emits)."""
-    return _parse(_LabeledParser(_tokenize(text), False, allow_reserved))
+    return _parse(_LabeledParser(text, False, allow_reserved))
 
 
 def parse_context(text: str, sigma_enabled: bool = False, allow_reserved: bool = False) -> Context:
-    """Parse a context given one "name : type" binding per line."""
+    """Parse a context given one "name : type" binding per line.
+
+    A binding name is one identifier token (``Sig`` is a keyword), or a
+    reserved one if ``allow_reserved``."""
     ctx = Context()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -962,12 +931,10 @@ def parse_context(text: str, sigma_enabled: bool = False, allow_reserved: bool =
         name = name_part.strip()
         if not sep or not name:
             raise ParseError("expected 'name : type'", lineno, 1)
-        ok = re.fullmatch(r"[A-Za-z][A-Za-z0-9']*", name)
-        if not ok:
-            if allow_reserved and re.fullmatch(r"_[A-Za-z0-9'$_]*", name):
-                pass
-            else:
-                raise ParseError(f"bad binding name {name!r}", lineno, 1)
+        m = _TOKEN_RE.fullmatch(name)
+        kind = m and m.lastgroup
+        if kind != "ident" and not (allow_reserved and kind == "reserved"):
+            raise ParseError(f"bad binding name {name!r}", lineno, 1)
         try:
             ty = parse_expr(ty_part, sigma_enabled, allow_reserved)
         except ParseError as err:

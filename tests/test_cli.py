@@ -161,6 +161,25 @@ def test_translate_output_rechecks(capsys, tmp_path):
     assert code == EXIT_OK and out.strip() == "ok"
 
 
+def test_translate_renames_a_shadowed_kind_witness(capsys):
+    # the inner A shadows the context's A, so its witness _w$A takes a prime
+    code, out, _ = run(capsys, "translate", "--bind", "A : *", r"\A:*. \x:A. x")
+    assert code == EXIT_OK
+    term = r"(\_y1:_0. \A:*. \_w$A':_0. (\_y2:_0. \x:A. x) _w$A') (_z _0)"
+    assert out == (
+        "translated context:\n_0 : *\n_z : (x:*) -> x\nA : *\n_w$A : _0\n"
+        f"translated term: {term}\n"
+        "translated type: (A:*) -> _0 -> A -> A\n"
+        f"PASS term-translation |- {term} : (A:*) -> _0 -> A -> A\n"
+    )
+
+
+def test_sig_is_not_a_binding_name(capsys):
+    for sigma in ([], ["--sigma"]):
+        code, out, err = run(capsys, "infer", *sigma, "--bind", "Sig : *", "Sig")
+        assert (code, out, err) == (EXIT_PARSE_ERROR, "", "error: parse error: 1:1: bad binding name 'Sig'\n")
+
+
 def test_label_erase_round_trip(capsys):
     term = r"(\A:*. \x:A. x) N M"
     code, labeled, _ = run(capsys, "label", "--bind", "N : *", "--bind", "M : N", term)

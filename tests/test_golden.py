@@ -151,6 +151,9 @@ SURFACE_INPUTS = [
     "Sig",
     "f Sig",
     "\\x:Sig y:*. y. x",
+    "x\n\t$",
+    "x\r\n  y )",
+    "\\x:*.\n",
 ]
 
 SURFACE_MODES = [

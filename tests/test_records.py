@@ -14,7 +14,7 @@ import pytest
 
 from ptskit.corpus import Judgement
 from ptskit.reduction import StepTrace
-from ptskit.syntax import CC, STLC, BVar, Context, Pi, PtsSpec, SortE, Var, _Tok
+from ptskit.syntax import CC, STLC, BVar, Context, Pi, PtsSpec, SortE, Var
 from ptskit.translate import TransEnv
 from ptskit.typecheck import GammaConstructor, GammaTerm, Kind
 
@@ -34,7 +34,6 @@ CASES = [
         ],
     ),
     (Context, True, [(), (CTX.bindings,), ((("A", STAR), ("x", Var("A"))),), ((("B", STAR),),)]),
-    (_Tok, True, [("ident", "x", 1, 2), ("ident", "x", 1, 2), ("punct", "(", 1, 1), ("eof", "", 3, 1)]),
     (
         StepTrace,
         True,

@@ -1,6 +1,9 @@
 import copy
+import os
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,6 +126,31 @@ def test_parse_context_lines():
     ctx = parse_context("A : *\nx : A")
     assert ctx.bindings == (("A", SortE(STAR)), ("x", Var("A")))
     assert print_context(ctx) == "A : *\nx : A"
+
+
+def test_binding_names_follow_the_tokenizer():
+    # 'Sig' is a keyword, so no term could refer to a binding of that name
+    for sigma in (False, True):
+        with pytest.raises(ParseError, match=r"^2:1: bad binding name 'Sig'$"):
+            parse_context("A : *\nSig : *", sigma_enabled=sigma)
+    assert parse_context("Sigma : *\nSig' : *").bindings == (("Sigma", SortE(STAR)), ("Sig'", SortE(STAR)))
+    with pytest.raises(ParseError, match="bad binding name '_x'"):
+        parse_context("_x : *")
+    assert parse_context("_x : *", allow_reserved=True).bindings == (("_x", SortE(STAR)),)
+
+
+def test_spine_of_depth_190_parses_at_the_default_recursion_limit():
+    # a fixed number of frames per nesting level: one more per level would
+    # bring the first failing depth (198) below 190
+    src = os.path.dirname(os.path.dirname(os.path.abspath(syntax.__file__)))
+    probe = (
+        "import sys; from ptskit.syntax import parse_expr, size; d = 190; "
+        "print(sys.getrecursionlimit(), size(parse_expr('f (' * d + 'x' + ')' * d)))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1000", str(2 * 190 + 1)]
 
 
 # ---------------------------------------------------------------------------
