@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .syntax import CC, Context, ParseError, parse_context, parse_expr, print_context, print_expr
-from .reduction import DEFAULT_FUEL, FuelExhausted, normalize, trace
+from .reduction import DEFAULT_DEPTH, DEFAULT_FUEL, FuelExhausted, normalize, trace
 from .typecheck import (
     ErrorKind, GammaConstructor, GammaTerm, Kind, TypeCheckError, check_type, classify, infer_type, resolve_spec, wf_context
 )
@@ -29,7 +29,7 @@ _EXHAUSTION_KINDS = (ErrorKind.FUEL_EXHAUSTED, ErrorKind.DIRECTED_CONVERSION_UND
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--system", default="cc", help="built-in name (stlc, f, fomega, cc) or a spec file")
     sub.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
-    sub.add_argument("--depth", type=int, default=12, help="bound for reachability searches")
+    sub.add_argument("--depth", type=int, default=DEFAULT_DEPTH, help="bound for reachability searches")
     sub.add_argument("--sigma", action="store_true", help="enable dependent pairs")
     sub.add_argument("--format", choices=("text", "machine"), default="text")
     sub.add_argument("--ctx", help="context file, one 'name : type' binding per line")

@@ -37,9 +37,8 @@ from .syntax import (
     parse_labeled as parse_labeled,
     print_labeled as print_labeled,
 )
-from .reduction import DEFAULT_FUEL, step_all
+from .reduction import DEFAULT_DEPTH, DEFAULT_FUEL, step_all
 from .typecheck import (
-    DEFAULT_CONV_DEPTH,
     ErrorKind,
     _as_sort,
     _convertible,
@@ -91,15 +90,10 @@ def labeled_infer(
     lctx: Context,
     la: LabeledExpr,
     fuel: int = DEFAULT_FUEL,
-    conv_depth: int = DEFAULT_CONV_DEPTH,
-    warnings: list[str] | None = None,
+    conv_depth: int = DEFAULT_DEPTH,
 ) -> LabeledExpr:
-    """Infer a labeled type; conversions are decided by directed search.
-
-    An application label that differs from the function's type after
-    normalization is recorded in ``warnings`` (when given), not rejected.
-    """
-    return _infer(spec, _Scope(spec, lctx, fuel), la, fuel, conv_depth, warnings)[0]
+    """Infer a labeled type; conversions are decided by directed search."""
+    return _infer(spec, _Scope(spec, lctx, fuel), la, fuel, conv_depth)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from __future__ import annotations
 from .syntax import BOUND, FREE, App, BVar, Expr, Lam, Node, Pi, Record, SortE, Var, _set
 
 DEFAULT_FUEL = 10000
+DEFAULT_DEPTH = 12  # bound on the steps of a reduction-path search (``reachable``)
 
 
 class FuelExhausted(Exception):
@@ -317,7 +318,10 @@ def _quote(t: Expr, env: tuple | None, depth: int, budget: list[int], own: int =
 
 
 def whnf(e: Node, fuel: int = DEFAULT_FUEL) -> Node:
-    """Reduce until the head is no beta/projection redex; spine only."""
+    """Reduce until the head is no beta/projection redex; spine only.
+
+    On fuel exhaustion ``FuelExhausted.last`` is the whole term after
+    exactly ``fuel`` contractions, as in ``normalize``."""
     if fuel < 1:
         raise ValueError("fuel must be >= 1")
     return _whnf(e, [fuel])
@@ -326,7 +330,11 @@ def whnf(e: Node, fuel: int = DEFAULT_FUEL) -> Node:
 def _whnf(e: Node, budget: list[int]) -> Node:
     while e._head is not None:
         h = getattr(e, e._head)
-        f = _whnf(h, budget)
+        try:
+            f = _whnf(h, budget)
+        except FuelExhausted as exc:
+            exc.last = _rebuild(e, e._head, exc.last)
+            raise
         if f is not h:
             e = _rebuild(e, e._head, f)
         if not e._fires():

@@ -695,6 +695,7 @@ _TOKEN_RE = re.compile(
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 
@@ -921,13 +922,13 @@ def parse_context(text: str, sigma_enabled: bool = False, allow_reserved: bool =
     """Parse a context given one "name : type" binding per line.
 
     A binding name is one identifier token (``Sig`` is a keyword), or a
-    reserved one if ``allow_reserved``."""
+    reserved one if ``allow_reserved``.  An error in a binding's type is
+    placed at its line and its column in that line."""
     ctx = Context()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        if not raw.strip():
             continue
-        name_part, sep, ty_part = line.partition(":")
+        name_part, sep, ty_part = raw.partition(":")
         name = name_part.strip()
         if not sep or not name:
             raise ParseError("expected 'name : type'", lineno, 1)
@@ -937,8 +938,8 @@ def parse_context(text: str, sigma_enabled: bool = False, allow_reserved: bool =
             raise ParseError(f"bad binding name {name!r}", lineno, 1)
         try:
             ty = parse_expr(ty_part, sigma_enabled, allow_reserved)
-        except ParseError as err:
-            raise ParseError(f"in binding {name!r}: {err}", lineno, 1) from err
+        except ParseError as err:  # ty_part is one line, so err.line is 1
+            raise ParseError(f"in binding {name!r}: {err.message}", lineno, len(name_part) + 1 + err.col) from err
         ctx = ctx.extend(name, ty)
     return ctx
 

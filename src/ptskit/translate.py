@@ -37,6 +37,7 @@ from .syntax import (
     Record,
     SortE,
     Var,
+    _set,
     close_binder,
     free_vars,
     fresh_name,
@@ -48,7 +49,7 @@ from .syntax import (
     FOMEGA,
     CC,
 )
-from .reduction import DEFAULT_FUEL, beta_eq, key_redex_of, reachable, reduce_key_redex, step_all
+from .reduction import DEFAULT_DEPTH, DEFAULT_FUEL, beta_eq, key_redex_of, reachable, reduce_key_redex, step_all
 from .typecheck import TypeCheckError, check_type, infer_type, wf_context
 
 ZERO = "_0"
@@ -80,25 +81,23 @@ def _check_context(ctx: Context) -> None:
 class TransEnv(Record):
     """Context index for the translation plus a fresh-name supply.
 
-    Child environments created by ``extended`` share the counter and the
-    canonical-inhabitant log, so one translation run is deterministic
-    and auditable end to end.  An environment is mutable and unhashable.
+    Child environments created by ``extended`` share the counter, so one
+    translation run is deterministic end to end.  An environment is
+    mutable and unhashable.
     """
 
-    __slots__ = __match_args__ = ("cc_context", "_counter", "canonical_log")
+    __slots__ = __match_args__ = ("cc_context", "_counter")
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
-    def __init__(self, cc_context: Context, _counter: list[int] | None = None, canonical_log: list | None = None):
+    def __init__(self, cc_context: Context, _counter: list[int] | None = None):
         _check_context(cc_context)
         self.cc_context = cc_context
         self._counter = [0] if _counter is None else _counter
-        self.canonical_log = [] if canonical_log is None else canonical_log  # (context, type) per inhabitant
 
     def extended(self, name: str, ty: Expr) -> TransEnv:
         child = TransEnv.__new__(TransEnv)
         child.cc_context = self.cc_context.extend(name, ty)
         child._counter = self._counter
-        child.canonical_log = self.canonical_log
         return child
 
     def fresh_y(self) -> str:
@@ -153,31 +152,18 @@ def erase_kind(a: Expr) -> Expr:
             raise ValueError(f"not a sort or kind: {print_expr(a)}")
 
 
-def _is_fomega_kind(e: Expr) -> bool:
-    match e:
-        case SortE(name):
-            return name == STAR
-        case Pi(_, dom, cod):
-            return _is_fomega_kind(dom) and _is_fomega_kind(cod)
-        case _:
-            return False
-
-
 def canonical_inhabitant(env: TransEnv, b: Expr) -> Expr:
     """A closed-form inhabitant of any valid F-omega type or kind.
 
     Types are inhabited through ``_z``; kinds structurally, ending in
-    ``_0``.  Every request is logged so the inhabitants can be re-checked.
+    ``_0``.  ``is_cc_kind`` tells the two apart: a valid kind has only
+    kinds as domains, and no valid type ends its codomain spine in ``*``.
+    The inhabitant does not depend on ``env``.
     """
-    env.canonical_log.append((env.cc_context, b))
-    return _canonical(b)
-
-
-def _canonical(b: Expr) -> Expr:
-    if _is_fomega_kind(b):
+    if is_cc_kind(b):
         if b == SortE(STAR):
             return _ZERO_VAR
-        return Lam(b.hint, b.dom, _canonical(b.cod))
+        return Lam(b.hint, b.dom, canonical_inhabitant(env, b.cod))
     if isinstance(b, (SortE, Lam)):
         raise ValueError(f"no canonical inhabitant for {print_expr(b)}")
     return App(Var(Z), b)
@@ -311,32 +297,24 @@ def _trans_term(env: TransEnv, a: Expr) -> Expr:
 # Executable checks
 
 
-class CheckEntry:
+class CheckEntry(Record):
     """One PASS/FAIL line of a property report.  ``detail`` may be given as a
     function of no arguments, called when the detail is first read, so a
     report nobody prints renders nothing."""
 
     __slots__ = ("ok", "name", "_detail")
+    __match_args__ = ("ok", "name", "detail")
 
     def __init__(self, ok: bool, name: str, detail):
-        self.ok, self.name, self._detail = ok, name, detail
+        _set(self, "ok", ok)
+        _set(self, "name", name)
+        _set(self, "_detail", detail)
 
     @property
     def detail(self) -> str:
         if not isinstance(self._detail, str):
-            self._detail = self._detail()
+            _set(self, "_detail", self._detail())
         return self._detail
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ok, self.name, self.detail) == (other.ok, other.name, other.detail)
-
-    def __hash__(self):
-        return hash((self.ok, self.name, self.detail))
-
-    def __repr__(self) -> str:
-        return f"CheckEntry(ok={self.ok!r}, name={self.name!r}, detail={self.detail!r})"
 
     def line(self) -> str:
         return f"{'PASS' if self.ok else 'FAIL'} {self.name} {self.detail}"
@@ -386,7 +364,7 @@ def _check_translated(env: TransEnv, a: Expr, a_ty: Expr, tctx: Context, ta: Exp
     return entries
 
 
-def check_reduction_preservation(ctx: Context, a: Expr, max_depth: int = 12) -> list[CheckEntry]:
+def check_reduction_preservation(ctx: Context, a: Expr, max_depth: int = DEFAULT_DEPTH) -> list[CheckEntry]:
     """Every step of a well-typed core CC ``a`` must be simulated by >= 1 translated steps.
 
     The search follows key redexes in the subterms the step changed
@@ -504,18 +482,4 @@ def check_subst_lemmas(ctx: Context, a: Expr, x: str, b: Expr, fuel: int = DEFAU
         entries.append(CheckEntry(lhs == rhs, "term-subst", detail))
     except ValueError as err:
         entries.append(CheckEntry(False, "term-subst", str(err)))
-    return entries
-
-
-def check_canonical_inhabitants(env: TransEnv, fuel: int = DEFAULT_FUEL) -> list[CheckEntry]:
-    """Re-check every canonical inhabitant logged during a translation."""
-    entries: list[CheckEntry] = []
-    for cc_ctx, b in env.canonical_log:
-        detail = f"c^{print_expr(b)}"
-        try:
-            tctx = translate_context(cc_ctx)
-            check_type(FOMEGA, tctx, _canonical(b), b, fuel)
-            entries.append(CheckEntry(True, "canonical", detail))
-        except (TypeCheckError, ValueError) as err:
-            entries.append(CheckEntry(False, "canonical", f"{detail} ({err})"))
     return entries

@@ -47,9 +47,7 @@ from .syntax import (
     _set,
     _shift,
 )
-from .reduction import DEFAULT_FUEL, UNDETERMINED, FuelExhausted, _normal_form, beta_eq, reachable, whnf
-
-DEFAULT_CONV_DEPTH = 12
+from .reduction import DEFAULT_DEPTH, DEFAULT_FUEL, UNDETERMINED, FuelExhausted, _normal_form, beta_eq, reachable, whnf
 
 
 class ErrorKind(enum.Enum):
@@ -179,7 +177,7 @@ def label_of(e: LLam | LApp) -> LPi:
     return LPi(e.hint, e.dom, e.cod)
 
 
-def directed_convertible(a: Node, b: Node, depth: int = DEFAULT_CONV_DEPTH) -> bool:
+def directed_convertible(a: Node, b: Node, depth: int = DEFAULT_DEPTH) -> bool:
     """The labeled conversion premise: one side reduces to the other."""
     return reachable(a, b, depth) or reachable(b, a, depth)
 
@@ -213,9 +211,7 @@ def infer_type(spec: PtsSpec, ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -
     return _infer(spec, _Scope(spec, ctx, fuel), e, fuel)[0]
 
 
-def _infer(
-    spec: PtsSpec, scope: _Scope, e: Node, fuel: int, conv_depth: int = DEFAULT_CONV_DEPTH, warnings: list[str] | None = None
-) -> tuple[Node, str | None]:
+def _infer(spec: PtsSpec, scope: _Scope, e: Node, fuel: int, conv_depth: int = DEFAULT_DEPTH) -> tuple[Node, str | None]:
     """``(A, s)`` with scope |- e : A and, unless s is None, scope |- A : s;
     ``e`` and ``A`` are open over ``scope``'s binders (see ``_Scope``).
 
@@ -230,8 +226,7 @@ def _infer(
     sort, then its body, then, if the body gave no sort, the sort of the
     body's type; a pair's annotation, then its components.  The cases
     are disjoint and ordered by how often they occur.  ``conv_depth``
-    and ``warnings`` serve labeled terms, as ``labeled.labeled_infer``
-    describes.
+    serves labeled terms, as ``labeled.labeled_infer`` describes.
     """
     match e:
         case App(fun, arg):
@@ -262,9 +257,9 @@ def _infer(
             pi = Pi(h, annot, body_ty)
             return pi, _pi_sort(spec, s1, s2, pi, scope)
         case Pi(h, dom, cod) | LPi(h, dom, cod):
-            s1 = _as_sort(spec, _infer(spec, scope, dom, fuel, conv_depth, warnings)[0], fuel, dom, scope)
+            s1 = _as_sort(spec, _infer(spec, scope, dom, fuel, conv_depth)[0], fuel, dom, scope)
             scope.binders.append((e, dom, s1))
-            s2 = _as_sort(spec, _infer(spec, scope, cod, fuel, conv_depth, warnings)[0], fuel, cod, scope)
+            s2 = _as_sort(spec, _infer(spec, scope, cod, fuel, conv_depth)[0], fuel, cod, scope)
             scope.binders.pop()
             s3 = _pi_sort(spec, s1, s2, e, scope)
             return (SortE if type(e) is Pi else LSort)(s3), spec.axiom_for(s3)
@@ -277,7 +272,7 @@ def _infer(
             return type(e)(s2), spec.axiom_for(s2)
         case LLam(h, dom, cod, body):
             label = label_of(e)
-            s3 = _infer(spec, scope, label, fuel, conv_depth, warnings)[0].name
+            s3 = _infer(spec, scope, label, fuel, conv_depth)[0].name
             # That checked the codomain whole, so a body lambda labeled with the
             # codomain is entered here without checking its label again: once
             # its own body checks, its type is that codomain.
@@ -287,28 +282,19 @@ def _infer(
                 if not (isinstance(body, LLam) and label_of(body) == cod):
                     break
                 e, dom, cod, body = body, body.dom, body.cod, body.body
-            body_ty = _infer(spec, scope, body, fuel, conv_depth, warnings)[0]
+            body_ty = _infer(spec, scope, body, fuel, conv_depth)[0]
             if not directed_convertible(body_ty, cod, conv_depth):
                 message = f"body type {_show(body_ty, scope)} does not reduce to or from the label codomain"
                 _fail(ErrorKind.DIRECTED_CONVERSION_UNDETERMINED, message)
             del scope.binders[depth:]
             return label, s3
         case LApp(h, dom, cod, fun, arg):
-            fun_ty = _infer(spec, scope, fun, fuel, conv_depth, warnings)[0]
+            fun_ty = _infer(spec, scope, fun, fuel, conv_depth)[0]
             label = label_of(e)
             if not directed_convertible(fun_ty, label, conv_depth):
                 message = f"function type {_show(fun_ty, scope)} does not reduce to or from the label {_show(label, scope)}"
                 _fail(ErrorKind.DIRECTED_CONVERSION_UNDETERMINED, message)
-            if warnings is not None:
-                try:
-                    if _normal_form(fun_ty, fuel) != _normal_form(label, fuel):
-                        warnings.append(
-                            f"application label {_show(label, scope)} differs from the function type "
-                            f"{_show(fun_ty, scope)} after normalization"
-                        )
-                except FuelExhausted:
-                    warnings.append("label comparison ran out of fuel")
-            arg_ty = _infer(spec, scope, arg, fuel, conv_depth, warnings)[0]
+            arg_ty = _infer(spec, scope, arg, fuel, conv_depth)[0]
             if not directed_convertible(arg_ty, dom, conv_depth):
                 message = f"argument type {_show(arg_ty, scope)} does not reduce to or from {_show(dom, scope)}"
                 _fail(ErrorKind.DIRECTED_CONVERSION_UNDETERMINED, message)

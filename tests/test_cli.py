@@ -434,3 +434,39 @@ def test_malformed_bindings_are_parse_errors(capsys):
     ):
         code, _, err = run(capsys, "infer", "--bind", binding, "*")
         assert code == EXIT_PARSE_ERROR and message in err, binding
+    # an error in a binding's type is placed in the joined context's lines
+    code, _, err = run(capsys, "infer", "--bind", "A : *", "--bind", "  x :  A @", "x")
+    assert code == EXIT_PARSE_ERROR
+    assert err == "error: parse error: 2:10: in binding 'x': unexpected trailing input '@'\n"
+
+
+def test_one_default_search_depth():
+    import ast
+    import inspect
+
+    from ptskit.cli import build_parser
+    from ptskit.corpus import run_report
+    from ptskit.labeled import labeled_infer
+    from ptskit.reduction import DEFAULT_DEPTH
+    from ptskit.translate import check_reduction_preservation
+    from ptskit.typecheck import _infer, directed_convertible
+
+    defaults = [build_parser().parse_args(["verify", CORPUS]).depth]
+    for f, name in (
+        (run_report, "depth"),
+        (check_reduction_preservation, "max_depth"),
+        (directed_convertible, "depth"),
+        (labeled_infer, "conv_depth"),
+        (_infer, "conv_depth"),
+    ):
+        defaults.append(inspect.signature(f).parameters[name].default)
+    assert defaults == [DEFAULT_DEPTH] * 6 and DEFAULT_DEPTH == 12
+    # the value is written out once, where the constant is defined
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "ptskit")
+    written = []
+    for module in sorted(os.listdir(src)):
+        if module.endswith(".py"):
+            with open(os.path.join(src, module), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            written += [(module, n.lineno) for n in ast.walk(tree) if isinstance(n, ast.Constant) and n.value == 12]
+    assert [module for module, _ in written] == ["reduction.py"]

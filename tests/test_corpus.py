@@ -3,12 +3,7 @@ import pytest
 from ptskit.syntax import CC, FOMEGA, STLC, SYSTEM_F, ParseError, parse_context, print_expr
 from ptskit.reduction import beta_eq, reducts_within
 from ptskit.typecheck import TypeCheckError, check_type, infer_type
-from ptskit.translate import (
-    TransEnv,
-    check_canonical_inhabitants,
-    render_report,
-    translate_term,
-)
+from ptskit.translate import TransEnv
 from ptskit.corpus import (
     Judgement,
     judgement_uses_sigma,
@@ -72,14 +67,6 @@ def test_inference_agreement_over_corpus(cc_corpus):
         check_type(CC, j.ctx, j.term, ty)
         if j.ty is not None:
             assert beta_eq(ty, j.ty) is True, j.name
-
-
-def test_canonical_inhabitants_over_corpus(cc_corpus):
-    for j in cc_corpus:
-        env = TransEnv(j.ctx)
-        translate_term(env, j.term)
-        entries = check_canonical_inhabitants(env)
-        assert all(e.ok for e in entries), (j.name, render_report(entries))
 
 
 def test_run_report_flags_bad_judgements(tmp_path):

@@ -251,17 +251,6 @@ def test_labeled_infer_through_directed_conversion():
     assert labeled_infer(CC, lctx, app2) == STAR_L
 
 
-def test_labeled_infer_warning_channel_stays_quiet_on_agreement():
-    # a successfully typed application always has label and function type
-    # with the same normal form, so the warning list stays empty
-    lctx = label_context(CC, C("N : *\nM : N"))
-    lam = LLam("x", _id_redex_at_n(), STAR_L, LVar("N"))
-    app = LApp("x", LVar("N"), STAR_L, lam, LVar("M"))
-    warnings: list[str] = []
-    labeled_infer(CC, lctx, app, warnings=warnings)
-    assert warnings == []
-
-
 def test_labeled_infer_agrees_with_plain_on_corpus():
     ctx = typed_pool_context()
     lctx = label_context(CC, ctx)
@@ -382,13 +371,6 @@ def test_elaboration_errors_are_pinned(system, ctx_text, text, fuel, message):
 # product and label
 
 
-def _labeled_infer_outcome(infer, spec, lctx, la, fuel, depth):
-    """The outcome, and the warnings in order of first appearance: a label
-    checked once is no longer warned about once per enclosing lambda."""
-    warnings: list[str] = []
-    return outcome(infer, spec, lctx, la, fuel, depth, warnings), list(dict.fromkeys(warnings))
-
-
 def test_elaboration_matches_the_rechecking_oracle():
     for system, ctx, term, fuel in oracle.typing_cases():
         spec = BUILTIN_SPECS[system]
@@ -399,15 +381,15 @@ def test_elaboration_matches_the_rechecking_oracle():
         if got[0] == got_ctx[0] == "ok":
             for depth in (12, 1):
                 args = (spec, got_ctx[1], got[1], fuel, depth)
-                want = _labeled_infer_outcome(oracle.labeled_infer, *args)
-                assert _labeled_infer_outcome(labeled_infer, *args) == want, (system, fuel, depth, str(term))
+                want = outcome(oracle.labeled_infer, *args)
+                assert outcome(labeled_infer, *args) == want, (system, fuel, depth, str(term))
 
 
 def test_labeled_infer_matches_the_rechecking_oracle_on_mismatched_labels():
     for system, la, fuel, depth in oracle.labeled_cases():
         args = (BUILTIN_SPECS[system], Context(), la, fuel, depth)
-        want = _labeled_infer_outcome(oracle.labeled_infer, *args)
-        assert _labeled_infer_outcome(labeled_infer, *args) == want, (system, fuel, depth, str(la))
+        want = outcome(oracle.labeled_infer, *args)
+        assert outcome(labeled_infer, *args) == want, (system, fuel, depth, str(la))
 
 
 def _labeled_wf_reference(spec, lctx, fuel):
@@ -617,12 +599,12 @@ def test_labeled_messages_under_colliding_binders_are_pinned(body, message):
         assert str(info.value) == message, infer
 
 
-def test_label_comparison_warns_when_normalizing_runs_out_of_fuel():
-    # the function's type and the label reduce to each other, but the label
-    # needs two contractions to reach its normal form
+def test_a_label_that_takes_two_contractions_to_normalize_types_at_fuel_1():
+    # directed search, not fuel, decides a label: the function's type and the
+    # label reduce to each other, though the label's normal form is two
+    # contractions away
     la = parse_labeled(_NEST + r"x' @[y : (\[X : * -> *] X : * . X) @[X : * -> *] ((\[X : * -> *] X : * . X) @[X : * -> *] x) -> x] x''")
     lctx = label_context(CC, C("x : *\nf : x -> x"))
-    for fuel, want in ((1, ["label comparison ran out of fuel"]), (2, [])):
-        warnings: list[str] = []
-        assert print_labeled(labeled_infer(CC, lctx, la, fuel, 12, warnings)) == "(x:*) -> (x -> x) -> x -> x"
-        assert warnings == want
+    for fuel in (1, 2):
+        for infer in (labeled_infer, oracle.labeled_infer):
+            assert print_labeled(infer(CC, lctx, la, fuel, 12)) == "(x:*) -> (x -> x) -> x -> x", (infer, fuel)

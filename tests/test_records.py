@@ -15,7 +15,7 @@ import pytest
 from ptskit.corpus import Judgement
 from ptskit.reduction import StepTrace
 from ptskit.syntax import CC, STLC, BVar, Context, Pi, PtsSpec, SortE, Var
-from ptskit.translate import TransEnv
+from ptskit.translate import CheckEntry, TransEnv
 from ptskit.typecheck import GammaConstructor, GammaTerm, Kind
 
 STAR = SortE("*")
@@ -43,7 +43,8 @@ CASES = [
     (GammaConstructor, True, [(True,), (False,), (True,)]),
     (GammaTerm, True, [(), ()]),
     (Judgement, True, [("a", CTX, Var("x"), None), ("a", CTX, Var("x"), None), ("b", Context(), STAR, SortE("#"))]),
-    (TransEnv, False, [(Context(), [0], []), (Context(), [0], []), (CTX, [3], [(CTX, Var("A"))])]),
+    (TransEnv, False, [(Context(), [0]), (Context(), [0]), (CTX, [3])]),
+    (CheckEntry, True, [(True, "typing", "a: x"), (True, "typing", "a: x"), (False, "simulation", "x ~> y")]),
 ]
 IDS = [cls.__name__ for cls, _, _ in CASES]
 
@@ -101,11 +102,11 @@ def test_assignment(cls, frozen, arguments):
 
 def test_trans_env_defaults():
     env = TransEnv(Context())
-    assert repr(env) == "TransEnv(cc_context=Context(bindings=()), _counter=[0], canonical_log=[])"
-    # an extended environment shares the counter and the log
+    assert repr(env) == "TransEnv(cc_context=Context(bindings=()), _counter=[0])"
+    # an extended environment shares the counter
     child = env.extended("A", STAR)
     assert child.fresh_y() == "_y1" and env.fresh_y() == "_y2"
-    assert child.canonical_log is env.canonical_log and child.cc_context == Context((("A", STAR),))
+    assert child.cc_context == Context((("A", STAR),))
 
 
 def test_keyword_construction_and_defaults():

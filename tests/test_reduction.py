@@ -153,6 +153,10 @@ def test_whnf_fuel_exhaustion():
     omega = P(r"(\x:*. x x) (\x:*. x x)")
     with pytest.raises(FuelExhausted):
         whnf(omega, 5)
+    # the last term is the whole term, not the head that ran out
+    with pytest.raises(FuelExhausted) as info:
+        whnf(P(r"((\f:*. f) (\x:*. \y:*. x)) a b"), 1)
+    assert info.value.last == P(r"(\x:*. \y:*. x) a b")
 
 
 def test_normalize_with_exactly_enough_fuel():
@@ -170,7 +174,8 @@ def test_whnf_leaves_subterms_alone():
 
 def test_whnf_is_repeated_leftmost_steps_on_the_head_spine():
     # a head that reduces under an application ("fun...") is rebuilt around
-    # its weak head normal form before the application is contracted
+    # its weak head normal form before the application is contracted; out of
+    # fuel, the last term is the one that as many leftmost steps reach
     rng = random.Random(41)
     terms = [untyped_term(rng) for _ in range(400)]
     under_an_application = exhausted = 0
@@ -182,8 +187,9 @@ def test_whnf_is_repeated_leftmost_steps_on_the_head_spine():
                 steps, cur = steps + 1, s[2]
             if steps > fuel:
                 exhausted += 1
-                with pytest.raises(FuelExhausted):
+                with pytest.raises(FuelExhausted) as info:
                     whnf(e, fuel)
+                assert info.value.last == trace(e, fuel)[0].terms()[-1], print_expr(e)
             else:
                 assert whnf(e, fuel) == cur, print_expr(e)
     assert under_an_application > 0 and exhausted > 0

@@ -128,6 +128,19 @@ def test_parse_context_lines():
     assert print_context(ctx) == "A : *\nx : A"
 
 
+def test_an_error_in_a_binding_type_is_placed_in_its_line():
+    # one position: the line of the binding and the column in that line
+    for text, line, col, message in (
+        ("x:y@z", 1, 4, "unexpected trailing input '@'"),
+        ("A : *\n  x :  A @", 2, 10, "unexpected trailing input '@'"),
+        ("x : (", 1, 6, "expected an expression, found 'end of input'"),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_context(text)
+        assert (info.value.line, info.value.col) == (line, col), text
+        assert str(info.value) == f"{line}:{col}: in binding 'x': {message}"
+
+
 def test_binding_names_follow_the_tokenizer():
     # 'Sig' is a keyword, so no term could refer to a binding of that name
     for sigma in (False, True):

@@ -25,7 +25,6 @@ from ptskit.translate import (
     TransEnv,
     _is_constructor,
     canonical_inhabitant,
-    check_canonical_inhabitants,
     check_reduction_preservation,
     check_subst_lemmas,
     check_translation,
@@ -236,6 +235,51 @@ def test_canonical_inhabitants_typecheck():
         check_type(FOMEGA, tctx, c, b)
 
 
+def _is_fomega_kind(e):
+    """The kind test ``canonical_inhabitant`` made before it used ``is_cc_kind``:
+    ``*`` under products whose domains are kinds too."""
+    match e:
+        case SortE(name):
+            return name == STAR
+        case Pi(_, dom, cod):
+            return _is_fomega_kind(dom) and _is_fomega_kind(cod)
+        case _:
+            return False
+
+
+def _cc_kind(rng, budget):
+    """A random CC kind over ``A : *``; a domain is a kind or a type."""
+    if budget <= 1 or rng.random() < 0.3:
+        return SortE(STAR)
+    roll = rng.random()
+    dom = _cc_kind(rng, budget // 2) if roll < 0.5 else P("A") if roll < 0.8 else P("A -> A")
+    return Pi("x", dom, _cc_kind(rng, budget - 1))
+
+
+def test_is_cc_kind_agrees_with_the_fomega_kind_test_on_canonical_requests(monkeypatch):
+    import random
+
+    import ptskit.translate as translate
+    from ptskit.corpus import Judgement, run_report
+
+    requested = []
+
+    def recording(env, b):
+        requested.append(b)
+        return canonical_inhabitant(env, b)
+
+    monkeypatch.setattr(translate, "canonical_inhabitant", recording)
+    pool = typed_pool_context()
+    judgements = load_corpus_dir("corpus/cc") + [Judgement("t", pool, t, None) for t in typed_terms(seed=7, count=200)]
+    run_report(judgements)
+    env, rng = env_for("A : *"), random.Random(5)
+    for _ in range(300):
+        recording(env, erase_kind(_cc_kind(rng, 8)))
+    kinds = [_is_fomega_kind(b) for b in requested]
+    assert kinds == [is_cc_kind(b) for b in requested]
+    assert len(set(requested)) > 20 and True in kinds and False in kinds
+
+
 # ---------------------------------------------------------------------------
 # Term translation
 
@@ -399,14 +443,6 @@ def test_conversion_preservation():
     t2 = translate_type(TransEnv(ctx), a2)
     assert beta_eq(t1, t2) is True
     assert t1 != t2  # genuinely needed a reduction
-
-
-def test_canonical_log_is_rechecked():
-    # a product subject needs c at the function type and at the domain copy
-    env = env_for("A : *")
-    translate_term(env, P("A -> A"))
-    entries = check_canonical_inhabitants(env)
-    assert entries and all(e.ok for e in entries)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from ptskit.syntax import (
     parse_labeled,
     print_labeled,
 )
-from ptskit.reduction import DEFAULT_FUEL, FuelExhausted, normalize, trace, whnf
+from ptskit.reduction import DEFAULT_DEPTH, DEFAULT_FUEL, FuelExhausted, normalize, trace, whnf
 from ptskit.typecheck import (
     _CC,
     Classification,
@@ -63,7 +63,7 @@ from ptskit.typecheck import (
     _pi_sort,
     _require_sigma,
 )
-from ptskit.labeled import DEFAULT_CONV_DEPTH, directed_convertible
+from ptskit.labeled import directed_convertible
 from ptskit.corpus import load_corpus_dir
 
 from generators import typed_pool_context, typed_terms
@@ -228,14 +228,9 @@ def labeled_infer(
     lctx: Context,
     la: LabeledExpr,
     fuel: int = DEFAULT_FUEL,
-    conv_depth: int = DEFAULT_CONV_DEPTH,
-    warnings: list[str] | None = None,
+    conv_depth: int = DEFAULT_DEPTH,
 ) -> LabeledExpr:
-    """Infer a labeled type; conversions are decided by directed search.
-
-    An application label that differs from the function's type after
-    normalization is recorded in ``warnings`` (when given), not rejected.
-    """
+    """Infer a labeled type; conversions are decided by directed search."""
     match la:
         case LSort(s):
             if s not in spec.sorts:
@@ -252,16 +247,16 @@ def labeled_infer(
         case LBVar():
             raise ValueError("dangling bound variable reached the labeled checker")
         case LPi(h, dom, cod):
-            s1 = _as_sort(spec, labeled_infer(spec, lctx, dom, fuel, conv_depth, warnings), fuel, dom, l_normalize)
+            s1 = _as_sort(spec, labeled_infer(spec, lctx, dom, fuel, conv_depth), fuel, dom, l_normalize)
             x = fresh_name(h, lctx, dom, cod)
             cod_x = open_binder(cod, x)
-            cod_ty = labeled_infer(spec, lctx.extend(x, dom), cod_x, fuel, conv_depth, warnings)
+            cod_ty = labeled_infer(spec, lctx.extend(x, dom), cod_x, fuel, conv_depth)
             s2 = _as_sort(spec, cod_ty, fuel, cod_x, l_normalize)
             return LSort(_pi_sort(spec, s1, s2, la))
         case LLam(h, dom, cod, body):
-            labeled_infer(spec, lctx, LPi(h, dom, cod), fuel, conv_depth, warnings)
+            labeled_infer(spec, lctx, LPi(h, dom, cod), fuel, conv_depth)
             x = fresh_name(h, lctx, dom, cod, body)
-            body_ty = labeled_infer(spec, lctx.extend(x, dom), open_binder(body, x), fuel, conv_depth, warnings)
+            body_ty = labeled_infer(spec, lctx.extend(x, dom), open_binder(body, x), fuel, conv_depth)
             if not directed_convertible(body_ty, open_binder(cod, x), conv_depth):
                 _fail(
                     ErrorKind.DIRECTED_CONVERSION_UNDETERMINED,
@@ -269,23 +264,14 @@ def labeled_infer(
                 )
             return LPi(h, dom, cod)
         case LApp(h, dom, cod, fun, arg):
-            fun_ty = labeled_infer(spec, lctx, fun, fuel, conv_depth, warnings)
+            fun_ty = labeled_infer(spec, lctx, fun, fuel, conv_depth)
             label = LPi(h, dom, cod)
             if not directed_convertible(fun_ty, label, conv_depth):
                 _fail(
                     ErrorKind.DIRECTED_CONVERSION_UNDETERMINED,
                     f"function type {print_labeled(fun_ty)} does not reduce to or from the label {print_labeled(label)}",
                 )
-            if warnings is not None:
-                try:
-                    if l_normalize(fun_ty, fuel) != l_normalize(label, fuel):
-                        warnings.append(
-                            f"application label {print_labeled(label)} differs from the function type "
-                            f"{print_labeled(fun_ty)} after normalization"
-                        )
-                except FuelExhausted:
-                    warnings.append("label comparison ran out of fuel")
-            arg_ty = labeled_infer(spec, lctx, arg, fuel, conv_depth, warnings)
+            arg_ty = labeled_infer(spec, lctx, arg, fuel, conv_depth)
             if not directed_convertible(arg_ty, dom, conv_depth):
                 _fail(
                     ErrorKind.DIRECTED_CONVERSION_UNDETERMINED,
@@ -435,7 +421,7 @@ def labeled_cases():
         (system, parse_labeled(text), fuel, depth)
         for system in BUILTIN_SPECS
         for text in LABELED
-        for fuel, depth in ((DEFAULT_FUEL, DEFAULT_CONV_DEPTH), (1, 1))
+        for fuel, depth in ((DEFAULT_FUEL, DEFAULT_DEPTH), (1, 1))
     ]
 
 
