@@ -922,20 +922,22 @@ def parse_context(text: str, sigma_enabled: bool = False, allow_reserved: bool =
     """Parse a context given one "name : type" binding per line.
 
     A binding name is one identifier token (``Sig`` is a keyword), or a
-    reserved one if ``allow_reserved``.  An error in a binding's type is
-    placed at its line and its column in that line."""
+    reserved one if ``allow_reserved``.  An error is placed at its line:
+    a missing name or colon, or a bad name, at the binding's first
+    non-blank column, and an error in a binding's type at its column."""
     ctx = Context()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
+        start = len(raw) - len(raw.lstrip()) + 1
         name_part, sep, ty_part = raw.partition(":")
         name = name_part.strip()
         if not sep or not name:
-            raise ParseError("expected 'name : type'", lineno, 1)
+            raise ParseError("expected 'name : type'", lineno, start)
         m = _TOKEN_RE.fullmatch(name)
         kind = m and m.lastgroup
         if kind != "ident" and not (allow_reserved and kind == "reserved"):
-            raise ParseError(f"bad binding name {name!r}", lineno, 1)
+            raise ParseError(f"bad binding name {name!r}", lineno, start)
         try:
             ty = parse_expr(ty_part, sigma_enabled, allow_reserved)
         except ParseError as err:  # ty_part is one line, so err.line is 1

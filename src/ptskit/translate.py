@@ -21,6 +21,12 @@ and a non-kind is a constructor exactly when the head it reaches through lambda
 bodies and application functions is a product or a variable declared at a kind.
 So the input must be well-typed core CC, which ``check_translation``,
 ``check_subst_lemmas`` and ``ptskit translate`` check first.
+
+The maps walk their input unopened, de Bruijn in and de Bruijn out: each
+source binder pushes one entry on a stack (``_Walk``) that says how many
+target binders it became and what its variable translates to, so the
+walk opens, closes and substitutes into no subterm and takes time linear
+in the size of its input and output.
 """
 
 from __future__ import annotations
@@ -38,11 +44,10 @@ from .syntax import (
     SortE,
     Var,
     _set,
-    close_binder,
+    _shift,
     free_vars,
     fresh_name,
     occurs,
-    open_binder,
     print_expr,
     subst,
     SIGMA_NODES,
@@ -79,11 +84,12 @@ def _check_context(ctx: Context) -> None:
 
 
 class TransEnv(Record):
-    """Context index for the translation plus a fresh-name supply.
+    """The context of a translation and its ``_y`` counter.
 
-    Child environments created by ``extended`` share the counter, so one
-    translation run is deterministic end to end.  An environment is
-    mutable and unhashable.
+    The translations of one judgement (its term, its type and, in the
+    simulation check, its reducts) run on one environment, so they number
+    their ``_y`` binders from one counter and a run is deterministic end
+    to end.  An environment is mutable and unhashable.
     """
 
     __slots__ = __match_args__ = ("cc_context", "_counter")
@@ -94,18 +100,57 @@ class TransEnv(Record):
         self.cc_context = cc_context
         self._counter = [0] if _counter is None else _counter
 
-    def extended(self, name: str, ty: Expr) -> TransEnv:
-        child = TransEnv.__new__(TransEnv)
-        child.cc_context = self.cc_context.extend(name, ty)
-        child._counter = self._counter
-        return child
-
     def fresh_y(self) -> str:
         self._counter[0] += 1
         return f"{Y_PREFIX}{self._counter[0]}"
 
-    def fresh_binder(self, hint: str, *exprs: Expr) -> str:
-        return fresh_name(hint, self.cc_context, *exprs)
+
+class _Walk:
+    """One translation call: the context, indexed by name, and the source
+    binders entered, innermost last, as ``(binder, binds a kind, term,
+    type)``.  ``term`` and ``type`` say what the binder's variable becomes
+    in each translation: a target binder, by its level (an int, 0 the
+    outermost); a canonical inhabitant made under some number of target
+    binders (a pair); or, for a term binder that the type translation
+    drops, a one-item list, set if the variable is reached all the same.
+
+    Names are chosen only to be shown (a ``_w$`` hint, an error), from the
+    outermost binder in, as ``fresh_name`` chose them when every binder was
+    opened: the names to avoid are the context's and the outer binders',
+    and the unopened scopes answer ``occurs`` for any other name as the
+    opened ones did.
+    """
+
+    __slots__ = ("env", "types", "binders", "names", "taken")
+
+    def __init__(self, ctx: Context, env: TransEnv | None = None):
+        self.env, self.binders, self.names, self.taken = env, [], [], None
+        self.types = dict(reversed(ctx.bindings))  # the first binding of a name wins, as in lookup
+
+    def name(self, k: int) -> str:
+        """The name of binder ``k`` (0 is the outermost)."""
+        if self.taken is None:
+            self.taken = set(self.types)
+        names = self.names
+        while len(names) <= k:
+            node = self.binders[len(names)][0]
+            names.append(fresh_name(node.hint, self.taken, *(getattr(node, f) for f, _ in node._children)))
+            self.taken.add(names[-1])
+        return names[k]
+
+    def leave(self) -> None:
+        self.binders.pop()
+        if len(self.names) > len(self.binders):
+            self.taken.discard(self.names.pop())
+
+
+def _bound(ref, depth: int) -> Expr:
+    """What a variable becomes under ``depth`` target binders when its entry holds ``ref``, not a level."""
+    if type(ref) is tuple:
+        inhabitant, made_at = ref
+        return _shift(inhabitant, depth - made_at, 0)
+    ref[0] = True
+    return _ZERO_VAR
 
 
 def is_cc_kind(e: Expr) -> bool:
@@ -115,22 +160,25 @@ def is_cc_kind(e: Expr) -> bool:
     return isinstance(e, SortE) and e.name == STAR
 
 
-def _is_constructor(ctx: Context, e: Expr) -> bool:
-    """Whether a well-typed non-kind ``e`` is a constructor rather than a term."""
+def _is_constructor(w: _Walk, e: Expr) -> bool:
+    """Whether a well-typed non-kind ``e``, open over ``w``'s binders, is a
+    constructor rather than a term."""
     binds_kind: list[bool] = []  # per lambda passed, outermost first
     while True:
         match e:
+            case App(fun, _):
+                e = fun
+            case BVar(index):
+                if index < len(binds_kind):
+                    return binds_kind[-1 - index]
+                return w.binders[len(binds_kind) - 1 - index][1]
+            case Var(name):
+                return is_cc_kind(w.types.get(name))
             case Lam(_, annot, body):
                 binds_kind.append(is_cc_kind(annot))
                 e = body
-            case App(fun, _):
-                e = fun
             case Pi():
                 return True
-            case BVar(index):
-                return binds_kind[-1 - index]
-            case Var(name):
-                return is_cc_kind(ctx.lookup(name))
             case _:
                 return False
 
@@ -169,40 +217,53 @@ def canonical_inhabitant(env: TransEnv, b: Expr) -> Expr:
     return App(Var(Z), b)
 
 
+_Z_ZERO = canonical_inhabitant(None, _ZERO_VAR)  # the translation of *
+_C_FN = canonical_inhabitant(None, Pi("_", _ZERO_VAR, Pi("_", _ZERO_VAR, _ZERO_VAR)))  # applied to a product's parts
+
+
 def translate_type(env: TransEnv, a: Expr) -> Expr:
     """The type translation of a sort, or of a well-typed core CC kind or constructor."""
     _check_input(a)
-    return _trans_type(env, a)
+    return _trans_type(_Walk(env.cc_context, env), a, 0)
 
 
-def _trans_type(env: TransEnv, a: Expr) -> Expr:
+def _trans_type(w: _Walk, a: Expr, depth: int) -> Expr:
+    """The type translation of ``a``, open over ``w``'s binders, under ``depth`` target binders."""
     match a:
-        case SortE():
-            return _ZERO_VAR
         case Var():
             return a
-        case Pi(h, dom, cod):
-            x = env.fresh_binder(h, dom, cod)
-            inner = env.extended(x, dom)
-            tb = _trans_type(inner, open_binder(cod, x))
-            if is_cc_kind(dom):
-                doubled = Pi("_", _trans_type(env, dom), tb)
-                return Pi(h, erase_kind(dom), close_binder(doubled, x))
-            return Pi(h, _trans_type(env, dom), close_binder(tb, x))
-        case Lam(h, annot, body):
-            x = env.fresh_binder(h, annot, body)
-            inner = env.extended(x, annot)
-            tb = _trans_type(inner, open_binder(body, x))
-            if is_cc_kind(annot):
-                return Lam(h, erase_kind(annot), close_binder(tb, x))
-            # A term-level binder contributes nothing to the erased type.
-            if occurs(x, tb):
-                raise ValueError(f"term binder {x} survived type translation")
-            return tb
+        case BVar(i) if i < len(w.binders):
+            ref = w.binders[-1 - i][3]
+            return BVar(depth - 1 - ref) if type(ref) is int else _bound(ref, depth)
         case App(fun, arg):
-            if _is_constructor(env.cc_context, arg):
-                return App(_trans_type(env, fun), _trans_type(env, arg))
-            return _trans_type(env, fun)
+            if _is_constructor(w, arg):
+                return App(_trans_type(w, fun, depth), _trans_type(w, arg, depth))
+            return _trans_type(w, fun, depth)
+        case SortE():
+            return _ZERO_VAR
+        case Pi(h, dom, cod):
+            # a kind-level product is doubled: x, then a non-dependent argument
+            kind = is_cc_kind(dom)
+            w.binders.append((a, kind, None, depth))
+            tb = _trans_type(w, cod, depth + 2 if kind else depth + 1)
+            w.leave()
+            if kind:
+                return Pi(h, erase_kind(dom), Pi("_", _trans_type(w, dom, depth + 1), tb))
+            return Pi(h, _trans_type(w, dom, depth), tb)
+        case Lam(h, annot, body):
+            if is_cc_kind(annot):
+                w.binders.append((a, True, None, depth))
+                tb = _trans_type(w, body, depth + 1)
+                w.leave()
+                return Lam(h, erase_kind(annot), tb)
+            # A term-level binder contributes nothing to the erased type.
+            reached = [False]
+            w.binders.append((a, False, None, reached))
+            tb = _trans_type(w, body, depth)
+            if reached[0]:
+                raise ValueError(f"term binder {w.name(len(w.binders) - 1)} survived type translation")
+            w.leave()
+            return tb
         case _ if isinstance(a, SIGMA_NODES):
             raise ValueError("the translation covers core CC only, not the sigma extension")
         case _:
@@ -223,70 +284,74 @@ def translate_context(ctx: Context) -> Context:
 
 def _translate_context(ctx: Context) -> Context:
     """``translate_context`` once ``ctx`` is known to bind and mention no reserved name."""
-    env = TransEnv(Context())
-    out = Context().extend(ZERO, SortE(STAR)).extend(Z, _Z_TYPE)
+    w = _Walk(Context())
+    out = [(ZERO, SortE(STAR)), (Z, _Z_TYPE)]
     for name, ty in ctx:
         if is_cc_kind(ty):
-            out = out.extend(name, erase_kind(ty))
-            out = out.extend(W_PREFIX + name, _trans_type(env, ty))
+            out += [(name, erase_kind(ty)), (W_PREFIX + name, _trans_type(w, ty, 0))]
         else:
-            out = out.extend(name, _trans_type(env, ty))
-        env = env.extended(name, ty)
-    return out
+            out.append((name, _trans_type(w, ty, 0)))
+        # no name has been chosen: a type translation chooses one only to raise
+        w.types.setdefault(name, ty)
+    return Context(tuple(out))
 
 
 def translate_term(env: TransEnv, a: Expr) -> Expr:
     """The term translation of well-typed core CC; keeps every source reduction alive."""
     _check_input(a)
-    return _trans_term(env, a)
+    return _trans_term(_Walk(env.cc_context, env), a, 0)
 
 
-_C_FN_TYPE = Pi("_", _ZERO_VAR, Pi("_", _ZERO_VAR, _ZERO_VAR))
-
-
-def _trans_term(env: TransEnv, a: Expr) -> Expr:
+def _trans_term(w: _Walk, a: Expr, depth: int) -> Expr:
+    """The term translation of ``a``, open over ``w``'s binders, under ``depth`` target binders."""
     match a:
-        case SortE(name):
-            if name != STAR:
-                raise ValueError(f"{name} is not a typeable subject, cannot translate it")
-            return canonical_inhabitant(env, _ZERO_VAR)
+        case App(fun, arg):
+            t_fun = _trans_term(w, fun, depth)
+            if _is_constructor(w, arg):
+                return App(App(t_fun, _trans_type(w, arg, depth)), _trans_term(w, arg, depth))
+            return App(t_fun, _trans_term(w, arg, depth))
+        case BVar(i) if i < len(w.binders):
+            ref = w.binders[-1 - i][2]
+            return BVar(depth - 1 - ref) if type(ref) is int else _bound(ref, depth)
+        case Lam(h, annot, body):
+            y = w.env.fresh_y()
+            t_annot = _trans_term(w, annot, depth)
+            # under \y: x, then a kind's term companion _w$x, which stands for x in terms
+            if is_cc_kind(annot):
+                w.binders.append((a, True, depth + 2, depth + 1))
+                t_body = _trans_term(w, body, depth + 3)
+                companion = W_PREFIX + w.name(len(w.binders) - 1)
+                w.leave()
+                wrapped = Lam(h, erase_kind(annot), Lam(companion, _trans_type(w, annot, depth + 2), t_body))
+            else:
+                w.binders.append((a, False, depth + 1, depth + 1))
+                t_body = _trans_term(w, body, depth + 2)
+                w.leave()
+                wrapped = Lam(h, _trans_type(w, annot, depth + 1), t_body)
+            return App(Lam(y, _ZERO_VAR, wrapped), t_annot)
         case Var(name):
-            ty = env.cc_context.lookup(name)
+            ty = w.types.get(name)
             if ty is None:
                 raise KeyError(f"variable {name} not bound in the translation context")
             if is_cc_kind(ty):
                 return Var(W_PREFIX + name)
             return a
         case Pi(h, dom, cod):
-            c_fn = canonical_inhabitant(env, _C_FN_TYPE)
-            t_dom = _trans_term(env, dom)
-            x = env.fresh_binder(h, dom, cod)
-            inner = env.extended(x, dom)
-            t_cod = _trans_term(inner, open_binder(cod, x))
+            t_dom = _trans_term(w, dom, depth)
+            # the product binds nothing in the target: its variable, and a
+            # kind's companion, become canonical inhabitants
+            of_type = (canonical_inhabitant(w.env, _trans_type(w, dom, depth)), depth)
             if is_cc_kind(dom):
-                t_cod = subst(t_cod, x, canonical_inhabitant(env, erase_kind(dom)))
-                t_cod = subst(t_cod, W_PREFIX + x, canonical_inhabitant(env, _trans_type(env, dom)))
+                w.binders.append((a, True, of_type, (canonical_inhabitant(w.env, erase_kind(dom)), depth)))
             else:
-                t_cod = subst(t_cod, x, canonical_inhabitant(env, _trans_type(env, dom)))
-            return App(App(c_fn, t_dom), t_cod)
-        case Lam(h, annot, body):
-            y = env.fresh_y()
-            t_annot = _trans_term(env, annot)
-            x = env.fresh_binder(h, annot, body)
-            inner = env.extended(x, annot)
-            t_body = _trans_term(inner, open_binder(body, x))
-            if is_cc_kind(annot):
-                w = W_PREFIX + x
-                wrapped = Lam(w, _trans_type(env, annot), close_binder(t_body, w))
-                wrapped = Lam(h, erase_kind(annot), close_binder(wrapped, x))
-            else:
-                wrapped = Lam(h, _trans_type(env, annot), close_binder(t_body, x))
-            return App(Lam(y, _ZERO_VAR, wrapped), t_annot)
-        case App(fun, arg):
-            t_fun = _trans_term(env, fun)
-            if _is_constructor(env.cc_context, arg):
-                return App(App(t_fun, _trans_type(env, arg)), _trans_term(env, arg))
-            return App(t_fun, _trans_term(env, arg))
+                w.binders.append((a, False, of_type, of_type))
+            t_cod = _trans_term(w, cod, depth)
+            w.leave()
+            return App(App(_C_FN, t_dom), t_cod)
+        case SortE(name):
+            if name != STAR:
+                raise ValueError(f"{name} is not a typeable subject, cannot translate it")
+            return _Z_ZERO
         case _ if isinstance(a, SIGMA_NODES):
             raise ValueError("the translation covers core CC only, not the sigma extension")
         case _:
@@ -353,9 +418,10 @@ def _check_translated(env: TransEnv, a: Expr, a_ty: Expr, tctx: Context, ta: Exp
     except TypeCheckError as err:
         entries.append(CheckEntry(False, "term-translation", f"{judgement()} ({err})"))
 
-    if is_cc_kind(a) or _is_constructor(env.cc_context, a):
+    w = _Walk(env.cc_context, env)
+    if is_cc_kind(a) or _is_constructor(w, a):
         try:
-            t_a = _trans_type(env, a)
+            t_a = _trans_type(w, a, 0)
             v_ty = erase_kind(a_ty)
             check_type(FOMEGA, tctx, t_a, v_ty, fuel)
             entries.append(CheckEntry(True, "type-translation", lambda: f"|- {print_expr(t_a)} : {print_expr(v_ty)}"))
@@ -386,7 +452,7 @@ def _simulation(env: TransEnv, a: Expr, ta: Expr, max_depth: int) -> list[CheckE
         detail = lambda shown=shown: f"{print_expr(a)} ~> {shown}"
         try:
             # a reduct mentions no name that ``a`` does not, and ``env`` checked the context
-            t_reduct = _trans_term(env, reduct)
+            t_reduct = _trans_term(_Walk(env.cc_context, env), reduct, 0)
         except (ValueError, KeyError) as err:
             entries.append(CheckEntry(False, "simulation", f"{detail()} ({err})"))
             continue
@@ -451,7 +517,7 @@ def check_subst_lemmas(ctx: Context, a: Expr, x: str, b: Expr, fuel: int = DEFAU
         return [CheckEntry(False, "subst-hypotheses", str(err))]
     entries.append(CheckEntry(True, "subst-hypotheses", f"[{print_expr(b)}/{x}]"))
 
-    type_level = is_cc_kind(a) or _is_constructor(ctx, a)
+    type_level = is_cc_kind(a) or _is_constructor(_Walk(ctx), a)
     try:
         env = TransEnv(ctx)  # one scan; the ``_y`` names it hands out are hints, which == ignores
     except ReservedNameError as err:

@@ -11,6 +11,7 @@ import random
 
 from ptskit.syntax import (
     App,
+    BVar,
     CC,
     Context,
     Expr,
@@ -241,3 +242,24 @@ def subst_instances(seed: int, count: int) -> list[tuple[Context, Expr, str, Exp
         else:
             out.append((term_ctx, parse_expr(rng.choice(term_as)), "y", parse_expr(rng.choice(term_bs))))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The benchmark's scaling families, built directly: past ~150 levels the
+# recursive-descent parser runs out of stack
+
+
+def lambda_nest(d: int) -> Expr:
+    """``\\A:*. \\x0:A. ... \\x{d-1}:A. x0``."""
+    body = BVar(d - 1)
+    for i in reversed(range(d)):
+        body = Lam(f"x{i}", BVar(i), body)
+    return Lam("A", SortE(STAR), body)
+
+
+def church_numeral(n: int) -> Expr:
+    """``\\A:*. \\f:A -> A. \\x:A. f (... (f x))`` with n applications of f."""
+    body = BVar(0)
+    for _ in range(n):
+        body = App(BVar(1), body)
+    return Lam("A", SortE(STAR), Lam("f", Pi("_", BVar(0), BVar(1)), Lam("x", BVar(1), body)))

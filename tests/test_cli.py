@@ -340,7 +340,9 @@ def test_output_does_not_follow_the_hash_seed():
     src = os.path.dirname(os.path.dirname(os.path.abspath(ptskit.__file__)))
     root = os.path.dirname(src)
     nest = r"\A:*. " + "".join(rf"\x{i}:A. " for i in range(16)) + "x0"
-    commands = [["verify", CORPUS], ["label", nest], ["translate", nest]]
+    # a kind binder that shadows a context name is renamed: its companion prints as _w$A'
+    renamed = ["translate", "--bind", "A : *", r"\A:*. \x:A. x"]
+    commands = [["verify", CORPUS], ["label", nest], ["translate", nest], renamed]
 
     def runs(seed):
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
@@ -438,6 +440,10 @@ def test_malformed_bindings_are_parse_errors(capsys):
     code, _, err = run(capsys, "infer", "--bind", "A : *", "--bind", "  x :  A @", "x")
     assert code == EXIT_PARSE_ERROR
     assert err == "error: parse error: 2:10: in binding 'x': unexpected trailing input '@'\n"
+    # a malformed binding at its first non-blank column
+    for binding, message in (("  1x : *", "2:3: bad binding name '1x'"), ("   x", "2:4: expected 'name : type'")):
+        code, _, err = run(capsys, "infer", "--bind", "A : *", "--bind", binding, "*")
+        assert (code, err) == (EXIT_PARSE_ERROR, f"error: parse error: {message}\n"), binding
 
 
 def test_one_default_search_depth():

@@ -39,6 +39,20 @@ README_EXAMPLES = {
 }
 README_CASES = {f"readme-{name}-{fmt}": argv + ["--format", fmt] for name, argv in README_EXAMPLES.items() for fmt in ("text", "machine")}
 
+# Translations whose binder hints come from the fresh-name choice (a kind
+# binder that shadows a context name prints as ``_w$A'``) or whose product
+# variables become canonical inhabitants, one of them under binders.
+TRANSLATE_EXAMPLES = {
+    "renamed-kind-binder": ["--bind", "A : *", "\\A:*. \\x:A. x"],
+    "kind-product": ["(A:*) -> A -> A"],
+    "inhabitant-under-binders": ["\\A:*. (x:A) -> (\\P:A -> *. P x) (\\u:A. A)"],
+}
+TRANSLATE_CASES = {
+    f"translate-{name}-{fmt}": ["translate", *argv, "--format", fmt]
+    for name, argv in TRANSLATE_EXAMPLES.items()
+    for fmt in ("text", "machine")
+}
+
 
 def _check_golden(capsys, name, argv):
     code = main(argv)
@@ -59,6 +73,11 @@ def test_verify_output_matches_golden(capsys, name):
 @pytest.mark.parametrize("name", sorted(README_CASES))
 def test_readme_example_matches_golden(capsys, name):
     _check_golden(capsys, name, README_CASES[name])
+
+
+@pytest.mark.parametrize("name", sorted(TRANSLATE_CASES))
+def test_translate_output_matches_golden(capsys, name):
+    _check_golden(capsys, name, TRANSLATE_CASES[name])
 
 
 # Inputs for both grammars: every production of each, and every error

@@ -32,7 +32,7 @@ from ptskit.labeled import (
     tight_step_all,
 )
 
-from generators import typed_pool_context, typed_terms
+from generators import lambda_nest, typed_pool_context, typed_terms
 import typing_oracle as oracle
 from typing_oracle import outcome
 
@@ -489,6 +489,34 @@ def test_translation_check_grows_linearly_with_nest_depth(monkeypatch):
 
     at_32, at_64 = calls(32), calls(64)
     assert at_64 <= 2.2 * at_32, (at_32, at_64)
+
+
+def test_translation_builds_nodes_linearly_with_nest_depth(monkeypatch):
+    # the walk keeps its binders on a stack: it opens, closes and
+    # substitutes into no subterm, so each source node costs O(1) nodes
+    from ptskit import syntax
+    from ptskit.translate import TransEnv, translate_term
+
+    assert lambda_nest(32) == _nest(32)
+    built = [0]
+    for cls in (syntax.SortE, syntax.BVar, syntax.Var, syntax.Pi, syntax.Lam, syntax.App):
+
+        def counting(self, *args, init=cls.__init__):
+            built[0] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+
+    def nodes(d):
+        t = lambda_nest(d)
+        built[0] = 0
+        translate_term(TransEnv(Context()), t)
+        return built[0]
+
+    # linear with a non-negative constant: 326 and 646 nodes (1,202 and
+    # 2,546 when each binder was opened and closed)
+    at_64, at_128 = nodes(64), nodes(128)
+    assert at_128 <= 2 * at_64, (at_64, at_128)
 
 
 def test_labeled_binder_walks_grow_at_most_quadratically(monkeypatch):

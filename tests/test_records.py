@@ -103,10 +103,10 @@ def test_assignment(cls, frozen, arguments):
 def test_trans_env_defaults():
     env = TransEnv(Context())
     assert repr(env) == "TransEnv(cc_context=Context(bindings=()), _counter=[0])"
-    # an extended environment shares the counter
-    child = env.extended("A", STAR)
-    assert child.fresh_y() == "_y1" and env.fresh_y() == "_y2"
-    assert child.cc_context == Context((("A", STAR),))
+    assert env.fresh_y() == "_y1" and env.fresh_y() == "_y2"
+    # an environment made with another's counter shares it
+    other = TransEnv(Context((("A", STAR),)), env._counter)
+    assert other.fresh_y() == "_y3" and env.fresh_y() == "_y4"
 
 
 def test_keyword_construction_and_defaults():

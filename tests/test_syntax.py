@@ -141,6 +141,19 @@ def test_an_error_in_a_binding_type_is_placed_in_its_line():
         assert str(info.value) == f"{line}:{col}: in binding 'x': {message}"
 
 
+def test_a_malformed_binding_is_placed_at_its_first_non_blank_column():
+    for text, line, col, message in (
+        ("  1x : *", 1, 3, "bad binding name '1x'"),
+        ("A : *\n\t Sig : *", 2, 3, "bad binding name 'Sig'"),
+        ("   x", 1, 4, "expected 'name : type'"),
+        ("A : *\n  : *", 2, 3, "expected 'name : type'"),
+        ("1x : *", 1, 1, "bad binding name '1x'"),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_context(text)
+        assert str(info.value) == f"{line}:{col}: {message}", text
+
+
 def test_binding_names_follow_the_tokenizer():
     # 'Sig' is a keyword, so no term could refer to a binding of that name
     for sigma in (False, True):

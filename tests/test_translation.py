@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from ptskit.syntax import (
@@ -23,6 +25,7 @@ from ptskit.typecheck import GammaConstructor, GammaTerm, Kind, check_type, clas
 from ptskit.translate import (
     ReservedNameError,
     TransEnv,
+    _Walk,
     _is_constructor,
     canonical_inhabitant,
     check_reduction_preservation,
@@ -37,6 +40,7 @@ from ptskit.translate import (
 )
 
 from generators import subst_instances, typed_pool_context, typed_terms
+from translation_oracle import NamedEnv
 
 
 def P(text):
@@ -93,13 +97,13 @@ def _classification_points(ctx, a):
 
     The context's binding types, then, in the judgement's term and its type,
     each product domain, lambda annotation, application argument and
-    variable's declared type, under the binders the translation opens.
+    variable's declared type, under the binders the named walk opens.
     """
     prefix = Context()
     for name, ty in ctx:
         yield prefix, ty
         prefix = prefix.extend(name, ty)
-    stack = [(TransEnv(ctx), a), (TransEnv(ctx), infer_type(CC, ctx, a))]
+    stack = [(NamedEnv(ctx), a), (NamedEnv(ctx), infer_type(CC, ctx, a))]
     while stack:
         env, e = stack.pop()
         match e:
@@ -117,7 +121,7 @@ def _classification_points(ctx, a):
 def _syntactic_class(ctx, e):
     if is_cc_kind(e):
         return Kind
-    return GammaConstructor if _is_constructor(ctx, e) else GammaTerm
+    return GammaConstructor if _is_constructor(_Walk(ctx), e) else GammaTerm
 
 
 def test_syntactic_classification_matches_classify():
@@ -141,7 +145,7 @@ def test_syntactic_classification_is_depth_safe():
         spine = App(spine, Var("a"))
     ctx = C("A : *\na : A\nf : A -> A")
     assert [is_cc_kind(e) for e in (arrows, nest, spine)] == [True, False, False]
-    assert [_is_constructor(ctx, e) for e in (arrows, nest, spine)] == [True, True, False]
+    assert [_is_constructor(_Walk(ctx), e) for e in (arrows, nest, spine)] == [True, True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +186,21 @@ def test_translate_type_lambda_clauses():
     assert translate_type(env_for(), P(r"\A:*. A")) == P(r"\A:*. A")
     env = env_for("A : *")
     assert translate_type(env, P(r"\x:A. A")) == Var("A")
+
+
+def test_a_deep_nest_translates_at_the_default_recursion_limit():
+    # the walk takes one frame per source binder; it opens and closes
+    # nothing, so no free-name mask decides how deep it recurses
+    assert sys.getrecursionlimit() == 1000
+    nest = Var("a")
+    for i in range(400):
+        nest = Lam(f"x{i}", Var("A"), nest)
+    env = env_for("A : *\na : A")
+    t = translate_term(env, nest)
+    for _ in range(400):
+        assert isinstance(t, App) and t.arg == Var("_w$A")
+        t = t.fun.body.body  # \_y:_0. \x:A. ...
+    assert t == Var("a")
 
 
 def test_translate_type_rejects_terms_with_value_error():
