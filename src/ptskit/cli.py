@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 type error, 2 parse error, 3 a resource limit
+Exit codes: 0 success, 1 type error, 2 bad input (a parse error,
+``--fuel`` or ``--depth`` below 1, a bad spec file, an unreadable or
+empty corpus path, a translation outside core CC), 3 a resource limit
 (fuel, search depth or term nesting) exhausted, 4 property-report
 failures.  A command imports the translation, the labeled system, the
 corpus and ``json`` only if it runs them, so typing commands start lean.

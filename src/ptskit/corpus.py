@@ -149,9 +149,10 @@ def _report_one(j: Judgement, spec: PtsSpec, fuel: int, depth: int) -> list[Chec
         return [_entry(False, "ctx-wf", subject, str(err))]
 
     try:
-        inferred, sort = _infer(spec, _Scope(spec, j.ctx, fuel), j.term, fuel)
+        scope = _Scope(spec, j.ctx, fuel)
+        inferred, sort = _infer(scope, j.term)
         if j.ty is not None:
-            _check_inferred(spec, j.ctx, j.term, inferred, j.ty, fuel)
+            _check_inferred(scope, j.term, inferred, j.ty)
         entries.append(_entry(True, "typing", subject))
     except TypeCheckError as err:
         entries.append(_entry(False, "typing", subject, str(err)))
@@ -180,12 +181,13 @@ def _report_one(j: Judgement, spec: PtsSpec, fuel: int, depth: int) -> list[Chec
         return entries
 
     try:
-        _classify(spec, j.ctx, j.term, inferred, sort, fuel)
+        _classify(scope, j.term, inferred, sort)
         entries.append(_entry(True, "classification", subject))
     except TypeCheckError as err:
         entries.append(_entry(False, "classification", subject, str(err)))
 
-    if judgement_uses_sigma(j):
+    # without sigma, wf_context and typing have rejected every sigma node
+    if spec.sigma_enabled and judgement_uses_sigma(j):
         return entries
 
     # CC's sorts, axioms and rules, no sigma: this is check_translation's CC typing

@@ -47,7 +47,6 @@ from .typecheck import (
     _infer,
     _pi_sort,
     _Scope,
-    _show,
     directed_convertible as directed_convertible,
     label_of as label_of,
 )
@@ -93,7 +92,7 @@ def labeled_infer(
     conv_depth: int = DEFAULT_DEPTH,
 ) -> LabeledExpr:
     """Infer a labeled type; conversions are decided by directed search."""
-    return _infer(spec, _Scope(spec, lctx, fuel), la, fuel, conv_depth)[0]
+    return _infer(_Scope(spec, lctx, fuel, conv_depth), la)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -112,14 +111,14 @@ def label_term(spec: PtsSpec, ctx: Context, a: Expr, fuel: int = DEFAULT_FUEL) -
     lambda neither re-checks nor re-elaborates the product, and an
     application of a variable takes its label from the variable's binder.
     """
-    return _elaborate(spec, _Scope(spec, ctx, fuel), a, fuel)[0]
+    return _elaborate(_Scope(spec, ctx, fuel), a)[0]
 
 
 def label_context(spec: PtsSpec, ctx: Context, fuel: int = DEFAULT_FUEL) -> Context:
     lctx = Context()
     prefix = _Scope(spec, Context(), fuel)
     for name, ty in ctx:
-        lty = _elaborate(spec, prefix, ty, fuel)[0]
+        lty = _elaborate(prefix, ty)[0]
         lctx = lctx.extend(name, lty)
         prefix.types.setdefault(name, ty)
         prefix.ltypes.setdefault(name, lty)
@@ -127,56 +126,53 @@ def label_context(spec: PtsSpec, ctx: Context, fuel: int = DEFAULT_FUEL) -> Cont
 
 
 def _ltype_of(scope: _Scope, ty: Expr) -> LabeledExpr:
-    return _elaborate(scope.spec, scope, ty, scope.fuel)[0]
+    return _elaborate(scope, ty)[0]
 
 
-def _elaborate(spec: PtsSpec, scope: _Scope, a: Expr, fuel: int) -> tuple[LabeledExpr, Expr, str | None, LabeledExpr | None]:
+def _elaborate(scope: _Scope, a: Expr) -> tuple[LabeledExpr, Expr, str | None, LabeledExpr | None]:
     """``(labeled a, A, s, labeled A)``: A and s as ``_infer`` gives them, open
     over ``scope``'s binders, whose entries also hold the labeled
     annotation; the labeled A is known for a variable whose type
     elaborates and for a lambda, None elsewhere."""
     match a:
         case SortE(s):
-            return LSort(s), *_infer(spec, scope, a, fuel), None
+            return LSort(s), *_infer(scope, a), None
         case Var(name):
-            return LVar(name), *_infer(spec, scope, a, fuel), scope.once(scope.ltypes, name, _ltype_of)
+            return LVar(name), *_infer(scope, a), scope.once(scope.ltypes, name, _ltype_of)
         case BVar(i):
-            return LBVar(i), *_infer(spec, scope, a, fuel), _shift(scope.binders[-1 - i][3], i + 1, 0)
+            return LBVar(i), *_infer(scope, a), _shift(scope.binders[-1 - i][3], i + 1, 0)
         case Pi(h, dom, cod):
             # the parts' types are the ones _infer finds, so the product's
             # sort comes from them, checked in the same order
-            ldom, dom_ty, _, _ = _elaborate(spec, scope, dom, fuel)
-            s1 = _as_sort(spec, dom_ty, fuel, dom, scope)
+            ldom, dom_ty, _, _ = _elaborate(scope, dom)
+            s1 = _as_sort(scope, dom_ty, dom)
             scope.binders.append((a, dom, s1, ldom))
-            lcod, cod_ty, _, _ = _elaborate(spec, scope, cod, fuel)
-            s2 = _as_sort(spec, cod_ty, fuel, cod, scope)
+            lcod, cod_ty, _, _ = _elaborate(scope, cod)
+            s2 = _as_sort(scope, cod_ty, cod)
             scope.binders.pop()
-            s3 = _pi_sort(spec, s1, s2, a, scope)
-            return LPi(h, ldom, lcod), SortE(s3), spec.axiom_for(s3), None
+            s3 = _pi_sort(scope, s1, s2, a)
+            return LPi(h, ldom, lcod), SortE(s3), scope.spec.axiom_for(s3), None
         case Lam(h, annot, body):
-            lannot, annot_ty, _, _ = _elaborate(spec, scope, annot, fuel)
-            s1 = _as_sort(spec, annot_ty, fuel, annot, scope)
+            lannot, annot_ty, _, _ = _elaborate(scope, annot)
+            s1 = _as_sort(scope, annot_ty, annot)
             scope.binders.append((a, annot, s1, lannot))
-            lbody, body_ty, s2, lcod = _elaborate(spec, scope, body, fuel)
+            lbody, body_ty, s2, lcod = _elaborate(scope, body)
             # the TLam product premise, settled as in _infer; elaborating the
             # body's type gives its labeled form and, if missing, its sort
             if lcod is None or s2 is None:
-                lcod, cod_ty, _, _ = _elaborate(spec, scope, body_ty, fuel)
+                lcod, cod_ty, _, _ = _elaborate(scope, body_ty)
                 if s2 is None:
-                    s2 = _as_sort(spec, cod_ty, fuel, body_ty, scope)
+                    s2 = _as_sort(scope, cod_ty, body_ty)
             scope.binders.pop()
             pi = Pi(h, annot, body_ty)
-            return LLam(h, lannot, lcod, lbody), pi, _pi_sort(spec, s1, s2, pi, scope), LPi(h, lannot, lcod)
+            return LLam(h, lannot, lcod, lbody), pi, _pi_sort(scope, s1, s2, pi), LPi(h, lannot, lcod)
         case App(fun, arg):
-            lfun, fun_ty, s3, lfun_ty = _elaborate(spec, scope, fun, fuel)
-            head = _fun_head(fun, fun_ty, fuel, scope)
-            larg, arg_ty, _, _ = _elaborate(spec, scope, arg, fuel)
-            _convertible(arg_ty, head.dom, fuel, "argument of", fun, scope)
+            lfun, fun_ty, s3, lfun_ty = _elaborate(scope, fun)
+            head = _fun_head(scope, fun, fun_ty)
+            larg, arg_ty, _, _ = _elaborate(scope, arg)
+            _convertible(scope, arg_ty, head.dom, "argument of", fun)
             # the function's labeled type is its label unless its type had to reduce
-            lpi = lfun_ty if lfun_ty is not None and head is fun_ty else _elaborate(spec, scope, head, fuel)[0]
-            return LApp(lpi.hint, lpi.dom, lpi.cod, lfun, larg), instantiate(head.cod, arg), spec.cod_sorts.get(s3), None
+            lpi = lfun_ty if lfun_ty is not None and head is fun_ty else _elaborate(scope, head)[0]
+            return LApp(lpi.hint, lpi.dom, lpi.cod, lfun, larg), instantiate(head.cod, arg), scope.spec.cod_sorts.get(s3), None
         case _:
-            _fail(
-                ErrorKind.SIGMA_DISABLED,
-                f"the labeled system covers core terms only: {_show(a, scope)}",
-            )
+            _fail(ErrorKind.SIGMA_DISABLED, f"the labeled system covers core terms only: {scope.show(a)}")

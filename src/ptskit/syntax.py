@@ -564,6 +564,48 @@ def fresh_name(base: str, avoid, *scopes: Node) -> str:
     return name
 
 
+class Scope:
+    """What a walk under binders is under: a context, indexed by name (the
+    first binding of a name wins, as in lookup), and the binders entered,
+    innermost last, one entry each, led by the binder node.  No body is
+    opened: ``BVar i`` refers to entry ``-1 - i``.
+
+    Names are made only to be shown, as ``fresh_name`` made them when
+    every binder was opened: from the outermost binder in, avoiding the
+    context's names and the outer binders', and the unopened scopes answer
+    ``occurs`` for any other name as the opened ones did.  A name is kept
+    with its entry, which each push makes anew, so a popped binder's name
+    is dropped when a name is next asked for.  A walk that grows the
+    context (a context's prefix) makes a name only to raise.
+    """
+
+    __slots__ = ("types", "binders", "names", "taken")
+
+    def __init__(self, ctx: Context):
+        self.types, self.binders, self.names = dict(reversed(ctx.bindings)), [], None
+
+    def name(self, k: int) -> str:
+        """The name of binder ``k`` (0 is the outermost)."""
+        if self.names is None:
+            self.names, self.taken = [], set(self.types)
+        names, binders = self.names, self.binders
+        while names and (len(names) > len(binders) or names[-1][0] is not binders[len(names) - 1]):
+            self.taken.discard(names.pop()[1])
+        while len(names) <= k:
+            entry = binders[len(names)]
+            node = entry[0]
+            names.append((entry, fresh_name(node.hint, self.taken, *(getattr(node, f) for f, _ in node._children))))
+            self.taken.add(names[-1][1])
+        return names[k][1]
+
+    def show(self, t: Node) -> str:
+        """``print_expr`` of ``t``, its dangling indices opened to the binders' names."""
+        if t._loose:
+            for k in reversed(range(len(self.binders))):
+                t = open_binder(t, self.name(k))
+        return print_expr(t)
+
+
 # ---------------------------------------------------------------------------
 # PTS specifications
 

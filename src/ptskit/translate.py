@@ -46,12 +46,12 @@ from .syntax import (
     _set,
     _shift,
     free_vars,
-    fresh_name,
     occurs,
     print_expr,
     subst,
     SIGMA_NODES,
     FOMEGA,
+    Scope,
     CC,
 )
 from .reduction import DEFAULT_DEPTH, DEFAULT_FUEL, beta_eq, key_redex_of, reachable, reduce_key_redex, step_all
@@ -105,43 +105,20 @@ class TransEnv(Record):
         return f"{Y_PREFIX}{self._counter[0]}"
 
 
-class _Walk:
-    """One translation call: the context, indexed by name, and the source
-    binders entered, innermost last, as ``(binder, binds a kind, term,
-    type)``.  ``term`` and ``type`` say what the binder's variable becomes
-    in each translation: a target binder, by its level (an int, 0 the
-    outermost); a canonical inhabitant made under some number of target
-    binders (a pair); or, for a term binder that the type translation
-    drops, a one-item list, set if the variable is reached all the same.
+class _Walk(Scope):
+    """One translation call's scope: each source binder entered pushes
+    ``(binder, binds a kind, term, type)``.  ``term`` and ``type`` say what
+    the binder's variable becomes in each translation: a target binder, by
+    its level (an int, 0 the outermost); a canonical inhabitant made under
+    some number of target binders (a pair); or, for a term binder that the
+    type translation drops, a one-item list, set if the variable is reached
+    all the same."""
 
-    Names are chosen only to be shown (a ``_w$`` hint, an error), from the
-    outermost binder in, as ``fresh_name`` chose them when every binder was
-    opened: the names to avoid are the context's and the outer binders',
-    and the unopened scopes answer ``occurs`` for any other name as the
-    opened ones did.
-    """
-
-    __slots__ = ("env", "types", "binders", "names", "taken")
+    __slots__ = ("env",)
 
     def __init__(self, ctx: Context, env: TransEnv | None = None):
-        self.env, self.binders, self.names, self.taken = env, [], [], None
-        self.types = dict(reversed(ctx.bindings))  # the first binding of a name wins, as in lookup
-
-    def name(self, k: int) -> str:
-        """The name of binder ``k`` (0 is the outermost)."""
-        if self.taken is None:
-            self.taken = set(self.types)
-        names = self.names
-        while len(names) <= k:
-            node = self.binders[len(names)][0]
-            names.append(fresh_name(node.hint, self.taken, *(getattr(node, f) for f, _ in node._children)))
-            self.taken.add(names[-1])
-        return names[k]
-
-    def leave(self) -> None:
-        self.binders.pop()
-        if len(self.names) > len(self.binders):
-            self.taken.discard(self.names.pop())
+        Scope.__init__(self, ctx)
+        self.env = env
 
 
 def _bound(ref, depth: int) -> Expr:
@@ -246,7 +223,7 @@ def _trans_type(w: _Walk, a: Expr, depth: int) -> Expr:
             kind = is_cc_kind(dom)
             w.binders.append((a, kind, None, depth))
             tb = _trans_type(w, cod, depth + 2 if kind else depth + 1)
-            w.leave()
+            w.binders.pop()
             if kind:
                 return Pi(h, erase_kind(dom), Pi("_", _trans_type(w, dom, depth + 1), tb))
             return Pi(h, _trans_type(w, dom, depth), tb)
@@ -254,7 +231,7 @@ def _trans_type(w: _Walk, a: Expr, depth: int) -> Expr:
             if is_cc_kind(annot):
                 w.binders.append((a, True, None, depth))
                 tb = _trans_type(w, body, depth + 1)
-                w.leave()
+                w.binders.pop()
                 return Lam(h, erase_kind(annot), tb)
             # A term-level binder contributes nothing to the erased type.
             reached = [False]
@@ -262,7 +239,7 @@ def _trans_type(w: _Walk, a: Expr, depth: int) -> Expr:
             tb = _trans_type(w, body, depth)
             if reached[0]:
                 raise ValueError(f"term binder {w.name(len(w.binders) - 1)} survived type translation")
-            w.leave()
+            w.binders.pop()
             return tb
         case _ if isinstance(a, SIGMA_NODES):
             raise ValueError("the translation covers core CC only, not the sigma extension")
@@ -321,12 +298,12 @@ def _trans_term(w: _Walk, a: Expr, depth: int) -> Expr:
                 w.binders.append((a, True, depth + 2, depth + 1))
                 t_body = _trans_term(w, body, depth + 3)
                 companion = W_PREFIX + w.name(len(w.binders) - 1)
-                w.leave()
+                w.binders.pop()
                 wrapped = Lam(h, erase_kind(annot), Lam(companion, _trans_type(w, annot, depth + 2), t_body))
             else:
                 w.binders.append((a, False, depth + 1, depth + 1))
                 t_body = _trans_term(w, body, depth + 2)
-                w.leave()
+                w.binders.pop()
                 wrapped = Lam(h, _trans_type(w, annot, depth + 1), t_body)
             return App(Lam(y, _ZERO_VAR, wrapped), t_annot)
         case Var(name):
@@ -346,7 +323,7 @@ def _trans_term(w: _Walk, a: Expr, depth: int) -> Expr:
             else:
                 w.binders.append((a, False, of_type, of_type))
             t_cod = _trans_term(w, cod, depth)
-            w.leave()
+            w.binders.pop()
             return App(App(_C_FN, t_dom), t_cod)
         case SortE(name):
             if name != STAR:

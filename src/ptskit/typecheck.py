@@ -40,9 +40,8 @@ from .syntax import (
     SortE,
     Var,
     BUILTIN_SPECS,
-    fresh_name,
+    Scope,
     instantiate,
-    open_binder,
     print_expr,
     _set,
     _shift,
@@ -74,19 +73,18 @@ def _fail(kind: ErrorKind, message: str):
     raise TypeCheckError(kind, message)
 
 
-class _Scope:
-    """What a typing walk is under: the API's context, indexed by name, and
-    the binders entered, innermost last.  Entering a binder pushes ``(binder
-    node, annotation, its sort)``, plus the labeled annotation in
-    elaboration, and leaving pops it, so no body is opened and no type
-    closed: ``BVar i`` is typed by entry ``-1 - i``, its annotation shifted
-    by ``i + 1``.  Names are made only to print a subterm (``_show``)."""
+class _Scope(Scope):
+    """A typing walk's scope: entering a binder pushes ``(binder node,
+    annotation, its sort)``, plus the labeled annotation in elaboration, so
+    ``BVar i`` is typed by entry ``-1 - i``, its annotation shifted by
+    ``i + 1``.  It carries the walk's spec, fuel and directed-search depth,
+    and the sorts and labeled types of context variables found so far."""
 
-    __slots__ = ("spec", "fuel", "types", "sorts", "ltypes", "binders")
+    __slots__ = ("spec", "fuel", "depth", "sorts", "ltypes")
 
-    def __init__(self, spec: PtsSpec, ctx: Context, fuel: int):
-        self.spec, self.fuel, self.sorts, self.ltypes, self.binders = spec, fuel, {}, {}, []
-        self.types = dict(reversed(ctx.bindings))  # the first binding of a name wins, as in lookup
+    def __init__(self, spec: PtsSpec, ctx: Context, fuel: int, depth: int = DEFAULT_DEPTH):
+        Scope.__init__(self, ctx)
+        self.spec, self.fuel, self.depth, self.sorts, self.ltypes = spec, fuel, depth, {}, {}
 
     def once(self, found: dict, name: str, find):
         """``find(self, t)`` for context variable ``name``'s type t, under no
@@ -104,73 +102,56 @@ class _Scope:
 
 
 def _sort_of(scope: _Scope, ty: Node) -> str:
-    return _as_sort(scope.spec, _infer(scope.spec, scope, ty, scope.fuel)[0], scope.fuel, ty)
+    return _as_sort(scope, _infer(scope, ty)[0], ty)
 
 
-def _show(t: Node, scope: _Scope | None) -> str:
-    """``print_expr`` of ``t`` with its dangling indices opened to the names
-    ``fresh_name`` gives ``scope``'s binders, from the outermost in."""
-    if scope is None or not t._loose:
-        return print_expr(t)
-    avoid, names = set(scope.types), []
-    for node, *_ in scope.binders:
-        names.append(fresh_name(node.hint, avoid, *(getattr(node, f) for f, _ in node._children)))
-        avoid.add(names[-1])
-    for x in reversed(names):
-        t = open_binder(t, x)
-    return print_expr(t)
-
-
-def _as_sort(spec: PtsSpec, ty: Node, fuel: int, subject: Node, scope: _Scope | None = None) -> str:
-    """Normalize ``ty`` (plain or labeled) and require it to be a sort of ``spec``."""
+def _as_sort(scope: _Scope, ty: Node, subject: Node) -> str:
+    """Normalize ``ty`` (plain or labeled) and require it to be a sort of the scope's spec."""
     try:
-        n = _normal_form(ty, fuel)
+        n = _normal_form(ty, scope.fuel)
     except FuelExhausted:
-        _fail(ErrorKind.FUEL_EXHAUSTED, f"normalizing the type of {_show(subject, scope)}")
-    if isinstance(n, (SortE, LSort)) and n.name in spec.sorts:
+        _fail(ErrorKind.FUEL_EXHAUSTED, f"normalizing the type of {scope.show(subject)}")
+    if isinstance(n, (SortE, LSort)) and n.name in scope.spec.sorts:
         return n.name
-    _fail(
-        ErrorKind.SORT_UNTYPEABLE,
-        f"{_show(subject, scope)} is classified by {_show(n, scope)}, not a sort",
-    )
+    _fail(ErrorKind.SORT_UNTYPEABLE, f"{scope.show(subject)} is classified by {scope.show(n)}, not a sort")
 
 
-def _pi_sort(spec: PtsSpec, s1: str, s2: str, pi: Node, scope: _Scope | None = None) -> str:
+def _pi_sort(scope: _Scope, s1: str, s2: str, pi: Node) -> str:
     """The sort of product ``pi`` (plain or labeled) from its parts' sorts."""
-    s3 = spec.rule_for(s1, s2)
+    s3 = scope.spec.rule_for(s1, s2)
     if s3 is None:
-        _fail(ErrorKind.NO_RULE, f"no rule ({s1},{s2},_) to form {_show(pi, scope)}")
+        _fail(ErrorKind.NO_RULE, f"no rule ({s1},{s2},_) to form {scope.show(pi)}")
     return s3
 
 
-def _fun_head(fun: Expr, fun_ty: Expr, fuel: int, scope: _Scope) -> Pi:
+def _fun_head(scope: _Scope, fun: Expr, fun_ty: Expr) -> Pi:
     """The product that ``fun``'s type ``fun_ty`` exposes at its head."""
     try:
-        head = whnf(fun_ty, fuel)
+        head = whnf(fun_ty, scope.fuel)
     except FuelExhausted:
-        _fail(ErrorKind.FUEL_EXHAUSTED, f"exposing the type of {_show(fun, scope)}")
+        _fail(ErrorKind.FUEL_EXHAUSTED, f"exposing the type of {scope.show(fun)}")
     if not isinstance(head, Pi):
         _fail(
             ErrorKind.NOT_A_FUNCTION,
-            f"{_show(fun, scope)} has type {_show(fun_ty, scope)}, which is not a function type",
+            f"{scope.show(fun)} has type {scope.show(fun_ty)}, which is not a function type",
         )
     return head
 
 
-def _convertible(a: Expr, b: Expr, fuel: int, where: str, subject: Expr | None = None, scope: _Scope | None = None) -> None:
+def _convertible(scope: _Scope, a: Expr, b: Expr, where: str, subject: Expr | None = None) -> None:
     """Require a and b to be convertible.
 
     ``where`` names the site, followed by the printed ``subject`` if one
     is given; the text is rendered only when the check fails.
     """
-    r = beta_eq(a, b, fuel)
+    r = beta_eq(a, b, scope.fuel)
     if r is True:
         return
     if subject is not None:
-        where = f"{where} {_show(subject, scope)}"
+        where = f"{where} {scope.show(subject)}"
     if r is UNDETERMINED:
         _fail(ErrorKind.FUEL_EXHAUSTED, f"conversion undecided in {where}")
-    _fail(ErrorKind.MISMATCH, f"{where}: {_show(a, scope)} is not convertible with {_show(b, scope)}")
+    _fail(ErrorKind.MISMATCH, f"{where}: {scope.show(a)} is not convertible with {scope.show(b)}")
 
 
 def label_of(e: LLam | LApp) -> LPi:
@@ -208,10 +189,10 @@ def infer_type(spec: PtsSpec, ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -
     type up with its sort where a rule settled it, so no lambda types
     the product it synthesized.  A labeled term gets its labeled type.
     """
-    return _infer(spec, _Scope(spec, ctx, fuel), e, fuel)[0]
+    return _infer(_Scope(spec, ctx, fuel), e)[0]
 
 
-def _infer(spec: PtsSpec, scope: _Scope, e: Node, fuel: int, conv_depth: int = DEFAULT_DEPTH) -> tuple[Node, str | None]:
+def _infer(scope: _Scope, e: Node) -> tuple[Node, str | None]:
     """``(A, s)`` with scope |- e : A and, unless s is None, scope |- A : s;
     ``e`` and ``A`` are open over ``scope``'s binders (see ``_Scope``).
 
@@ -224,18 +205,18 @@ def _infer(spec: PtsSpec, scope: _Scope, e: Node, fuel: int, conv_depth: int = D
     is typed by a sort of its own AST.  Premises go in rule order: a
     product's domain sort, then its codomain; a lambda's annotation
     sort, then its body, then, if the body gave no sort, the sort of the
-    body's type; a pair's annotation, then its components.  The cases
-    are disjoint and ordered by how often they occur.  ``conv_depth``
-    serves labeled terms, as ``labeled.labeled_infer`` describes.
+    body's type; a pair's annotation, then its components; a sigma node
+    is rejected first if the spec has no sigma.  The cases are ordered by
+    how often they occur.  The scope's ``depth`` serves labeled terms, as
+    ``labeled.labeled_infer`` describes.
     """
     match e:
         case App(fun, arg):
-            fun_ty, s3 = _infer(spec, scope, fun, fuel)
-            head = _fun_head(fun, fun_ty, fuel, scope)
-            arg_ty = _infer(spec, scope, arg, fuel)[0]
-            _convertible(arg_ty, head.dom, fuel, "argument of", fun, scope)
+            fun_ty, s3 = _infer(scope, fun)
+            head = _fun_head(scope, fun, fun_ty)
+            _convertible(scope, _infer(scope, arg)[0], head.dom, "argument of", fun)
             # head reduces from fun_ty, so it has fun_ty's sort s3
-            return instantiate(head.cod, arg), spec.cod_sorts.get(s3)
+            return instantiate(head.cod, arg), scope.spec.cod_sorts.get(s3)
         case Var(name) | LVar(name):
             ty = scope.types.get(name)
             if ty is None:
@@ -247,32 +228,32 @@ def _infer(spec: PtsSpec, scope: _Scope, e: Node, fuel: int, conv_depth: int = D
             entry = scope.binders[-1 - i]
             return _shift(entry[1], i + 1, 0), entry[2]
         case Lam(h, annot, body):
-            s1 = _as_sort(spec, _infer(spec, scope, annot, fuel)[0], fuel, annot, scope)
+            s1 = _as_sort(scope, _infer(scope, annot)[0], annot)
             scope.binders.append((e, annot, s1))
-            body_ty, s2 = _infer(spec, scope, body, fuel)
+            body_ty, s2 = _infer(scope, body)
             if s2 is None:
-                s2 = _as_sort(spec, _infer(spec, scope, body_ty, fuel)[0], fuel, body_ty, scope)
+                s2 = _sort_of(scope, body_ty)
             scope.binders.pop()
             # TLam demands the synthesized product itself be well-sorted.
             pi = Pi(h, annot, body_ty)
-            return pi, _pi_sort(spec, s1, s2, pi, scope)
+            return pi, _pi_sort(scope, s1, s2, pi)
         case Pi(h, dom, cod) | LPi(h, dom, cod):
-            s1 = _as_sort(spec, _infer(spec, scope, dom, fuel, conv_depth)[0], fuel, dom, scope)
+            s1 = _as_sort(scope, _infer(scope, dom)[0], dom)
             scope.binders.append((e, dom, s1))
-            s2 = _as_sort(spec, _infer(spec, scope, cod, fuel, conv_depth)[0], fuel, cod, scope)
+            s2 = _as_sort(scope, _infer(scope, cod)[0], cod)
             scope.binders.pop()
-            s3 = _pi_sort(spec, s1, s2, e, scope)
-            return (SortE if type(e) is Pi else LSort)(s3), spec.axiom_for(s3)
+            s3 = _pi_sort(scope, s1, s2, e)
+            return (SortE if type(e) is Pi else LSort)(s3), scope.spec.axiom_for(s3)
         case SortE(s) | LSort(s):
-            if s not in spec.sorts:
+            if s not in scope.spec.sorts:
                 _fail(ErrorKind.SORT_UNTYPEABLE, f"unknown sort {s}")
-            s2 = spec.axiom_for(s)
+            s2 = scope.spec.axiom_for(s)
             if s2 is None:
                 _fail(ErrorKind.NO_AXIOM, f"sort {s} has no type")
-            return type(e)(s2), spec.axiom_for(s2)
+            return type(e)(s2), scope.spec.axiom_for(s2)
         case LLam(h, dom, cod, body):
             label = label_of(e)
-            s3 = _infer(spec, scope, label, fuel, conv_depth)[0].name
+            s3 = _infer(scope, label)[0].name
             # That checked the codomain whole, so a body lambda labeled with the
             # codomain is entered here without checking its label again: once
             # its own body checks, its type is that codomain.
@@ -282,73 +263,58 @@ def _infer(spec: PtsSpec, scope: _Scope, e: Node, fuel: int, conv_depth: int = D
                 if not (isinstance(body, LLam) and label_of(body) == cod):
                     break
                 e, dom, cod, body = body, body.dom, body.cod, body.body
-            body_ty = _infer(spec, scope, body, fuel, conv_depth)[0]
-            if not directed_convertible(body_ty, cod, conv_depth):
-                message = f"body type {_show(body_ty, scope)} does not reduce to or from the label codomain"
+            body_ty = _infer(scope, body)[0]
+            if not directed_convertible(body_ty, cod, scope.depth):
+                message = f"body type {scope.show(body_ty)} does not reduce to or from the label codomain"
                 _fail(ErrorKind.DIRECTED_CONVERSION_UNDETERMINED, message)
             del scope.binders[depth:]
             return label, s3
         case LApp(h, dom, cod, fun, arg):
-            fun_ty = _infer(spec, scope, fun, fuel, conv_depth)[0]
+            fun_ty = _infer(scope, fun)[0]
             label = label_of(e)
-            if not directed_convertible(fun_ty, label, conv_depth):
-                message = f"function type {_show(fun_ty, scope)} does not reduce to or from the label {_show(label, scope)}"
+            if not directed_convertible(fun_ty, label, scope.depth):
+                message = f"function type {scope.show(fun_ty)} does not reduce to or from the label {scope.show(label)}"
                 _fail(ErrorKind.DIRECTED_CONVERSION_UNDETERMINED, message)
-            arg_ty = _infer(spec, scope, arg, fuel, conv_depth)[0]
-            if not directed_convertible(arg_ty, dom, conv_depth):
-                message = f"argument type {_show(arg_ty, scope)} does not reduce to or from {_show(dom, scope)}"
+            arg_ty = _infer(scope, arg)[0]
+            if not directed_convertible(arg_ty, dom, scope.depth):
+                message = f"argument type {scope.show(arg_ty)} does not reduce to or from {scope.show(dom)}"
                 _fail(ErrorKind.DIRECTED_CONVERSION_UNDETERMINED, message)
             return instantiate(cod, arg), None
+        case Sigma() | Pair() | Proj1() | Proj2() if not scope.spec.sigma_enabled:
+            _fail(ErrorKind.SIGMA_DISABLED, f"sigma extension is disabled: {scope.show(e)}")
         case Sigma(h, first, second):
-            _require_sigma(spec, e, scope)
-            first_sort = _as_sort(spec, _infer(spec, scope, first, fuel)[0], fuel, first, scope)
+            first_sort = _sort_of(scope, first)
             if first_sort != STAR:
                 _fail(
                     ErrorKind.MISMATCH,
-                    f"Sig first component {_show(first, scope)} must be a type, has sort {first_sort}",
+                    f"Sig first component {scope.show(first)} must be a type, has sort {first_sort}",
                 )
             scope.binders.append((e, first, first_sort))
-            s = _as_sort(spec, _infer(spec, scope, second, fuel)[0], fuel, second, scope)
+            s = _sort_of(scope, second)
             scope.binders.pop()
-            return SortE(s), spec.axiom_for(s)
+            return SortE(s), scope.spec.axiom_for(s)
         case Pair(first, second, annot):
-            _require_sigma(spec, e, scope)
-            _infer(spec, scope, annot, fuel)
+            _infer(scope, annot)
             try:
-                head = whnf(annot, fuel)
+                head = whnf(annot, scope.fuel)
             except FuelExhausted:
-                _fail(ErrorKind.FUEL_EXHAUSTED, f"exposing the pair annotation {_show(annot, scope)}")
+                _fail(ErrorKind.FUEL_EXHAUSTED, f"exposing the pair annotation {scope.show(annot)}")
             if not isinstance(head, Sigma):
-                _fail(ErrorKind.MISMATCH, f"pair annotation {_show(annot, scope)} is not a Sig type")
-            first_ty = _infer(spec, scope, first, fuel)[0]
-            _convertible(first_ty, head.first, fuel, "first pair component", None, scope)
-            second_ty = _infer(spec, scope, second, fuel)[0]
-            _convertible(second_ty, instantiate(head.second, first), fuel, "second pair component", None, scope)
+                _fail(ErrorKind.MISMATCH, f"pair annotation {scope.show(annot)} is not a Sig type")
+            _convertible(scope, _infer(scope, first)[0], head.first, "first pair component")
+            _convertible(scope, _infer(scope, second)[0], instantiate(head.second, first), "second pair component")
             return annot, None
-        case Proj1(p):
-            _require_sigma(spec, e, scope)
-            return _sigma_head(spec, scope, p, fuel).first, None
-        case Proj2(p):
-            _require_sigma(spec, e, scope)
-            return instantiate(_sigma_head(spec, scope, p, fuel).second, Proj1(p)), None
+        case Proj1(p) | Proj2(p):
+            ty = _infer(scope, p)[0]
+            try:
+                head = whnf(ty, scope.fuel)
+            except FuelExhausted:
+                _fail(ErrorKind.FUEL_EXHAUSTED, f"exposing the type of {scope.show(p)}")
+            if not isinstance(head, Sigma):
+                _fail(ErrorKind.MISMATCH, f"{scope.show(p)} has type {scope.show(ty)}, not a Sig type")
+            return (head.first if type(e) is Proj1 else instantiate(head.second, Proj1(p))), None
         case _:
             raise TypeError(f"not an expression: {e!r}")
-
-
-def _require_sigma(spec: PtsSpec, e: Expr, scope: _Scope | None = None) -> None:
-    if not spec.sigma_enabled:
-        _fail(ErrorKind.SIGMA_DISABLED, f"sigma extension is disabled: {_show(e, scope)}")
-
-
-def _sigma_head(spec: PtsSpec, scope: _Scope, p: Expr, fuel: int) -> Sigma:
-    ty = _infer(spec, scope, p, fuel)[0]
-    try:
-        head = whnf(ty, fuel)
-    except FuelExhausted:
-        _fail(ErrorKind.FUEL_EXHAUSTED, f"exposing the type of {_show(p, scope)}")
-    if not isinstance(head, Sigma):
-        _fail(ErrorKind.MISMATCH, f"{_show(p, scope)} has type {_show(ty, scope)}, not a Sig type")
-    return head
 
 
 def check_type(spec: PtsSpec, ctx: Context, e: Expr, ty: Expr, fuel: int = DEFAULT_FUEL) -> None:
@@ -357,15 +323,16 @@ def check_type(spec: PtsSpec, ctx: Context, e: Expr, ty: Expr, fuel: int = DEFAU
     A sort with no successor axiom (box in the built-ins) is accepted as
     the classifier of kinds even though it has no type itself.
     """
-    _check_inferred(spec, ctx, e, infer_type(spec, ctx, e, fuel), ty, fuel)
+    scope = _Scope(spec, ctx, fuel)
+    _check_inferred(scope, e, _infer(scope, e)[0], ty)
 
 
-def _check_inferred(spec: PtsSpec, ctx: Context, e: Expr, inferred: Expr, ty: Expr, fuel: int) -> None:
+def _check_inferred(scope: _Scope, e: Expr, inferred: Expr, ty: Expr) -> None:
     """``check_type`` once ``e``'s type has been inferred as ``inferred``."""
-    top_sort = isinstance(ty, SortE) and ty.name in spec.sorts and spec.axiom_for(ty.name) is None
-    if not top_sort:
-        _as_sort(spec, infer_type(spec, ctx, ty, fuel), fuel, ty)
-    _convertible(inferred, ty, fuel, "checking", e)
+    spec = scope.spec
+    if not (isinstance(ty, SortE) and ty.name in spec.sorts and spec.axiom_for(ty.name) is None):
+        _sort_of(scope, ty)
+    _convertible(scope, inferred, ty, "checking", e)
 
 
 # ---------------------------------------------------------------------------
@@ -394,20 +361,20 @@ _CC = BUILTIN_SPECS["cc"]
 
 def classify(ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL, spec: PtsSpec | None = None) -> Classification:
     """Sort a typeable CC expression into kind / constructor / term."""
-    spec = spec or _CC
-    return _classify(spec, ctx, e, *_infer(spec, _Scope(spec, ctx, fuel), e, fuel), fuel)
+    scope = _Scope(spec or _CC, ctx, fuel)
+    return _classify(scope, e, *_infer(scope, e))
 
 
-def _classify(spec: PtsSpec, ctx: Context, e: Expr, ty: Expr, s: str | None, fuel: int) -> Classification:
+def _classify(scope: _Scope, e: Expr, ty: Expr, s: str | None) -> Classification:
     """``classify`` from the pair ``(ty, s)`` that ``_infer`` gives for ``e``."""
     try:
-        nty = _normal_form(ty, fuel)
+        nty = _normal_form(ty, scope.fuel)
     except FuelExhausted:
         _fail(ErrorKind.FUEL_EXHAUSTED, f"normalizing the type of {print_expr(e)}")
     if nty == SortE(BOX):
         return Kind()
     if s is None:
-        s = _as_sort(spec, infer_type(spec, ctx, ty, fuel), fuel, ty)
+        s = _sort_of(scope, ty)
     if s == BOX:
         return GammaConstructor(is_type=nty == SortE(STAR))
     if s == STAR:

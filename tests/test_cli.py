@@ -446,6 +446,21 @@ def test_malformed_bindings_are_parse_errors(capsys):
         assert (code, err) == (EXIT_PARSE_ERROR, f"error: parse error: {message}\n"), binding
 
 
+def test_typing_and_translation_name_a_binder_alike(capsys, monkeypatch):
+    # a binder that shadows a context name gets the same primed name in a
+    # translation's companion and in a typing error: both come from Scope.name
+    from ptskit.syntax import Scope
+
+    named = []
+    name = Scope.name
+    monkeypatch.setattr(Scope, "name", lambda self, k: named.append(type(self).__name__) or name(self, k))
+    code, out, _ = run(capsys, "translate", "--bind", "A : *", r"\A:*. \x:A. x")
+    assert code == EXIT_OK and r"\_w$A':_0. " in out
+    code, _, err = run(capsys, "infer", "--bind", "A : *", r"\A:*. \x:A. x x")
+    assert (code, err) == (EXIT_TYPE_ERROR, "error: NotAFunction: x has type A', which is not a function type\n")
+    assert set(named) == {"_Walk", "_Scope"}
+
+
 def test_one_default_search_depth():
     import ast
     import inspect
@@ -455,7 +470,7 @@ def test_one_default_search_depth():
     from ptskit.labeled import labeled_infer
     from ptskit.reduction import DEFAULT_DEPTH
     from ptskit.translate import check_reduction_preservation
-    from ptskit.typecheck import _infer, directed_convertible
+    from ptskit.typecheck import _Scope, directed_convertible
 
     defaults = [build_parser().parse_args(["verify", CORPUS]).depth]
     for f, name in (
@@ -463,7 +478,7 @@ def test_one_default_search_depth():
         (check_reduction_preservation, "max_depth"),
         (directed_convertible, "depth"),
         (labeled_infer, "conv_depth"),
-        (_infer, "conv_depth"),
+        (_Scope, "depth"),
     ):
         defaults.append(inspect.signature(f).parameters[name].default)
     assert defaults == [DEFAULT_DEPTH] * 6 and DEFAULT_DEPTH == 12

@@ -83,6 +83,19 @@ def test_run_report_skips_translation_for_sigma():
     assert not any(e.name in ("term-translation", "simulation") for e in entries)
 
 
+def test_report_looks_for_sigma_nodes_only_when_sigma_is_on(monkeypatch, cc_corpus):
+    # without sigma, wf_context and typing reject every sigma node first
+    from ptskit import corpus
+
+    walked = []
+    original = corpus._mentions_sigma
+    monkeypatch.setattr(corpus, "_mentions_sigma", lambda e: walked.append(e) or original(e))
+    assert all(e.ok for e in run_report(cc_corpus))
+    assert walked == []
+    run_report(load_corpus_dir("corpus/sigma", sigma_enabled=True), CCS)
+    assert walked
+
+
 def test_run_report_runs_cc_checks_only_under_cc_axioms():
     # CC's sorts and rules with one more axiom (# : *) type judgements CC
     # rejects, so the CC-only checks must not run on them
@@ -182,7 +195,7 @@ def test_report_does_each_job_once(monkeypatch):
         spy(name)
     entries = run_report([j])
     assert all(e.ok for e in entries) and "simulation" in {e.name for e in entries}
-    assert sum(args[2] is term for args in calls["_infer"]) == 1
+    assert sum(args[1] is term for args in calls["_infer"]) == 1
     assert sum(args[1] is ctx for args in calls["wf_context"]) == 1
     assert sum(args[1] is term for args in calls["_trans_term"]) == 1
     printed = [args[0] for args in calls["print_expr"]]

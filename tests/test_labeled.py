@@ -555,10 +555,10 @@ def test_label_spine_elaborates_the_function_type_once(monkeypatch):
     counts: dict[str, int] = {}
     elaborate = labeled._elaborate
 
-    def counting(spec, scope, a, fuel):
+    def counting(scope, a):
         if a == P("A -> A"):
             counts["A -> A"] = counts.get("A -> A", 0) + 1
-        return elaborate(spec, scope, a, fuel)
+        return elaborate(scope, a)
 
     monkeypatch.setattr(labeled, "_elaborate", counting)
     spine = P("f (" * 149 + "f x" + ")" * 149)
@@ -575,13 +575,13 @@ def test_no_lambda_over_a_variable_elaborates_its_body_type(monkeypatch):
     elaborate = labeled._elaborate
     frames, fallbacks = [], []
 
-    def guarded(spec, scope, a, fuel):
+    def guarded(scope, a):
         parent = frames[-1] if frames else None
         if parent is not None and type(parent[0]) is Lam and parent[1] is a:
             fallbacks.append(parent[0])
         frames.append([a, None])
         try:
-            result = elaborate(spec, scope, a, fuel)
+            result = elaborate(scope, a)
         finally:
             frames.pop()
         if parent is not None and type(parent[0]) is Lam and a is parent[0].body:

@@ -360,9 +360,9 @@ def test_no_lambda_types_the_product_it_synthesized(monkeypatch, typing_cases):
     received, products = [], []
     infer = typecheck._infer
 
-    def guarded(spec, ctx, e, *args):
+    def guarded(scope, e):
         received.append(e)
-        ty, s = infer(spec, ctx, e, *args)
+        ty, s = infer(scope, e)
         if isinstance(e, Lam):
             products.append(ty)
         return ty, s
@@ -425,13 +425,13 @@ def test_no_lambda_over_a_variable_or_variable_headed_application_types_its_body
     infer = typecheck._infer
     frames, fallbacks, bodies = [], [], {"var": 0, "app": 0}
 
-    def guarded(spec, scope, e, *args):
+    def guarded(scope, e):
         parent = frames[-1] if frames else None
         if parent is not None and type(parent[0]) is Lam and parent[1] is e:
             fallbacks.append(parent[0])
         frames.append([e, None])
         try:
-            ty, s = infer(spec, scope, e, *args)
+            ty, s = infer(scope, e)
         finally:
             frames.pop()
         if parent is not None and type(parent[0]) is Lam and e is parent[0].body:

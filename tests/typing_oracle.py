@@ -49,7 +49,7 @@ from ptskit.syntax import (
     parse_labeled,
     print_labeled,
 )
-from ptskit.reduction import DEFAULT_DEPTH, DEFAULT_FUEL, FuelExhausted, normalize, trace, whnf
+from ptskit.reduction import DEFAULT_DEPTH, DEFAULT_FUEL, UNDETERMINED, FuelExhausted, beta_eq, normalize, trace, whnf
 from ptskit.typecheck import (
     _CC,
     Classification,
@@ -58,10 +58,7 @@ from ptskit.typecheck import (
     GammaTerm,
     Kind,
     TypeCheckError,
-    _convertible,
     _fail,
-    _pi_sort,
-    _require_sigma,
 )
 from ptskit.labeled import directed_convertible
 from ptskit.corpus import load_corpus_dir
@@ -93,6 +90,29 @@ def _as_sort(spec: PtsSpec, ty: Node, fuel: int, subject: Node, normalizer=norma
         ErrorKind.SORT_UNTYPEABLE,
         f"{print_expr(subject)} is classified by {print_expr(n)}, not a sort",
     )
+
+
+def _pi_sort(spec: PtsSpec, s1: str, s2: str, pi: Node) -> str:
+    s3 = spec.rule_for(s1, s2)
+    if s3 is None:
+        _fail(ErrorKind.NO_RULE, f"no rule ({s1},{s2},_) to form {print_expr(pi)}")
+    return s3
+
+
+def _convertible(a: Expr, b: Expr, fuel: int, where: str, subject: Expr | None = None) -> None:
+    r = beta_eq(a, b, fuel)
+    if r is True:
+        return
+    if subject is not None:
+        where = f"{where} {print_expr(subject)}"
+    if r is UNDETERMINED:
+        _fail(ErrorKind.FUEL_EXHAUSTED, f"conversion undecided in {where}")
+    _fail(ErrorKind.MISMATCH, f"{where}: {print_expr(a)} is not convertible with {print_expr(b)}")
+
+
+def _require_sigma(spec: PtsSpec, e: Expr) -> None:
+    if not spec.sigma_enabled:
+        _fail(ErrorKind.SIGMA_DISABLED, f"sigma extension is disabled: {print_expr(e)}")
 
 
 def infer_type(spec: PtsSpec, ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -> Expr:
