@@ -32,7 +32,7 @@ from .reduction import (
     reducts_within,
     step_all,
 )
-from .typecheck import TypeCheckError, _check_inferred, _classify, _infer, _Scope, infer_type, wf_context
+from .typecheck import TypeCheckError, _check_inferred, _classify, _infer, _Scope, _term, infer_type, wf_context
 from .translate import CheckEntry, _check_translated, _simulation, _translate_judgement
 from .labeled import (
     erase,
@@ -150,7 +150,8 @@ def _report_one(j: Judgement, spec: PtsSpec, fuel: int, depth: int) -> list[Chec
 
     try:
         scope = _Scope(spec, j.ctx, fuel)
-        inferred, sort = _infer(scope, j.term)
+        ty, sort = _infer(scope, j.term)
+        inferred = _term(scope, ty)
         if j.ty is not None:
             _check_inferred(scope, j.term, inferred, j.ty)
         entries.append(_entry(True, "typing", subject))

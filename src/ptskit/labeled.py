@@ -47,6 +47,7 @@ from .typecheck import (
     _infer,
     _pi_sort,
     _Scope,
+    _term,
     directed_convertible as directed_convertible,
     label_of as label_of,
 )
@@ -92,7 +93,8 @@ def labeled_infer(
     conv_depth: int = DEFAULT_DEPTH,
 ) -> LabeledExpr:
     """Infer a labeled type; conversions are decided by directed search."""
-    return _infer(_Scope(spec, lctx, fuel, conv_depth), la)[0]
+    scope = _Scope(spec, lctx, fuel, conv_depth)
+    return _term(scope, _infer(scope, la)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +119,7 @@ def label_term(spec: PtsSpec, ctx: Context, a: Expr, fuel: int = DEFAULT_FUEL) -
 def label_context(spec: PtsSpec, ctx: Context, fuel: int = DEFAULT_FUEL) -> Context:
     lctx = Context()
     prefix = _Scope(spec, Context(), fuel)
+    prefix.types = {}
     for name, ty in ctx:
         lty = _elaborate(prefix, ty)[0]
         lctx = lctx.extend(name, lty)
@@ -130,9 +133,9 @@ def _ltype_of(scope: _Scope, ty: Expr) -> LabeledExpr:
 
 
 def _elaborate(scope: _Scope, a: Expr) -> tuple[LabeledExpr, Expr, str | None, LabeledExpr | None]:
-    """``(labeled a, A, s, labeled A)``: A and s as ``_infer`` gives them, open
-    over ``scope``'s binders, whose entries also hold the labeled
-    annotation; the labeled A is known for a variable whose type
+    """``(labeled a, A, s, labeled A)``: A and s as ``_infer`` gives them, A
+    as a term, open over ``scope``'s binders, whose entries also hold the
+    labeled annotation; the labeled A is known for a variable whose type
     elaborates and for a lambda, None elsewhere."""
     match a:
         case SortE(s):
@@ -140,7 +143,8 @@ def _elaborate(scope: _Scope, a: Expr) -> tuple[LabeledExpr, Expr, str | None, L
         case Var(name):
             return LVar(name), *_infer(scope, a), scope.once(scope.ltypes, name, _ltype_of)
         case BVar(i):
-            return LBVar(i), *_infer(scope, a), _shift(scope.binders[-1 - i][3], i + 1, 0)
+            ty, s = _infer(scope, a)
+            return LBVar(i), _term(scope, ty), s, _shift(scope.binders[-1 - i][3], i + 1, 0)
         case Pi(h, dom, cod):
             # the parts' types are the ones _infer finds, so the product's
             # sort comes from them, checked in the same order

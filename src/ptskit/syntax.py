@@ -565,8 +565,8 @@ def fresh_name(base: str, avoid, *scopes: Node) -> str:
 
 
 class Scope:
-    """What a walk under binders is under: a context, indexed by name (the
-    first binding of a name wins, as in lookup), and the binders entered,
+    """What a walk under binders is under: a context, indexed by name
+    (``Context.index``, shared), and the binders entered,
     innermost last, one entry each, led by the binder node.  No body is
     opened: ``BVar i`` refers to entry ``-1 - i``.
 
@@ -576,13 +576,14 @@ class Scope:
     ``occurs`` for any other name as the opened ones did.  A name is kept
     with its entry, which each push makes anew, so a popped binder's name
     is dropped when a name is next asked for.  A walk that grows the
-    context (a context's prefix) makes a name only to raise.
+    context (a context's prefix) gives the scope a ``types`` dict of its
+    own, and makes a name only to raise.
     """
 
     __slots__ = ("types", "binders", "names", "taken")
 
     def __init__(self, ctx: Context):
-        self.types, self.binders, self.names = dict(reversed(ctx.bindings)), [], None
+        self.types, self.binders, self.names = ctx.index(), [], None
 
     def name(self, k: int) -> str:
         """The name of binder ``k`` (0 is the outermost)."""
@@ -683,10 +684,20 @@ class Context(Record):
     the labeled system.
     """
 
-    __slots__ = __match_args__ = ("bindings",)
+    __match_args__ = ("bindings",)
+    __slots__ = (*__match_args__, "_index")
 
     def __init__(self, bindings: tuple[tuple[str, Node], ...] = ()):
         _set(self, "bindings", bindings)
+        _set(self, "_index", None)
+
+    def index(self) -> dict[str, Node]:
+        """Each name's type, the first binding of a name winning as in
+        ``lookup``; built on first use and shared by every scope over this
+        context, so it is read, never written."""
+        if self._index is None:
+            _set(self, "_index", dict(reversed(self.bindings)))
+        return self._index
 
     def lookup(self, name: str) -> Node | None:
         for n, ty in self.bindings:

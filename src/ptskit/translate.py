@@ -262,6 +262,7 @@ def translate_context(ctx: Context) -> Context:
 def _translate_context(ctx: Context) -> Context:
     """``translate_context`` once ``ctx`` is known to bind and mention no reserved name."""
     w = _Walk(Context())
+    w.types = {}
     out = [(ZERO, SortE(STAR)), (Z, _Z_TYPE)]
     for name, ty in ctx:
         if is_cc_kind(ty):

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from ptskit.syntax import CC, FOMEGA, STLC, SYSTEM_F, ParseError, parse_context, print_expr
@@ -202,6 +204,33 @@ def test_report_does_each_job_once(monkeypatch):
     assert len(printed) == len(step_all(term)) and set(printed) == step_all(term)
     assert [e.line() for e in entries][0] == f"PASS ctx-wf lam: {print_expr(term)}"
     assert len(calls["print_expr"]) > len(printed)
+
+
+def test_report_builds_each_context_index_once(monkeypatch):
+    # every scope over a context shares the index the context keeps; only
+    # the prefix walks, which grow the names they see, keep one of their own
+    from ptskit.syntax import Context, Lam
+    from ptskit.reduction import step_all
+    from generators import typed_pool_context, typed_terms
+
+    ctx = typed_pool_context()
+    term = next(t for t in typed_terms(1, 100) if isinstance(t, Lam) and step_all(t))
+    built, index = [], Context.index
+
+    def spy(self):
+        if self._index is None:
+            built.append(self)
+        return index(self)
+
+    monkeypatch.setattr(Context, "index", spy)
+    entries = run_report([Judgement("lam", ctx, term, None)])
+    assert all(e.ok for e in entries) and "simulation" in {e.name for e in entries}
+    assert sum(c is ctx for c in built) == 1
+    assert all(c.index() == dict(reversed(c.bindings)) for c in built)
+    # the index is no field: equality, hash, repr and pickling skip it
+    fresh = Context(ctx.bindings)
+    assert (ctx, hash(ctx), repr(ctx)) == (fresh, hash(fresh), repr(fresh))
+    assert pickle.loads(pickle.dumps(ctx))._index is None
 
 
 def test_report_scans_each_context_for_reserved_names_once(monkeypatch, cc_corpus):
