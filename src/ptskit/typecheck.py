@@ -100,7 +100,9 @@ def _fail(kind: ErrorKind, message: str):
 class _Scope(Scope):
     """A typing walk's scope: entering a binder pushes ``(binder node,
     annotation, its sort)``, plus the labeled annotation in elaboration, so
-    ``BVar i`` is typed by entry ``-1 - i``.  It carries the walk's spec,
+    ``BVar i`` is typed by entry ``-1 - i``: its annotation, shifted by
+    ``i + 1`` if it is labeled or an index, else as a closure over the
+    environment its binder was entered in.  It carries the walk's spec,
     fuel and directed-search depth, and the sorts and labeled types of
     context variables found so far."""
 
@@ -308,6 +310,8 @@ def _budget(scope: _Scope) -> list[int]:
 def _normal(scope: _Scope, ty) -> Node:
     """The normal form of type ``ty``, as ``normalize`` gives it for ``_term(ty)``;
     a closure is evaluated and read back where it is."""
+    if isinstance(ty, Node):
+        return _normal_form(ty, scope.fuel)
     if type(ty) is tuple:
         try:
             return _quote(ty[0], ty[1], len(scope.binders), _budget(scope))
@@ -322,8 +326,10 @@ def _sort_of(scope: _Scope, ty: Node) -> str:
 
 def _as_sort(scope: _Scope, ty, subject: Node) -> str:
     """Normalize type ``ty`` (plain or labeled) and require it to be a sort of the scope's spec."""
+    if (type(ty) is SortE or type(ty) is LSort) and scope.fuel > 0 and ty.name in scope.spec.sorts:
+        return ty.name  # the common case, normal already
     try:
-        n = _normal_form(ty, scope.fuel) if isinstance(ty, Node) else _normal(scope, ty)
+        n = _normal(scope, ty)
     except FuelExhausted:
         _fail(ErrorKind.FUEL_EXHAUSTED, f"normalizing the type of {scope.show(subject)}")
     if isinstance(n, (SortE, LSort)) and n.name in scope.spec.sorts:
@@ -452,8 +458,7 @@ def infer_type(spec: PtsSpec, ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -
     once.
     """
     scope = _Scope(spec, ctx, fuel)
-    ty = _infer(scope, e)[0]
-    return ty if isinstance(ty, Node) else _term(scope, ty)
+    return _term(scope, _infer(scope, e)[0])
 
 
 def _infer(scope: _Scope, e: Node) -> tuple:
@@ -461,12 +466,12 @@ def _infer(scope: _Scope, e: Node) -> tuple:
     ``e`` and ``A`` are open over ``scope``'s binders (see ``_Scope``).
 
     A plain A may be delayed (see the module docstring): a variable's is its
-    binder's stored annotation, an application's its function's codomain
-    with the argument bound, and a lambda's a ``_Prod`` when its body's is
-    delayed.  Nothing in the walk builds the term A stands for, but for a
-    body that hands up no sort, whose type is typed as a term; callers
-    build it with ``_term``.  Labeled types, and the types sigma rules
-    give, are terms.
+    binder's annotation under the binder's environment, an application's
+    its function's codomain with the argument bound, and a lambda's a
+    ``_Prod`` when its body's is delayed.  Nothing in the walk builds the
+    term A stands for, but for a body that hands up no sort, whose type is
+    typed as a term; callers build it with ``_term``.  Labeled types, and
+    the types sigma rules give, are terms.
 
     s is known for a sort, product or Sig type (the axiom of the sort that
     types it), for a plain variable whose type checks (the sort of its

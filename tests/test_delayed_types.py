@@ -11,7 +11,7 @@ import pytest
 
 from ptskit import syntax
 from ptskit.reduction import step_all
-from ptskit.syntax import CC, FOMEGA, STAR, BVar, Context, Lam, Node, SortE, Var, parse_context, parse_expr, print_expr
+from ptskit.syntax import CC, FOMEGA, STAR, Context, Node, SortE, parse_context, parse_expr, print_expr
 from ptskit.translate import _translate_judgement, check_translation
 from ptskit.typecheck import ErrorKind, TypeCheckError, check_type, classify, infer_type
 from ptskit.corpus import load_corpus_dir
@@ -20,6 +20,10 @@ import typing_oracle as oracle
 from generators import church_numeral, lambda_nest, typed_pool_context, typed_terms
 
 CCS = CC.with_sigma()
+
+
+def P(text):
+    return parse_expr(text)
 
 
 def _judgements():
@@ -37,20 +41,16 @@ def _judgements():
     return out
 
 
-def _printed(result):
-    """An outcome with its printed form, which sees binder hints that ``==`` ignores."""
-    return result + (print_expr(result[1]),) if result[0] == "ok" and isinstance(result[1], Node) else result
-
-
 def _same_outcomes(spec, ctx, term, fuel, *declared):
     """Compare ``infer_type``, ``classify`` and ``check_type`` against each
-    ``declared`` type with the substituting walk's."""
+    ``declared`` type with the substituting walk's: each result by ``==``
+    and by its printed form, which shows the binder hints ``==`` ignores,
+    and each error by its kind and message."""
     for walk, reference, args in (
         (infer_type, oracle.infer_type, (spec, ctx, term, fuel)),
         (classify, oracle.classify, (ctx, term, fuel, spec)),
     ):
-        want = _printed(oracle.outcome(reference, *args))
-        assert _printed(oracle.outcome(walk, *args)) == want, (walk.__name__, fuel, print_expr(term))
+        assert oracle.outcome(walk, *args) == oracle.outcome(reference, *args), (walk.__name__, fuel, print_expr(term))
     for ty in declared:
         got = oracle.outcome(check_type, spec, ctx, term, ty, fuel)
         assert got == oracle.outcome(oracle.check_type, spec, ctx, term, ty, fuel), (fuel, print_expr(term))
@@ -58,9 +58,8 @@ def _same_outcomes(spec, ctx, term, fuel, *declared):
 
 @pytest.mark.parametrize("fuel", [10000, 3])
 def test_the_delayed_walk_matches_the_substituting_walk(fuel):
-    # every result by == and by printed text, and every error's kind and
-    # message, also when the term is checked against its type and against
-    # *; then the F-omega judgements the translation makes of them
+    # also when the term is checked against its type and against *; then
+    # the F-omega judgements the translation makes of the typed ones
     fomega = []
     for spec, ctx, term in _judgements():
         inferred = oracle.outcome(oracle.infer_type, spec, ctx, term)
@@ -126,10 +125,6 @@ def test_unequal_delayed_types_that_run_out_of_fuel_are_undecided(fuel):
     assert info.value.kind is ErrorKind.FUEL_EXHAUSTED
     assert info.value.message == rf"conversion undecided in checking {SUBJECT}"
     check_type(CC, Context(), P(SUBJECT), P(r"(B:*) -> B -> B"), 4)
-
-
-def P(text):
-    return parse_expr(text)
 
 
 # ---------------------------------------------------------------------------
