@@ -505,7 +505,7 @@ def _infer(scope: _Scope, e: Node) -> tuple:
             entry = scope.binders[-1 - i]
             ty = entry[1]
             if ty._loose:
-                # an index, or a labeled type, is shifted as cheaply as a closure is made
+                # labeled types stay terms; an index is shifted as cheaply as a closure is made
                 if ty._role is BOUND or type(e) is LBVar:
                     ty = _shift(ty, i + 1, 0)
                 else:
