@@ -32,15 +32,9 @@ from .reduction import (
     reducts_within,
     step_all,
 )
-from .typecheck import TypeCheckError, _check_inferred, _classify, _infer, _Scope, _term, infer_type, wf_context
+from .typecheck import TypeCheckError, _check_inferred, _classify, _context_scope, _infer, _term, infer_type
 from .translate import CheckEntry, _check_translated, _simulation, _translate_judgement
-from .labeled import (
-    erase,
-    label_context,
-    label_term,
-    labeled_infer,
-    tight_step_all,
-)
+from .labeled import _elaborate, erase, tight_step_all
 
 
 class Judgement(Record):
@@ -124,7 +118,7 @@ def run_report(
     Typing, preservation and normalization run for any system; the
     classification, translation, simulation and labeling checks are
     CC-specific and are skipped for sigma-using judgements, which the
-    translation does not cover.
+    translation does not cover.  Each judgement has one scope of its own.
     """
     spec = spec or CC
     entries: list[CheckEntry] = []
@@ -138,18 +132,21 @@ def _entry(ok: bool, name: str, subject, extra: str = "") -> CheckEntry:
 
 
 def _report_one(j: Judgement, spec: PtsSpec, fuel: int, depth: int) -> list[CheckEntry]:
-    """Each job once: one typing, one translation, details rendered when read."""
+    """Each job once: one typing, one translation, details rendered when read.
+
+    One scope serves all but preservation: the context check leaves each
+    binding's sort in it, and elaboration the labeled types of the bindings
+    the term reaches, which labeled typing reads."""
     entries: list[CheckEntry] = []
     first = CheckEntry(True, "ctx-wf", lambda: f"{j.name}: {print_expr(j.term)}")
     subject = lambda: first.detail  # rendered once, when an entry is first read
     try:
-        wf_context(spec, j.ctx, fuel)
+        scope = _context_scope(spec, j.ctx, fuel, depth)
         entries.append(first)
     except TypeCheckError as err:
         return [_entry(False, "ctx-wf", subject, str(err))]
 
     try:
-        scope = _Scope(spec, j.ctx, fuel)
         ty, sort = _infer(scope, j.term)
         inferred = _term(scope, ty)
         if j.ty is not None:
@@ -203,17 +200,19 @@ def _report_one(j: Judgement, spec: PtsSpec, fuel: int, depth: int) -> list[Chec
         entries.extend(_simulation(env, j.term, ta, depth))
 
     try:
-        la = label_term(CC, j.ctx, j.term, fuel)
+        la = _elaborate(scope, j.term)[0]
     except TypeCheckError as err:
         entries.append(_entry(False, "labeled-roundtrip", subject, str(err)))
         return entries
     entries.append(_entry(erase(la) == j.term, "labeled-roundtrip", subject))
     try:
-        labeled_infer(CC, label_context(CC, j.ctx, fuel), la, fuel, depth)
+        # la's names get their labeled types; the rest keep binder names clear of them
+        scope.types = {**scope.types, **scope.ltypes}
+        _infer(scope, la)
     except TypeCheckError as err:
         entries.append(_entry(False, "tight-erasure", subject, str(err)))
         return entries
     plain = step_all(j.term)
-    sim_ok = all(erase(r) == j.term or erase(r) in plain for r in tight_step_all(la))
+    sim_ok = all(r == j.term or r in plain for r in map(erase, tight_step_all(la)))
     entries.append(_entry(sim_ok, "tight-erasure", subject))
     return entries

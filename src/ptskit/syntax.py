@@ -615,7 +615,7 @@ class PtsSpec(Record):
     """A pure type system: sorts, axioms over them, and product rules."""
 
     __match_args__ = ("sorts", "axioms", "rules", "sigma_enabled")
-    __slots__ = (*__match_args__, "cod_sorts")
+    __slots__ = (*__match_args__, "cod_sorts", "_axiom", "_rule")
 
     def __init__(self, sorts: frozenset[str], axioms: frozenset[tuple[str, str]], rules: frozenset[tuple[str, str, str]],
                  sigma_enabled: bool = False):
@@ -628,7 +628,6 @@ class PtsSpec(Record):
         stray = mentioned - self.sorts
         if stray:
             raise ValueError(f"axioms/rules mention undeclared sorts: {sorted(stray)}")
-        # axiom_for and rule_for take the first match in set order
         for what, keys, show in (
             ("axioms for sort", [s for s, _ in self.axioms], str),
             ("rules for sorts", [(s1, s2) for s1, s2, _ in self.rules], "({0[0]},{0[1]})".format),
@@ -640,18 +639,14 @@ class PtsSpec(Record):
         # agree on it, as in every built-in system, where each rule has s2 = s3
         cods = {s3: {r2 for _, r2, r3 in self.rules if r3 == s3} for _, _, s3 in self.rules}
         _set(self, "cod_sorts", {s3: s2s.pop() for s3, s2s in cods.items() if len(s2s) == 1})
+        _set(self, "_axiom", dict(self.axioms))
+        _set(self, "_rule", {(s1, s2): s3 for s1, s2, s3 in self.rules})
 
     def axiom_for(self, s: str) -> str | None:
-        for s1, s2 in self.axioms:
-            if s1 == s:
-                return s2
-        return None
+        return self._axiom.get(s)
 
     def rule_for(self, s1: str, s2: str) -> str | None:
-        for r1, r2, r3 in self.rules:
-            if r1 == s1 and r2 == s2:
-                return r3
-        return None
+        return self._rule.get((s1, s2))
 
     def with_sigma(self, enabled: bool = True) -> PtsSpec:
         return PtsSpec(self.sorts, self.axioms, self.rules, enabled)

@@ -430,19 +430,25 @@ def directed_convertible(a: Node, b: Node, depth: int = DEFAULT_DEPTH) -> bool:
 
 def wf_context(spec: PtsSpec, ctx: Context, fuel: int = DEFAULT_FUEL) -> None:
     """Check names are distinct and every binding type (plain or labeled) has a sort."""
-    prefix = _Scope(spec, Context(), fuel)
-    prefix.types = {}
+    _context_scope(spec, ctx, fuel)
+
+
+def _context_scope(spec: PtsSpec, ctx: Context, fuel: int, depth: int = DEFAULT_DEPTH) -> _Scope:
+    """``wf_context``'s check, in the scope it returns: one over ``ctx`` keeping each binding's sort."""
+    scope = _Scope(spec, Context(), fuel, depth)
+    scope.types = {}
     for name, ty in ctx:
-        if name in prefix.types:
+        if name in scope.types:
             _fail(ErrorKind.ILL_FORMED_CONTEXT, f"duplicate binding for {name!r}")
         try:
-            s = _sort_of(prefix, ty)
+            s = _sort_of(scope, ty)
         except TypeCheckError as err:
             _fail(
                 ErrorKind.ILL_FORMED_CONTEXT,
                 f"binding {name} : {print_expr(ty)} is ill-formed ({err})",
             )
-        prefix.types[name], prefix.sorts[name] = ty, s
+        scope.types[name], scope.sorts[name] = ty, s
+    return scope
 
 
 def infer_type(spec: PtsSpec, ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -> Expr:

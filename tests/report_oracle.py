@@ -1,0 +1,118 @@
+"""The property battery as it was before one scope served each judgement.
+
+``run_report`` and ``_report_one`` below are that battery, verbatim: the
+context is checked by ``wf_context`` and typed again in a scope of its
+own, the term is elaborated by ``label_term``, every binding of the
+context by ``label_context``, and the labeled term is typed by
+``labeled_infer`` in a scope over that labeled context.  They are kept as
+a differential oracle: ``ptskit.corpus.run_report`` must give the same
+entries, in the same order, with the same text.
+"""
+
+from __future__ import annotations
+
+from ptskit.syntax import CC, PtsSpec, print_expr
+from ptskit.reduction import DEFAULT_DEPTH, DEFAULT_FUEL, FuelExhausted, _normal_form, beta_eq, reducts_within, step_all
+from ptskit.typecheck import TypeCheckError, _check_inferred, _classify, _infer, _Scope, _term, infer_type, wf_context
+from ptskit.translate import CheckEntry, _check_translated, _simulation, _translate_judgement
+from ptskit.labeled import erase, label_context, label_term, labeled_infer, tight_step_all
+from ptskit.corpus import Judgement, judgement_uses_sigma
+
+
+def run_report(
+    judgements: list[Judgement],
+    spec: PtsSpec | None = None,
+    fuel: int = DEFAULT_FUEL,
+    depth: int = DEFAULT_DEPTH,
+) -> list[CheckEntry]:
+    spec = spec or CC
+    entries: list[CheckEntry] = []
+    for j in judgements:
+        entries.extend(_report_one(j, spec, fuel, depth))
+    return entries
+
+
+def _entry(ok: bool, name: str, subject, extra: str = "") -> CheckEntry:
+    return CheckEntry(ok, name, (lambda: f"{subject()} ({extra})") if extra else subject)
+
+
+def _report_one(j: Judgement, spec: PtsSpec, fuel: int, depth: int) -> list[CheckEntry]:
+    """Each job once: one typing, one translation, details rendered when read."""
+    entries: list[CheckEntry] = []
+    first = CheckEntry(True, "ctx-wf", lambda: f"{j.name}: {print_expr(j.term)}")
+    subject = lambda: first.detail  # rendered once, when an entry is first read
+    try:
+        wf_context(spec, j.ctx, fuel)
+        entries.append(first)
+    except TypeCheckError as err:
+        return [_entry(False, "ctx-wf", subject, str(err))]
+
+    try:
+        scope = _Scope(spec, j.ctx, fuel)
+        ty, sort = _infer(scope, j.term)
+        inferred = _term(scope, ty)
+        if j.ty is not None:
+            _check_inferred(scope, j.term, inferred, j.ty)
+        entries.append(_entry(True, "typing", subject))
+    except TypeCheckError as err:
+        entries.append(_entry(False, "typing", subject, str(err)))
+        return entries
+
+    # every reduct is checked; a failure names the first failing reduct in print order
+    failures = []
+    for reduct in reducts_within(j.term, 3) - {j.term}:
+        try:
+            r = beta_eq(infer_type(spec, j.ctx, reduct, fuel), inferred, fuel)
+        except TypeCheckError as err:
+            failures.append((print_expr(reduct), str(err)))
+            continue
+        if r is not True:
+            why = "type changed" if r is False else f"type conversion undecided within {fuel} steps"
+            failures.append((print_expr(reduct), f"{why} across {print_expr(j.term)} ~>* {print_expr(reduct)}"))
+    entries.append(_entry(not failures, "preservation", subject, min(failures)[1] if failures else ""))
+
+    try:
+        _normal_form(j.term, fuel)
+        entries.append(_entry(True, "normalizes", subject))
+    except FuelExhausted:
+        entries.append(_entry(False, "normalizes", subject, f"no normal form within {fuel} steps"))
+
+    if (spec.sorts, spec.axioms, spec.rules) != (CC.sorts, CC.axioms, CC.rules):
+        return entries
+
+    try:
+        _classify(scope, j.term, inferred, sort)
+        entries.append(_entry(True, "classification", subject))
+    except TypeCheckError as err:
+        entries.append(_entry(False, "classification", subject, str(err)))
+
+    # without sigma, wf_context and typing have rejected every sigma node
+    if spec.sigma_enabled and judgement_uses_sigma(j):
+        return entries
+
+    # CC's sorts, axioms and rules, no sigma: this is check_translation's CC typing
+    try:
+        env, tctx, ta, t_ty = _translate_judgement(j.ctx, j.term, inferred)
+    except (ValueError, KeyError) as err:
+        entries.append(CheckEntry(False, "translation", f"setup failed: {err}"))
+        # simulation would translate the same term in the same context: same error
+        entries.append(CheckEntry(False, "simulation", f"setup failed: {err}"))
+    else:
+        entries.extend(_check_translated(env, j.term, inferred, tctx, ta, t_ty, fuel))
+        entries.extend(_simulation(env, j.term, ta, depth))
+
+    try:
+        la = label_term(CC, j.ctx, j.term, fuel)
+    except TypeCheckError as err:
+        entries.append(_entry(False, "labeled-roundtrip", subject, str(err)))
+        return entries
+    entries.append(_entry(erase(la) == j.term, "labeled-roundtrip", subject))
+    try:
+        labeled_infer(CC, label_context(CC, j.ctx, fuel), la, fuel, depth)
+    except TypeCheckError as err:
+        entries.append(_entry(False, "tight-erasure", subject, str(err)))
+        return entries
+    plain = step_all(j.term)
+    sim_ok = all(erase(r) == j.term or erase(r) in plain for r in tight_step_all(la))
+    entries.append(_entry(sim_ok, "tight-erasure", subject))
+    return entries

@@ -169,36 +169,52 @@ def test_preservation_names_the_first_reduct_whose_typing_fails(monkeypatch):
 
 def test_report_does_each_job_once(monkeypatch):
     """One judgement's report types its term and checks its context once,
-    translates its term once, and prints nothing but the simulation's
-    ordering keys until a detail is read."""
+    sorts each binding once and elaborates only the bindings the term
+    reaches, translates its term once, and prints nothing but the
+    simulation's ordering keys until a detail is read."""
     from ptskit import corpus, labeled, reduction, syntax, translate, typecheck
     from ptskit.reduction import step_all
-    from ptskit.syntax import Lam
+    from ptskit.syntax import Lam, free_vars
     from generators import typed_pool_context, typed_terms
 
     ctx = typed_pool_context()
     term = next(t for t in typed_terms(1, 100) if isinstance(t, Lam) and step_all(t))
     j = Judgement("lam", ctx, term, infer_type(CC, ctx, term))
-    calls = {}
+    calls, returned = {}, {}
 
     def spy(name):
-        original = getattr(typecheck, name, None) or getattr(translate, name, None) or getattr(syntax, name)
-        calls[name] = []
+        original = next(getattr(mod, name) for mod in (typecheck, translate, labeled, syntax) if hasattr(mod, name))
+        calls[name], returned[name] = [], []
 
         def wrapper(*args, **kwargs):
             calls[name].append(args)
-            return original(*args, **kwargs)
+            returned[name].append(original(*args, **kwargs))
+            return returned[name][-1]
 
         for mod in (syntax, reduction, typecheck, translate, labeled, corpus):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, wrapper)
 
-    for name in ("_infer", "wf_context", "_trans_term", "print_expr"):
+    for name in ("_infer", "_context_scope", "_sort_of", "_elaborate", "label_context", "_trans_term", "print_expr"):
         spy(name)
     entries = run_report([j])
     assert all(e.ok for e in entries) and "simulation" in {e.name for e in entries}
     assert sum(args[1] is term for args in calls["_infer"]) == 1
-    assert sum(args[1] is ctx for args in calls["wf_context"]) == 1
+    # the context is checked once, and its check sorts each binding, once for the judgement
+    assert sum(args[1] is ctx for args in calls["_context_scope"]) == 1
+    [scope] = returned["_context_scope"]
+    sorted_here = [name for args in calls["_sort_of"] for name, ty in ctx.bindings if args[0] is scope and args[1] is ty]
+    assert sorted_here == [name for name, _ in ctx.bindings]
+    # elaboration reaches the term's names and those their types mention, each once
+    reached, todo = set(), list(free_vars(term))
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(free_vars(ctx.lookup(name)))
+    elaborated = [name for args in calls["_elaborate"] for name, ty in ctx.bindings if args[1] is ty]
+    assert sorted(elaborated) == sorted(reached) and len(reached) < len(ctx.bindings)
+    assert calls["label_context"] == []
     assert sum(args[1] is term for args in calls["_trans_term"]) == 1
     printed = [args[0] for args in calls["print_expr"]]
     assert len(printed) == len(step_all(term)) and set(printed) == step_all(term)

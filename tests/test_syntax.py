@@ -362,6 +362,18 @@ def test_builtin_specs_exact_sets():
     assert BUILTIN_SPECS == {"stlc": STLC, "f": SYSTEM_F, "fomega": FOMEGA, "cc": CC}
 
 
+def test_spec_lookups_agree_with_a_scan():
+    from ptskit.typecheck import parse_spec_text
+
+    parsed = parse_spec_text("sort *\nsort #\nsort a,b\naxiom * #\naxiom # a,b\nrule * * *\nrule # * a,b\nrule a,b # #\n")
+    for spec in [*BUILTIN_SPECS.values(), parsed]:
+        for s in sorted(spec.sorts) + ["?"]:
+            assert spec.axiom_for(s) == next((s2 for s1, s2 in spec.axioms if s1 == s), None)
+            for s2 in sorted(spec.sorts) + ["?"]:
+                assert spec.rule_for(s, s2) == next((r3 for r1, r2, r3 in spec.rules if (r1, r2) == (s, s2)), None)
+    assert parsed.axiom_for("a,b") is None and parsed.rule_for("a,b", "#") == "#" and parsed.rule_for("*", "#") is None
+
+
 def test_spec_rejects_undeclared_sorts():
     with pytest.raises(ValueError):
         PtsSpec(frozenset({"*"}), frozenset({("*", "#")}), frozenset())
