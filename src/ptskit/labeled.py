@@ -58,21 +58,31 @@ from .typecheck import (
 
 def erase(la: LabeledExpr) -> Expr:
     """Drop the labels; lambdas keep only their domain annotation."""
-    match la:
-        case LSort(name):
-            return SortE(name)
-        case LVar(name):
-            return Var(name)
-        case LBVar(i):
-            return BVar(i)
-        case LPi(h, dom, cod):
-            return Pi(h, erase(dom), erase(cod))
-        case LLam(h, dom, _, body):
-            return Lam(h, erase(dom), erase(body))
-        case LApp(_, _, _, fun, arg):
-            return App(erase(fun), erase(arg))
-        case _:
-            raise TypeError(f"not a labeled expression: {la!r}")
+    if not isinstance(la, LabeledExpr):
+        raise TypeError(f"not a labeled expression: {la!r}")
+    plain, kept = la._erasure
+    fields = {"hint": la.hint} if "hint" in plain.__match_args__ else {}
+    for name, to in kept:
+        value = getattr(la, name)
+        fields[to] = erase(value) if la._role is None else value
+    return plain(**fields)
+
+
+def _erases_to(la: LabeledExpr, a: Expr) -> bool:
+    """``erase(la) == a``, decided by walking both, hints aside, without building the erasure."""
+    todo = [(la, a)]
+    while todo:
+        la, a = todo.pop()
+        plain, kept = la._erasure
+        if a.__class__ is not plain:
+            return False
+        for name, to in kept:
+            x, y = getattr(la, name), getattr(a, to)
+            if la._role is None:
+                todo.append((x, y))
+            elif x != y:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -356,7 +356,8 @@ class LabeledExpr(Node):
 
     Lambdas and applications carry the complete product type of the
     function involved, and tight beta fires only when the two labels
-    agree up to alpha.
+    agree up to alpha.  Each class names in ``_erasure`` its plain class and
+    the fields erasure keeps, each with the plain field it becomes; a hint stays.
     """
 
     __slots__ = ()
@@ -366,12 +367,14 @@ class LabeledExpr(Node):
 class LSort(LabeledExpr):
     _shape = (("name", None, None),)
     _role = CONST
+    _erasure = (SortE, (("name", "name"),))
 
 
 @_node
 class LBVar(LabeledExpr):
     _shape = (("index", None, None),)
     _role = BOUND
+    _erasure = (BVar, (("index", "index"),))
 
 
 @_node
@@ -379,11 +382,13 @@ class LVar(LabeledExpr):
     _shape = (("name", None, None),)
     _role = FREE
     _bound = LBVar
+    _erasure = (Var, (("name", "name"),))
 
 
 @_node
 class LPi(LabeledExpr):
     _shape = (("hint", None, None), ("dom", 0, "dom"), ("cod", 1, "cod"))
+    _erasure = (Pi, (("dom", "dom"), ("cod", "cod")))
 
 
 @_node
@@ -394,6 +399,7 @@ class LLam(LabeledExpr):
     """
 
     _shape = (("hint", None, None), ("dom", 0, "dom"), ("cod", 1, "cod"), ("body", 1, "body"))
+    _erasure = (Lam, (("dom", "annot"), ("body", "body")))
 
 
 @_node
@@ -413,6 +419,7 @@ class LApp(LabeledExpr):
     )
     _head = "fun"
     _intro = LLam
+    _erasure = (App, (("fun", "fun"), ("arg", "arg")))
     _redex = "tight-beta"
 
     def _fires(self) -> bool:

@@ -83,22 +83,32 @@ def _check_context(ctx: Context) -> None:
         _check_input(ty)
 
 
+def _check_names(ctx: Context) -> None:
+    """``_check_context`` once typing has accepted ``ctx``: its types mention only its names."""
+    for name, _ in ctx:
+        if name.startswith(RESERVED_PREFIX):
+            raise ReservedNameError(f"context binds reserved name {name!r}")
+
+
 class TransEnv(Record):
     """The context of a translation and its ``_y`` counter.
 
     The translations of one judgement (its term, its type and, in the
     simulation check, its reducts) run on one environment, so they number
     their ``_y`` binders from one counter and a run is deterministic end
-    to end.  An environment is mutable and unhashable.
+    to end.  The simulation check keeps its table in ``_table`` (see
+    ``_trans_reused``).  An environment is mutable and unhashable.
     """
 
-    __slots__ = __match_args__ = ("cc_context", "_counter")
+    __slots__ = ("cc_context", "_counter", "_table")
+    __match_args__ = ("cc_context", "_counter")
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
-    def __init__(self, cc_context: Context, _counter: list[int] | None = None):
-        _check_context(cc_context)
+    def __init__(self, cc_context: Context, _counter: list[int] | None = None, *, _table: dict | None = None, _scan=True):
+        (_check_context if _scan else _check_names)(cc_context)
         self.cc_context = cc_context
         self._counter = [0] if _counter is None else _counter
+        self._table = _table
 
     def fresh_y(self) -> str:
         self._counter[0] += 1
@@ -112,13 +122,15 @@ class _Walk(Scope):
     its level (an int, 0 the outermost); a canonical inhabitant made under
     some number of target binders (a pair); or, for a term binder that the
     type translation drops, a one-item list, set if the variable is reached
-    all the same."""
+    all the same.  ``_trans_term`` translates each child through ``trans``:
+    by default itself, or ``_trans_recorded`` if ``env`` has a table."""
 
-    __slots__ = ("env",)
+    __slots__ = ("env", "trans")
 
-    def __init__(self, ctx: Context, env: TransEnv | None = None):
+    def __init__(self, ctx: Context, env: TransEnv | None = None, trans=None):
         Scope.__init__(self, ctx)
         self.env = env
+        self.trans = trans or (_trans_term if env is None or env._table is None else _trans_recorded)
 
 
 def _bound(ref, depth: int) -> Expr:
@@ -284,26 +296,26 @@ def _trans_term(w: _Walk, a: Expr, depth: int) -> Expr:
     """The term translation of ``a``, open over ``w``'s binders, under ``depth`` target binders."""
     match a:
         case App(fun, arg):
-            t_fun = _trans_term(w, fun, depth)
+            t_fun = w.trans(w, fun, depth)
             if _is_constructor(w, arg):
-                return App(App(t_fun, _trans_type(w, arg, depth)), _trans_term(w, arg, depth))
-            return App(t_fun, _trans_term(w, arg, depth))
+                return App(App(t_fun, _trans_type(w, arg, depth)), w.trans(w, arg, depth))
+            return App(t_fun, w.trans(w, arg, depth))
         case BVar(i) if i < len(w.binders):
             ref = w.binders[-1 - i][2]
             return BVar(depth - 1 - ref) if type(ref) is int else _bound(ref, depth)
         case Lam(h, annot, body):
             y = w.env.fresh_y()
-            t_annot = _trans_term(w, annot, depth)
+            t_annot = w.trans(w, annot, depth)
             # under \y: x, then a kind's term companion _w$x, which stands for x in terms
             if is_cc_kind(annot):
                 w.binders.append((a, True, depth + 2, depth + 1))
-                t_body = _trans_term(w, body, depth + 3)
+                t_body = w.trans(w, body, depth + 3)
                 companion = W_PREFIX + w.name(len(w.binders) - 1)
                 w.binders.pop()
                 wrapped = Lam(h, erase_kind(annot), Lam(companion, _trans_type(w, annot, depth + 2), t_body))
             else:
                 w.binders.append((a, False, depth + 1, depth + 1))
-                t_body = _trans_term(w, body, depth + 2)
+                t_body = w.trans(w, body, depth + 2)
                 w.binders.pop()
                 wrapped = Lam(h, _trans_type(w, annot, depth + 1), t_body)
             return App(Lam(y, _ZERO_VAR, wrapped), t_annot)
@@ -315,7 +327,7 @@ def _trans_term(w: _Walk, a: Expr, depth: int) -> Expr:
                 return Var(W_PREFIX + name)
             return a
         case Pi(h, dom, cod):
-            t_dom = _trans_term(w, dom, depth)
+            t_dom = w.trans(w, dom, depth)
             # the product binds nothing in the target: its variable, and a
             # kind's companion, become canonical inhabitants
             of_type = (canonical_inhabitant(w.env, _trans_type(w, dom, depth)), depth)
@@ -323,7 +335,7 @@ def _trans_term(w: _Walk, a: Expr, depth: int) -> Expr:
                 w.binders.append((a, True, of_type, (canonical_inhabitant(w.env, erase_kind(dom)), depth)))
             else:
                 w.binders.append((a, False, of_type, of_type))
-            t_cod = _trans_term(w, cod, depth)
+            t_cod = w.trans(w, cod, depth)
             w.binders.pop()
             return App(App(_C_FN, t_dom), t_cod)
         case SortE(name):
@@ -334,6 +346,23 @@ def _trans_term(w: _Walk, a: Expr, depth: int) -> Expr:
             raise ValueError("the translation covers core CC only, not the sigma extension")
         case _:
             raise ValueError(f"cannot translate {print_expr(a)}")
+
+
+def _trans_recorded(w: _Walk, a: Expr, depth: int) -> Expr:
+    """``_trans_term``, recording the translation of a closed compound ``a`` in ``w.env._table``."""
+    t = _trans_term(w, a, depth)
+    if not a._loose and a._role is None:
+        w.env._table[a] = t
+    return t
+
+
+def _trans_reused(w: _Walk, a: Expr, depth: int) -> Expr:
+    """``_trans_term``, taking a closed compound ``a``'s translation from ``w.env._table`` where recorded.
+    A closed subterm translates alike wherever it sits (its indices point inside it, canonical inhabitants
+    are shifted relative to where they were made), up to ``_y``/``_w$`` names, which are hints that ``==``
+    ignores: so what this returns is for comparing, not printing."""
+    t = not a._loose and a._role is None and w.env._table.get(a)
+    return t or _trans_term(w, a, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +407,14 @@ def check_translation(ctx: Context, a: Expr, fuel: int = DEFAULT_FUEL) -> list[C
     return _check_translated(env, a, a_ty, tctx, ta, t_ty, fuel)
 
 
-def _translate_judgement(ctx: Context, a: Expr, a_ty: Expr) -> tuple[TransEnv, Context, Expr, Expr]:
+def _translate_judgement(ctx: Context, a: Expr, a_ty: Expr, table: dict | None = None) -> tuple[TransEnv, Context, Expr, Expr]:
     """``(env, translated ctx, translated a, translated a_ty)`` for ctx |- a : a_ty
-    in well-typed core CC; the translations of a and of its reducts share ``env``."""
-    env = TransEnv(ctx)  # checks the context for reserved names, for both translations
+    in well-typed core CC; the translations of a and of its reducts share ``env``,
+    which records into ``table``, if given, for ``_simulation``.  Typing accepted
+    the judgement, so its free names are context names: only those are checked."""
+    env = TransEnv(ctx, _table=table, _scan=False)
     tctx = _translate_context(ctx)
-    return env, tctx, translate_term(env, a), translate_type(env, a_ty)
+    return env, tctx, _trans_term(_Walk(ctx, env), a, 0), _trans_type(_Walk(ctx, env), a_ty, 0)
 
 
 def _check_translated(env: TransEnv, a: Expr, a_ty: Expr, tctx: Context, ta: Expr, t_ty: Expr, fuel: int) -> list[CheckEntry]:
@@ -416,21 +447,24 @@ def check_reduction_preservation(ctx: Context, a: Expr, max_depth: int = DEFAULT
     bounds every path it tries, so its answer is the whole-term search's.
     """
     try:
-        env = TransEnv(ctx)
+        env = TransEnv(ctx, _table={})
         ta = translate_term(env, a)
     except (ValueError, KeyError) as err:
         return [CheckEntry(False, "simulation", f"setup failed: {err}")]
-    return _simulation(env, a, ta, max_depth)
+    return _simulation(env, a, ta, step_all(a), max_depth)
 
 
-def _simulation(env: TransEnv, a: Expr, ta: Expr, max_depth: int) -> list[CheckEntry]:
-    """``check_reduction_preservation`` after its setup: ``ta`` translates ``a`` in ``env``."""
+def _simulation(env: TransEnv, a: Expr, ta: Expr, reducts: set[Expr], max_depth: int) -> list[CheckEntry]:
+    """``check_reduction_preservation`` after its setup: ``ta`` translates ``a`` in ``env``, filling its
+    table, and ``reducts`` are ``step_all(a)``.  A reduct's translation takes its closed subterms' from the
+    table, so what a step leaves alone is ``ta``'s own objects, which ``_directed_steps`` settles by identity."""
     entries: list[CheckEntry] = []
-    for shown, reduct in sorted(((print_expr(r), r) for r in step_all(a)), key=lambda pair: pair[0]):
-        detail = lambda shown=shown: f"{print_expr(a)} ~> {shown}"
+    # two or more reducts are printed to order them; a detail prints its reduct when read
+    for reduct in sorted(reducts, key=print_expr) if len(reducts) > 1 else reducts:
+        detail = lambda reduct=reduct: f"{print_expr(a)} ~> {print_expr(reduct)}"
         try:
             # a reduct mentions no name that ``a`` does not, and ``env`` checked the context
-            t_reduct = _trans_term(_Walk(env.cc_context, env), reduct, 0)
+            t_reduct = _trans_reused(_Walk(env.cc_context, env, _trans_reused), reduct, 0)
         except (ValueError, KeyError) as err:
             entries.append(CheckEntry(False, "simulation", f"{detail()} ({err})"))
             continue

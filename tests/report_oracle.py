@@ -7,16 +7,126 @@ context by ``label_context``, and the labeled term is typed by
 ``labeled_infer`` in a scope over that labeled context.  They are kept as
 a differential oracle: ``ptskit.corpus.run_report`` must give the same
 entries, in the same order, with the same text.
+
+So that the battery is not checked against itself, the parts it changed
+since are copied here as they were: the reserved-name scans that
+``TransEnv`` ran, ``_translate_judgement`` (which scanned the term and
+its type again), ``_simulation`` (which translated each reduct on a fresh
+walk and took its own ``step_all``) and the hand-written ``erase``.
 """
 
 from __future__ import annotations
 
-from ptskit.syntax import CC, PtsSpec, print_expr
-from ptskit.reduction import DEFAULT_DEPTH, DEFAULT_FUEL, FuelExhausted, _normal_form, beta_eq, reducts_within, step_all
+from ptskit.syntax import (
+    RESERVED_PREFIX,
+    CC,
+    App,
+    BVar,
+    Context,
+    Expr,
+    LabeledExpr,
+    LApp,
+    LBVar,
+    LLam,
+    LPi,
+    LSort,
+    LVar,
+    Lam,
+    Pi,
+    PtsSpec,
+    SortE,
+    Var,
+    free_vars,
+    print_expr,
+)
+from ptskit.reduction import (
+    DEFAULT_DEPTH,
+    DEFAULT_FUEL,
+    FuelExhausted,
+    _normal_form,
+    beta_eq,
+    reachable,
+    reducts_within,
+    step_all,
+)
 from ptskit.typecheck import TypeCheckError, _check_inferred, _classify, _infer, _Scope, _term, infer_type, wf_context
-from ptskit.translate import CheckEntry, _check_translated, _simulation, _translate_judgement
-from ptskit.labeled import erase, label_context, label_term, labeled_infer, tight_step_all
+from ptskit.translate import (
+    CheckEntry,
+    ReservedNameError,
+    TransEnv,
+    _check_translated,
+    _directed_steps,
+    _trans_term,
+    _trans_type,
+    _translate_context,
+    _Walk,
+)
+from ptskit.labeled import label_context, label_term, labeled_infer, tight_step_all
 from ptskit.corpus import Judgement, judgement_uses_sigma
+
+
+def _check_input(e: Expr) -> None:
+    bad = sorted(n for n in free_vars(e) if n.startswith(RESERVED_PREFIX))
+    if bad:
+        raise ReservedNameError(f"input mentions reserved names: {', '.join(bad)}")
+
+
+def _check_context(ctx: Context) -> None:
+    for name, ty in ctx:
+        if name.startswith(RESERVED_PREFIX):
+            raise ReservedNameError(f"context binds reserved name {name!r}")
+        _check_input(ty)
+
+
+def _translate_judgement(ctx: Context, a: Expr, a_ty: Expr) -> tuple[TransEnv, Context, Expr, Expr]:
+    """``(env, translated ctx, translated a, translated a_ty)`` for ctx |- a : a_ty
+    in well-typed core CC; the translations of a and of its reducts share ``env``.
+
+    ``TransEnv(ctx)``, ``translate_term`` and ``translate_type`` ran the
+    scans above; they are spelled out, on an environment with no table."""
+    _check_context(ctx)
+    env = TransEnv(ctx, _scan=False)  # checks the context for reserved names, for both translations
+    tctx = _translate_context(ctx)
+    _check_input(a)
+    ta = _trans_term(_Walk(env.cc_context, env), a, 0)
+    _check_input(a_ty)
+    return env, tctx, ta, _trans_type(_Walk(env.cc_context, env), a_ty, 0)
+
+
+def _simulation(env: TransEnv, a: Expr, ta: Expr, max_depth: int) -> list[CheckEntry]:
+    """``check_reduction_preservation`` after its setup: ``ta`` translates ``a`` in ``env``."""
+    entries: list[CheckEntry] = []
+    for shown, reduct in sorted(((print_expr(r), r) for r in step_all(a)), key=lambda pair: pair[0]):
+        detail = lambda shown=shown: f"{print_expr(a)} ~> {shown}"
+        try:
+            # a reduct mentions no name that ``a`` does not, and ``env`` checked the context
+            t_reduct = _trans_term(_Walk(env.cc_context, env), reduct, 0)
+        except (ValueError, KeyError) as err:
+            entries.append(CheckEntry(False, "simulation", f"{detail()} ({err})"))
+            continue
+        # a path of >= 1 step found without search, else the whole-term search
+        ok = bool(_directed_steps(ta, t_reduct, max_depth)) or reachable(ta, t_reduct, max_depth, min_steps=1)
+        entries.append(CheckEntry(ok, "simulation", detail))
+    return entries
+
+
+def erase(la: LabeledExpr) -> Expr:
+    """Drop the labels; lambdas keep only their domain annotation."""
+    match la:
+        case LSort(name):
+            return SortE(name)
+        case LVar(name):
+            return Var(name)
+        case LBVar(i):
+            return BVar(i)
+        case LPi(h, dom, cod):
+            return Pi(h, erase(dom), erase(cod))
+        case LLam(h, dom, _, body):
+            return Lam(h, erase(dom), erase(body))
+        case LApp(_, _, _, fun, arg):
+            return App(erase(fun), erase(arg))
+        case _:
+            raise TypeError(f"not a labeled expression: {la!r}")
 
 
 def run_report(

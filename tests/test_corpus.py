@@ -171,7 +171,8 @@ def test_report_does_each_job_once(monkeypatch):
     """One judgement's report types its term and checks its context once,
     sorts each binding once and elaborates only the bindings the term
     reaches, translates its term once, and prints nothing but the
-    simulation's ordering keys until a detail is read."""
+    simulation's ordering keys, only when there are two or more reducts,
+    until a detail is read."""
     from ptskit import corpus, labeled, reduction, syntax, translate, typecheck
     from ptskit.reduction import step_all
     from ptskit.syntax import Lam, free_vars
@@ -217,7 +218,8 @@ def test_report_does_each_job_once(monkeypatch):
     assert calls["label_context"] == []
     assert sum(args[1] is term for args in calls["_trans_term"]) == 1
     printed = [args[0] for args in calls["print_expr"]]
-    assert len(printed) == len(step_all(term)) and set(printed) == step_all(term)
+    keys = step_all(term) if len(step_all(term)) > 1 else set()
+    assert len(printed) == len(keys) and set(printed) == keys
     assert [e.line() for e in entries][0] == f"PASS ctx-wf lam: {print_expr(term)}"
     assert len(calls["print_expr"]) > len(printed)
 
@@ -250,18 +252,21 @@ def test_report_builds_each_context_index_once(monkeypatch):
 
 
 def test_report_scans_each_context_for_reserved_names_once(monkeypatch, cc_corpus):
+    # typing has accepted the judgement, so only the context's names are
+    # checked, once; no binding, term or type is scanned
     from ptskit import translate
 
-    scanned = []
-    original = translate._check_context
-    monkeypatch.setattr(translate, "_check_context", lambda ctx: scanned.append(ctx) or original(ctx))
+    checked, scanned = [], []
+    for name, log in (("_check_names", checked), ("_check_context", scanned), ("_check_input", scanned)):
+        original = getattr(translate, name)
+        monkeypatch.setattr(translate, name, lambda x, log=log, original=original: log.append(x) or original(x))
     translated = 0
     for j in cc_corpus:
-        del scanned[:]
+        del checked[:], scanned[:]
         entries = run_report([j])
         if any(e.name == "term-translation" for e in entries):
             translated += 1
-            assert sum(ctx is j.ctx for ctx in scanned) == 1, j.name
+            assert sum(ctx is j.ctx for ctx in checked) == 1 and scanned == [], j.name
     assert translated == len(cc_corpus)
     # called directly, both entry points still scan
     bad = parse_context("_q : *", allow_reserved=True)
