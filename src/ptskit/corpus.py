@@ -17,7 +17,6 @@ from .syntax import (
     PtsSpec,
     Record,
     SIGMA_NODES,
-    children,
     parse_context,
     parse_expr,
     print_expr,
@@ -47,20 +46,15 @@ class Judgement(Record):
         _set(self, "ty", ty)
 
 
-def _mentions_sigma(e: Expr) -> bool:
-    if isinstance(e, SIGMA_NODES):
-        return True
-    for child, _ in children(e):
-        if _mentions_sigma(child):
-            return True
-    return False
-
-
 def judgement_uses_sigma(j: Judgement) -> bool:
-    exprs = [j.term] + [ty for _, ty in j.ctx]
-    if j.ty is not None:
-        exprs.append(j.ty)
-    return any(_mentions_sigma(e) for e in exprs)
+    todo = [j.term, *(ty for _, ty in j.ctx)] + ([j.ty] if j.ty is not None else [])
+    while todo:
+        e = todo.pop()
+        if isinstance(e, SIGMA_NODES):
+            return True
+        for f, _ in e._children:
+            todo.append(getattr(e, f))
+    return False
 
 
 def parse_judgement(text: str, sigma_enabled: bool = False, name: str = "<judgement>") -> Judgement:

@@ -8,8 +8,8 @@ alpha-equivalence.
 
 The fully annotated terms of the labeled system (``LabeledExpr``) live
 here beside the plain ones.  Every node class of both ASTs declares a
-shape table (see ``Node``), and each binder-aware traversal (free
-variables, size, shifting, instantiation, closing, substitution) is one
+shape table (see ``Node``); free variables, size and one rebuild walk
+for shifting, instantiation, closing and substitution are each one
 definition over those tables; one grammar and one printer cover both
 surface syntaxes.
 
@@ -95,9 +95,9 @@ class Node(Record):
     The table is the only place a field is named: ``_node`` and
     ``_build_nodes`` make the class's slots, positional ``__init__``,
     ``__match_args__``, ``__eq__`` and ``__hash__`` from it, ``__repr__``
-    reads it, and nodes are immutable.  ``free_vars``, ``size``,
-    ``instantiate``, ``close_binder``, ``subst`` and the reduction walks
-    read these tables, so one definition of each serves every class.
+    reads it, and nodes are immutable.  ``free_vars``, ``size``, the
+    rebuild walk ``_map`` and the reduction walks read these tables, so
+    one definition of each serves every class.
 
     Next to its hash, each node holds two summaries of its subterm:
 
@@ -438,24 +438,18 @@ def alpha_eq(a: Expr, b: Expr) -> bool:
     return a == b
 
 
-def children(e: Node) -> list[tuple[Node, int]]:
-    """``(child, binders)`` for each child of ``e``, in declaration order."""
-    return [(getattr(e, name), binders) for name, binders in e._children]
-
-
 def free_vars(e: Node) -> frozenset[str]:
     out: set[str] = set()
-    _free_vars(e, out)
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        if e._fv:
+            if e._role is None:
+                for f, _ in e._children:
+                    todo.append(getattr(e, f))
+            else:
+                out.add(e.name)
     return frozenset(out)
-
-
-def _free_vars(e: Node, out: set[str]) -> None:
-    if e._fv:
-        if e._role is None:
-            for name, _ in e._children:
-                _free_vars(getattr(e, name), out)
-        else:
-            out.add(e.name)
 
 
 def _name_bits(name: str) -> int:
@@ -481,39 +475,44 @@ def occurs(name: str, *es: Node) -> bool:
 
 
 def size(e: Node) -> int:
-    n = 1
-    for name, _ in e._children:
-        n += size(getattr(e, name))
+    n = 0
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        n += 1
+        for f, _ in e._children:
+            todo.append(getattr(e, f))
     return n
 
 
-def _shift(e: Node, by: int, cutoff: int) -> Node:
-    """Add ``by`` to every dangling index >= cutoff."""
-    if e._loose <= cutoff:
+def _map(e: Node, depth: int, bits: int | None, leaf) -> Node:
+    """The rebuild walk of shifting, instantiation, closing and substitution.
+
+    Returns as it is each subterm the walk cannot change: one with no
+    index dangling past ``depth`` when ``bits`` is None, else one whose
+    free-name mask lacks either of ``bits``.  Each leaf reached becomes
+    ``leaf(t, d)``, ``d`` being ``depth`` plus the binders above ``t``."""
+    if (e._loose <= depth) if bits is None else (e._fv & bits != bits):
         return e
     if e._role is None:
         args = []
         for name, binders in e._fields:
             v = getattr(e, name)
-            args.append(v if binders is None else _shift(v, by, cutoff + binders))
+            args.append(v if binders is None else _map(v, depth + binders, bits, leaf))
         return type(e)(*args)
-    return type(e)(e.index + by)
+    return leaf(e, depth)
+
+
+def _shift(e: Node, by: int, cutoff: int) -> Node:
+    """Add ``by`` to every dangling index >= cutoff."""
+    return _map(e, cutoff, None, lambda t, d: type(t)(t.index + by))
 
 
 def instantiate(body: Node, arg: Node, depth: int = 0) -> Node:
     """Remove the innermost binder of ``body``, replacing its variable by ``arg``."""
     if body._loose <= depth:
         return body
-    if body._role is None:
-        args = []
-        for name, binders in body._fields:
-            v = getattr(body, name)
-            args.append(v if binders is None else instantiate(v, arg, depth + binders))
-        return type(body)(*args)
-    i = body.index
-    if i == depth:
-        return _shift(arg, depth, 0) if depth else arg
-    return type(body)(i - 1)
+    return _map(body, depth, None, lambda t, d: (_shift(arg, d, 0) if d else arg) if t.index == d else type(t)(t.index - 1))
 
 
 def open_binder(body: Node, name: str) -> Node:
@@ -526,19 +525,7 @@ def close_binder(e: Node, name: str, depth: int = 0) -> Node:
 
     ``e`` must not contain dangling indices of its own.
     """
-    return _close(e, name, _name_bits(name), depth)
-
-
-def _close(e: Node, name: str, bits: int, depth: int) -> Node:
-    if e._fv & bits != bits:
-        return e
-    if e._role is None:
-        args = []
-        for f, binders in e._fields:
-            v = getattr(e, f)
-            args.append(v if binders is None else _close(v, name, bits, depth + binders))
-        return type(e)(*args)
-    return e._bound(depth) if e.name == name else e
+    return _map(e, depth, _name_bits(name), lambda t, d: t._bound(d) if t.name == name else t)
 
 
 def subst(target: Node, name: str, replacement: Node) -> Node:
@@ -547,19 +534,7 @@ def subst(target: Node, name: str, replacement: Node) -> Node:
     Capture is impossible by construction: bound variables are indices,
     and the free variables of ``replacement`` stay free.
     """
-    return _subst(target, name, _name_bits(name), replacement)
-
-
-def _subst(target: Node, name: str, bits: int, replacement: Node) -> Node:
-    if target._fv & bits != bits:
-        return target
-    if target._role is None:
-        args = []
-        for f, binders in target._fields:
-            v = getattr(target, f)
-            args.append(v if binders is None else _subst(v, name, bits, replacement))
-        return type(target)(*args)
-    return replacement if target.name == name else target
+    return _map(target, 0, _name_bits(name), lambda t, d: replacement if t.name == name else t)
 
 
 def fresh_name(base: str, avoid, *scopes: Node) -> str:

@@ -90,8 +90,8 @@ def test_report_looks_for_sigma_nodes_only_when_sigma_is_on(monkeypatch, cc_corp
     from ptskit import corpus
 
     walked = []
-    original = corpus._mentions_sigma
-    monkeypatch.setattr(corpus, "_mentions_sigma", lambda e: walked.append(e) or original(e))
+    original = corpus.judgement_uses_sigma
+    monkeypatch.setattr(corpus, "judgement_uses_sigma", lambda j: walked.append(j) or original(j))
     assert all(e.ok for e in run_report(cc_corpus))
     assert walked == []
     run_report(load_corpus_dir("corpus/sigma", sigma_enabled=True), CCS)

@@ -521,18 +521,12 @@ def test_translation_builds_nodes_linearly_with_nest_depth(monkeypatch):
 
 def test_labeled_binder_walks_grow_at_most_quadratically(monkeypatch):
     # a labeled nest of depth d has O(d^2) nodes, its labels; opening and
-    # closing visit only the subterms that mention the binder
-    from ptskit import labeled, syntax, typecheck
+    # closing visit only the subterms that mention the binder, each visit
+    # one call of the rebuild walk
+    from ptskit import labeled, syntax
 
     counts: dict[str, int] = {}
-    _counting(
-        monkeypatch,
-        counts,
-        (syntax, "_close", "visits"),
-        (syntax, "instantiate", "visits"),
-        (labeled, "instantiate", "visits"),
-        (typecheck, "instantiate", "visits"),
-    )
+    _counting(monkeypatch, counts, (syntax, "_map", "visits"))
 
     def visits(d):
         counts.clear()

@@ -179,6 +179,46 @@ def test_spine_of_depth_190_parses_at_the_default_recursion_limit():
     assert proc.stdout.split() == ["1000", str(2 * 190 + 1)]
 
 
+def test_term_queries_pass_10000_levels_at_the_default_recursion_limit():
+    # free_vars, size and the sigma scan keep stacks of their own, so no
+    # depth reaches the interpreter's limit; terms are built directly, as
+    # the parser recurses
+    src = os.path.dirname(os.path.dirname(os.path.abspath(syntax.__file__)))
+    probe = """\
+import sys
+from ptskit.corpus import Judgement, judgement_uses_sigma
+from ptskit.syntax import App, BVar, Context, Lam, Proj1, SortE, Var, free_vars, size
+d = 10_000
+
+def spine(t):
+    for _ in range(d):
+        t = App(Var("f"), t)
+    return t
+
+def nest(annot, t):
+    for i in range(d):
+        t = Lam(f"x{i}", annot, t)
+    return t
+
+for t, fv, n, sigma in (
+    (spine(Var("x")), {"f", "x"}, 2 * d + 1, False),
+    (spine(Proj1(Var("p"))), {"f", "p"}, 2 * d + 2, True),
+    (nest(Var("A"), Var("a")), {"A", "a"}, 2 * d + 1, False),
+    (nest(SortE("*"), BVar(d - 1)), set(), 2 * d + 1, False),
+    (nest(Var("A"), Proj1(BVar(0))), {"A"}, 2 * d + 2, True),
+):
+    assert free_vars(t) == fv
+    assert size(t) == n
+    assert judgement_uses_sigma(Judgement("deep", Context(), t, None)) is sigma
+    assert judgement_uses_sigma(Judgement("deep", Context((("y", t),)), Var("y"), None)) is sigma
+print(sys.getrecursionlimit())
+"""
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["1000"]
+
+
 # ---------------------------------------------------------------------------
 # Printing
 

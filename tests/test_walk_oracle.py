@@ -6,6 +6,9 @@ return unchanged every subterm these summaries show they cannot change.
 The copies below are the walks as they were before the summaries,
 verbatim: the pruned walks must give equal results on the same inputs,
 and every node's summaries must equal a recomputation from scratch.
+``size`` and the battery's sigma scan, which keep a stack of their own,
+are compared with a count of the subterms and with the scan as it was
+written recursively.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ import random
 
 from hypothesis import given, settings
 
-from ptskit import syntax
-from ptskit.corpus import load_corpus_dir
+from ptskit import corpus, syntax
+from ptskit.corpus import Judgement, load_corpus_dir
 from ptskit.labeled import label_context, label_term
-from ptskit.syntax import BOUND, FREE, BVar, LBVar, LVar, Node, Var, App, LApp, LPi, Pi
+from ptskit.syntax import BOUND, FREE, SIGMA_NODES, BVar, Context, Expr, LBVar, LVar, Node, Var, App, LApp, LPi, Pi
 
 from generators import typed_pool_context, typed_terms, untyped_term
 from test_syntax import exprs, sigma_exprs
@@ -120,6 +123,27 @@ def _mentions_bound(e: Node, depth: int = 0) -> bool:
     return role == BOUND and e.index == depth
 
 
+def children(e: Node) -> list[tuple[Node, int]]:
+    """``(child, binders)`` for each child of ``e``, in declaration order."""
+    return [(getattr(e, name), binders) for name, binders in e._children]
+
+
+def _mentions_sigma(e: Expr) -> bool:
+    if isinstance(e, SIGMA_NODES):
+        return True
+    for child, _ in children(e):
+        if _mentions_sigma(child):
+            return True
+    return False
+
+
+def judgement_uses_sigma(j: Judgement) -> bool:
+    exprs = [j.term] + [ty for _, ty in j.ctx]
+    if j.ty is not None:
+        exprs.append(j.ty)
+    return any(_mentions_sigma(e) for e in exprs)
+
+
 # ---------------------------------------------------------------------------
 # The summaries from scratch
 
@@ -181,6 +205,7 @@ def check_walks(term: Node) -> int:
     for e in nodes:
         assert e._loose == loose_range(e), repr(e)
         assert e._fv == name_mask(e), repr(e)
+        assert syntax.size(e) == len(subterms(e))
         fv = free_vars(e)
         assert syntax.free_vars(e) == fv
         leaf = LVar if isinstance(e, syntax.LabeledExpr) else Var
@@ -216,12 +241,33 @@ def test_pruned_walks_match_the_full_walks_on_generated_terms():
     assert checked > 3000
 
 
-def test_pruned_walks_match_the_full_walks_on_the_corpus():
+def check_sigma_scan(j: Judgement) -> None:
+    """Compare the sigma scan with its copy above on ``j`` and on the
+    judgement made of each subterm of ``j``'s term alone."""
+    assert corpus.judgement_uses_sigma(j) == judgement_uses_sigma(j), j
+    for e in subterms(j.term):
+        alone = Judgement(j.name, Context(), e, None)
+        assert corpus.judgement_uses_sigma(alone) == judgement_uses_sigma(alone), repr(e)
+
+
+def corpus_judgements() -> list[Judgement]:
     root = os.path.join(os.path.dirname(__file__), "..", "corpus")
-    for sub, sigma in (("cc", False), ("sigma", True)):
-        for j in load_corpus_dir(os.path.join(root, sub), sigma):
-            for node in [j.term, *(ty for _, ty in j.ctx)] + ([j.ty] if j.ty is not None else []):
-                check_walks(node)
+    return [j for sub, sigma in (("cc", False), ("sigma", True)) for j in load_corpus_dir(os.path.join(root, sub), sigma)]
+
+
+def test_pruned_walks_match_the_full_walks_on_the_corpus():
+    for j in corpus_judgements():
+        for node in [j.term, *(ty for _, ty in j.ctx)] + ([j.ty] if j.ty is not None else []):
+            check_walks(node)
+
+
+def test_sigma_scan_matches_the_recursive_scan_on_the_corpus():
+    for j in corpus_judgements():
+        check_sigma_scan(j)
+        # each part of the judgement alone: the context, the type
+        check_sigma_scan(Judgement(j.name, j.ctx, Var("x"), None))
+        if j.ty is not None:
+            check_sigma_scan(Judgement(j.name, Context(), j.ty, None))
 
 
 @given(exprs())
@@ -236,6 +282,14 @@ def test_pruned_walks_match_the_full_walks_on_expressions(e):
 @settings(max_examples=50, deadline=None)
 def test_pruned_walks_match_the_full_walks_with_sigma(e):
     check_walks(e)
+
+
+@given(sigma_exprs(), exprs())
+@settings(max_examples=50, deadline=None)
+def test_sigma_scan_matches_the_recursive_scan_with_sigma(s, e):
+    # the sigma term as the judgement's term, a binding's type or its type
+    for term, bound, ty in ((s, e, None), (e, s, None), (e, e, s), (e, e, None)):
+        check_sigma_scan(Judgement("j", Context((("x", bound),)), term, ty))
 
 
 def test_summaries_of_labeled_products():
