@@ -147,46 +147,48 @@ def _elaborate(scope: _Scope, a: Expr) -> tuple[LabeledExpr, Expr, str | None, L
     as a term, open over ``scope``'s binders, whose entries also hold the
     labeled annotation; the labeled A is known for a variable whose type
     elaborates and for a lambda, None elsewhere."""
-    match a:
-        case SortE(s):
-            return LSort(s), *_infer(scope, a), None
-        case Var(name):
-            return LVar(name), *_infer(scope, a), scope.once(scope.ltypes, name, _ltype_of)
-        case BVar(i):
-            ty, s = _infer(scope, a)
-            return LBVar(i), _term(scope, ty), s, _shift(scope.binders[-1 - i][3], i + 1, 0)
-        case Pi(h, dom, cod):
-            # the parts' types are the ones _infer finds, so the product's
-            # sort comes from them, checked in the same order
-            ldom, dom_ty, _, _ = _elaborate(scope, dom)
-            s1 = _as_sort(scope, dom_ty, dom)
-            scope.binders.append((a, dom, s1, ldom))
-            lcod, cod_ty, _, _ = _elaborate(scope, cod)
-            s2 = _as_sort(scope, cod_ty, cod)
-            scope.binders.pop()
-            s3 = _pi_sort(scope, s1, s2, a)
-            return LPi(h, ldom, lcod), SortE(s3), scope.spec.axiom_for(s3), None
-        case Lam(h, annot, body):
-            lannot, annot_ty, _, _ = _elaborate(scope, annot)
-            s1 = _as_sort(scope, annot_ty, annot)
-            scope.binders.append((a, annot, s1, lannot))
-            lbody, body_ty, s2, lcod = _elaborate(scope, body)
-            # the TLam product premise, settled as in _infer; elaborating the
-            # body's type gives its labeled form and, if missing, its sort
-            if lcod is None or s2 is None:
-                lcod, cod_ty, _, _ = _elaborate(scope, body_ty)
-                if s2 is None:
-                    s2 = _as_sort(scope, cod_ty, body_ty)
-            scope.binders.pop()
-            pi = Pi(h, annot, body_ty)
-            return LLam(h, lannot, lcod, lbody), pi, _pi_sort(scope, s1, s2, pi), LPi(h, lannot, lcod)
-        case App(fun, arg):
-            lfun, fun_ty, s3, lfun_ty = _elaborate(scope, fun)
-            head = _fun_head(scope, fun, fun_ty)
-            larg, arg_ty, _, _ = _elaborate(scope, arg)
-            _convertible(scope, arg_ty, head.dom, "argument of", fun)
-            # the function's labeled type is its label unless its type had to reduce
-            lpi = lfun_ty if lfun_ty is not None and head is fun_ty else _elaborate(scope, head)[0]
-            return LApp(lpi.hint, lpi.dom, lpi.cod, lfun, larg), instantiate(head.cod, arg), scope.spec.cod_sorts.get(s3), None
-        case _:
-            _fail(ErrorKind.SIGMA_DISABLED, f"the labeled system covers core terms only: {scope.show(a)}")
+    cls = type(a)
+    if cls is SortE:
+        return LSort(a.name), *_infer(scope, a), None
+    if cls is Var:
+        return LVar(a.name), *_infer(scope, a), scope.once(scope.ltypes, a.name, _ltype_of)
+    if cls is BVar:
+        ty, s = _infer(scope, a)
+        return LBVar(a.index), _term(scope, ty), s, _shift(scope.binders[-1 - a.index][3], a.index + 1, 0)
+    if cls is Pi:
+        dom, cod = a.dom, a.cod
+        # the parts' types are the ones _infer finds, so the product's
+        # sort comes from them, checked in the same order
+        ldom, dom_ty, _, _ = _elaborate(scope, dom)
+        s1 = _as_sort(scope, dom_ty, dom)
+        scope.binders.append((a, dom, s1, ldom))
+        lcod, cod_ty, _, _ = _elaborate(scope, cod)
+        s2 = _as_sort(scope, cod_ty, cod)
+        scope.binders.pop()
+        s3 = _pi_sort(scope, s1, s2, a)
+        return LPi(a.hint, ldom, lcod), SortE(s3), scope.spec.axiom_for(s3), None
+    if cls is Lam:
+        h, annot = a.hint, a.annot
+        lannot, annot_ty, _, _ = _elaborate(scope, annot)
+        s1 = _as_sort(scope, annot_ty, annot)
+        scope.binders.append((a, annot, s1, lannot))
+        lbody, body_ty, s2, lcod = _elaborate(scope, a.body)
+        # the TLam product premise, settled as in _infer; elaborating the
+        # body's type gives its labeled form and, if missing, its sort
+        if lcod is None or s2 is None:
+            lcod, cod_ty, _, _ = _elaborate(scope, body_ty)
+            if s2 is None:
+                s2 = _as_sort(scope, cod_ty, body_ty)
+        scope.binders.pop()
+        pi = Pi(h, annot, body_ty)
+        return LLam(h, lannot, lcod, lbody), pi, _pi_sort(scope, s1, s2, pi), LPi(h, lannot, lcod)
+    if cls is App:
+        fun, arg = a.fun, a.arg
+        lfun, fun_ty, s3, lfun_ty = _elaborate(scope, fun)
+        head = _fun_head(scope, fun, fun_ty)
+        larg, arg_ty, _, _ = _elaborate(scope, arg)
+        _convertible(scope, arg_ty, head.dom, "argument of", fun)
+        # the function's labeled type is its label unless its type had to reduce
+        lpi = lfun_ty if lfun_ty is not None and head is fun_ty else _elaborate(scope, head)[0]
+        return LApp(lpi.hint, lpi.dom, lpi.cod, lfun, larg), instantiate(head.cod, arg), scope.spec.cod_sorts.get(s3), None
+    _fail(ErrorKind.SIGMA_DISABLED, f"the labeled system covers core terms only: {scope.show(a)}")

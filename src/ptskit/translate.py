@@ -144,9 +144,9 @@ def _bound(ref, depth: int) -> Expr:
 
 def is_cc_kind(e: Expr) -> bool:
     """Kinds need no context: they are ``*`` under a spine of products."""
-    while isinstance(e, Pi):
+    while type(e) is Pi:
         e = e.cod
-    return isinstance(e, SortE) and e.name == STAR
+    return type(e) is SortE and e.name == STAR
 
 
 def _is_constructor(w: _Walk, e: Expr) -> bool:
@@ -154,22 +154,21 @@ def _is_constructor(w: _Walk, e: Expr) -> bool:
     constructor rather than a term."""
     binds_kind: list[bool] = []  # per lambda passed, outermost first
     while True:
-        match e:
-            case App(fun, _):
-                e = fun
-            case BVar(index):
-                if index < len(binds_kind):
-                    return binds_kind[-1 - index]
-                return w.binders[len(binds_kind) - 1 - index][1]
-            case Var(name):
-                return is_cc_kind(w.types.get(name))
-            case Lam(_, annot, body):
-                binds_kind.append(is_cc_kind(annot))
-                e = body
-            case Pi():
-                return True
-            case _:
-                return False
+        cls = type(e)
+        if cls is App:
+            e = e.fun
+        elif cls is BVar:
+            index = e.index
+            if index < len(binds_kind):
+                return binds_kind[-1 - index]
+            return w.binders[len(binds_kind) - 1 - index][1]
+        elif cls is Var:
+            return is_cc_kind(w.types.get(e.name))
+        elif cls is Lam:
+            binds_kind.append(is_cc_kind(e.annot))
+            e = e.body
+        else:
+            return cls is Pi
 
 
 def erase_kind(a: Expr) -> Expr:
@@ -178,15 +177,14 @@ def erase_kind(a: Expr) -> Expr:
     Both sorts land on ``*``; a product keeps its domain only when the
     domain is itself a kind.  The result never mentions variables.
     """
-    match a:
-        case SortE():
-            return SortE(STAR)
-        case Pi(_, dom, cod) if is_cc_kind(a):
-            if is_cc_kind(dom):
-                return Pi("_", erase_kind(dom), erase_kind(cod))
-            return erase_kind(cod)
-        case _:
-            raise ValueError(f"not a sort or kind: {print_expr(a)}")
+    cls = type(a)
+    if cls is SortE:
+        return SortE(STAR)
+    if cls is Pi and is_cc_kind(a):
+        if is_cc_kind(a.dom):
+            return Pi("_", erase_kind(a.dom), erase_kind(a.cod))
+        return erase_kind(a.cod)
+    raise ValueError(f"not a sort or kind: {print_expr(a)}")
 
 
 def canonical_inhabitant(env: TransEnv, b: Expr) -> Expr:
@@ -218,45 +216,46 @@ def translate_type(env: TransEnv, a: Expr) -> Expr:
 
 def _trans_type(w: _Walk, a: Expr, depth: int) -> Expr:
     """The type translation of ``a``, open over ``w``'s binders, under ``depth`` target binders."""
-    match a:
-        case Var():
-            return a
-        case BVar(i) if i < len(w.binders):
-            ref = w.binders[-1 - i][3]
-            return BVar(depth - 1 - ref) if type(ref) is int else _bound(ref, depth)
-        case App(fun, arg):
-            if _is_constructor(w, arg):
-                return App(_trans_type(w, fun, depth), _trans_type(w, arg, depth))
-            return _trans_type(w, fun, depth)
-        case SortE():
-            return _ZERO_VAR
-        case Pi(h, dom, cod):
-            # a kind-level product is doubled: x, then a non-dependent argument
-            kind = is_cc_kind(dom)
-            w.binders.append((a, kind, None, depth))
-            tb = _trans_type(w, cod, depth + 2 if kind else depth + 1)
+    cls = type(a)
+    if cls is Var:
+        return a
+    if cls is BVar and a.index < len(w.binders):
+        ref = w.binders[-1 - a.index][3]
+        return BVar(depth - 1 - ref) if type(ref) is int else _bound(ref, depth)
+    if cls is App:
+        if _is_constructor(w, a.arg):
+            return App(_trans_type(w, a.fun, depth), _trans_type(w, a.arg, depth))
+        return _trans_type(w, a.fun, depth)
+    if cls is SortE:
+        return _ZERO_VAR
+    if cls is Pi:
+        # a kind-level product is doubled: x, then a non-dependent argument
+        dom = a.dom
+        kind = is_cc_kind(dom)
+        w.binders.append((a, kind, None, depth))
+        tb = _trans_type(w, a.cod, depth + 2 if kind else depth + 1)
+        w.binders.pop()
+        if kind:
+            return Pi(a.hint, erase_kind(dom), Pi("_", _trans_type(w, dom, depth + 1), tb))
+        return Pi(a.hint, _trans_type(w, dom, depth), tb)
+    if cls is Lam:
+        annot = a.annot
+        if is_cc_kind(annot):
+            w.binders.append((a, True, None, depth))
+            tb = _trans_type(w, a.body, depth + 1)
             w.binders.pop()
-            if kind:
-                return Pi(h, erase_kind(dom), Pi("_", _trans_type(w, dom, depth + 1), tb))
-            return Pi(h, _trans_type(w, dom, depth), tb)
-        case Lam(h, annot, body):
-            if is_cc_kind(annot):
-                w.binders.append((a, True, None, depth))
-                tb = _trans_type(w, body, depth + 1)
-                w.binders.pop()
-                return Lam(h, erase_kind(annot), tb)
-            # A term-level binder contributes nothing to the erased type.
-            reached = [False]
-            w.binders.append((a, False, None, reached))
-            tb = _trans_type(w, body, depth)
-            if reached[0]:
-                raise ValueError(f"term binder {w.name(len(w.binders) - 1)} survived type translation")
-            w.binders.pop()
-            return tb
-        case _ if isinstance(a, SIGMA_NODES):
-            raise ValueError("the translation covers core CC only, not the sigma extension")
-        case _:
-            raise ValueError(f"not a sort, kind or constructor: {print_expr(a)}")
+            return Lam(a.hint, erase_kind(annot), tb)
+        # A term-level binder contributes nothing to the erased type.
+        reached = [False]
+        w.binders.append((a, False, None, reached))
+        tb = _trans_type(w, a.body, depth)
+        if reached[0]:
+            raise ValueError(f"term binder {w.name(len(w.binders) - 1)} survived type translation")
+        w.binders.pop()
+        return tb
+    if cls in SIGMA_NODES:
+        raise ValueError("the translation covers core CC only, not the sigma extension")
+    raise ValueError(f"not a sort, kind or constructor: {print_expr(a)}")
 
 
 def translate_context(ctx: Context) -> Context:
@@ -294,58 +293,61 @@ def translate_term(env: TransEnv, a: Expr) -> Expr:
 
 def _trans_term(w: _Walk, a: Expr, depth: int) -> Expr:
     """The term translation of ``a``, open over ``w``'s binders, under ``depth`` target binders."""
-    match a:
-        case App(fun, arg):
-            t_fun = w.trans(w, fun, depth)
-            if _is_constructor(w, arg):
-                return App(App(t_fun, _trans_type(w, arg, depth)), w.trans(w, arg, depth))
-            return App(t_fun, w.trans(w, arg, depth))
-        case BVar(i) if i < len(w.binders):
-            ref = w.binders[-1 - i][2]
-            return BVar(depth - 1 - ref) if type(ref) is int else _bound(ref, depth)
-        case Lam(h, annot, body):
-            y = w.env.fresh_y()
-            t_annot = w.trans(w, annot, depth)
-            # under \y: x, then a kind's term companion _w$x, which stands for x in terms
-            if is_cc_kind(annot):
-                w.binders.append((a, True, depth + 2, depth + 1))
-                t_body = w.trans(w, body, depth + 3)
-                companion = W_PREFIX + w.name(len(w.binders) - 1)
-                w.binders.pop()
-                wrapped = Lam(h, erase_kind(annot), Lam(companion, _trans_type(w, annot, depth + 2), t_body))
-            else:
-                w.binders.append((a, False, depth + 1, depth + 1))
-                t_body = w.trans(w, body, depth + 2)
-                w.binders.pop()
-                wrapped = Lam(h, _trans_type(w, annot, depth + 1), t_body)
-            return App(Lam(y, _ZERO_VAR, wrapped), t_annot)
-        case Var(name):
-            ty = w.types.get(name)
-            if ty is None:
-                raise KeyError(f"variable {name} not bound in the translation context")
-            if is_cc_kind(ty):
-                return Var(W_PREFIX + name)
-            return a
-        case Pi(h, dom, cod):
-            t_dom = w.trans(w, dom, depth)
-            # the product binds nothing in the target: its variable, and a
-            # kind's companion, become canonical inhabitants
-            of_type = (canonical_inhabitant(w.env, _trans_type(w, dom, depth)), depth)
-            if is_cc_kind(dom):
-                w.binders.append((a, True, of_type, (canonical_inhabitant(w.env, erase_kind(dom)), depth)))
-            else:
-                w.binders.append((a, False, of_type, of_type))
-            t_cod = w.trans(w, cod, depth)
+    cls = type(a)
+    if cls is App:
+        arg = a.arg
+        t_fun = w.trans(w, a.fun, depth)
+        if _is_constructor(w, arg):
+            return App(App(t_fun, _trans_type(w, arg, depth)), w.trans(w, arg, depth))
+        return App(t_fun, w.trans(w, arg, depth))
+    if cls is BVar and a.index < len(w.binders):
+        ref = w.binders[-1 - a.index][2]
+        return BVar(depth - 1 - ref) if type(ref) is int else _bound(ref, depth)
+    if cls is Lam:
+        h, annot, body = a.hint, a.annot, a.body
+        y = w.env.fresh_y()
+        t_annot = w.trans(w, annot, depth)
+        # under \y: x, then a kind's term companion _w$x, which stands for x in terms
+        if is_cc_kind(annot):
+            w.binders.append((a, True, depth + 2, depth + 1))
+            t_body = w.trans(w, body, depth + 3)
+            companion = W_PREFIX + w.name(len(w.binders) - 1)
             w.binders.pop()
-            return App(App(_C_FN, t_dom), t_cod)
-        case SortE(name):
-            if name != STAR:
-                raise ValueError(f"{name} is not a typeable subject, cannot translate it")
-            return _Z_ZERO
-        case _ if isinstance(a, SIGMA_NODES):
-            raise ValueError("the translation covers core CC only, not the sigma extension")
-        case _:
-            raise ValueError(f"cannot translate {print_expr(a)}")
+            wrapped = Lam(h, erase_kind(annot), Lam(companion, _trans_type(w, annot, depth + 2), t_body))
+        else:
+            w.binders.append((a, False, depth + 1, depth + 1))
+            t_body = w.trans(w, body, depth + 2)
+            w.binders.pop()
+            wrapped = Lam(h, _trans_type(w, annot, depth + 1), t_body)
+        return App(Lam(y, _ZERO_VAR, wrapped), t_annot)
+    if cls is Var:
+        name = a.name
+        ty = w.types.get(name)
+        if ty is None:
+            raise KeyError(f"variable {name} not bound in the translation context")
+        if is_cc_kind(ty):
+            return Var(W_PREFIX + name)
+        return a
+    if cls is Pi:
+        dom = a.dom
+        t_dom = w.trans(w, dom, depth)
+        # the product binds nothing in the target: its variable, and a
+        # kind's companion, become canonical inhabitants
+        of_type = (canonical_inhabitant(w.env, _trans_type(w, dom, depth)), depth)
+        if is_cc_kind(dom):
+            w.binders.append((a, True, of_type, (canonical_inhabitant(w.env, erase_kind(dom)), depth)))
+        else:
+            w.binders.append((a, False, of_type, of_type))
+        t_cod = w.trans(w, a.cod, depth)
+        w.binders.pop()
+        return App(App(_C_FN, t_dom), t_cod)
+    if cls is SortE:
+        if a.name != STAR:
+            raise ValueError(f"{a.name} is not a typeable subject, cannot translate it")
+        return _Z_ZERO
+    if cls in SIGMA_NODES:
+        raise ValueError("the translation covers core CC only, not the sigma extension")
+    raise ValueError(f"cannot translate {print_expr(a)}")
 
 
 def _trans_recorded(w: _Walk, a: Expr, depth: int) -> Expr:

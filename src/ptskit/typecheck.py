@@ -493,121 +493,129 @@ def _infer(scope: _Scope, e: Node) -> tuple:
     how often they occur.  The scope's ``depth`` serves labeled terms, as
     ``labeled.labeled_infer`` describes.
     """
-    match e:
-        case App(fun, arg):
-            fun_ty, s3 = _infer(scope, fun)
-            dom, cod = _app_type(scope, fun, fun_ty, arg)
-            _convertible(scope, _infer(scope, arg)[0], dom, "argument of", fun)
-            # the product reduces from fun_ty, so it has fun_ty's sort s3
-            return cod, scope.spec.cod_sorts.get(s3)
-        case Var(name) | LVar(name):
-            ty = scope.types.get(name)
-            if ty is None:
-                _fail(ErrorKind.UNBOUND_VARIABLE, f"unbound variable {name}")
-            return ty, scope.once(scope.sorts, name, _sort_of) if type(e) is Var else None
-        case BVar(i) | LBVar(i):
-            if i >= len(scope.binders):
-                raise ValueError("dangling bound variable reached the type checker")
-            entry = scope.binders[-1 - i]
-            ty = entry[1]
-            if ty._loose:
-                # labeled types stay terms; an index is shifted as cheaply as a closure is made
-                if ty._role is BOUND or type(e) is LBVar:
-                    ty = _shift(ty, i + 1, 0)
-                else:
-                    ty = (ty, scope.env(len(scope.binders) - 1 - i))
-            return ty, entry[2]
-        case Lam(h, annot, body):
-            s1 = _as_sort(scope, _infer(scope, annot)[0], annot)
-            scope.binders.append((e, annot, s1))
-            body_ty, s2 = _infer(scope, body)
-            if s2 is None:
-                s2 = _sort_of(scope, _term(scope, body_ty))
-            scope.binders.pop()
-            # TLam demands the synthesized product itself be well-sorted.
-            if isinstance(body_ty, Node):
-                pi = Pi(h, annot, body_ty)
+    cls = type(e)
+    if cls is App:
+        fun, arg = e.fun, e.arg
+        fun_ty, s3 = _infer(scope, fun)
+        dom, cod = _app_type(scope, fun, fun_ty, arg)
+        _convertible(scope, _infer(scope, arg)[0], dom, "argument of", fun)
+        # the product reduces from fun_ty, so it has fun_ty's sort s3
+        return cod, scope.spec.cod_sorts.get(s3)
+    if cls is Var or cls is LVar:
+        ty = scope.types.get(e.name)
+        if ty is None:
+            _fail(ErrorKind.UNBOUND_VARIABLE, f"unbound variable {e.name}")
+        return ty, scope.once(scope.sorts, e.name, _sort_of) if cls is Var else None
+    if cls is BVar or cls is LBVar:
+        i = e.index
+        if i >= len(scope.binders):
+            raise ValueError("dangling bound variable reached the type checker")
+        entry = scope.binders[-1 - i]
+        ty = entry[1]
+        if ty._loose:
+            # labeled types stay terms; an index is shifted as cheaply as a closure is made
+            if ty._role is BOUND or cls is LBVar:
+                ty = _shift(ty, i + 1, 0)
             else:
-                pi = _Prod(h, _thunk(scope, annot) if annot._loose else annot, body_ty, len(scope.binders))
-            return pi, _pi_sort(scope, s1, s2, pi)
-        case Pi(h, dom, cod) | LPi(h, dom, cod):
-            s1 = _as_sort(scope, _infer(scope, dom)[0], dom)
-            scope.binders.append((e, dom, s1))
-            s2 = _as_sort(scope, _infer(scope, cod)[0], cod)
-            scope.binders.pop()
-            s3 = _pi_sort(scope, s1, s2, e)
-            return (SortE if type(e) is Pi else LSort)(s3), scope.spec.axiom_for(s3)
-        case SortE(s) | LSort(s):
-            if s not in scope.spec.sorts:
-                _fail(ErrorKind.SORT_UNTYPEABLE, f"unknown sort {s}")
-            s2 = scope.spec.axiom_for(s)
-            if s2 is None:
-                _fail(ErrorKind.NO_AXIOM, f"sort {s} has no type")
-            return type(e)(s2), scope.spec.axiom_for(s2)
-        case LLam(h, dom, cod, body):
-            label = label_of(e)
-            s3 = _infer(scope, label)[0].name
-            # That checked the codomain whole, so a body lambda labeled with the
-            # codomain is entered here without checking its label again: once
-            # its own body checks, its type is that codomain.
-            depth = len(scope.binders)
-            while True:
-                scope.binders.append((e, dom, None))
-                if not (isinstance(body, LLam) and label_of(body) == cod):
-                    break
-                e, dom, cod, body = body, body.dom, body.cod, body.body
-            body_ty = _infer(scope, body)[0]
-            if not directed_convertible(body_ty, cod, scope.depth):
-                message = f"body type {scope.show(body_ty)} does not reduce to or from the label codomain"
-                _fail(ErrorKind.DIRECTED_CONVERSION_UNDETERMINED, message)
-            del scope.binders[depth:]
-            return label, s3
-        case LApp(h, dom, cod, fun, arg):
-            fun_ty = _infer(scope, fun)[0]
-            label = label_of(e)
-            if not directed_convertible(fun_ty, label, scope.depth):
-                message = f"function type {scope.show(fun_ty)} does not reduce to or from the label {scope.show(label)}"
-                _fail(ErrorKind.DIRECTED_CONVERSION_UNDETERMINED, message)
-            arg_ty = _infer(scope, arg)[0]
-            if not directed_convertible(arg_ty, dom, scope.depth):
-                message = f"argument type {scope.show(arg_ty)} does not reduce to or from {scope.show(dom)}"
-                _fail(ErrorKind.DIRECTED_CONVERSION_UNDETERMINED, message)
-            return instantiate(cod, arg), None
-        case Sigma() | Pair() | Proj1() | Proj2() if not scope.spec.sigma_enabled:
-            _fail(ErrorKind.SIGMA_DISABLED, f"sigma extension is disabled: {scope.show(e)}")
-        case Sigma(h, first, second):
-            first_sort = _sort_of(scope, first)
-            if first_sort != STAR:
-                _fail(
-                    ErrorKind.MISMATCH,
-                    f"Sig first component {scope.show(first)} must be a type, has sort {first_sort}",
-                )
-            scope.binders.append((e, first, first_sort))
-            s = _sort_of(scope, second)
-            scope.binders.pop()
-            return SortE(s), scope.spec.axiom_for(s)
-        case Pair(first, second, annot):
-            _infer(scope, annot)
-            try:
-                head = whnf(annot, scope.fuel)
-            except FuelExhausted:
-                _fail(ErrorKind.FUEL_EXHAUSTED, f"exposing the pair annotation {scope.show(annot)}")
-            if not isinstance(head, Sigma):
-                _fail(ErrorKind.MISMATCH, f"pair annotation {scope.show(annot)} is not a Sig type")
-            _convertible(scope, _infer(scope, first)[0], head.first, "first pair component")
-            _convertible(scope, _infer(scope, second)[0], instantiate(head.second, first), "second pair component")
-            return annot, None
-        case Proj1(p) | Proj2(p):
-            ty = _term(scope, _infer(scope, p)[0])
-            try:
-                head = whnf(ty, scope.fuel)
-            except FuelExhausted:
-                _fail(ErrorKind.FUEL_EXHAUSTED, f"exposing the type of {scope.show(p)}")
-            if not isinstance(head, Sigma):
-                _fail(ErrorKind.MISMATCH, f"{scope.show(p)} has type {scope.show(ty)}, not a Sig type")
-            return (head.first if type(e) is Proj1 else instantiate(head.second, Proj1(p))), None
-        case _:
-            raise TypeError(f"not an expression: {e!r}")
+                ty = (ty, scope.env(len(scope.binders) - 1 - i))
+        return ty, entry[2]
+    if cls is Lam:
+        annot = e.annot
+        s1 = _as_sort(scope, _infer(scope, annot)[0], annot)
+        scope.binders.append((e, annot, s1))
+        body_ty, s2 = _infer(scope, e.body)
+        if s2 is None:
+            s2 = _sort_of(scope, _term(scope, body_ty))
+        scope.binders.pop()
+        # TLam demands the synthesized product itself be well-sorted.
+        if isinstance(body_ty, Node):
+            pi = Pi(e.hint, annot, body_ty)
+        else:
+            pi = _Prod(e.hint, _thunk(scope, annot) if annot._loose else annot, body_ty, len(scope.binders))
+        return pi, _pi_sort(scope, s1, s2, pi)
+    if cls is Pi or cls is LPi:
+        dom, cod = e.dom, e.cod
+        s1 = _as_sort(scope, _infer(scope, dom)[0], dom)
+        scope.binders.append((e, dom, s1))
+        s2 = _as_sort(scope, _infer(scope, cod)[0], cod)
+        scope.binders.pop()
+        s3 = _pi_sort(scope, s1, s2, e)
+        return (SortE if cls is Pi else LSort)(s3), scope.spec.axiom_for(s3)
+    if cls is SortE or cls is LSort:
+        s = e.name
+        if s not in scope.spec.sorts:
+            _fail(ErrorKind.SORT_UNTYPEABLE, f"unknown sort {s}")
+        s2 = scope.spec.axiom_for(s)
+        if s2 is None:
+            _fail(ErrorKind.NO_AXIOM, f"sort {s} has no type")
+        return cls(s2), scope.spec.axiom_for(s2)
+    if cls is LLam:
+        label = label_of(e)
+        s3 = _infer(scope, label)[0].name
+        # That checked the codomain whole, so a body lambda labeled with the
+        # codomain is entered here without checking its label again: once
+        # its own body checks, its type is that codomain.
+        depth = len(scope.binders)
+        dom, cod, body = e.dom, e.cod, e.body
+        while True:
+            scope.binders.append((e, dom, None))
+            if not (type(body) is LLam and label_of(body) == cod):
+                break
+            e, dom, cod, body = body, body.dom, body.cod, body.body
+        body_ty = _infer(scope, body)[0]
+        if not directed_convertible(body_ty, cod, scope.depth):
+            message = f"body type {scope.show(body_ty)} does not reduce to or from the label codomain"
+            _fail(ErrorKind.DIRECTED_CONVERSION_UNDETERMINED, message)
+        del scope.binders[depth:]
+        return label, s3
+    if cls is LApp:
+        fun_ty = _infer(scope, e.fun)[0]
+        label = label_of(e)
+        if not directed_convertible(fun_ty, label, scope.depth):
+            message = f"function type {scope.show(fun_ty)} does not reduce to or from the label {scope.show(label)}"
+            _fail(ErrorKind.DIRECTED_CONVERSION_UNDETERMINED, message)
+        arg_ty = _infer(scope, e.arg)[0]
+        if not directed_convertible(arg_ty, e.dom, scope.depth):
+            message = f"argument type {scope.show(arg_ty)} does not reduce to or from {scope.show(e.dom)}"
+            _fail(ErrorKind.DIRECTED_CONVERSION_UNDETERMINED, message)
+        return instantiate(e.cod, e.arg), None
+    if (cls is Sigma or cls is Pair or cls is Proj1 or cls is Proj2) and not scope.spec.sigma_enabled:
+        _fail(ErrorKind.SIGMA_DISABLED, f"sigma extension is disabled: {scope.show(e)}")
+    if cls is Sigma:
+        first = e.first
+        first_sort = _sort_of(scope, first)
+        if first_sort != STAR:
+            _fail(
+                ErrorKind.MISMATCH,
+                f"Sig first component {scope.show(first)} must be a type, has sort {first_sort}",
+            )
+        scope.binders.append((e, first, first_sort))
+        s = _sort_of(scope, e.second)
+        scope.binders.pop()
+        return SortE(s), scope.spec.axiom_for(s)
+    if cls is Pair:
+        annot = e.annot
+        _infer(scope, annot)
+        try:
+            head = whnf(annot, scope.fuel)
+        except FuelExhausted:
+            _fail(ErrorKind.FUEL_EXHAUSTED, f"exposing the pair annotation {scope.show(annot)}")
+        if not isinstance(head, Sigma):
+            _fail(ErrorKind.MISMATCH, f"pair annotation {scope.show(annot)} is not a Sig type")
+        _convertible(scope, _infer(scope, e.first)[0], head.first, "first pair component")
+        _convertible(scope, _infer(scope, e.second)[0], instantiate(head.second, e.first), "second pair component")
+        return annot, None
+    if cls is Proj1 or cls is Proj2:
+        p = e.pair
+        ty = _term(scope, _infer(scope, p)[0])
+        try:
+            head = whnf(ty, scope.fuel)
+        except FuelExhausted:
+            _fail(ErrorKind.FUEL_EXHAUSTED, f"exposing the type of {scope.show(p)}")
+        if not isinstance(head, Sigma):
+            _fail(ErrorKind.MISMATCH, f"{scope.show(p)} has type {scope.show(ty)}, not a Sig type")
+        return (head.first if cls is Proj1 else instantiate(head.second, Proj1(p))), None
+    raise TypeError(f"not an expression: {e!r}")
 
 
 def check_type(spec: PtsSpec, ctx: Context, e: Expr, ty: Expr, fuel: int = DEFAULT_FUEL) -> None:

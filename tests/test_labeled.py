@@ -208,8 +208,10 @@ def test_label_term_rejects_ill_typed():
 def test_label_term_rejects_sigma():
     ctx = parse_context("A : *\na : A", sigma_enabled=True)
     pair = parse_expr("<a, a> : Sig x:A. A", sigma_enabled=True)
-    with pytest.raises(TypeCheckError):
+    with pytest.raises(TypeCheckError) as info:
         label_term(CC.with_sigma(), ctx, pair)
+    assert info.value.kind is ErrorKind.SIGMA_DISABLED
+    assert info.value.message == "the labeled system covers core terms only: <a, a> : Sig x:A. A"
 
 
 # ---------------------------------------------------------------------------

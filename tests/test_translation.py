@@ -73,9 +73,9 @@ def test_erase_kind_examples():
 
 
 def test_erase_kind_rejects_non_kinds():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^not a sort or kind: A$"):
         erase_kind(Var("A"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^not a sort or kind: \(x:\*\) -> x$"):
         erase_kind(P("(x:*) -> x"))
 
 
@@ -381,8 +381,11 @@ def test_reserved_names_in_input_rejected():
 def test_translation_rejects_sigma_forms():
     env = TransEnv(parse_context("A : *\nB : *\na : A\nb : B", sigma_enabled=True))
     pair = parse_expr("<a, b> : Sig x:A. B", sigma_enabled=True)
-    with pytest.raises(ValueError):
+    message = "^the translation covers core CC only, not the sigma extension$"
+    with pytest.raises(ValueError, match=message):
         translate_term(env, pair)
+    with pytest.raises(ValueError, match=message):
+        translate_type(env, pair.annot)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,17 @@ The expected step lists and the public names were recorded from the
 hand-written walks that the shape tables replaced.
 """
 
+import ast
+import inspect
+import textwrap
+
+import pytest
+
 import ptskit
-from ptskit.syntax import CC, STAR, App, BVar, Lam, Pair, Pi, Proj1, Proj2, Sigma, SortE, Var
+from ptskit import labeled, syntax, translate, typecheck
+from ptskit.syntax import CC, STAR, App, BVar, Context, Lam, Pair, Pi, Proj1, Proj2, Sigma, SortE, Var, print_expr
 from ptskit.reduction import enumerate_steps
+from ptskit.typecheck import infer_type
 from ptskit.labeled import (
     LApp,
     LBVar,
@@ -123,3 +131,61 @@ def test_labeled_round_trips_on_generated_terms():
             labeled_infer(CC, lctx, la)
             checked += 1
     assert checked == 400
+
+
+# ---------------------------------------------------------------------------
+# Dispatch on the node's class
+
+# The hot walks pick their case by ``type(e) is C``.  A ``match`` over class
+# patterns makes an ``isinstance`` test and reads ``__match_args__`` for each
+# case it tries: 0.4 us more per node on the first case and 1.6 us on the
+# eighth under CPython 3.11.7 (2 shared vCPUs); with them the battery's
+# ``property-gen`` benchmark took 0.221 ms per case against 0.158 ms.
+HOT_WALKS = (
+    typecheck._infer,
+    labeled._elaborate,
+    translate._trans_term,
+    translate._trans_type,
+    translate._is_constructor,
+    translate.erase_kind,
+    translate.is_cc_kind,
+    syntax._pp,
+)
+
+
+def test_node_classes_have_no_subclass():
+    # ``type(e) is C`` is ``isinstance(e, C)`` only while no node class is subclassed
+    classes = [c for c in vars(syntax).values() if isinstance(c, type) and "_shape" in c.__dict__]
+    assert len(classes) == 16
+    assert [c for c in classes if c.__subclasses__()] == []
+
+
+def test_hot_walks_contain_no_match_statement():
+    for walk in HOT_WALKS:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(walk)))
+        assert not any(isinstance(node, ast.Match) for node in ast.walk(tree)), walk.__qualname__
+
+
+class _Stray:
+    """Not a node: no walk has a case for it."""
+
+    _role = None
+
+    def __repr__(self):
+        return "stray"
+
+
+def test_hot_walks_keep_their_fall_through_errors():
+    env = translate.TransEnv(Context())
+    cases = [
+        (TypeError, "not an expression: stray", infer_type, CC, Context(), _Stray()),
+        (TypeError, "not an expression: stray", print_expr, _Stray()),
+        (ValueError, "dangling bound variable reached the type checker", infer_type, CC, Context(), BVar(0)),
+        (ValueError, "dangling bound variable reached the type checker", labeled.labeled_infer, CC, Context(), LBVar(0)),
+        (ValueError, "not a sort, kind or constructor: ?0", translate.translate_type, env, BVar(0)),
+        (ValueError, "cannot translate ?0", translate.translate_term, env, BVar(0)),
+    ]
+    for error, message, fn, *args in cases:
+        with pytest.raises(error) as info:
+            fn(*args)
+        assert str(info.value) == message
