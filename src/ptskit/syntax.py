@@ -756,186 +756,179 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return toks
 
 
-class _Parser:
-    """Recursive descent over the plain grammar.
+# The tag of a parser frame: what the part being read is for.
+_TOP, _PAREN, _ARG, _LARG, _PAIR, _BINDER, _BODY, _LABEL, _LDOM2 = range(9)
 
-    Sorts, variables and products are built through the class
-    attributes ``sort``, ``var`` and ``pi``, so ``_LabeledParser`` shares
-    those productions.  ``sigma_forms`` says whether the grammar has
-    pairs and projections at all; ``sigma`` whether they are enabled.
+
+def _expect(text: str, toks: list, pos: int, *kinds: str) -> int:
+    """The position past the tokens ``kinds`` read from ``pos``, or the error at the first one missing."""
+    for kind in kinds:
+        tok = toks[pos]
+        if tok[0] != kind:
+            raise _error_at(text, tok[2], f"expected {kind!r}, found {tok[1] or 'end of input'!r}")
+        pos += 1
+    return pos
+
+
+def _name(text: str, tok: tuple[str, str, int], allow_reserved: bool) -> str:
+    """The identifier ``tok`` spells, or the error for any other token."""
+    kind, lexeme, offset = tok
+    if kind == "ident" or kind == "reserved" and allow_reserved:
+        return lexeme
+    if kind == "reserved":
+        raise _error_at(text, offset, "identifiers starting with '_' are reserved for generated names")
+    raise _error_at(text, offset, f"expected an identifier, found {lexeme or 'end of input'!r}")
+
+
+def _parse(text: str, labeled: bool, sigma: bool, allow_reserved: bool) -> Node:
+    """Parse ``text`` in either grammar with one loop over its tokens.
+
+    Precedence climbing over an explicit stack of frames (Pratt, POPL
+    1973), so depth is bounded by memory, not by the recursion limit.
+    Each turn reads one operand.  An atom takes its projections and joins
+    its application; then each frame whose part is complete is popped and
+    built, until a frame wants another part.  Names are bound as they are
+    read: ``levels`` maps a name to its innermost binder's level (an
+    arrow's codomain binds the key None) and a binder's frame keeps the
+    level it hides, so no binder is closed afterwards.  The labeled grammar
+    has no sigma forms, and labeled lambdas and applications.
     """
-
-    sort, var, pi = SortE, Var, Pi
-    noun = "an expression"
-    sigma_forms = True
-
-    def __init__(self, text: str, sigma_enabled: bool, allow_reserved: bool):
-        self.text = text
-        self.toks = _tokenize(text)
-        self.pos = 0
-        self.sigma = sigma_enabled
-        self.allow_reserved = allow_reserved
-
-    def peek(self, ahead: int = 0) -> str:
-        return self.toks[self.pos + ahead][0]
-
-    def next(self) -> str:
-        # every caller has checked the kind, so this never steps past an eof
-        self.pos += 1
-        return self.toks[self.pos - 1][1]
-
-    def found(self) -> str:
-        return repr(self.toks[self.pos][1] or "end of input")
-
-    def error(self, message: str):
-        raise _error_at(self.text, self.toks[self.pos][2], message)
-
-    def expect(self, kind: str) -> None:
-        if self.peek() != kind:
-            self.error(f"expected {kind!r}, found {self.found()}")
-        self.pos += 1
-
-    def ident(self) -> str:
-        kind = self.peek()
-        if kind == "ident" or kind == "reserved" and self.allow_reserved:
-            return self.next()
-        if kind == "reserved":
-            self.error("identifiers starting with '_' are reserved for generated names")
-        self.error(f"expected an identifier, found {self.found()}")
-
-    def expr(self) -> Expr:
-        kind = self.peek()
-        if kind == "sig" and not self.sigma:
-            self.error("'Sig' requires the sigma extension")
-        if kind == "sig" or kind == "\\":
-            self.next()
-            name = self.ident()
-            self.expect(":")
-            first = self.expr()
-            self.expect(".")
-            second = self.expr()
-            binder = Sigma if kind == "sig" else Lam
-            return binder(name, first, close_binder(second, name))
-        return self.arrow()
-
-    def arrow(self) -> Node:
-        if self.at_pi_start():
-            self.next()
-            name = self.ident()
-            self.expect(":")
-            dom = self.expr()
-            self.expect(")")
-            self.expect("arrow")
-            cod = self.expr()
-            return self.pi(name, dom, close_binder(cod, name))
-        left = self.app()
-        if self.peek() == "arrow":
-            self.next()
-            return self.pi("_", left, self.expr())
-        return left
-
-    def at_pi_start(self) -> bool:
-        return self.peek() == "(" and self.peek(1) in ("ident", "reserved") and self.peek(2) == ":"
-
-    def app(self) -> Expr:
-        e = self.postfix()
-        while self.at_atom_start():
-            if self.at_pi_start():
-                self.error("parenthesize a dependent function type used as an argument")
-            e = App(e, self.postfix())
-        return e
-
-    def at_atom_start(self) -> bool:
-        return self.peek() in ("ident", "reserved", "*", "#", "(", "<")
-
-    def postfix(self) -> Node:
-        e = self.atom()
-        while self.sigma_forms and self.peek() == "proj":
-            if not self.sigma:
-                self.error("projections require the sigma extension")
-            e = Proj1(e) if self.next() == ".1" else Proj2(e)
-        return e
-
-    def atom(self) -> Node:
-        kind = self.peek()
-        if kind == "*" or kind == "#":
-            return self.sort(self.next())
-        if kind == "ident" or kind == "reserved":
-            return self.var(self.ident())
-        if kind == "(":
-            self.next()
-            e = self.expr()
-            self.expect(")")
-            return e
-        if kind == "<" and self.sigma_forms:
-            if not self.sigma:
-                self.error("pair syntax requires the sigma extension")
-            self.next()
-            first = self.expr()
-            self.expect(",")
-            second = self.expr()
-            self.expect(">")
-            self.expect(":")
-            annot = self.expr()
-            return Pair(first, second, annot)
-        self.error(f"expected {self.noun}, found {self.found()}")
-
-
-class _LabeledParser(_Parser):
-    """The labeled grammar: the plain one without the sigma forms, with
-    labeled lambdas and applications in place of the plain ones."""
-
-    sort, var, pi = LSort, LVar, LPi
-    noun = "a labeled expression"
-    sigma_forms = False
-
-    def expr(self) -> LabeledExpr:
-        if self.peek() == "\\":
-            self.next()
-            self.expect("[")
-            x, dom, cod = self.label()
-            self.expect("]")
-            x2 = self.ident()
-            if x2 != x:
-                self.error(f"binder {x2!r} does not match the label binder {x!r}")
-            self.expect(":")
-            dom2 = self.app()
-            if dom2 != dom:
-                self.error("lambda annotation does not match the label domain")
-            self.expect(".")
-            body = self.expr()
-            return LLam(x, dom, close_binder(cod, x), close_binder(body, x))
-        return self.arrow()
-
-    def label(self) -> tuple[str, LabeledExpr, LabeledExpr]:
-        x = self.ident()
-        self.expect(":")
-        dom = self.app()
-        self.expect("arrow")
-        cod = self.expr()
-        return x, dom, cod
-
-    def app(self) -> LabeledExpr:
-        e = self.postfix()
+    toks = _tokenize(text)
+    sort, var, pi = (LSort, LVar, LPi) if labeled else (SortE, Var, Pi)
+    bvar = var._bound
+    stack = [(_TOP,)]
+    levels = {}
+    depth = pos = 0
+    full = True  # the operand may be any expression, not only an atom
+    while True:
+        kind, lexeme, offset = toks[pos]
+        if full:
+            if kind == "\\" and labeled:
+                pos = _expect(text, toks, pos + 1, "[")
+                stack.append((_LABEL, _name(text, toks[pos], allow_reserved), None))
+                pos = _expect(text, toks, pos + 1, ":")
+                full = False
+                continue
+            if kind == "\\" or kind == "sig" and not labeled:
+                if kind == "sig" and not sigma:
+                    raise _error_at(text, offset, "'Sig' requires the sigma extension")
+                stack.append((_BINDER, Lam if kind == "\\" else Sigma, _name(text, toks[pos + 1], allow_reserved), (".",)))
+                pos = _expect(text, toks, pos + 2, ":")
+                continue
+            if kind == "(" and toks[pos + 1][0] in ("ident", "reserved") and toks[pos + 2][0] == ":":
+                stack.append((_BINDER, pi, _name(text, toks[pos + 1], allow_reserved), (")", "arrow")))
+                pos += 3
+                continue
+        pos += 1
+        if kind == "ident" or kind == "reserved" and allow_reserved:
+            level = levels.get(lexeme)
+            v = var(lexeme) if level is None else bvar(depth - 1 - level)
+        elif kind == "*" or kind == "#":
+            v = sort(lexeme)
+        elif kind == "(" or kind == "<" and not labeled:
+            if kind == "<" and not sigma:
+                raise _error_at(text, offset, "pair syntax requires the sigma extension")
+            stack.append((_PAREN,) if kind == "(" else (_PAIR, ()))
+            full = True
+            continue
+        else:
+            if kind == "reserved":
+                _name(text, toks[pos - 1], False)
+            noun = "a labeled expression" if labeled else "an expression"
+            raise _error_at(text, offset, f"expected {noun}, found {lexeme or 'end of input'!r}")
+        atom = True  # what v is: an atom, or a complete expression
         while True:
-            if self.peek() == "@":
-                self.next()
-                self.expect("[")
-                x, dom, cod = self.label()
-                self.expect("]")
-                arg = self.postfix()
-                e = LApp(x, dom, close_binder(cod, x), e, arg)
-            elif self.at_atom_start():
-                self.error("labeled application must be written with @[...]")
-            else:
-                return e
-
-
-def _parse(parser: _Parser) -> Node:
-    e = parser.expr()
-    if parser.peek() != "eof":
-        parser.error(f"unexpected trailing input {parser.found()}")
-    return e
+            if atom:
+                while not labeled and toks[pos][0] == "proj":
+                    if not sigma:
+                        raise _error_at(text, toks[pos][2], "projections require the sigma extension")
+                    v = Proj1(v) if toks[pos][1] == ".1" else Proj2(v)
+                    pos += 1
+                top = stack[-1]
+                if top[0] == _ARG:
+                    stack.pop()
+                    v = App(top[1], v)
+                elif top[0] == _LARG:
+                    stack.pop()
+                    v = LApp(*top[1:], v)
+                kind, _, offset = toks[pos]
+                if kind in ("ident", "reserved", "*", "#", "(", "<"):  # an argument
+                    if labeled:
+                        raise _error_at(text, offset, "labeled application must be written with @[...]")
+                    if kind == "(" and toks[pos + 1][0] in ("ident", "reserved") and toks[pos + 2][0] == ":":
+                        raise _error_at(text, offset, "parenthesize a dependent function type used as an argument")
+                    stack.append((_ARG, v))
+                    full = False
+                    break
+                if kind == "@" and labeled:
+                    pos = _expect(text, toks, pos + 1, "[")
+                    stack.append((_LABEL, _name(text, toks[pos], allow_reserved), v))
+                    pos = _expect(text, toks, pos + 1, ":")
+                    full = False
+                    break
+                top = stack[-1]
+                if top[0] == _LABEL:  # the label's domain: its codomain follows, under its binder
+                    stack[-1] = (_BODY, None, (v, top[2]), top[1])
+                    pos = _expect(text, toks, pos, "arrow")
+                elif top[0] == _LDOM2:  # a labeled lambda's annotation: its body follows
+                    _, x, dom, cod = top
+                    if v != dom:
+                        raise _error_at(text, offset, "lambda annotation does not match the label domain")
+                    stack[-1] = (_BODY, LLam, (x, dom, cod), x)
+                    pos = _expect(text, toks, pos, ".")
+                elif kind == "arrow":
+                    stack.append((_BODY, pi, ("_", v), None))
+                    pos += 1
+                else:
+                    atom = False
+            if not atom:
+                top = stack.pop()
+                if top[0] == _BODY:
+                    _, build, parts, x, levels[x] = top
+                    depth -= 1
+                    if build is not None:
+                        v = build(*parts, v)
+                        continue
+                    dom, fun = parts  # v is a label's codomain
+                    pos = _expect(text, toks, pos, "]")
+                    if fun is None:
+                        x2 = _name(text, toks[pos], allow_reserved)
+                        if x2 != x:
+                            raise _error_at(text, toks[pos + 1][2], f"binder {x2!r} does not match the label binder {x!r}")
+                        stack.append((_LDOM2, x, dom, v))
+                        pos = _expect(text, toks, pos + 1, ":")
+                    else:
+                        stack.append((_LARG, x, dom, v, fun))
+                    full = False
+                    break
+                if top[0] == _PAREN:
+                    pos = _expect(text, toks, pos, ")")
+                    atom = True
+                    continue
+                if top[0] == _PAIR:
+                    parts = top[1] + (v,)
+                    if len(parts) == 3:
+                        v = Pair(*parts)
+                        atom = True
+                        continue
+                    stack.append((_PAIR, parts))
+                    pos = _expect(text, toks, pos, *((">", ":") if len(parts) == 2 else (",",)))
+                    full = True
+                    break
+                if top[0] == _TOP:
+                    if toks[pos][0] != "eof":
+                        raise _error_at(text, toks[pos][2], f"unexpected trailing input {toks[pos][1] or 'end of input'!r}")
+                    return v
+                _, build, name, closers = top  # v is a binder's first part: its body follows
+                stack.append((_BODY, build, (name, v), name))
+                pos = _expect(text, toks, pos, *closers)
+            # the frame on top reads its part under one more binder
+            top = stack[-1]
+            stack[-1] = top + (levels.get(top[3]),)
+            levels[top[3]] = depth
+            depth += 1
+            full = True
+            break
 
 
 def parse_expr(text: str, sigma_enabled: bool = False, allow_reserved: bool = False) -> Expr:
@@ -944,12 +937,12 @@ def parse_expr(text: str, sigma_enabled: bool = False, allow_reserved: bool = Fa
     Raises ParseError with line/column on bad input; identifiers in the
     reserved "_" namespace are rejected unless ``allow_reserved``.
     """
-    return _parse(_Parser(text, sigma_enabled, allow_reserved))
+    return _parse(text, False, sigma_enabled, allow_reserved)
 
 
 def parse_labeled(text: str, allow_reserved: bool = True) -> LabeledExpr:
     """Parse labeled surface syntax (the form ``print_labeled`` emits)."""
-    return _parse(_LabeledParser(text, False, allow_reserved))
+    return _parse(text, True, False, allow_reserved)
 
 
 def parse_context(text: str, sigma_enabled: bool = False, allow_reserved: bool = False) -> Context:
@@ -1069,6 +1062,8 @@ def _pp(e: Node, names: list[str], prec: int) -> str:
 
 def print_expr(e: Node) -> str:
     """Render a plain or labeled term; the output re-parses to an alpha-equal term."""
+    if not isinstance(e, Node):
+        raise TypeError(f"not an expression: {e!r}")
     return _pp(e, [], _PREC_ARROW)
 
 

@@ -369,6 +369,13 @@ def test_nesting_past_recursion_limit_is_a_resource_limit(capsys):
     assert err == ""
 
 
+def test_a_500_deep_spine_is_not_a_resource_limit(capsys):
+    # the parser keeps its own stack, so this spine no longer exits 3
+    spine = "f (" * 499 + "f x" + ")" * 499
+    code, out, err = run(capsys, "infer", "--bind", "A : *", "--bind", "f : A -> A", "--bind", "x : A", spine)
+    assert (code, out, err) == (EXIT_OK, "A\n", "")
+
+
 # Its argument type N reaches the lambda's annotation in two tight steps.
 CONV_TERM = r"(\x:(\B:*. B) ((\C:*. C) N). x) M"
 CONV_ERROR = (

@@ -165,24 +165,34 @@ def test_binding_names_follow_the_tokenizer():
     assert parse_context("_x : *", allow_reserved=True).bindings == (("_x", SortE(STAR)),)
 
 
-def test_spine_of_depth_190_parses_at_the_default_recursion_limit():
-    # a fixed number of frames per nesting level: one more per level would
-    # bring the first failing depth (198) below 190
+def test_parsing_passes_10000_levels_at_the_default_recursion_limit():
+    # the parser keeps a stack of its own and binds names through a dict,
+    # so depth costs memory, not interpreter frames, and stays linear
     src = os.path.dirname(os.path.dirname(os.path.abspath(syntax.__file__)))
-    probe = (
-        "import sys; from ptskit.syntax import parse_expr, size; d = 190; "
-        "print(sys.getrecursionlimit(), size(parse_expr('f (' * d + 'x' + ')' * d)))"
-    )
+    probe = """\
+import sys
+from ptskit.syntax import parse_expr, parse_labeled, size
+d = 10_000
+for parse, text, n in (
+    (parse_expr, "f (" * d + "x" + ")" * d, 2 * d + 1),
+    (parse_expr, r"\\A:*. " + "".join(rf"\\x{i}:A. " for i in range(d)) + "x0", 2 * d + 3),
+    (parse_expr, "A -> " * d + "A", 2 * d + 1),
+    (parse_expr, "(" * d + "x" + ")" * d, 1),
+    (parse_labeled, "f @[y : A -> A] (" * d + "x" + ")" * d, 4 * d + 1),
+    (parse_labeled, r"\\[x : A -> A] x : A . " * d + "x", 3 * d + 1),
+):
+    assert size(parse(text)) == n, text[:40]
+print(sys.getrecursionlimit())
+"""
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1000", str(2 * 190 + 1)]
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["1000"]
 
 
 def test_term_queries_pass_10000_levels_at_the_default_recursion_limit():
     # free_vars, size and the sigma scan keep stacks of their own, so no
-    # depth reaches the interpreter's limit; terms are built directly, as
-    # the parser recurses
+    # depth reaches the interpreter's limit
     src = os.path.dirname(os.path.dirname(os.path.abspath(syntax.__file__)))
     probe = """\
 import sys

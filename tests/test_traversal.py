@@ -180,6 +180,7 @@ def test_hot_walks_keep_their_fall_through_errors():
     cases = [
         (TypeError, "not an expression: stray", infer_type, CC, Context(), _Stray()),
         (TypeError, "not an expression: stray", print_expr, _Stray()),
+        (TypeError, "not an expression: 'x'", print_expr, "x"),
         (ValueError, "dangling bound variable reached the type checker", infer_type, CC, Context(), BVar(0)),
         (ValueError, "dangling bound variable reached the type checker", labeled.labeled_infer, CC, Context(), LBVar(0)),
         (ValueError, "not a sort, kind or constructor: ?0", translate.translate_type, env, BVar(0)),
