@@ -32,6 +32,7 @@ from .syntax import (
     PtsSpec,
     SortE,
     Var,
+    _mentions_bound,
     _shift,
     instantiate,
     parse_labeled as parse_labeled,
@@ -146,12 +147,14 @@ def _elaborate(scope: _Scope, a: Expr) -> tuple[LabeledExpr, Expr, str | None, L
     """``(labeled a, A, s, labeled A)``: A and s as ``_infer`` gives them, A
     as a term, open over ``scope``'s binders, whose entries also hold the
     labeled annotation; the labeled A is known for a variable whose type
-    elaborates and for a lambda, None elsewhere."""
+    elaborates, for a lambda and for an application whose product's
+    codomain does not mention its binder, None elsewhere.  An application
+    takes a function type that is a product as its head, with no reduction."""
     cls = type(a)
     if cls is SortE:
         return LSort(a.name), *_infer(scope, a), None
     if cls is Var:
-        return LVar(a.name), *_infer(scope, a), scope.once(scope.ltypes, a.name, _ltype_of)
+        return LVar(a.name), *_infer(scope, a), scope.ltypes.get(a.name) or scope.once(scope.ltypes, a.name, _ltype_of)
     if cls is BVar:
         ty, s = _infer(scope, a)
         return LBVar(a.index), _term(scope, ty), s, _shift(scope.binders[-1 - a.index][3], a.index + 1, 0)
@@ -185,10 +188,14 @@ def _elaborate(scope: _Scope, a: Expr) -> tuple[LabeledExpr, Expr, str | None, L
     if cls is App:
         fun, arg = a.fun, a.arg
         lfun, fun_ty, s3, lfun_ty = _elaborate(scope, fun)
-        head = _fun_head(scope, fun, fun_ty)
+        head = fun_ty if type(fun_ty) is Pi and scope.fuel > 0 else _fun_head(scope, fun, fun_ty)
         larg, arg_ty, _, _ = _elaborate(scope, arg)
-        _convertible(scope, arg_ty, head.dom, "argument of", fun)
+        if arg_ty != head.dom:
+            _convertible(scope, arg_ty, head.dom, "argument of", fun)
         # the function's labeled type is its label unless its type had to reduce
         lpi = lfun_ty if lfun_ty is not None and head is fun_ty else _elaborate(scope, head)[0]
-        return LApp(lpi.hint, lpi.dom, lpi.cod, lfun, larg), instantiate(head.cod, arg), scope.spec.cod_sorts.get(s3), None
+        # a codomain free of its binder is labeled as in the label; a dependent one
+        # is not, where the argument's type differs from the label's domain
+        lty = None if _mentions_bound(head.cod) else instantiate(lpi.cod, larg)
+        return LApp(lpi.hint, lpi.dom, lpi.cod, lfun, larg), instantiate(head.cod, arg), scope.spec.cod_sorts.get(s3), lty
     _fail(ErrorKind.SIGMA_DISABLED, f"the labeled system covers core terms only: {scope.show(a)}")

@@ -270,10 +270,14 @@ def _index(t, depth: int) -> int | None:
 
 def _same(scope: _Scope, a, b) -> bool:
     """Whether types ``a`` and ``b`` stand for the same term (``_term(a) ==
-    _term(b)``), decided by one walk through both, building neither."""
-    tables = {}, {}
-    env = scope.env()
-    todo = [(a, env, 0, b, env, 0, len(scope.binders))]
+    _term(b)``), decided by one walk through both, building neither; at
+    once when both view to binder levels, as an argument's type often does."""
+    tables, env = ({}, {}), scope.env()
+    x, xe, xo = _view(a, env, 0, tables[0])
+    y, ye, yo = _view(b, env, 0, tables[1])
+    if type(x) is int and type(y) is int:
+        return x == y
+    todo = [(x, xe, xo, y, ye, yo, len(scope.binders))]
     while todo:
         x, xe, xo, y, ye, yo, depth = todo.pop()
         x, xe, xo = _view(x, xe, xo, tables[0])
@@ -359,38 +363,32 @@ def _fun_head(scope: _Scope, fun: Expr, fun_ty: Expr) -> Pi:
     return head
 
 
-def _app_type(scope: _Scope, fun: Expr, fun_ty, arg: Expr) -> tuple:
-    """``(domain, codomain)`` of the product that ``fun``'s type ``fun_ty``
-    exposes at its head, the codomain instantiated with ``arg``.  A delayed
-    head takes ``arg`` as a binding, with the substitutions it was found
-    under; a closed one, or a term one where ``arg`` is closed or unused,
-    is instantiated; otherwise the codomain is a closure.  Whatever else
-    the head is (a product under an argument the evaluator left unapplied,
-    a sigma node, no product) is left to ``_fun_head`` on ``_term(fun_ty)``,
-    which also reports every failure."""
+def _app_type(scope: _Scope, fun: Expr, fun_ty) -> tuple:
+    """``(head, subst)``: the product ``fun``'s type ``fun_ty`` exposes, for
+    the types ``_infer`` does not read directly: a ``_Prod``, a ``_Subst``,
+    a closure or term that is no product, any type at fuel < 1.  A delayed
+    type is entered and evaluated where it is, the substitutions it was
+    found under collected in ``subst``, to a ``_Prod`` (which takes the
+    argument as a binding at its level) or a closure ``(Pi, env)``.
+    Whatever else its head is (a product under an argument the evaluator
+    left unapplied, a sigma node, no product) is left to ``_fun_head`` on
+    ``_term(fun_ty)``, which gives a ``Pi`` and reports every failure."""
     if not isinstance(fun_ty, Node):
         subst, t, budget = None, fun_ty, _budget(scope)
-        while True:
-            if type(t) is _Prod:
-                return _under(t.dom, subst), _Subst(t.cod, ((t.level, _thunk(scope, arg)), subst))
-            if type(t) is _Subst:
-                subst, t = (t.subst, subst), t.inner
-                continue
-            try:
-                v = _eval(t[0], t[1], budget)
-            except FuelExhausted:
-                _fail(ErrorKind.FUEL_EXHAUSTED, f"exposing the type of {scope.show(fun)}")
-            except _Unsupported:
-                break
-            if type(v) is not tuple or type(v[0]) is not Pi:
-                break
-            pi, env = v
-            return _under(_clo(pi.dom, env), subst), _under(_clo(pi.cod, (_thunk(scope, arg), env)), subst)
+        while type(t) is _Subst:
+            subst, t = (t.subst, subst), t.inner
+        if type(t) is _Prod:
+            return t, subst
+        try:
+            v = _eval(t[0], t[1], budget)
+        except FuelExhausted:
+            _fail(ErrorKind.FUEL_EXHAUSTED, f"exposing the type of {scope.show(fun)}")
+        except _Unsupported:
+            v = None
+        if type(v) is tuple and type(v[0]) is Pi:
+            return v, subst
         fun_ty = _term(scope, fun_ty)
-    head = _fun_head(scope, fun, fun_ty)
-    if head.cod._loose == 0 or not (head._loose or arg._loose):
-        return head.dom, instantiate(head.cod, arg)
-    return head.dom, (head.cod, (_thunk(scope, arg), scope.env()))
+    return _fun_head(scope, fun, fun_ty), None
 
 
 def _convertible(scope: _Scope, a, b, where: str, subject: Expr | None = None) -> None:
@@ -477,7 +475,11 @@ def _infer(scope: _Scope, e: Node) -> tuple:
     ``_Prod`` when its body's is delayed.  Nothing in the walk builds the
     term A stands for, but for a body that hands up no sort, whose type is
     typed as a term; callers build it with ``_term``.  Labeled types, and
-    the types sigma rules give, are terms.
+    the types sigma rules give, are terms.  An application whose function's
+    type is a ``Pi`` or a closure of one (fuel >= 1) takes its parts as they
+    are, the argument pushed onto the closure's environment; other heads go
+    to ``_app_type``.  An argument whose type is, or equals as a node, the
+    domain needs no ``_convertible``.
 
     s is known for a sort, product or Sig type (the axiom of the sort that
     types it), for a plain variable whose type checks (the sort of its
@@ -497,15 +499,28 @@ def _infer(scope: _Scope, e: Node) -> tuple:
     if cls is App:
         fun, arg = e.fun, e.arg
         fun_ty, s3 = _infer(scope, fun)
-        dom, cod = _app_type(scope, fun, fun_ty, arg)
-        _convertible(scope, _infer(scope, arg)[0], dom, "argument of", fun)
+        head, subst = fun_ty, None
+        if scope.fuel < 1 or not (type(head) is Pi or type(head) is tuple and type(head[0]) is Pi):
+            head, subst = _app_type(scope, fun, fun_ty)
+        if type(head) is Pi:
+            dom, cod = head.dom, head.cod
+            if cod._loose:
+                cod = (cod, (_thunk(scope, arg), scope.env())) if head._loose or arg._loose else instantiate(cod, arg)
+        elif type(head) is tuple:
+            pi, env = head
+            dom, cod = _under(_clo(pi.dom, env), subst), _under(_clo(pi.cod, (_thunk(scope, arg), env)), subst)
+        else:
+            dom, cod = _under(head.dom, subst), _Subst(head.cod, ((head.level, _thunk(scope, arg)), subst))
+        arg_ty = _infer(scope, arg)[0]
+        if arg_ty is not dom and not (isinstance(dom, Node) and arg_ty == dom):  # a node is == only to a node
+            _convertible(scope, arg_ty, dom, "argument of", fun)
         # the product reduces from fun_ty, so it has fun_ty's sort s3
         return cod, scope.spec.cod_sorts.get(s3)
     if cls is Var or cls is LVar:
         ty = scope.types.get(e.name)
         if ty is None:
             _fail(ErrorKind.UNBOUND_VARIABLE, f"unbound variable {e.name}")
-        return ty, scope.once(scope.sorts, e.name, _sort_of) if cls is Var else None
+        return ty, scope.sorts.get(e.name) or scope.once(scope.sorts, e.name, _sort_of) if cls is Var else None
     if cls is BVar or cls is LBVar:
         i = e.index
         if i >= len(scope.binders):

@@ -11,7 +11,7 @@ import pytest
 
 from ptskit import syntax
 from ptskit.reduction import step_all
-from ptskit.syntax import CC, FOMEGA, STAR, Context, Node, SortE, parse_context, parse_expr, print_expr
+from ptskit.syntax import CC, FOMEGA, STAR, App, Context, Node, Pi, SortE, parse_context, parse_expr, print_expr
 from ptskit.translate import _translate_judgement, check_translation
 from ptskit.typecheck import ErrorKind, TypeCheckError, check_type, classify, infer_type
 from ptskit.corpus import load_corpus_dir
@@ -154,6 +154,89 @@ def test_translation_check_builds_nodes_linearly(monkeypatch):
     assert nest_256 <= 6 * nest_64, (nest_64, nest_256)
     numeral_40, numeral_160 = (_nodes_built(monkeypatch, church_numeral(n)) for n in (40, 160))
     assert numeral_160 <= 4.5 * numeral_40, (numeral_40, numeral_160)
+
+
+# ---------------------------------------------------------------------------
+# An application whose function's type is a product reads it directly
+
+
+def _outcome(walk, *args):
+    """``oracle.outcome``, with a ``ValueError`` (fuel below 1) as a result too."""
+    try:
+        return oracle.outcome(walk, *args)
+    except ValueError as err:
+        return "ValueError", str(err)
+
+
+@pytest.mark.parametrize("text", oracle.APPLICATIONS)
+def test_applications_match_the_substituting_walk_at_every_fuel(text):
+    # each head the App case reads directly or leaves to _app_type, and each
+    # error it reports, as typing, classification, checking and elaboration
+    from ptskit.labeled import label_term
+
+    ctx, term = parse_context(oracle.APP_CTX), P(text)
+    inferred = oracle.outcome(oracle.infer_type, CC, ctx, term)
+    declared = ([inferred[1]] if inferred[0] == "ok" else []) + [SortE(STAR)]
+    for fuel in (0, 1, 10000):
+        calls = [
+            (infer_type, oracle.infer_type, (CC, ctx, term, fuel)),
+            (classify, oracle.classify, (ctx, term, fuel, CC)),
+            (label_term, oracle.label_term, (CC, ctx, term, fuel)),
+        ] + [(check_type, oracle.check_type, (CC, ctx, term, ty, fuel)) for ty in declared]
+        for walk, reference, args in calls:
+            got = _outcome(walk, *args)
+            assert got == _outcome(reference, *args), (walk.__name__, fuel)
+            assert fuel or got == ("ValueError", "fuel must be >= 1"), walk.__name__
+
+
+def _is_product(ty):
+    return type(ty) is Pi or type(ty) is tuple and type(ty[0]) is Pi
+
+
+def _calls_from_applications(monkeypatch, run):
+    """``(name, head is a product)`` for each ``whnf``, ``beta_eq`` and
+    ``_app_type`` call that ``run()`` makes from the App case of ``_infer``
+    or ``_elaborate``: the innermost frame of either walk is an application's."""
+    from ptskit import labeled, typecheck
+
+    walks = {typecheck._infer.__code__: "e", labeled._elaborate.__code__: "a"}
+    calls = []
+
+    def spy(name, original):
+        def call(*args):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code not in walks:
+                frame = frame.f_back
+            if frame is not None and type(frame.f_locals[walks[frame.f_code]]) is App:
+                calls.append((name, _is_product(frame.f_locals["fun_ty"])))
+            return original(*args)
+
+        return call
+
+    for name in ("whnf", "beta_eq", "_app_type"):
+        monkeypatch.setattr(typecheck, name, spy(name, getattr(typecheck, name)))
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def test_applications_of_products_neither_reduce_their_type_nor_call_conversion(monkeypatch):
+    # the benchmark's 150-deep spine f (f (... x)), typed, elaborated and
+    # checked with its translation, and the translation check of numeral 160
+    from ptskit.labeled import label_term
+
+    ctx, spine = parse_context("A : *\nf : A -> A\nx : A"), P("f (" * 149 + "f x" + ")" * 149)
+    runs = [
+        lambda: infer_type(CC, ctx, spine),
+        lambda: label_term(CC, ctx, spine),
+        lambda: check_translation(ctx, spine),
+        lambda: check_translation(Context(), church_numeral(160)),
+    ]
+    for run in runs:
+        assert [call for call in _calls_from_applications(monkeypatch, run) if call[1]] == []
+    # the spy sees the calls of an application whose head is a redex
+    redex = lambda: infer_type(CC, parse_context(oracle.APP_CTX), P("k a"))
+    assert _calls_from_applications(monkeypatch, redex) == [("_app_type", False), ("whnf", False)]
 
 
 # ---------------------------------------------------------------------------

@@ -563,6 +563,30 @@ def test_label_spine_elaborates_the_function_type_once(monkeypatch):
     assert counts == {"A -> A": 1}
 
 
+def test_a_spine_of_arguments_elaborates_each_product_once(monkeypatch):
+    # g a ... a, g : A -> ... -> A: an application whose codomain does not
+    # mention its binder hands up the labeled codomain, so the next one
+    # reuses it (820 product elaborations for n = 40 when each application
+    # re-elaborated the product its function's type exposed)
+    from ptskit import labeled
+    from ptskit.syntax import Pi
+
+    n = 40
+    ctx, term = C("A : *\na : A\ng : " + "A -> " * n + "A"), P("g" + " a" * n)
+    elaborate, products = labeled._elaborate, [0]
+
+    def counting(scope, a):
+        products[0] += type(a) is Pi
+        return elaborate(scope, a)
+
+    monkeypatch.setattr(labeled, "_elaborate", counting)
+    la = label_term(CC, ctx, term)
+    monkeypatch.undo()
+    assert products[0] <= 2 * n, products[0]
+    assert outcome(label_term, CC, ctx, term) == outcome(oracle.label_term, CC, ctx, term)
+    assert erase(la) == term
+
+
 def test_no_lambda_over_a_variable_elaborates_its_body_type(monkeypatch):
     # a variable's labeled type comes from its binder's labeled annotation,
     # or once per call from its type in the context

@@ -404,6 +404,43 @@ NESTS = [
     ("A : *\na : A", r"(x:a) -> x x"),
 ]
 
+# Applications whose function's type is a closed product, a closure of one, a
+# lambda's delayed product or one under an argument, or a redex; dependent
+# codomains (one applying its bound variable); spines of several arguments;
+# and the mismatch, non-function and fuel errors an application reports.
+APP_CTX = (
+    "A : *\nB : *\na : A\nb : B\nf : A -> A\ng : A -> A -> A -> A -> A\nP : A -> *\np : (x:A) -> P x\n"
+    "q : (x:A) -> P x -> P x\nm : (h:A -> A) -> P (h a)\nk : (\\X:*. X) ((\\X:*. X) (A -> A))"
+)
+APPLICATIONS = [
+    r"f a",
+    r"(\x:A. \y:A. x) a a",
+    r"g a (f a) a (f (f a))",
+    r"\x:A. g x x",
+    r"\C:*. \h:C -> C -> C. \c:C. h c c",
+    r"\C:*. \h:C -> C. \x:C. h (h x)",
+    r"\C:*. \h:C -> C. \c:C. (\d:C. h d) c",
+    r"\C:*. \h:C -> C -> C. \c:C. (\d:C. h d) c c",
+    r"p a",
+    r"q a (p a)",
+    r"\x:A. q x",
+    r"\u:A. m (\z:(\X:*. X) A. z)",
+    r"\Q:A -> *. \r:(x:A) -> Q x. r a",
+    r"(\x:A. \y:P x. y) a",
+    r"\x:A. \y:P x. (\z:A. \w:P z. w) x y",
+    r"f b",
+    r"g a a b",
+    r"\C:*. \D:*. \h:C -> C. \d:D. h d",
+    r"\C:*. \h:C -> C -> C. \c:C. (\d:C. h d) c C",
+    r"a a",
+    r"g a a a a a",
+    r"\C:*. \c:C. c c",
+    r"\C:*. \h:C -> C. \c:C. (\d:C. h d) c c",
+    r"k a",
+    r"\C:*. \h:(\X:*. X) ((\X:*. X) (C -> C)). \c:C. h c",
+    r"\C:*. \h:C -> C. \c:(\X:*. X) ((\X:*. X) C). h c",
+]
+
 # Labeled lambdas whose inner labels disagree with, or break, the outer ones.
 LABELED = [
     r"\[A : * -> A -> A -> A] A : * . \[x : A -> A -> A] x : A . \[y : A -> A] y : A . x",
@@ -419,7 +456,8 @@ LABELED = [
 def typing_cases():
     """``(system, ctx, term, fuel)`` for the plain walks: generated terms, the
     ill-typed ``(\\x:T -> T. x) t`` for each generated ``t : T``, every
-    ``corpus/cc`` judgement and the nests above, under every built-in system."""
+    ``corpus/cc`` judgement and the nests and applications above, under
+    every built-in system."""
     pool = typed_pool_context()
     cases = []
     for seed in range(1, 6):
@@ -428,7 +466,7 @@ def typing_cases():
             cases.append(("cc", pool, t, DEFAULT_FUEL))
             cases.append(("cc", pool, App(Lam("x", Pi("_", ty, ty), BVar(0)), t), DEFAULT_FUEL))
     judgements = load_corpus_dir(os.path.join(os.path.dirname(__file__), "..", "corpus", "cc"))
-    nests = [(parse_context(ctx), parse_expr(text)) for ctx, text in NESTS]
+    nests = [(parse_context(ctx), parse_expr(text)) for ctx, text in NESTS + [(APP_CTX, t) for t in APPLICATIONS]]
     for system in BUILTIN_SPECS:
         for ctx, term in [(j.ctx, j.term) for j in judgements] + nests:
             cases += [(system, ctx, term, fuel) for fuel in (DEFAULT_FUEL, 1)]
