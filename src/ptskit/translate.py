@@ -426,7 +426,7 @@ def _check_translated(env: TransEnv, a: Expr, a_ty: Expr, tctx: Context, ta: Exp
     try:
         check_type(FOMEGA, tctx, ta, t_ty, fuel)
         entries.append(CheckEntry(True, "term-translation", judgement))
-    except TypeCheckError as err:
+    except (TypeCheckError, ValueError) as err:
         entries.append(CheckEntry(False, "term-translation", f"{judgement()} ({err})"))
 
     w = _Walk(env.cc_context, env)

@@ -148,6 +148,8 @@ class _Scope(Scope):
 # levels are the scope's binders (``_Scope.env``); a ``_Prod``; or a
 # ``_Subst``.  A product names its binder by the level it would have in the
 # scope, so ``_term`` and ``_same`` read it back at the position it lands on.
+# A type that is an index, plain or a closure's, stands for a binder level
+# (``_level``), so an argument typed by the domain's level needs no tables.
 
 
 _VAR = BVar(0)
@@ -263,6 +265,20 @@ def _view(t, env: tuple | None, own: int, table: dict):
             return t, None, 0
 
 
+def _level(scope: _Scope, t) -> int | None:
+    """The binder level that type ``t`` stands for if it is an index: a plain
+    ``BVar`` over the scope's binders, or a closure of one, followed through
+    index thunks.  Two types of one level are what ``_same`` answers first."""
+    if type(t) is BVar:
+        return len(scope.binders) - 1 - t.index
+    while type(t) is tuple and type(t[0]) is BVar:
+        t, env = t
+        for _ in range(t.index):
+            env = env[1]
+        t = env[0]
+    return t if type(t) is int else None
+
+
 def _index(t, depth: int) -> int | None:
     """The index that ``_view``'s ``t`` reads back as under ``depth`` binders, if a variable."""
     return depth - 1 - t if type(t) is int else t.index if type(t) is BVar else None
@@ -365,8 +381,8 @@ def _fun_head(scope: _Scope, fun: Expr, fun_ty: Expr) -> Pi:
 
 def _app_type(scope: _Scope, fun: Expr, fun_ty) -> tuple:
     """``(head, subst)``: the product ``fun``'s type ``fun_ty`` exposes, for
-    the types ``_infer`` does not read directly: a ``_Prod``, a ``_Subst``,
-    a closure or term that is no product, any type at fuel < 1.  A delayed
+    the types ``_infer`` does not read directly: a ``_Subst``, a closure or
+    term that is no product, any type at fuel < 1.  A delayed
     type is entered and evaluated where it is, the substitutions it was
     found under collected in ``subst``, to a ``_Prod`` (which takes the
     argument as a binding at its level) or a closure ``(Pi, env)``.
@@ -476,10 +492,11 @@ def _infer(scope: _Scope, e: Node) -> tuple:
     term A stands for, but for a body that hands up no sort, whose type is
     typed as a term; callers build it with ``_term``.  Labeled types, and
     the types sigma rules give, are terms.  An application whose function's
-    type is a ``Pi`` or a closure of one (fuel >= 1) takes its parts as they
-    are, the argument pushed onto the closure's environment; other heads go
-    to ``_app_type``.  An argument whose type is, or equals as a node, the
-    domain needs no ``_convertible``.
+    type is a ``Pi``, a closure of one or a ``_Prod`` (fuel >= 1) takes its
+    parts as they are, the argument pushed onto the closure's environment or
+    bound at the product's level; other heads go to ``_app_type``.  An
+    argument whose type is, or equals as a node, the domain, or stands for
+    the same binder level (``_level``), needs no ``_convertible``.
 
     s is known for a sort, product or Sig type (the axiom of the sort that
     types it), for a plain variable whose type checks (the sort of its
@@ -500,7 +517,7 @@ def _infer(scope: _Scope, e: Node) -> tuple:
         fun, arg = e.fun, e.arg
         fun_ty, s3 = _infer(scope, fun)
         head, subst = fun_ty, None
-        if scope.fuel < 1 or not (type(head) is Pi or type(head) is tuple and type(head[0]) is Pi):
+        if scope.fuel < 1 or not (type(head) is Pi or type(head) is _Prod or type(head) is tuple and type(head[0]) is Pi):
             head, subst = _app_type(scope, fun, fun_ty)
         if type(head) is Pi:
             dom, cod = head.dom, head.cod
@@ -513,7 +530,9 @@ def _infer(scope: _Scope, e: Node) -> tuple:
             dom, cod = _under(head.dom, subst), _Subst(head.cod, ((head.level, _thunk(scope, arg)), subst))
         arg_ty = _infer(scope, arg)[0]
         if arg_ty is not dom and not (isinstance(dom, Node) and arg_ty == dom):  # a node is == only to a node
-            _convertible(scope, arg_ty, dom, "argument of", fun)
+            level = _level(scope, arg_ty)
+            if level is None or level != _level(scope, dom):
+                _convertible(scope, arg_ty, dom, "argument of", fun)
         # the product reduces from fun_ty, so it has fun_ty's sort s3
         return cod, scope.spec.cod_sorts.get(s3)
     if cls is Var or cls is LVar:

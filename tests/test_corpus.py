@@ -289,6 +289,20 @@ def test_report_on_a_context_the_translation_rejects():
     assert [line.split()[:2] for line in lines[7:]] == [["PASS", "labeled-roundtrip"], ["PASS", "tight-erasure"]]
 
 
+def test_a_translation_that_crashes_the_re_check_is_a_fail(monkeypatch):
+    # a term translation leaving an index dangling makes check_type raise
+    # ValueError; the term-translation check reports it as the
+    # type-translation check does, and run_report goes on
+    from ptskit import translate
+    from ptskit.syntax import BVar, Context, parse_expr
+
+    term, original = parse_expr(r"\A:*. \x:A. x"), translate._trans_term
+    monkeypatch.setattr(translate, "_trans_term", lambda w, a, depth: BVar(depth) if a is term else original(w, a, depth))
+    lines = [e.line() for e in run_report([Judgement("d", Context(), term, None)])]
+    assert "FAIL term-translation |- ?0 : (A:*) -> _0 -> A -> A (dangling bound variable reached the type checker)" in lines
+    assert [line.split()[:2] for line in lines[-2:]] == [["PASS", "labeled-roundtrip"], ["PASS", "tight-erasure"]]
+
+
 def test_normalizes_check_reports_exhaustion_without_the_replay(monkeypatch):
     # the check reads no FuelExhausted.last, so the evaluator's exhaustion is
     # reported without replaying it by substitution

@@ -11,7 +11,7 @@ import pytest
 
 from ptskit import syntax
 from ptskit.reduction import step_all
-from ptskit.syntax import CC, FOMEGA, STAR, App, Context, Node, Pi, SortE, parse_context, parse_expr, print_expr
+from ptskit.syntax import CC, FOMEGA, STAR, App, BVar, Context, Node, Pi, SortE, parse_context, parse_expr, print_expr
 from ptskit.translate import _translate_judgement, check_translation
 from ptskit.typecheck import ErrorKind, TypeCheckError, check_type, classify, infer_type
 from ptskit.corpus import load_corpus_dir
@@ -189,14 +189,21 @@ def test_applications_match_the_substituting_walk_at_every_fuel(text):
             assert fuel or got == ("ValueError", "fuel must be >= 1"), walk.__name__
 
 
-def _is_product(ty):
-    return type(ty) is Pi or type(ty) is tuple and type(ty[0]) is Pi
+def _head_kind(ty):
+    """What a function's type is at its head: "product" for a ``Pi`` or a
+    closure of one, "delayed product" for a lambda's ``_Prod``, else None."""
+    from ptskit.typecheck import _Prod
+
+    if type(ty) is Pi or type(ty) is tuple and type(ty[0]) is Pi:
+        return "product"
+    return "delayed product" if type(ty) is _Prod else None
 
 
 def _calls_from_applications(monkeypatch, run):
-    """``(name, head is a product)`` for each ``whnf``, ``beta_eq`` and
-    ``_app_type`` call that ``run()`` makes from the App case of ``_infer``
-    or ``_elaborate``: the innermost frame of either walk is an application's."""
+    """``(name, head kind)`` (see ``_head_kind``) for each ``whnf``,
+    ``beta_eq`` and ``_app_type`` call that ``run()`` makes from the App case
+    of ``_infer`` or ``_elaborate``: the innermost frame of either walk is an
+    application's."""
     from ptskit import labeled, typecheck
 
     walks = {typecheck._infer.__code__: "e", labeled._elaborate.__code__: "a"}
@@ -208,7 +215,7 @@ def _calls_from_applications(monkeypatch, run):
             while frame is not None and frame.f_code not in walks:
                 frame = frame.f_back
             if frame is not None and type(frame.f_locals[walks[frame.f_code]]) is App:
-                calls.append((name, _is_product(frame.f_locals["fun_ty"])))
+                calls.append((name, _head_kind(frame.f_locals["fun_ty"])))
             return original(*args)
 
         return call
@@ -222,7 +229,8 @@ def _calls_from_applications(monkeypatch, run):
 
 def test_applications_of_products_neither_reduce_their_type_nor_call_conversion(monkeypatch):
     # the benchmark's 150-deep spine f (f (... x)), typed, elaborated and
-    # checked with its translation, and the translation check of numeral 160
+    # checked with its translation, and the translation checks of nest 32 and
+    # numeral 160, whose translated lambdas have delayed products as types
     from ptskit.labeled import label_term
 
     ctx, spine = parse_context("A : *\nf : A -> A\nx : A"), P("f (" * 149 + "f x" + ")" * 149)
@@ -230,13 +238,141 @@ def test_applications_of_products_neither_reduce_their_type_nor_call_conversion(
         lambda: infer_type(CC, ctx, spine),
         lambda: label_term(CC, ctx, spine),
         lambda: check_translation(ctx, spine),
+        lambda: check_translation(Context(), lambda_nest(32)),
         lambda: check_translation(Context(), church_numeral(160)),
     ]
     for run in runs:
         assert [call for call in _calls_from_applications(monkeypatch, run) if call[1]] == []
     # the spy sees the calls of an application whose head is a redex
     redex = lambda: infer_type(CC, parse_context(oracle.APP_CTX), P("k a"))
-    assert _calls_from_applications(monkeypatch, redex) == [("_app_type", False), ("whnf", False)]
+    assert _calls_from_applications(monkeypatch, redex) == [("_app_type", None), ("whnf", None)]
+
+
+def test_delayed_product_heads_are_typed_in_place(monkeypatch):
+    # the translation applies \_y:_0. \x:A. ..., whose type is a _Prod: one
+    # _app_type call per translated lambda (32 on nest 32, 3 on numeral 160)
+    # when only closed and closure products were read directly
+    for term in (lambda_nest(32), church_numeral(160)):
+        calls = _calls_from_applications(monkeypatch, lambda: check_translation(Context(), term))
+        assert ("_app_type", "delayed product") not in calls
+    # at fuel 1 too (below 1, see the test of oracle.APPLICATIONS above)
+    calls = _calls_from_applications(monkeypatch, lambda: check_translation(Context(), lambda_nest(32), 1))
+    assert ("_app_type", "delayed product") not in calls
+
+
+def _index_typed(ty):
+    """Whether a type is an index: a plain ``BVar`` or a closure of one."""
+    return type(ty) is BVar or type(ty) is tuple and type(ty[0]) is BVar
+
+
+def _conversions_of_indices(monkeypatch, run):
+    """How many ``_convertible`` calls ``run()`` makes from an application
+    between two index-typed sides: the argument's type and the domain."""
+    from ptskit import typecheck
+
+    calls, original = [0], typecheck._convertible
+
+    def spy(scope, a, b, *rest):
+        frame = sys._getframe(1)
+        if frame.f_code is typecheck._infer.__code__ and type(frame.f_locals["e"]) is App:
+            calls[0] += _index_typed(a) and _index_typed(b)
+        return original(scope, a, b, *rest)
+
+    monkeypatch.setattr(typecheck, "_convertible", spy)
+    try:
+        run()
+    except TypeCheckError:
+        pass
+    monkeypatch.undo()
+    return calls[0]
+
+
+# an argument whose type is a bound variable other than the domain's (f y with
+# f : A -> A and y : B, then with the levels the other way round), the same
+# term with the argument's type corrected, and the mismatch reported
+LEVEL_MISMATCH = r"\A:*. \B:*. \f:A -> A. \y:B. f y"
+LEVEL_MISMATCHES = [
+    (LEVEL_MISMATCH, r"\A:*. \B:*. \f:A -> A. \y:A. f y", "argument of f: B is not convertible with A"),
+    (r"\A:*. \B:*. \f:B -> B. \y:A. f y", r"\A:*. \B:*. \f:B -> B. \y:B. f y", "argument of f: A is not convertible with B"),
+]
+
+
+def test_index_typed_arguments_of_one_level_make_no_conversion(monkeypatch):
+    # numeral 160's translation check made 320 such calls: 318 between
+    # closures over an index and 2 between a plain index and a closure
+    run = lambda: check_translation(Context(), church_numeral(160))
+    assert _conversions_of_indices(monkeypatch, run) == 0
+    assert _conversions_of_indices(monkeypatch, lambda: infer_type(CC, Context(), church_numeral(160))) == 0
+    # two levels that differ still go to _convertible, which the spy sees
+    run = lambda: infer_type(CC, Context(), P(LEVEL_MISMATCH))
+    assert _conversions_of_indices(monkeypatch, run) == 1
+
+
+def _level_cases():
+    """``(call, args)`` for the differential test: CC typing of the
+    generated terms, of numerals 1..40 and of the applications of
+    ``typing_oracle``, and the numerals' translation checks."""
+    pool, app_ctx = typed_pool_context(), parse_context(oracle.APP_CTX)
+    cases = [(infer_type, (CC, pool, t)) for t in typed_terms(seed=7, count=600)]
+    for n in range(1, 41):
+        cases.append((infer_type, (CC, Context(), church_numeral(n))))
+        cases.append((check_translation, (Context(), church_numeral(n))))
+    cases += [(infer_type, (CC, app_ctx, P(text))) for text in oracle.APPLICATIONS]
+    cases += [(infer_type, (CC, Context(), P(bad))) for bad, _, _ in LEVEL_MISMATCHES]
+    return cases
+
+
+def _case_outcome(call, *args):
+    if call is check_translation:
+        return [(e.ok, e.name, e.detail) for e in check_translation(*args)]
+    return oracle.outcome(call, *args)
+
+
+def test_the_level_shortcut_agrees_with_conversion(monkeypatch):
+    # wherever an application settles its argument by level, _same says the
+    # two types are the same; and every outcome, at fuel 1, 3 and 10000, is
+    # the one the walk gives when each of those arguments goes to _convertible
+    from ptskit import typecheck
+
+    original, settled = typecheck._level, [0]
+
+    def spy(scope, t):
+        frame = sys._getframe(1)
+        arg_ty, dom = frame.f_locals["arg_ty"], frame.f_locals["dom"]
+        level = original(scope, arg_ty)
+        if t is arg_ty and level is not None and level == original(scope, dom):
+            assert typecheck._same(scope, arg_ty, dom), (frame.f_locals["e"], level)
+            settled[0] += 1
+        return original(scope, t)
+
+    cases = _level_cases()
+    for fuel in (1, 3, 10000):
+        monkeypatch.setattr(typecheck, "_level", spy)
+        got = [_case_outcome(call, *args, fuel) for call, args in cases]
+        monkeypatch.setattr(typecheck, "_level", lambda scope, t: None)
+        want = [_case_outcome(call, *args, fuel) for call, args in cases]
+        monkeypatch.undo()
+        assert got == want, fuel
+    assert settled[0] > 3 * 2 * sum(range(1, 41))  # each numeral's applications, typed and translated
+
+
+@pytest.mark.parametrize("fuel", [1, 3, 10000])
+def test_index_typed_arguments_of_different_levels_are_a_mismatch(fuel):
+    # typed directly, in CC and F-omega, and as a translation re-check: the
+    # ill-typed term's translation checked against the well-typed one's type
+    from ptskit.translate import _check_translated
+
+    for text, good, message in LEVEL_MISMATCHES:
+        bad = P(text)
+        for spec in (CC, FOMEGA):
+            assert oracle.outcome(infer_type, spec, Context(), bad, fuel) == ("error", ErrorKind.MISMATCH, message)
+        [entry] = check_translation(Context(), bad, fuel)
+        assert (entry.ok, entry.name, entry.detail) == (False, "translation", f"setup failed: Mismatch: {message}")
+        good_ty = infer_type(CC, Context(), P(good))
+        env, tctx, ta, t_ty = _translate_judgement(Context(), bad, good_ty)
+        [entry] = _check_translated(env, bad, good_ty, tctx, ta, t_ty, fuel)
+        assert (entry.ok, entry.name) == (False, "term-translation")
+        assert entry.detail.endswith(f" (Mismatch: {message})")
 
 
 # ---------------------------------------------------------------------------
