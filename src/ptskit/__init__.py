@@ -11,10 +11,10 @@ so a command loads only the code it runs.
 
 _EXPORTS = {
     "syntax": """BOX BUILTIN_SPECS CC FOMEGA STAR STLC SYSTEM_F App BVar Context Expr LApp LLam LPi LSort
-        LVar LabeledExpr Lam Pair ParseError Pi Proj1 Proj2 PtsSpec Sigma SortE Var alpha_eq close_binder
+        LVar LabeledExpr Lam Pair ParseError Pi Proj1 Proj2 PtsSpec Sigma SortE Var close_binder
         free_vars open_binder parse_context parse_expr parse_labeled print_context print_expr print_labeled
         subst""",
-    "reduction": """DEFAULT_FUEL UNDETERMINED FuelExhausted StepTrace beta_eq is_base joinable key_redex_of
+    "reduction": """DEFAULT_FUEL UNDETERMINED FuelExhausted StepTrace beta_eq key_redex_of
         normalize reachable reduce_key_redex step_all trace whnf""",
     "typecheck": """Classification ErrorKind GammaConstructor GammaTerm Kind TypeCheckError check_type
         classify infer_type load_spec_file parse_spec_text resolve_spec wf_context""",

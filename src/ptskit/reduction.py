@@ -32,7 +32,7 @@ compares labels), pairs and projections, and ``FuelExhausted.last``.
 
 from __future__ import annotations
 
-from .syntax import BOUND, FREE, App, BVar, Expr, Lam, Node, Pi, Record, SortE, Var, _set
+from .syntax import App, BVar, Expr, Lam, Node, Pi, Record, SortE, Var, _set
 
 DEFAULT_FUEL = 10000
 DEFAULT_DEPTH = 12  # bound on the steps of a reduction-path search (``reachable``)
@@ -363,16 +363,7 @@ def beta_eq(a: Expr, b: Expr, fuel: int = DEFAULT_FUEL):
 
 
 # ---------------------------------------------------------------------------
-# Base expressions and key redexes
-
-
-def is_base(e: Node) -> bool:
-    """True for a variable applied to any arguments, or projections of such."""
-    while e._head == "pair":
-        e = e.pair
-    while e._head == "fun":
-        e = e.fun
-    return e._role in (FREE, BOUND)
+# Key redexes
 
 
 def key_redex_of(e: Node) -> Node | None:
@@ -389,17 +380,6 @@ def key_redex_of(e: Node) -> Node | None:
     return None
 
 
-def key_redex_path(e: Node) -> str | None:
-    """Position path of the key redex inside ``e`` (for step filtering)."""
-    path = []
-    while e._head is not None:
-        if e._head == "fun" and e._fires():
-            return ".".join(path)
-        path.append(e._head)
-        e = getattr(e, e._head)
-    return None
-
-
 def reduce_key_redex(e: Node) -> Node:
     """Contract exactly the key redex, in place."""
     head = e._head
@@ -411,7 +391,7 @@ def reduce_key_redex(e: Node) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# Bounded reachability and joinability
+# Bounded reachability
 
 
 def _search(
@@ -463,8 +443,3 @@ def reachable(a: Node, b: Node, max_depth: int, min_steps: int = 0) -> bool:
 def reducts_within(e: Node, depth: int) -> set[Node]:
     """All terms reachable from e in at most ``depth`` steps (e included)."""
     return _search(e, depth, frozenset())[1]
-
-
-def joinable(a: Node, b: Node, max_depth: int) -> bool:
-    """Do the bounded reduct sets of a and b intersect (up to alpha)?"""
-    return _search(a, max_depth, reducts_within(b, max_depth))[0]

@@ -437,11 +437,6 @@ class LApp(LabeledExpr):
 _build_nodes()
 
 
-def alpha_eq(a: Expr, b: Expr) -> bool:
-    """Equality up to bound-variable names (structural under the hood)."""
-    return a == b
-
-
 def free_vars(e: Node) -> frozenset[str]:
     out: set[str] = set()
     todo = [e]

@@ -71,8 +71,7 @@ class ReservedNameError(ValueError):
 
 
 def _check_input(e: Expr) -> None:
-    bad = sorted(n for n in free_vars(e) if n.startswith(RESERVED_PREFIX))
-    if bad:
+    if bad := sorted(n for n in free_vars(e) if n.startswith(RESERVED_PREFIX)):
         raise ReservedNameError(f"input mentions reserved names: {', '.join(bad)}")
 
 
@@ -524,8 +523,9 @@ def check_subst_lemmas(ctx: Context, a: Expr, x: str, b: Expr, fuel: int = DEFAU
     try:
         wf_context(CC, ctx, fuel)
         inferred = infer_type(CC, ctx, b, fuel)
-        if beta_eq(inferred, b_ty, fuel) is not True:
-            return [CheckEntry(False, "subst-hypotheses", f"replacement is not of {x}'s type")]
+        if (same := beta_eq(inferred, b_ty, fuel)) is not True:
+            undecided = f"conversion of the replacement's type with {x}'s type undecided within {fuel} steps"
+            return [CheckEntry(False, "subst-hypotheses", f"replacement is not of {x}'s type" if same is False else undecided)]
         infer_type(CC, ctx, a, fuel)
     except TypeCheckError as err:
         return [CheckEntry(False, "subst-hypotheses", str(err))]

@@ -15,10 +15,11 @@ An open plain type travels up the walk under delayed substitution
 environment it was entered in, and an application's type is its
 function's codomain with the argument pushed onto that environment, so
 neither shifts nor instantiates anything.  A lambda's type keeps such a
-codomain delayed inside its product (``_Prod``).  Conversion and sorts
-evaluate these types where they are; the term one stands for, the one
-``instantiate`` and ``_shift`` would have built, is built once
-(``_term``), at the boundary of the walk or to print an error.
+codomain delayed inside its product (``_Prod``).  The term a delayed type
+stands for, the one ``instantiate`` and ``_shift`` would have built, is
+built once (``_term``) where a question is asked of it: at the boundary
+of the walk, to compare it (``beta_eq``), to normalize it to a sort, to
+expose a function's product (``whnf``) or to print an error.
 """
 
 from __future__ import annotations
@@ -63,10 +64,7 @@ from .reduction import (
     DEFAULT_FUEL,
     UNDETERMINED,
     FuelExhausted,
-    _Unsupported,
-    _eval,
     _normal_form,
-    _quote,
     beta_eq,
     reachable,
     whnf,
@@ -113,8 +111,8 @@ class _Scope(Scope):
         self.spec, self.fuel, self.depth, self.sorts, self.ltypes, self.envs = spec, fuel, depth, {}, {}, [None]
 
     def env(self, n: int | None = None) -> tuple | None:
-        """The environment of the ``n`` outermost binders (all by default) in
-        ``reduction._eval``'s format: binder k (0 the outermost) is level k."""
+        """The environment of the ``n`` outermost binders (all by default), as
+        a closure holds it (see ``_view``): binder k (0 the outermost) is level k."""
         envs = self.envs
         if n is None:
             n = len(self.binders)
@@ -144,12 +142,14 @@ class _Scope(Scope):
 # Delayed types
 #
 # A type in the walk is a term over the scope's binders (always, when it is
-# closed); a closure ``(term, env)`` in ``reduction._eval``'s format, whose
-# levels are the scope's binders (``_Scope.env``); a ``_Prod``; or a
-# ``_Subst``.  A product names its binder by the level it would have in the
-# scope, so ``_term`` and ``_same`` read it back at the position it lands on.
+# closed); a closure ``(term, env)``, whose environment links the scope's
+# binder levels and arguments (``_Scope.env``); a ``_Prod``; or a ``_Subst``.
+# A product names its binder by the level it would have in the scope, so
+# ``_term`` reads it back at the position it lands on.  Only ``_term`` (with
+# ``_view`` and ``_apply``) and ``_level`` read a delayed type: conversion,
+# sort checks and function heads are decided on the term ``_term`` builds.
 # A type that is an index, plain or a closure's, stands for a binder level
-# (``_level``), so an argument typed by the domain's level needs no tables.
+# (``_level``), so an argument typed by the domain's level needs no term.
 
 
 _VAR = BVar(0)
@@ -167,13 +167,13 @@ class _Prod:
 
 
 class _Subst:
-    """The delayed type ``inner`` with some of its levels bound to arguments:
-    ``subst`` links ``(level, (term, env))`` bindings and other such lists."""
+    """The delayed type ``inner`` with its level ``level`` bound to the
+    argument ``arg``, a closure: the type of a ``_Prod``'s application."""
 
-    __slots__ = ("inner", "subst")
+    __slots__ = ("inner", "level", "arg")
 
-    def __init__(self, inner, subst: tuple):
-        self.inner, self.subst = inner, subst
+    def __init__(self, inner, level: int, arg: tuple):
+        self.inner, self.level, self.arg = inner, level, arg
 
 
 def _clo(t: Expr, env: tuple | None):
@@ -185,23 +185,6 @@ def _thunk(scope: _Scope, t: Expr) -> tuple:
     """Plain ``t``, over ``scope``'s binders, as a closure; an index as one
     over its level alone, which a lookup reaches without walking."""
     return (_VAR, (len(scope.binders) - 1 - t.index, None)) if type(t) is BVar else (t, scope.env())
-
-
-def _under(t, subst: tuple | None):
-    return t if subst is None or isinstance(t, Node) else _Subst(t, subst)
-
-
-def _bind(table: dict, subst: tuple) -> None:
-    """Add a substitution's bindings to ``table`` (level -> argument)."""
-    todo = [subst]
-    while todo:
-        s = todo.pop()
-        while s is not None:
-            item, s = s
-            if type(item[0]) is int:
-                table[item[0]] = item[1]
-            else:
-                todo.append(item)
 
 
 def _term(scope: _Scope, ty) -> Node:
@@ -259,7 +242,7 @@ def _view(t, env: tuple | None, own: int, table: dict):
         elif type(t) is tuple:
             (t, env), own = t, 0
         elif type(t) is _Subst:
-            _bind(table, t.subst)
+            table[t.level] = t.arg
             t = t.inner
         else:
             return t, None, 0
@@ -268,7 +251,7 @@ def _view(t, env: tuple | None, own: int, table: dict):
 def _level(scope: _Scope, t) -> int | None:
     """The binder level that type ``t`` stands for if it is an index: a plain
     ``BVar`` over the scope's binders, or a closure of one, followed through
-    index thunks.  Two types of one level are what ``_same`` answers first."""
+    index thunks.  Two types of one level stand for the same index."""
     if type(t) is BVar:
         return len(scope.binders) - 1 - t.index
     while type(t) is tuple and type(t[0]) is BVar:
@@ -277,67 +260,6 @@ def _level(scope: _Scope, t) -> int | None:
             env = env[1]
         t = env[0]
     return t if type(t) is int else None
-
-
-def _index(t, depth: int) -> int | None:
-    """The index that ``_view``'s ``t`` reads back as under ``depth`` binders, if a variable."""
-    return depth - 1 - t if type(t) is int else t.index if type(t) is BVar else None
-
-
-def _same(scope: _Scope, a, b) -> bool:
-    """Whether types ``a`` and ``b`` stand for the same term (``_term(a) ==
-    _term(b)``), decided by one walk through both, building neither; at
-    once when both view to binder levels, as an argument's type often does."""
-    tables, env = ({}, {}), scope.env()
-    x, xe, xo = _view(a, env, 0, tables[0])
-    y, ye, yo = _view(b, env, 0, tables[1])
-    if type(x) is int and type(y) is int:
-        return x == y
-    todo = [(x, xe, xo, y, ye, yo, len(scope.binders))]
-    while todo:
-        x, xe, xo, y, ye, yo, depth = todo.pop()
-        x, xe, xo = _view(x, xe, xo, tables[0])
-        y, ye, yo = _view(y, ye, yo, tables[1])
-        if type(x) is int or type(y) is int:
-            if _index(x, depth) != _index(y, depth):
-                return False
-            continue
-        if isinstance(x, Node) and isinstance(y, Node) and x._loose <= xo and y._loose <= yo:
-            if x != y:
-                return False
-            continue
-        sides = []
-        for t, env, own, table in ((x, xe, xo, tables[0]), (y, ye, yo, tables[1])):
-            if type(t) is _Prod:
-                table[t.level] = depth
-                sides.append((Pi, ((t.dom, None, 0, 0), (t.cod, None, 0, 1))))
-            else:
-                sides.append((type(t), [(getattr(t, name), env, own + b, b) for name, b in t._children]))
-        (cx, xs), (cy, ys) = sides
-        if cx is not cy:
-            return False
-        for (x, xe, xo, b), (y, ye, yo, _) in zip(xs, ys):
-            todo.append((x, xe, xo, y, ye, yo, depth + b))
-    return True
-
-
-def _budget(scope: _Scope) -> list[int]:
-    if scope.fuel < 1:
-        raise ValueError("fuel must be >= 1")
-    return [scope.fuel]
-
-
-def _normal(scope: _Scope, ty) -> Node:
-    """The normal form of type ``ty``, as ``normalize`` gives it for ``_term(ty)``;
-    a closure is evaluated and read back where it is."""
-    if isinstance(ty, Node):
-        return _normal_form(ty, scope.fuel)
-    if type(ty) is tuple:
-        try:
-            return _quote(ty[0], ty[1], len(scope.binders), _budget(scope))
-        except _Unsupported:
-            pass
-    return _normal_form(_term(scope, ty), scope.fuel)
 
 
 def _sort_of(scope: _Scope, ty: Node) -> str:
@@ -349,7 +271,7 @@ def _as_sort(scope: _Scope, ty, subject: Node) -> str:
     if (type(ty) is SortE or type(ty) is LSort) and scope.fuel > 0 and ty.name in scope.spec.sorts:
         return ty.name  # the common case, normal already
     try:
-        n = _normal(scope, ty)
+        n = _normal_form(_term(scope, ty), scope.fuel)
     except FuelExhausted:
         _fail(ErrorKind.FUEL_EXHAUSTED, f"normalizing the type of {scope.show(subject)}")
     if isinstance(n, (SortE, LSort)) and n.name in scope.spec.sorts:
@@ -366,7 +288,9 @@ def _pi_sort(scope: _Scope, s1: str, s2: str, pi: Node) -> str:
 
 
 def _fun_head(scope: _Scope, fun: Expr, fun_ty: Expr) -> Pi:
-    """The product that ``fun``'s type, the term ``fun_ty``, exposes at its head."""
+    """The product that ``fun``'s type, the term ``fun_ty``, exposes at its
+    head under ``whnf``; a head that is no product is reported here, as is
+    fuel that runs out (or a ``ValueError`` at fuel below 1)."""
     try:
         head = whnf(fun_ty, scope.fuel)
     except FuelExhausted:
@@ -379,51 +303,15 @@ def _fun_head(scope: _Scope, fun: Expr, fun_ty: Expr) -> Pi:
     return head
 
 
-def _app_type(scope: _Scope, fun: Expr, fun_ty) -> tuple:
-    """``(head, subst)``: the product ``fun``'s type ``fun_ty`` exposes, for
-    the types ``_infer`` does not read directly: a ``_Subst``, a closure or
-    term that is no product, any type at fuel < 1.  A delayed
-    type is entered and evaluated where it is, the substitutions it was
-    found under collected in ``subst``, to a ``_Prod`` (which takes the
-    argument as a binding at its level) or a closure ``(Pi, env)``.
-    Whatever else its head is (a product under an argument the evaluator
-    left unapplied, a sigma node, no product) is left to ``_fun_head`` on
-    ``_term(fun_ty)``, which gives a ``Pi`` and reports every failure."""
-    if not isinstance(fun_ty, Node):
-        subst, t, budget = None, fun_ty, _budget(scope)
-        while type(t) is _Subst:
-            subst, t = (t.subst, subst), t.inner
-        if type(t) is _Prod:
-            return t, subst
-        try:
-            v = _eval(t[0], t[1], budget)
-        except FuelExhausted:
-            _fail(ErrorKind.FUEL_EXHAUSTED, f"exposing the type of {scope.show(fun)}")
-        except _Unsupported:
-            v = None
-        if type(v) is tuple and type(v[0]) is Pi:
-            return v, subst
-        fun_ty = _term(scope, fun_ty)
-    return _fun_head(scope, fun, fun_ty), None
-
-
 def _convertible(scope: _Scope, a, b, where: str, subject: Expr | None = None) -> None:
     """Require types a and b to be convertible, as ``beta_eq`` decides it
-    for the terms they stand for: true at no cost in fuel if those are
-    equal, else by comparing normal forms, each within the fuel.
+    for the terms they stand for (``_term``): true at no cost in fuel if
+    those are equal, else by comparing normal forms, each within the fuel.
 
     ``where`` names the site, followed by the printed ``subject`` if one
     is given; the text is rendered only when the check fails.
     """
-    if isinstance(a, Node) and isinstance(b, Node):
-        r = beta_eq(a, b, scope.fuel)
-    elif _same(scope, a, b):
-        return
-    else:
-        try:
-            r = _normal(scope, a) == _normal(scope, b)
-        except FuelExhausted:
-            r = UNDETERMINED
+    r = beta_eq(_term(scope, a), _term(scope, b), scope.fuel)
     if r is True:
         return
     if subject is not None:
@@ -488,15 +376,17 @@ def _infer(scope: _Scope, e: Node) -> tuple:
     A plain A may be delayed (see the module docstring): a variable's is its
     binder's annotation under the binder's environment, an application's
     its function's codomain with the argument bound, and a lambda's a
-    ``_Prod`` when its body's is delayed.  Nothing in the walk builds the
-    term A stands for, but for a body that hands up no sort, whose type is
-    typed as a term; callers build it with ``_term``.  Labeled types, and
+    ``_Prod`` when its body's is delayed.  The walk builds the term A stands
+    for (``_term``) only to ask a question of it: a conversion, a sort, the
+    product of a function's type that is not one already, or the type of a
+    body that hands up no sort; callers build it too.  Labeled types, and
     the types sigma rules give, are terms.  An application whose function's
     type is a ``Pi``, a closure of one or a ``_Prod`` (fuel >= 1) takes its
     parts as they are, the argument pushed onto the closure's environment or
-    bound at the product's level; other heads go to ``_app_type``.  An
-    argument whose type is, or equals as a node, the domain, or stands for
-    the same binder level (``_level``), needs no ``_convertible``.
+    bound at the product's level; any other head is built and exposed by
+    ``_fun_head``.  An argument whose type is, or equals as a node, the
+    domain, or stands for the same binder level (``_level``), needs no
+    ``_convertible``.
 
     s is known for a sort, product or Sig type (the axiom of the sort that
     types it), for a plain variable whose type checks (the sort of its
@@ -516,18 +406,18 @@ def _infer(scope: _Scope, e: Node) -> tuple:
     if cls is App:
         fun, arg = e.fun, e.arg
         fun_ty, s3 = _infer(scope, fun)
-        head, subst = fun_ty, None
+        head = fun_ty
         if scope.fuel < 1 or not (type(head) is Pi or type(head) is _Prod or type(head) is tuple and type(head[0]) is Pi):
-            head, subst = _app_type(scope, fun, fun_ty)
+            head = _fun_head(scope, fun, _term(scope, fun_ty))
         if type(head) is Pi:
             dom, cod = head.dom, head.cod
             if cod._loose:
                 cod = (cod, (_thunk(scope, arg), scope.env())) if head._loose or arg._loose else instantiate(cod, arg)
         elif type(head) is tuple:
             pi, env = head
-            dom, cod = _under(_clo(pi.dom, env), subst), _under(_clo(pi.cod, (_thunk(scope, arg), env)), subst)
+            dom, cod = _clo(pi.dom, env), _clo(pi.cod, (_thunk(scope, arg), env))
         else:
-            dom, cod = _under(head.dom, subst), _Subst(head.cod, ((head.level, _thunk(scope, arg)), subst))
+            dom, cod = head.dom, _Subst(head.cod, head.level, _thunk(scope, arg))
         arg_ty = _infer(scope, arg)[0]
         if arg_ty is not dom and not (isinstance(dom, Node) and arg_ty == dom):  # a node is == only to a node
             level = _level(scope, arg_ty)
@@ -702,14 +592,15 @@ def classify(ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL, spec: PtsSpec | No
 
 def _classify(scope: _Scope, e: Expr, ty, s: str | None) -> Classification:
     """``classify`` from the pair ``(ty, s)`` that ``_infer`` gives for ``e``."""
+    ty = _term(scope, ty)
     try:
-        nty = _normal(scope, ty)
+        nty = _normal_form(ty, scope.fuel)
     except FuelExhausted:
         _fail(ErrorKind.FUEL_EXHAUSTED, f"normalizing the type of {print_expr(e)}")
     if nty == SortE(BOX):
         return Kind()
     if s is None:
-        s = _sort_of(scope, _term(scope, ty))
+        s = _sort_of(scope, ty)
     if s == BOX:
         return GammaConstructor(is_type=nty == SortE(STAR))
     if s == STAR:

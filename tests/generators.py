@@ -245,8 +245,8 @@ def subst_instances(seed: int, count: int) -> list[tuple[Context, Expr, str, Exp
 
 
 # ---------------------------------------------------------------------------
-# The benchmark's scaling families, built directly: past ~150 levels the
-# recursive-descent parser runs out of stack
+# The benchmark's scaling families, built directly as nodes, so that they do
+# not depend on the parser, whose cost the benchmark measures on its own rows
 
 
 def lambda_nest(d: int) -> Expr:

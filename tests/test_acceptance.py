@@ -32,10 +32,7 @@ from ptskit.reduction import (
     FuelExhausted,
     beta_eq,
     enumerate_steps,
-    is_base,
-    joinable,
     key_redex_of,
-    key_redex_path,
     normalize,
     reachable,
     reduce_key_redex,
@@ -68,6 +65,7 @@ from ptskit.labeled import (
 from ptskit.corpus import judgement_uses_sigma, load_corpus_dir
 
 from generators import subst_instances, typed_terms, untyped_term
+from metatheory import is_base, joinable, key_redex_path
 
 CCS = CC.with_sigma()
 

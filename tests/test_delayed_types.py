@@ -170,7 +170,7 @@ def _outcome(walk, *args):
 
 @pytest.mark.parametrize("text", oracle.APPLICATIONS)
 def test_applications_match_the_substituting_walk_at_every_fuel(text):
-    # each head the App case reads directly or leaves to _app_type, and each
+    # each head the App case reads directly or leaves to _fun_head, and each
     # error it reports, as typing, classification, checking and elaboration
     from ptskit.labeled import label_term
 
@@ -201,7 +201,7 @@ def _head_kind(ty):
 
 def _calls_from_applications(monkeypatch, run):
     """``(name, head kind)`` (see ``_head_kind``) for each ``whnf``,
-    ``beta_eq`` and ``_app_type`` call that ``run()`` makes from the App case
+    ``beta_eq`` and ``_fun_head`` call that ``run()`` makes from the App case
     of ``_infer`` or ``_elaborate``: the innermost frame of either walk is an
     application's."""
     from ptskit import labeled, typecheck
@@ -220,7 +220,7 @@ def _calls_from_applications(monkeypatch, run):
 
         return call
 
-    for name in ("whnf", "beta_eq", "_app_type"):
+    for name in ("whnf", "beta_eq", "_fun_head"):
         monkeypatch.setattr(typecheck, name, spy(name, getattr(typecheck, name)))
     run()
     monkeypatch.undo()
@@ -245,19 +245,19 @@ def test_applications_of_products_neither_reduce_their_type_nor_call_conversion(
         assert [call for call in _calls_from_applications(monkeypatch, run) if call[1]] == []
     # the spy sees the calls of an application whose head is a redex
     redex = lambda: infer_type(CC, parse_context(oracle.APP_CTX), P("k a"))
-    assert _calls_from_applications(monkeypatch, redex) == [("_app_type", None), ("whnf", None)]
+    assert _calls_from_applications(monkeypatch, redex) == [("_fun_head", None), ("whnf", None)]
 
 
 def test_delayed_product_heads_are_typed_in_place(monkeypatch):
     # the translation applies \_y:_0. \x:A. ..., whose type is a _Prod: one
-    # _app_type call per translated lambda (32 on nest 32, 3 on numeral 160)
-    # when only closed and closure products were read directly
+    # call to expose it per translated lambda (32 on nest 32, 3 on numeral
+    # 160) when only closed and closure products were read directly
     for term in (lambda_nest(32), church_numeral(160)):
         calls = _calls_from_applications(monkeypatch, lambda: check_translation(Context(), term))
-        assert ("_app_type", "delayed product") not in calls
+        assert ("_fun_head", "delayed product") not in calls
     # at fuel 1 too (below 1, see the test of oracle.APPLICATIONS above)
     calls = _calls_from_applications(monkeypatch, lambda: check_translation(Context(), lambda_nest(32), 1))
-    assert ("_app_type", "delayed product") not in calls
+    assert ("_fun_head", "delayed product") not in calls
 
 
 def _index_typed(ty):
@@ -329,8 +329,8 @@ def _case_outcome(call, *args):
 
 
 def test_the_level_shortcut_agrees_with_conversion(monkeypatch):
-    # wherever an application settles its argument by level, _same says the
-    # two types are the same; and every outcome, at fuel 1, 3 and 10000, is
+    # wherever an application settles its argument by level, the two types
+    # stand for the same term; and every outcome, at fuel 1, 3 and 10000, is
     # the one the walk gives when each of those arguments goes to _convertible
     from ptskit import typecheck
 
@@ -341,7 +341,7 @@ def test_the_level_shortcut_agrees_with_conversion(monkeypatch):
         arg_ty, dom = frame.f_locals["arg_ty"], frame.f_locals["dom"]
         level = original(scope, arg_ty)
         if t is arg_ty and level is not None and level == original(scope, dom):
-            assert typecheck._same(scope, arg_ty, dom), (frame.f_locals["e"], level)
+            assert typecheck._term(scope, arg_ty) == typecheck._term(scope, dom), (frame.f_locals["e"], level)
             settled[0] += 1
         return original(scope, t)
 

@@ -25,6 +25,9 @@ GOLDEN = os.path.join(ROOT, "tests", "golden")
 CASES = {
     "verify-cc-text": ["verify", "corpus/cc"],
     "verify-cc-machine": ["verify", "corpus/cc", "--format", "machine"],
+    # At fuel 1 the conversion and function-type paths run out of budget.
+    "verify-cc-fuel1-text": ["verify", "corpus/cc", "--fuel", "1"],
+    "verify-cc-fuel1-machine": ["verify", "corpus/cc", "--fuel", "1", "--format", "machine"],
     "verify-sigma-text": ["verify", "corpus/sigma", "--sigma"],
     "verify-sigma-machine": ["verify", "corpus/sigma", "--sigma", "--format", "machine"],
 }

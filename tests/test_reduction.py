@@ -10,10 +10,7 @@ from ptskit.reduction import (
     FuelExhausted,
     beta_eq,
     enumerate_steps,
-    is_base,
-    joinable,
     key_redex_of,
-    key_redex_path,
     leftmost_step,
     normalize,
     reachable,
@@ -25,6 +22,7 @@ from ptskit.reduction import (
 )
 
 from generators import typed_terms, untyped_term
+from metatheory import is_base, joinable, key_redex_path
 
 
 def P(text):

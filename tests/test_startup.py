@@ -89,9 +89,9 @@ PUBLIC = [
     "ErrorKind", "Expr", "FOMEGA", "FuelExhausted", "GammaConstructor", "GammaTerm", "Judgement", "Kind", "LApp",
     "LLam", "LPi", "LSort", "LVar", "LabeledContext", "LabeledExpr", "Lam", "Pair", "ParseError", "Pi", "Proj1",
     "Proj2", "PtsSpec", "STAR", "STLC", "SYSTEM_F", "Sigma", "SortE", "StepTrace", "TransEnv", "TypeCheckError",
-    "UNDETERMINED", "Var", "alpha_eq", "beta_eq", "canonical_inhabitant", "check_reduction_preservation",
+    "UNDETERMINED", "Var", "beta_eq", "canonical_inhabitant", "check_reduction_preservation",
     "check_subst_lemmas", "check_translation", "check_type", "classify", "close_binder", "corpus", "erase",
-    "erase_kind", "free_vars", "infer_type", "is_base", "joinable", "key_redex_of", "label_context", "label_term",
+    "erase_kind", "free_vars", "infer_type", "key_redex_of", "label_context", "label_term",
     "labeled", "labeled_infer", "load_corpus_dir", "load_judgement_file", "load_spec_file", "normalize",
     "open_binder", "parse_context", "parse_expr", "parse_judgement", "parse_labeled", "parse_spec_text",
     "print_context", "print_expr", "print_labeled", "reachable", "reduce_key_redex", "reduction", "resolve_spec",
@@ -101,7 +101,7 @@ PUBLIC = [
 
 
 def test_all_is_pinned():
-    assert len(PUBLIC) == 92 and PUBLIC == sorted(PUBLIC)
+    assert len(PUBLIC) == 89 and PUBLIC == sorted(PUBLIC)
     assert ptskit.__all__ == PUBLIC
 
 

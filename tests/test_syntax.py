@@ -33,7 +33,6 @@ from ptskit.syntax import (
     Sigma,
     SortE,
     Var,
-    alpha_eq,
     close_binder,
     free_vars,
     open_binder,
@@ -52,6 +51,7 @@ from ptskit.syntax import (
 )
 
 from generators import typed_pool_context, typed_terms, untyped_term
+from metatheory import alpha_eq
 
 
 def P(text, sigma=False):

@@ -526,6 +526,18 @@ def test_subst_lemma_rejects_bad_hypotheses():
     assert not entries[0].ok
 
 
+def test_subst_lemma_says_when_the_replacement_type_is_undecided():
+    # y's type needs two contractions to reach A, so at fuel 1 the check
+    # cannot tell, and says so; a replacement of another type is a definite no
+    ctx = C("A : *\nx : A\ny : (\\B:*. (\\C:*. C) B) A")
+    undecided = "FAIL subst-hypotheses conversion of the replacement's type with y's type undecided within 1 steps"
+    assert render_report(check_subst_lemmas(ctx, Var("y"), "y", Var("x"), 1)) == undecided
+    assert render_report(check_subst_lemmas(ctx, Var("y"), "y", Var("x"), 2)).splitlines()[0] == "PASS subst-hypotheses [x/y]"
+    ctx = C("A : *\nB : *\nx : A\ny : B")
+    for fuel in (1, 2):
+        assert render_report(check_subst_lemmas(ctx, Var("y"), "y", Var("x"), fuel)) == "FAIL subst-hypotheses replacement is not of y's type"
+
+
 def test_subst_lemma_rejects_ill_typed_subject():
     # messages recorded before the translation stopped calling the type checker
     ctx = C("A : *\nX : *\nx : X\nN : *")
