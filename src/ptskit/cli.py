@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .syntax import CC, Context, ParseError, parse_context, parse_expr, print_context, print_expr
-from .reduction import DEFAULT_DEPTH, DEFAULT_FUEL, FuelExhausted, normalize, trace
+from .reduction import DEFAULT_DEPTH, DEFAULT_FUEL, FuelExhausted, _Budget, normalize, trace
 from .typecheck import (
     ErrorKind, GammaConstructor, GammaTerm, Kind, TypeCheckError, check_type, classify, infer_type, resolve_spec, wf_context
 )
@@ -63,8 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 class _Session:
     def __init__(self, ns: argparse.Namespace):
-        if ns.fuel < 1:
-            raise ValueError("fuel must be >= 1")
+        self.budget = _Budget(ns.fuel, ns.depth)  # refuses fuel below 1
         if ns.depth < 1:
             raise ValueError("depth must be >= 1")
         self.ns = ns
@@ -72,12 +71,15 @@ class _Session:
         self.records: list[dict] = []
 
     def context(self) -> Context:
+        """The context of ``--ctx`` and ``--bind``, checked well-formed in the session's system."""
         parts = []
         if self.ns.ctx:
             with open(self.ns.ctx, encoding="utf-8") as fh:
                 parts.append(fh.read())
         parts.extend(self.ns.bind)
-        return parse_context("\n".join(parts), self.ns.sigma, self.ns.allow_reserved)
+        ctx = parse_context("\n".join(parts), self.ns.sigma, self.ns.allow_reserved)
+        wf_context(self.spec, ctx, self.ns.fuel)
+        return ctx
 
     def parse(self, text: str):
         return parse_expr(text, self.ns.sigma, self.ns.allow_reserved)
@@ -92,7 +94,6 @@ class _Session:
 
 def _cmd_check(s: _Session) -> int:
     ctx = s.context()
-    wf_context(s.spec, ctx, s.ns.fuel)
     term = s.parse(s.ns.term)
     ty = s.parse(s.ns.type)
     check_type(s.spec, ctx, term, ty, s.ns.fuel)
@@ -102,7 +103,6 @@ def _cmd_check(s: _Session) -> int:
 
 def _cmd_infer(s: _Session) -> int:
     ctx = s.context()
-    wf_context(s.spec, ctx, s.ns.fuel)
     ty = infer_type(s.spec, ctx, s.parse(s.ns.term), s.ns.fuel)
     s.emit({"command": "infer", "ok": True, "type": print_expr(ty)}, print_expr(ty))
     return EXIT_OK
@@ -132,7 +132,6 @@ def _cmd_trace(s: _Session) -> int:
 
 def _cmd_classify(s: _Session) -> int:
     ctx = s.context()
-    wf_context(s.spec, ctx, s.ns.fuel)
     cls = classify(ctx, s.parse(s.ns.term), s.ns.fuel, s.spec)
     match cls:
         case Kind():
@@ -150,7 +149,6 @@ def _cmd_classify(s: _Session) -> int:
 def _cmd_translate(s: _Session) -> int:
     from .translate import _check_translated, _translate_judgement, render_report
     ctx = s.context()
-    wf_context(s.spec, ctx, s.ns.fuel)
     term = s.parse(s.ns.term)
     ty = infer_type(s.spec, ctx, term, s.ns.fuel)
     # The translation needs CC typing: every built-in system implies it, a spec file need not;
@@ -160,7 +158,7 @@ def _cmd_translate(s: _Session) -> int:
         wf_context(cc, ctx, s.ns.fuel)
         ty = infer_type(cc, ctx, term, s.ns.fuel)
     env, tctx, t_term, t_ty = _translate_judgement(ctx, term, ty)
-    entries = _check_translated(env, term, ty, tctx, t_term, t_ty, s.ns.fuel)
+    entries = _check_translated(env, term, ty, tctx, t_term, t_ty, s.budget)
     ok = all(e.ok for e in entries)
     record = {
         "command": "translate",
@@ -186,7 +184,6 @@ def _cmd_translate(s: _Session) -> int:
 def _cmd_label(s: _Session) -> int:
     from .labeled import label_context, label_term, labeled_infer, print_labeled
     ctx = s.context()
-    wf_context(s.spec, ctx, s.ns.fuel)
     la = label_term(s.spec, ctx, s.parse(s.ns.term), s.ns.fuel)
     lctx = label_context(s.spec, ctx, s.ns.fuel)
     labeled_infer(s.spec, lctx, la, s.ns.fuel, s.ns.depth)
@@ -234,10 +231,8 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
-    session = None
     try:
-        session = _Session(ns)
-        return _COMMANDS[ns.command](session)
+        return _COMMANDS[ns.command](_Session(ns))
     except ParseError as err:
         _report_error(ns, f"parse error: {err}")
         return EXIT_PARSE_ERROR

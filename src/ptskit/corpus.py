@@ -22,16 +22,8 @@ from .syntax import (
     print_expr,
     _set,
 )
-from .reduction import (
-    DEFAULT_DEPTH,
-    DEFAULT_FUEL,
-    FuelExhausted,
-    _normal_form,
-    beta_eq,
-    reducts_within,
-    step_all,
-)
-from .typecheck import TypeCheckError, _check_inferred, _classify, _context_scope, _infer, _term, infer_type
+from .reduction import DEFAULT_DEPTH, DEFAULT_FUEL, FuelExhausted, _beta_eq, _Budget, _normal_form, reducts_within, step_all
+from .typecheck import TypeCheckError, _check_inferred, _classify, _context_scope, _infer, _Scope, _term
 from .translate import CheckEntry, _check_translated, _simulation, _translate_judgement
 from .labeled import _elaborate, _erases_to, tight_step_all
 
@@ -112,12 +104,13 @@ def run_report(
     Typing, preservation and normalization run for any system; the
     classification, translation, simulation and labeling checks are
     CC-specific and are skipped for sigma-using judgements, which the
-    translation does not cover.  Each judgement has one scope of its own.
+    translation does not cover.  Each judgement has a scope and a budget
+    of its own.
     """
     spec = spec or CC
     entries: list[CheckEntry] = []
     for j in judgements:
-        entries.extend(_report_one(j, spec, fuel, depth))
+        entries.extend(_report_one(j, spec, _Budget(fuel, depth)))
     return entries
 
 
@@ -125,7 +118,7 @@ def _entry(ok: bool, name: str, subject, extra: str = "") -> CheckEntry:
     return CheckEntry(ok, name, (lambda: f"{subject()} ({extra})") if extra else subject)
 
 
-def _report_one(j: Judgement, spec: PtsSpec, fuel: int, depth: int) -> list[CheckEntry]:
+def _report_one(j: Judgement, spec: PtsSpec, budget: _Budget) -> list[CheckEntry]:
     """Each job once: one typing, one translation, one step set, details rendered when read.
 
     One scope serves all but preservation: the context check leaves each
@@ -135,7 +128,7 @@ def _report_one(j: Judgement, spec: PtsSpec, fuel: int, depth: int) -> list[Chec
     first = CheckEntry(True, "ctx-wf", lambda: f"{j.name}: {print_expr(j.term)}")
     subject = lambda: first.detail  # rendered once, when an entry is first read
     try:
-        scope = _context_scope(spec, j.ctx, fuel, depth)
+        scope = _context_scope(spec, j.ctx, budget)
         entries.append(first)
     except TypeCheckError as err:
         return [_entry(False, "ctx-wf", subject, str(err))]
@@ -153,21 +146,22 @@ def _report_one(j: Judgement, spec: PtsSpec, fuel: int, depth: int) -> list[Chec
     # every reduct is checked; a failure names the first failing reduct in print order
     failures = []
     for reduct in reducts_within(j.term, 3) - {j.term}:
+        rscope = _Scope(spec, j.ctx, budget)  # a scope per reduct, as infer_type makes
         try:
-            r = beta_eq(infer_type(spec, j.ctx, reduct, fuel), inferred, fuel)
+            r = _beta_eq(_term(rscope, _infer(rscope, reduct)[0]), inferred, budget)
         except TypeCheckError as err:
             failures.append((print_expr(reduct), str(err)))
             continue
         if r is not True:
-            why = "type changed" if r is False else f"type conversion undecided within {fuel} steps"
+            why = "type changed" if r is False else f"type conversion undecided within {budget.fuel} steps"
             failures.append((print_expr(reduct), f"{why} across {print_expr(j.term)} ~>* {print_expr(reduct)}"))
     entries.append(_entry(not failures, "preservation", subject, min(failures)[1] if failures else ""))
 
     try:
-        _normal_form(j.term, fuel)
+        _normal_form(j.term, budget)
         entries.append(_entry(True, "normalizes", subject))
     except FuelExhausted:
-        entries.append(_entry(False, "normalizes", subject, f"no normal form within {fuel} steps"))
+        entries.append(_entry(False, "normalizes", subject, f"no normal form within {budget.fuel} steps"))
 
     if (spec.sorts, spec.axioms, spec.rules) != (CC.sorts, CC.axioms, CC.rules):
         return entries
@@ -191,8 +185,8 @@ def _report_one(j: Judgement, spec: PtsSpec, fuel: int, depth: int) -> list[Chec
         # simulation would translate the same term in the same context: same error
         entries.append(CheckEntry(False, "simulation", f"setup failed: {err}"))
     else:
-        entries.extend(_check_translated(env, j.term, inferred, tctx, ta, t_ty, fuel))
-        entries.extend(_simulation(env, j.term, ta, plain, depth))
+        entries.extend(_check_translated(env, j.term, inferred, tctx, ta, t_ty, budget))
+        entries.extend(_simulation(env, j.term, ta, plain, budget))
 
     try:
         la = _elaborate(scope, j.term)[0]

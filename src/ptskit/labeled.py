@@ -38,7 +38,7 @@ from .syntax import (
     parse_labeled as parse_labeled,
     print_labeled as print_labeled,
 )
-from .reduction import DEFAULT_DEPTH, DEFAULT_FUEL, step_all
+from .reduction import DEFAULT_DEPTH, DEFAULT_FUEL, _Budget, step_all
 from .typecheck import (
     ErrorKind,
     _as_sort,
@@ -104,7 +104,7 @@ def labeled_infer(
     conv_depth: int = DEFAULT_DEPTH,
 ) -> LabeledExpr:
     """Infer a labeled type; conversions are decided by directed search."""
-    scope = _Scope(spec, lctx, fuel, conv_depth)
+    scope = _Scope(spec, lctx, _Budget(fuel, conv_depth))
     return _term(scope, _infer(scope, la)[0])
 
 
@@ -124,12 +124,12 @@ def label_term(spec: PtsSpec, ctx: Context, a: Expr, fuel: int = DEFAULT_FUEL) -
     lambda neither re-checks nor re-elaborates the product, and an
     application of a variable takes its label from the variable's binder.
     """
-    return _elaborate(_Scope(spec, ctx, fuel), a)[0]
+    return _elaborate(_Scope(spec, ctx, _Budget(fuel)), a)[0]
 
 
 def label_context(spec: PtsSpec, ctx: Context, fuel: int = DEFAULT_FUEL) -> Context:
     lctx = Context()
-    prefix = _Scope(spec, Context(), fuel)
+    prefix = _Scope(spec, Context(), _Budget(fuel))
     prefix.types = {}
     for name, ty in ctx:
         lty = _elaborate(prefix, ty)[0]
@@ -188,7 +188,7 @@ def _elaborate(scope: _Scope, a: Expr) -> tuple[LabeledExpr, Expr, str | None, L
     if cls is App:
         fun, arg = a.fun, a.arg
         lfun, fun_ty, s3, lfun_ty = _elaborate(scope, fun)
-        head = fun_ty if type(fun_ty) is Pi and scope.fuel > 0 else _fun_head(scope, fun, fun_ty)
+        head = fun_ty if type(fun_ty) is Pi else _fun_head(scope, fun, fun_ty)
         larg, arg_ty, _, _ = _elaborate(scope, arg)
         if arg_ty != head.dom:
             _convertible(scope, arg_ty, head.dom, "argument of", fun)

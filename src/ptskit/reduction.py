@@ -28,6 +28,10 @@ copies it, so the contractions and their order are normal order's.  A
 dangling index is a read-back level, as the typing walks' open types
 need.  The substituting ``_nf`` stays for labeled terms (tight-beta
 compares labels), pairs and projections, and ``FuelExhausted.last``.
+
+Each public entry point makes one ``_Budget`` from its ``fuel`` and
+``max_depth`` arguments, refusing fuel below 1; the private functions of
+every module take the budget, not a bound of their own.
 """
 
 from __future__ import annotations
@@ -39,14 +43,29 @@ DEFAULT_DEPTH = 12  # bound on the steps of a reduction-path search (``reachable
 
 
 class FuelExhausted(Exception):
-    """Raised when a bounded reduction runs out of steps.
+    """Raised when a bounded reduction runs out of steps, with the last
+    intermediate term so callers can resume or report.  Only the evaluator
+    raises it with ``last`` None, and no public call lets that out:
+    ``normalize`` replays its steps; ``_normal_form``'s callers read no ``last``."""
 
-    Carries the last intermediate term so callers can resume or report.
-    """
-
-    def __init__(self, last: Expr):
+    def __init__(self, last: Expr | None):
         super().__init__("fuel exhausted")
         self.last = last
+
+
+class _Budget:
+    """The bounds of one operation.  Each bounded call (a normalization, a
+    weak head normalization) may make ``fuel`` contractions, and ``left`` is
+    what the current one has left.  A reduction-path search takes at most
+    ``depth`` steps, and sets ``cut`` when it stopped there with a frontier
+    still open: its miss is then no proof that no path exists."""
+
+    __slots__ = ("fuel", "left", "depth", "cut")
+
+    def __init__(self, fuel: int = DEFAULT_FUEL, depth: int = DEFAULT_DEPTH):
+        if fuel < 1:
+            raise ValueError("fuel must be >= 1")
+        self.fuel, self.left, self.depth, self.cut = fuel, fuel, depth, False
 
 
 class _Undetermined:
@@ -154,32 +173,34 @@ def normalize(e: Expr, fuel: int = DEFAULT_FUEL) -> Expr:
     rebuilds when the evaluator ran out.  Subterms that need no
     contraction are returned as the same objects.
     """
+    budget = _Budget(fuel)
     try:
-        return _normal_form(e, fuel)
+        return _normal_form(e, budget)
     except FuelExhausted as exc:
         if exc.last is not None:
             raise
-    return _nf(e, [fuel])  # the evaluator keeps no partial term: replay its steps
+    budget.left = fuel  # the evaluator keeps no partial term: replay its steps
+    return _nf(e, budget)
 
 
-def _normal_form(e: Node, fuel: int) -> Node:
-    """``normalize`` whose ``FuelExhausted.last`` is None when the evaluator ran out."""
-    if fuel < 1:
-        raise ValueError("fuel must be >= 1")
+def _normal_form(e: Node, budget: _Budget) -> Node:
+    """``normalize`` with the whole of ``budget``'s fuel, whose
+    ``FuelExhausted.last`` is None when the evaluator ran out."""
     if e._role is not None:
         return e
+    budget.left = budget.fuel
     if isinstance(e, Expr):
         env = None
         for level in range(e._loose):  # a dangling index i stands for level _loose - 1 - i
             env = (level, env)
         try:
-            return _quote(e, env, e._loose, [fuel], e._loose)
+            return _quote(e, env, e._loose, budget, e._loose)
         except _Unsupported:
-            pass
-    return _nf(e, [fuel])
+            budget.left = budget.fuel
+    return _nf(e, budget)
 
 
-def _nf(e: Node, budget: list[int], stop_at: type | None = None) -> Node:
+def _nf(e: Node, budget: _Budget, stop_at: type | None = None) -> Node:
     """Normal form of ``e`` by substitution, one frame per term level.
 
     An elimination form first brings its head to normal form, stopping
@@ -212,9 +233,9 @@ def _nf(e: Node, budget: list[int], stop_at: type | None = None) -> Node:
             if f is not h:
                 e = _rebuild(e, head, f)
             if e._fires():
-                if budget[0] <= 0:
+                if budget.left <= 0:
                     raise FuelExhausted(e)
-                budget[0] -= 1
+                budget.left -= 1
                 e = e._contract()
                 continue
             if type(f) is e._intro:
@@ -238,7 +259,7 @@ class _Unsupported(Exception):
     """The evaluator met a node it leaves to ``_nf``: a Sigma, a pair or a projection."""
 
 
-def _eval(t: Expr, env: tuple | None, budget: list[int]):
+def _eval(t: Expr, env: tuple | None, budget: _Budget):
     """The weak head normal form of ``t`` under ``env``: a level (an int), a
     ``Var`` or ``SortE``, a closure ``(term, env)`` of a ``Lam`` or ``Pi``, or a
     stuck application ``(app, env, fun)`` whose function's value ``fun`` is no
@@ -251,9 +272,9 @@ def _eval(t: Expr, env: tuple | None, budget: list[int]):
             f = _eval(t.fun, env, budget)
             if type(f) is not tuple or type(f[0]) is not Lam:
                 return t, env, f
-            if budget[0] <= 0:
+            if budget.left <= 0:
                 raise FuelExhausted(None)
-            budget[0] -= 1
+            budget.left -= 1
             t, env = f[0].body, ((t.arg, env), f[1])
         elif cls is BVar:
             for _ in range(t.index):
@@ -269,7 +290,7 @@ def _eval(t: Expr, env: tuple | None, budget: list[int]):
             raise _Unsupported
 
 
-def _quote(t: Expr, env: tuple | None, depth: int, budget: list[int], own: int = 0) -> Expr:
+def _quote(t: Expr, env: tuple | None, depth: int, budget: _Budget, own: int = 0) -> Expr:
     """The normal form of ``t`` under ``env``, read back under ``depth`` binders
     (Coquand, SCP 1996; Abel, 2013).  Binders are entered with levels, and
     annotations, domains and arguments read back in ``_positions`` order; a
@@ -322,12 +343,11 @@ def whnf(e: Node, fuel: int = DEFAULT_FUEL) -> Node:
 
     On fuel exhaustion ``FuelExhausted.last`` is the whole term after
     exactly ``fuel`` contractions, as in ``normalize``."""
-    if fuel < 1:
-        raise ValueError("fuel must be >= 1")
-    return _whnf(e, [fuel])
+    return _whnf(e, _Budget(fuel))
 
 
-def _whnf(e: Node, budget: list[int]) -> Node:
+def _whnf(e: Node, budget: _Budget) -> Node:
+    """``whnf`` with what is ``left`` of ``budget``'s fuel."""
     while e._head is not None:
         h = getattr(e, e._head)
         try:
@@ -339,9 +359,9 @@ def _whnf(e: Node, budget: list[int]) -> Node:
             e = _rebuild(e, e._head, f)
         if not e._fires():
             break
-        if budget[0] <= 0:
+        if budget.left <= 0:
             raise FuelExhausted(e)
-        budget[0] -= 1
+        budget.left -= 1
         e = e._contract()
     return e
 
@@ -352,11 +372,15 @@ def beta_eq(a: Expr, b: Expr, fuel: int = DEFAULT_FUEL):
     Sound and complete on strongly normalizing terms with enough fuel;
     fuel exhaustion is reported, never conflated with inequality.
     """
+    return _beta_eq(a, b, _Budget(fuel))
+
+
+def _beta_eq(a: Expr, b: Expr, budget: _Budget):
     if a == b:
         return True
     try:
-        na = _normal_form(a, fuel)
-        nb = _normal_form(b, fuel)
+        na = _normal_form(a, budget)
+        nb = _normal_form(b, budget)
     except FuelExhausted:
         return UNDETERMINED
     return na == nb
@@ -394,28 +418,24 @@ def reduce_key_redex(e: Node) -> Node:
 # Bounded reachability
 
 
-def _search(
-    start: Node, max_depth: int, targets: set[Node] | frozenset[Node], min_steps: int = 0
-) -> tuple[bool, set[Node]]:
+def _search(start: Node, budget: _Budget, targets: set[Node] | frozenset[Node], min_steps: int = 0) -> tuple[bool, set[Node]]:
     """The bounded breadth-first search behind every reachability question.
 
-    Follows ``step_all`` for at most ``max_depth`` steps from ``start``.
+    Follows ``step_all`` for at most ``budget.depth`` steps from ``start``.
     A search state is a term together with min(steps taken,
     ``min_steps``): the first ``min_steps`` levels are kept whole, and
     only from then on is a term already seen skipped.  Returns
     ``(hit, seen)``: ``hit`` is whether a path of at least ``min_steps``
     steps reaches a term in ``targets``; ``seen`` holds the terms such
     paths reached before the search stopped (``start`` included when
-    ``min_steps`` is 0).
+    ``min_steps`` is 0).  A miss with a frontier left sets ``budget.cut``.
     """
     seen = {start} if min_steps == 0 else set()
     if not targets.isdisjoint(seen):
         return True, seen
     frontier = {start}
-    for steps in range(1, max_depth + 1):
-        nxt: set[Node] = set()
-        for t in frontier:
-            nxt.update(step_all(t))
+    for steps in range(1, budget.depth + 1):
+        nxt = set().union(*map(step_all, frontier))
         if steps < min_steps:
             frontier = nxt
         else:
@@ -424,7 +444,8 @@ def _search(
             frontier = nxt - seen
             seen |= frontier
         if not frontier:
-            break
+            return False, seen
+    budget.cut = True
     return False, seen
 
 
@@ -437,9 +458,9 @@ def reachable(a: Node, b: Node, max_depth: int, min_steps: int = 0) -> bool:
     alpha-deduplication of the frontier; works on plain and labeled
     terms alike.
     """
-    return _search(a, max_depth, {b}, min_steps)[0]
+    return _search(a, _Budget(depth=max_depth), {b}, min_steps)[0]
 
 
 def reducts_within(e: Node, depth: int) -> set[Node]:
     """All terms reachable from e in at most ``depth`` steps (e included)."""
-    return _search(e, depth, frozenset())[1]
+    return _search(e, _Budget(depth=depth), frozenset())[1]

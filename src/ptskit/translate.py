@@ -54,8 +54,8 @@ from .syntax import (
     Scope,
     CC,
 )
-from .reduction import DEFAULT_DEPTH, DEFAULT_FUEL, beta_eq, key_redex_of, reachable, reduce_key_redex, step_all
-from .typecheck import TypeCheckError, check_type, infer_type, wf_context
+from .reduction import DEFAULT_DEPTH, DEFAULT_FUEL, _beta_eq, _Budget, _search, key_redex_of, reduce_key_redex, step_all
+from .typecheck import TypeCheckError, _check_inferred, _context_scope, _infer, _Scope, _term
 
 ZERO = "_0"
 Z = "_z"
@@ -400,12 +400,12 @@ def render_report(entries) -> str:
 def check_translation(ctx: Context, a: Expr, fuel: int = DEFAULT_FUEL) -> list[CheckEntry]:
     """Re-check the translated judgement with the F-omega checker."""
     try:
-        wf_context(CC, ctx, fuel)
-        a_ty = infer_type(CC, ctx, a, fuel)
+        scope = _context_scope(CC, ctx, _Budget(fuel))
+        a_ty = _term(scope, _infer(scope, a)[0])
         env, tctx, ta, t_ty = _translate_judgement(ctx, a, a_ty)
     except (TypeCheckError, ValueError, KeyError) as err:
         return [CheckEntry(False, "translation", f"setup failed: {err}")]
-    return _check_translated(env, a, a_ty, tctx, ta, t_ty, fuel)
+    return _check_translated(env, a, a_ty, tctx, ta, t_ty, scope.budget)
 
 
 def _translate_judgement(ctx: Context, a: Expr, a_ty: Expr, table: dict | None = None) -> tuple[TransEnv, Context, Expr, Expr]:
@@ -418,12 +418,13 @@ def _translate_judgement(ctx: Context, a: Expr, a_ty: Expr, table: dict | None =
     return env, tctx, _trans_term(_Walk(ctx, env), a, 0), _trans_type(_Walk(ctx, env), a_ty, 0)
 
 
-def _check_translated(env: TransEnv, a: Expr, a_ty: Expr, tctx: Context, ta: Expr, t_ty: Expr, fuel: int) -> list[CheckEntry]:
+def _check_translated(env: TransEnv, a: Expr, a_ty: Expr, tctx: Context, ta: Expr, t_ty: Expr, budget: _Budget) -> list[CheckEntry]:
     """``check_translation`` after its setup, from what ``_translate_judgement`` gave."""
     entries: list[CheckEntry] = []
     judgement = lambda: f"|- {print_expr(ta)} : {print_expr(t_ty)}"
     try:
-        check_type(FOMEGA, tctx, ta, t_ty, fuel)
+        scope = _Scope(FOMEGA, tctx, budget)
+        _check_inferred(scope, ta, _infer(scope, ta)[0], t_ty)
         entries.append(CheckEntry(True, "term-translation", judgement))
     except (TypeCheckError, ValueError) as err:
         entries.append(CheckEntry(False, "term-translation", f"{judgement()} ({err})"))
@@ -433,7 +434,8 @@ def _check_translated(env: TransEnv, a: Expr, a_ty: Expr, tctx: Context, ta: Exp
         try:
             t_a = _trans_type(w, a, 0)
             v_ty = erase_kind(a_ty)
-            check_type(FOMEGA, tctx, t_a, v_ty, fuel)
+            scope = _Scope(FOMEGA, tctx, budget)
+            _check_inferred(scope, t_a, _infer(scope, t_a)[0], v_ty)
             entries.append(CheckEntry(True, "type-translation", lambda: f"|- {print_expr(t_a)} : {print_expr(v_ty)}"))
         except (TypeCheckError, ValueError) as err:
             entries.append(CheckEntry(False, "type-translation", str(err)))
@@ -452,10 +454,10 @@ def check_reduction_preservation(ctx: Context, a: Expr, max_depth: int = DEFAULT
         ta = translate_term(env, a)
     except (ValueError, KeyError) as err:
         return [CheckEntry(False, "simulation", f"setup failed: {err}")]
-    return _simulation(env, a, ta, step_all(a), max_depth)
+    return _simulation(env, a, ta, step_all(a), _Budget(depth=max_depth))
 
 
-def _simulation(env: TransEnv, a: Expr, ta: Expr, reducts: set[Expr], max_depth: int) -> list[CheckEntry]:
+def _simulation(env: TransEnv, a: Expr, ta: Expr, reducts: set[Expr], budget: _Budget) -> list[CheckEntry]:
     """``check_reduction_preservation`` after its setup: ``ta`` translates ``a`` in ``env``, filling its
     table, and ``reducts`` are ``step_all(a)``.  A reduct's translation takes its closed subterms' from the
     table, so what a step leaves alone is ``ta``'s own objects, which ``_directed_steps`` settles by identity."""
@@ -470,13 +472,13 @@ def _simulation(env: TransEnv, a: Expr, ta: Expr, reducts: set[Expr], max_depth:
             entries.append(CheckEntry(False, "simulation", f"{detail()} ({err})"))
             continue
         # a path of >= 1 step found without search, else the whole-term search
-        ok = bool(_directed_steps(ta, t_reduct, max_depth)) or reachable(ta, t_reduct, max_depth, min_steps=1)
+        ok = bool(_directed_steps(ta, t_reduct, budget.depth)) or _search(ta, budget, {t_reduct}, 1)[0]
         entries.append(CheckEntry(ok, "simulation", detail))
     return entries
 
 
-def _directed_steps(x: Expr, y: Expr, budget: int) -> int | None:
-    """The length of a path x ~>* y of at most ``budget`` steps, found without search; None if none is.
+def _directed_steps(x: Expr, y: Expr, limit: int) -> int | None:
+    """The length of a path x ~>* y of at most ``limit`` steps, found without search; None if none is.
 
     A source step changes the translation only under the image of its
     position, into the ``_y`` redex plus the image redex (Geuvers &
@@ -492,13 +494,13 @@ def _directed_steps(x: Expr, y: Expr, budget: int) -> int | None:
         for name, _ in x._children:
             a, b = getattr(x, name), getattr(y, name)
             if a != b:
-                n = _directed_steps(a, b, budget - total) if name in positions else None
+                n = _directed_steps(a, b, limit - total) if name in positions else None
                 if n is None:
                     break
                 total += n
         else:
             return total
-    for n in range(1, budget + 1):
+    for n in range(1, limit + 1):
         if key_redex_of(x) is None:
             break
         x = reduce_key_redex(x)
@@ -521,12 +523,12 @@ def check_subst_lemmas(ctx: Context, a: Expr, x: str, b: Expr, fuel: int = DEFAU
     if occurs(x, b):
         return [CheckEntry(False, "subst-hypotheses", f"replacement mentions {x}")]
     try:
-        wf_context(CC, ctx, fuel)
-        inferred = infer_type(CC, ctx, b, fuel)
-        if (same := beta_eq(inferred, b_ty, fuel)) is not True:
+        scope = _context_scope(CC, ctx, _Budget(fuel))
+        inferred = _term(scope, _infer(scope, b)[0])
+        if (same := _beta_eq(inferred, b_ty, scope.budget)) is not True:
             undecided = f"conversion of the replacement's type with {x}'s type undecided within {fuel} steps"
             return [CheckEntry(False, "subst-hypotheses", f"replacement is not of {x}'s type" if same is False else undecided)]
-        infer_type(CC, ctx, a, fuel)
+        _infer(scope, a)
     except TypeCheckError as err:
         return [CheckEntry(False, "subst-hypotheses", str(err))]
     entries.append(CheckEntry(True, "subst-hypotheses", f"[{print_expr(b)}/{x}]"))

@@ -59,16 +59,7 @@ from .syntax import (
     _set,
     _shift,
 )
-from .reduction import (
-    DEFAULT_DEPTH,
-    DEFAULT_FUEL,
-    UNDETERMINED,
-    FuelExhausted,
-    _normal_form,
-    beta_eq,
-    reachable,
-    whnf,
-)
+from .reduction import DEFAULT_DEPTH, DEFAULT_FUEL, UNDETERMINED, FuelExhausted, _beta_eq, _Budget, _normal_form, _search, _whnf
 
 
 class ErrorKind(enum.Enum):
@@ -100,15 +91,15 @@ class _Scope(Scope):
     annotation, its sort)``, plus the labeled annotation in elaboration, so
     ``BVar i`` is typed by entry ``-1 - i``: its annotation, shifted by
     ``i + 1`` if it is labeled or an index, else as a closure over the
-    environment its binder was entered in.  It carries the walk's spec,
-    fuel and directed-search depth, and the sorts and labeled types of
-    context variables found so far."""
+    environment its binder was entered in.  It carries the walk's spec, the
+    operation's budget (its fuel and directed-search depth), and the sorts
+    and labeled types of context variables found so far."""
 
-    __slots__ = ("spec", "fuel", "depth", "sorts", "ltypes", "envs")
+    __slots__ = ("spec", "budget", "sorts", "ltypes", "envs")
 
-    def __init__(self, spec: PtsSpec, ctx: Context, fuel: int, depth: int = DEFAULT_DEPTH):
+    def __init__(self, spec: PtsSpec, ctx: Context, budget: _Budget):
         Scope.__init__(self, ctx)
-        self.spec, self.fuel, self.depth, self.sorts, self.ltypes, self.envs = spec, fuel, depth, {}, {}, [None]
+        self.spec, self.budget, self.sorts, self.ltypes, self.envs = spec, budget, {}, {}, [None]
 
     def env(self, n: int | None = None) -> tuple | None:
         """The environment of the ``n`` outermost binders (all by default), as
@@ -268,12 +259,9 @@ def _sort_of(scope: _Scope, ty: Node) -> str:
 
 def _as_sort(scope: _Scope, ty, subject: Node) -> str:
     """Normalize type ``ty`` (plain or labeled) and require it to be a sort of the scope's spec."""
-    if (type(ty) is SortE or type(ty) is LSort) and scope.fuel > 0 and ty.name in scope.spec.sorts:
+    if (type(ty) is SortE or type(ty) is LSort) and ty.name in scope.spec.sorts:
         return ty.name  # the common case, normal already
-    try:
-        n = _normal_form(_term(scope, ty), scope.fuel)
-    except FuelExhausted:
-        _fail(ErrorKind.FUEL_EXHAUSTED, f"normalizing the type of {scope.show(subject)}")
+    n = _reduced(scope, _normal_form, _term(scope, ty), "normalizing the type of", subject)
     if isinstance(n, (SortE, LSort)) and n.name in scope.spec.sorts:
         return n.name
     _fail(ErrorKind.SORT_UNTYPEABLE, f"{scope.show(subject)} is classified by {scope.show(n)}, not a sort")
@@ -287,14 +275,20 @@ def _pi_sort(scope: _Scope, s1: str, s2: str, pi: Node) -> str:
     return s3
 
 
-def _fun_head(scope: _Scope, fun: Expr, fun_ty: Expr) -> Pi:
-    """The product that ``fun``'s type, the term ``fun_ty``, exposes at its
-    head under ``whnf``; a head that is no product is reported here, as is
-    fuel that runs out (or a ``ValueError`` at fuel below 1)."""
+def _reduced(scope: _Scope, reduce, ty: Node, doing: str, subject: Node) -> Node:
+    """``ty`` reduced by ``_whnf`` or ``_normal_form`` with all the scope's
+    fuel; running out is reported as ``doing`` the printed ``subject``."""
+    scope.budget.left = scope.budget.fuel
     try:
-        head = whnf(fun_ty, scope.fuel)
+        return reduce(ty, scope.budget)
     except FuelExhausted:
-        _fail(ErrorKind.FUEL_EXHAUSTED, f"exposing the type of {scope.show(fun)}")
+        _fail(ErrorKind.FUEL_EXHAUSTED, f"{doing} {scope.show(subject)}")
+
+
+def _fun_head(scope: _Scope, fun: Expr, fun_ty: Expr) -> Pi:
+    """The product that ``fun``'s type, the term ``fun_ty``, exposes at its head
+    under ``whnf``; a head that is no product, or fuel that runs out, fails."""
+    head = _reduced(scope, _whnf, fun_ty, "exposing the type of", fun)
     if not isinstance(head, Pi):
         _fail(
             ErrorKind.NOT_A_FUNCTION,
@@ -311,7 +305,7 @@ def _convertible(scope: _Scope, a, b, where: str, subject: Expr | None = None) -
     ``where`` names the site, followed by the printed ``subject`` if one
     is given; the text is rendered only when the check fails.
     """
-    r = beta_eq(_term(scope, a), _term(scope, b), scope.fuel)
+    r = _beta_eq(_term(scope, a), _term(scope, b), scope.budget)
     if r is True:
         return
     if subject is not None:
@@ -327,17 +321,26 @@ def label_of(e: LLam | LApp) -> LPi:
 
 def directed_convertible(a: Node, b: Node, depth: int = DEFAULT_DEPTH) -> bool:
     """The labeled conversion premise: one side reduces to the other."""
-    return reachable(a, b, depth) or reachable(b, a, depth)
+    budget = _Budget(depth=depth)
+    return _search(a, budget, {b})[0] or _search(b, budget, {a})[0]
+
+
+def _directed(scope: _Scope, what: str, a: Node, b: Node, to: str) -> None:
+    """Require ``directed_convertible(a, b)`` within the budget's depth, else
+    fail: ``what`` type ``a`` does not reduce to or from ``to``, ``b`` in its ``{}``."""
+    if not (_search(a, scope.budget, {b})[0] or _search(b, scope.budget, {a})[0]):
+        message = f"{what} type {scope.show(a)} does not reduce to or from " + to.format(scope.show(b))
+        _fail(ErrorKind.DIRECTED_CONVERSION_UNDETERMINED, message)
 
 
 def wf_context(spec: PtsSpec, ctx: Context, fuel: int = DEFAULT_FUEL) -> None:
     """Check names are distinct and every binding type (plain or labeled) has a sort."""
-    _context_scope(spec, ctx, fuel)
+    _context_scope(spec, ctx, _Budget(fuel))
 
 
-def _context_scope(spec: PtsSpec, ctx: Context, fuel: int, depth: int = DEFAULT_DEPTH) -> _Scope:
+def _context_scope(spec: PtsSpec, ctx: Context, budget: _Budget) -> _Scope:
     """``wf_context``'s check, in the scope it returns: one over ``ctx`` keeping each binding's sort."""
-    scope = _Scope(spec, Context(), fuel, depth)
+    scope = _Scope(spec, Context(), budget)
     scope.types = {}
     for name, ty in ctx:
         if name in scope.types:
@@ -365,7 +368,7 @@ def infer_type(spec: PtsSpec, ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -
     The walk's type may be delayed; the term it stands for is built here,
     once.
     """
-    scope = _Scope(spec, ctx, fuel)
+    scope = _Scope(spec, ctx, _Budget(fuel))
     return _term(scope, _infer(scope, e)[0])
 
 
@@ -381,7 +384,7 @@ def _infer(scope: _Scope, e: Node) -> tuple:
     product of a function's type that is not one already, or the type of a
     body that hands up no sort; callers build it too.  Labeled types, and
     the types sigma rules give, are terms.  An application whose function's
-    type is a ``Pi``, a closure of one or a ``_Prod`` (fuel >= 1) takes its
+    type is a ``Pi``, a closure of one or a ``_Prod`` takes its
     parts as they are, the argument pushed onto the closure's environment or
     bound at the product's level; any other head is built and exposed by
     ``_fun_head``.  An argument whose type is, or equals as a node, the
@@ -399,7 +402,7 @@ def _infer(scope: _Scope, e: Node) -> tuple:
     sort, then its body, then, if the body gave no sort, the sort of the
     body's type; a pair's annotation, then its components; a sigma node
     is rejected first if the spec has no sigma.  The cases are ordered by
-    how often they occur.  The scope's ``depth`` serves labeled terms, as
+    how often they occur.  The budget's ``depth`` serves labeled terms, as
     ``labeled.labeled_infer`` describes.
     """
     cls = type(e)
@@ -407,7 +410,7 @@ def _infer(scope: _Scope, e: Node) -> tuple:
         fun, arg = e.fun, e.arg
         fun_ty, s3 = _infer(scope, fun)
         head = fun_ty
-        if scope.fuel < 1 or not (type(head) is Pi or type(head) is _Prod or type(head) is tuple and type(head[0]) is Pi):
+        if not (type(head) is Pi or type(head) is _Prod or type(head) is tuple and type(head[0]) is Pi):
             head = _fun_head(scope, fun, _term(scope, fun_ty))
         if type(head) is Pi:
             dom, cod = head.dom, head.cod
@@ -487,21 +490,15 @@ def _infer(scope: _Scope, e: Node) -> tuple:
                 break
             e, dom, cod, body = body, body.dom, body.cod, body.body
         body_ty = _infer(scope, body)[0]
-        if not directed_convertible(body_ty, cod, scope.depth):
-            message = f"body type {scope.show(body_ty)} does not reduce to or from the label codomain"
-            _fail(ErrorKind.DIRECTED_CONVERSION_UNDETERMINED, message)
+        _directed(scope, "body", body_ty, cod, "the label codomain")
         del scope.binders[depth:]
         return label, s3
     if cls is LApp:
         fun_ty = _infer(scope, e.fun)[0]
         label = label_of(e)
-        if not directed_convertible(fun_ty, label, scope.depth):
-            message = f"function type {scope.show(fun_ty)} does not reduce to or from the label {scope.show(label)}"
-            _fail(ErrorKind.DIRECTED_CONVERSION_UNDETERMINED, message)
+        _directed(scope, "function", fun_ty, label, "the label {}")
         arg_ty = _infer(scope, e.arg)[0]
-        if not directed_convertible(arg_ty, e.dom, scope.depth):
-            message = f"argument type {scope.show(arg_ty)} does not reduce to or from {scope.show(e.dom)}"
-            _fail(ErrorKind.DIRECTED_CONVERSION_UNDETERMINED, message)
+        _directed(scope, "argument", arg_ty, e.dom, "{}")
         return instantiate(e.cod, e.arg), None
     if (cls is Sigma or cls is Pair or cls is Proj1 or cls is Proj2) and not scope.spec.sigma_enabled:
         _fail(ErrorKind.SIGMA_DISABLED, f"sigma extension is disabled: {scope.show(e)}")
@@ -520,10 +517,7 @@ def _infer(scope: _Scope, e: Node) -> tuple:
     if cls is Pair:
         annot = e.annot
         _infer(scope, annot)
-        try:
-            head = whnf(annot, scope.fuel)
-        except FuelExhausted:
-            _fail(ErrorKind.FUEL_EXHAUSTED, f"exposing the pair annotation {scope.show(annot)}")
+        head = _reduced(scope, _whnf, annot, "exposing the pair annotation", annot)
         if not isinstance(head, Sigma):
             _fail(ErrorKind.MISMATCH, f"pair annotation {scope.show(annot)} is not a Sig type")
         _convertible(scope, _infer(scope, e.first)[0], head.first, "first pair component")
@@ -532,10 +526,7 @@ def _infer(scope: _Scope, e: Node) -> tuple:
     if cls is Proj1 or cls is Proj2:
         p = e.pair
         ty = _term(scope, _infer(scope, p)[0])
-        try:
-            head = whnf(ty, scope.fuel)
-        except FuelExhausted:
-            _fail(ErrorKind.FUEL_EXHAUSTED, f"exposing the type of {scope.show(p)}")
+        head = _reduced(scope, _whnf, ty, "exposing the type of", p)
         if not isinstance(head, Sigma):
             _fail(ErrorKind.MISMATCH, f"{scope.show(p)} has type {scope.show(ty)}, not a Sig type")
         return (head.first if cls is Proj1 else instantiate(head.second, Proj1(p))), None
@@ -548,7 +539,7 @@ def check_type(spec: PtsSpec, ctx: Context, e: Expr, ty: Expr, fuel: int = DEFAU
     A sort with no successor axiom (box in the built-ins) is accepted as
     the classifier of kinds even though it has no type itself.
     """
-    scope = _Scope(spec, ctx, fuel)
+    scope = _Scope(spec, ctx, _Budget(fuel))
     _check_inferred(scope, e, _infer(scope, e)[0], ty)
 
 
@@ -586,17 +577,14 @@ _CC = BUILTIN_SPECS["cc"]
 
 def classify(ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL, spec: PtsSpec | None = None) -> Classification:
     """Sort a typeable CC expression into kind / constructor / term."""
-    scope = _Scope(spec or _CC, ctx, fuel)
+    scope = _Scope(spec or _CC, ctx, _Budget(fuel))
     return _classify(scope, e, *_infer(scope, e))
 
 
 def _classify(scope: _Scope, e: Expr, ty, s: str | None) -> Classification:
     """``classify`` from the pair ``(ty, s)`` that ``_infer`` gives for ``e``."""
     ty = _term(scope, ty)
-    try:
-        nty = _normal_form(ty, scope.fuel)
-    except FuelExhausted:
-        _fail(ErrorKind.FUEL_EXHAUSTED, f"normalizing the type of {print_expr(e)}")
+    nty = _reduced(scope, _normal_form, ty, "normalizing the type of", e)
     if nty == SortE(BOX):
         return Kind()
     if s is None:

@@ -4,7 +4,7 @@ stated over ``ptskit``'s terms and its bounded search, and the acceptance
 gate and the examples in ``test_reduction``, ``test_labeled`` and
 ``test_syntax`` check them."""
 
-from ptskit.reduction import _search, reducts_within
+from ptskit.reduction import _Budget, _search, reducts_within
 from ptskit.syntax import BOUND, FREE, Expr, Node
 
 
@@ -35,4 +35,4 @@ def key_redex_path(e: Node) -> str | None:
 
 def joinable(a: Node, b: Node, max_depth: int) -> bool:
     """Do the bounded reduct sets of a and b intersect (up to alpha)?"""
-    return _search(a, max_depth, reducts_within(b, max_depth))[0]
+    return _search(a, _Budget(depth=max_depth), reducts_within(b, max_depth))[0]

@@ -43,6 +43,7 @@ from ptskit.reduction import (
     DEFAULT_DEPTH,
     DEFAULT_FUEL,
     FuelExhausted,
+    _Budget,
     _normal_form,
     beta_eq,
     reachable,
@@ -158,7 +159,7 @@ def _report_one(j: Judgement, spec: PtsSpec, fuel: int, depth: int) -> list[Chec
         return [_entry(False, "ctx-wf", subject, str(err))]
 
     try:
-        scope = _Scope(spec, j.ctx, fuel)
+        scope = _Scope(spec, j.ctx, _Budget(fuel))
         ty, sort = _infer(scope, j.term)
         inferred = _term(scope, ty)
         if j.ty is not None:
@@ -182,7 +183,7 @@ def _report_one(j: Judgement, spec: PtsSpec, fuel: int, depth: int) -> list[Chec
     entries.append(_entry(not failures, "preservation", subject, min(failures)[1] if failures else ""))
 
     try:
-        _normal_form(j.term, fuel)
+        _normal_form(j.term, _Budget(fuel))
         entries.append(_entry(True, "normalizes", subject))
     except FuelExhausted:
         entries.append(_entry(False, "normalizes", subject, f"no normal form within {fuel} steps"))
@@ -208,7 +209,7 @@ def _report_one(j: Judgement, spec: PtsSpec, fuel: int, depth: int) -> list[Chec
         # simulation would translate the same term in the same context: same error
         entries.append(CheckEntry(False, "simulation", f"setup failed: {err}"))
     else:
-        entries.extend(_check_translated(env, j.term, inferred, tctx, ta, t_ty, fuel))
+        entries.extend(_check_translated(env, j.term, inferred, tctx, ta, t_ty, _Budget(fuel)))
         entries.extend(_simulation(env, j.term, ta, depth))
 
     try:

@@ -475,9 +475,9 @@ def test_one_default_search_depth():
     from ptskit.cli import build_parser
     from ptskit.corpus import run_report
     from ptskit.labeled import labeled_infer
-    from ptskit.reduction import DEFAULT_DEPTH
+    from ptskit.reduction import DEFAULT_DEPTH, _Budget
     from ptskit.translate import check_reduction_preservation
-    from ptskit.typecheck import _Scope, directed_convertible
+    from ptskit.typecheck import directed_convertible
 
     defaults = [build_parser().parse_args(["verify", CORPUS]).depth]
     for f, name in (
@@ -485,7 +485,7 @@ def test_one_default_search_depth():
         (check_reduction_preservation, "max_depth"),
         (directed_convertible, "depth"),
         (labeled_infer, "conv_depth"),
-        (_Scope, "depth"),
+        (_Budget, "depth"),
     ):
         defaults.append(inspect.signature(f).parameters[name].default)
     assert defaults == [DEFAULT_DEPTH] * 6 and DEFAULT_DEPTH == 12

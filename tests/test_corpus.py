@@ -144,7 +144,7 @@ def test_preservation_tells_an_undecided_conversion_from_a_changed_type(monkeypa
     for fuel in (1, 2, 3):
         why = f"type conversion undecided within {fuel} steps"
         assert preservation(fuel).line() == f"FAIL preservation p.judg: {term} ({why} across {term} ~>* {first})", fuel
-    monkeypatch.setattr(corpus, "beta_eq", lambda a, b, fuel: False)
+    monkeypatch.setattr(corpus, "_beta_eq", lambda a, b, budget: False)
     assert preservation(10000).line() == f"FAIL preservation p.judg: {term} (type changed across {term} ~>* {first})"
 
 
@@ -155,14 +155,14 @@ def test_preservation_names_the_first_reduct_whose_typing_fails(monkeypatch):
     j = parse_judgement("ctx:\nA : *\n\nterm:\n\\y:(\\X:*. X) ((\\X:*. X) A). y\n", name="p.judg")
     reducts = reducts_within(j.term, 3) - {j.term}
     first = min(print_expr(r) for r in reducts)
-    infer = corpus.infer_type
+    infer = corpus._infer
 
-    def failing(spec, ctx, e, fuel):
+    def failing(scope, e):
         if e in reducts:
             raise TypeCheckError(ErrorKind.MISMATCH, f"cannot type {print_expr(e)}")
-        return infer(spec, ctx, e, fuel)
+        return infer(scope, e)
 
-    monkeypatch.setattr(corpus, "infer_type", failing)
+    monkeypatch.setattr(corpus, "_infer", failing)
     [entry] = [e for e in run_report([j]) if e.name == "preservation"]
     assert entry.line() == f"FAIL preservation p.judg: {print_expr(j.term)} (Mismatch: cannot type {first})"
 

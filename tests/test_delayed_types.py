@@ -200,8 +200,8 @@ def _head_kind(ty):
 
 
 def _calls_from_applications(monkeypatch, run):
-    """``(name, head kind)`` (see ``_head_kind``) for each ``whnf``,
-    ``beta_eq`` and ``_fun_head`` call that ``run()`` makes from the App case
+    """``(name, head kind)`` (see ``_head_kind``) for each ``_whnf``,
+    ``_beta_eq`` and ``_fun_head`` call that ``run()`` makes from the App case
     of ``_infer`` or ``_elaborate``: the innermost frame of either walk is an
     application's."""
     from ptskit import labeled, typecheck
@@ -220,7 +220,7 @@ def _calls_from_applications(monkeypatch, run):
 
         return call
 
-    for name in ("whnf", "beta_eq", "_fun_head"):
+    for name in ("_whnf", "_beta_eq", "_fun_head"):
         monkeypatch.setattr(typecheck, name, spy(name, getattr(typecheck, name)))
     run()
     monkeypatch.undo()
@@ -245,7 +245,7 @@ def test_applications_of_products_neither_reduce_their_type_nor_call_conversion(
         assert [call for call in _calls_from_applications(monkeypatch, run) if call[1]] == []
     # the spy sees the calls of an application whose head is a redex
     redex = lambda: infer_type(CC, parse_context(oracle.APP_CTX), P("k a"))
-    assert _calls_from_applications(monkeypatch, redex) == [("_fun_head", None), ("whnf", None)]
+    assert _calls_from_applications(monkeypatch, redex) == [("_fun_head", None), ("_whnf", None)]
 
 
 def test_delayed_product_heads_are_typed_in_place(monkeypatch):
@@ -360,6 +360,7 @@ def test_the_level_shortcut_agrees_with_conversion(monkeypatch):
 def test_index_typed_arguments_of_different_levels_are_a_mismatch(fuel):
     # typed directly, in CC and F-omega, and as a translation re-check: the
     # ill-typed term's translation checked against the well-typed one's type
+    from ptskit.reduction import _Budget
     from ptskit.translate import _check_translated
 
     for text, good, message in LEVEL_MISMATCHES:
@@ -370,7 +371,7 @@ def test_index_typed_arguments_of_different_levels_are_a_mismatch(fuel):
         assert (entry.ok, entry.name, entry.detail) == (False, "translation", f"setup failed: Mismatch: {message}")
         good_ty = infer_type(CC, Context(), P(good))
         env, tctx, ta, t_ty = _translate_judgement(Context(), bad, good_ty)
-        [entry] = _check_translated(env, bad, good_ty, tctx, ta, t_ty, fuel)
+        [entry] = _check_translated(env, bad, good_ty, tctx, ta, t_ty, _Budget(fuel))
         assert (entry.ok, entry.name) == (False, "term-translation")
         assert entry.detail.endswith(f" (Mismatch: {message})")
 

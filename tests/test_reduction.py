@@ -8,6 +8,7 @@ from ptskit.syntax import App, BVar, Lam, Pair, Proj1, Proj2, Var, parse_expr, p
 from ptskit.reduction import (
     UNDETERMINED,
     FuelExhausted,
+    _Budget,
     beta_eq,
     enumerate_steps,
     key_redex_of,
@@ -556,7 +557,7 @@ def test_normalize_leaves_labeled_and_sigma_terms_to_substitution(monkeypatch):
             del substituted[:]
             kind, got = _outcome(normalize, e, fuel)
             assert substituted and substituted[0][0] is e
-            want_kind, want = _outcome(lambda e, fuel: nf(e, [fuel]), e, fuel)
+            want_kind, want = _outcome(lambda e, fuel: nf(e, _Budget(fuel)), e, fuel)
             assert kind == want_kind and got == want and print_expr(got) == print_expr(want), (print_expr(e), fuel)
 
 
@@ -589,7 +590,7 @@ def test_open_terms_evaluate_as_substitution_normalizes_them(monkeypatch):
         if a == b:
             return True
         try:
-            return nf(a, [fuel]) == nf(b, [fuel])
+            return nf(a, _Budget(fuel)) == nf(b, _Budget(fuel))
         except FuelExhausted:
             return UNDETERMINED
 
@@ -597,17 +598,17 @@ def test_open_terms_evaluate_as_substitution_normalizes_them(monkeypatch):
     assert len(terms) > 40 and max(t._loose for t in terms) >= 2
     checked = 0
     for e, other in zip(terms, terms[1:] + terms[:1]):
-        budget = [200]
+        budget = _Budget(200)
         try:
             want = nf(e, budget)
         except FuelExhausted:
             continue  # no normal form within 200 contractions
-        needed = 200 - budget[0]
+        needed = 200 - budget.left
         del substituted[:]
         assert normalize(e, needed + 1) == want and print_expr(normalize(e, needed + 1)) == print_expr(want)
         assert substituted == []
         for fuel in range(1, needed + 1):
-            got, expected = _outcome(normalize, e, fuel), _outcome(lambda e, fuel: nf(e, [fuel]), e, fuel)
+            got, expected = _outcome(normalize, e, fuel), _outcome(lambda e, fuel: nf(e, _Budget(fuel)), e, fuel)
             assert got == expected and print_expr(got[1]) == print_expr(expected[1]), (print_expr(e), fuel)
             for b in (want, other):
                 assert beta_eq(e, b, fuel) is reference_beta_eq(e, b, fuel), (print_expr(e), print_expr(b), fuel)

@@ -64,13 +64,14 @@ def test_few_steps_need_the_root_search(cases, monkeypatch):
     roots = []  # the translated term of the source term being checked
     root_hits = 0
 
-    def spy(a, b, max_depth, min_steps=0):
+    def spy(a, budget, targets, min_steps=0):
         nonlocal root_hits
-        hit = reachable(a, b, max_depth, min_steps)
+        hit, seen = search(a, budget, targets, min_steps)
         root_hits += hit and a == roots[-1]
-        return hit
+        return hit, seen
 
-    monkeypatch.setattr(translate, "reachable", spy)
+    search = translate._search
+    monkeypatch.setattr(translate, "_search", spy)
     steps = 0
     for ctx, term in cases:
         roots.append(translate_term(TransEnv(ctx), term))
