@@ -114,7 +114,7 @@ def run_report(
     return entries
 
 
-def _entry(ok: bool, name: str, subject, extra: str = "") -> CheckEntry:
+def _entry(ok: bool, name: str, subject, extra="") -> CheckEntry:  # extra: a string or an error, rendered when read
     return CheckEntry(ok, name, (lambda: f"{subject()} ({extra})") if extra else subject)
 
 
@@ -131,7 +131,7 @@ def _report_one(j: Judgement, spec: PtsSpec, budget: _Budget) -> list[CheckEntry
         scope = _context_scope(spec, j.ctx, budget)
         entries.append(first)
     except TypeCheckError as err:
-        return [_entry(False, "ctx-wf", subject, str(err))]
+        return [_entry(False, "ctx-wf", subject, err.with_traceback(None))]
 
     try:
         ty, sort = _infer(scope, j.term)
@@ -140,7 +140,7 @@ def _report_one(j: Judgement, spec: PtsSpec, budget: _Budget) -> list[CheckEntry
             _check_inferred(scope, j.term, inferred, j.ty)
         entries.append(_entry(True, "typing", subject))
     except TypeCheckError as err:
-        entries.append(_entry(False, "typing", subject, str(err)))
+        entries.append(_entry(False, "typing", subject, err.with_traceback(None)))
         return entries
 
     # every reduct is checked; a failure names the first failing reduct in print order
@@ -170,7 +170,7 @@ def _report_one(j: Judgement, spec: PtsSpec, budget: _Budget) -> list[CheckEntry
         _classify(scope, j.term, inferred, sort)
         entries.append(_entry(True, "classification", subject))
     except TypeCheckError as err:
-        entries.append(_entry(False, "classification", subject, str(err)))
+        entries.append(_entry(False, "classification", subject, err.with_traceback(None)))
 
     # without sigma, wf_context and typing have rejected every sigma node
     if spec.sigma_enabled and judgement_uses_sigma(j):
@@ -191,7 +191,7 @@ def _report_one(j: Judgement, spec: PtsSpec, budget: _Budget) -> list[CheckEntry
     try:
         la = _elaborate(scope, j.term)[0]
     except TypeCheckError as err:
-        entries.append(_entry(False, "labeled-roundtrip", subject, str(err)))
+        entries.append(_entry(False, "labeled-roundtrip", subject, err.with_traceback(None)))
         return entries
     entries.append(_entry(_erases_to(la, j.term), "labeled-roundtrip", subject))
     try:
@@ -199,7 +199,7 @@ def _report_one(j: Judgement, spec: PtsSpec, budget: _Budget) -> list[CheckEntry
         scope.types = {**scope.types, **scope.ltypes}
         _infer(scope, la)
     except TypeCheckError as err:
-        entries.append(_entry(False, "tight-erasure", subject, str(err)))
+        entries.append(_entry(False, "tight-erasure", subject, err.with_traceback(None)))
         return entries
     sim_ok = all(any(_erases_to(r, p) for p in (j.term, *plain)) for r in tight_step_all(la))
     entries.append(_entry(sim_ok, "tight-erasure", subject))

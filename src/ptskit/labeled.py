@@ -198,4 +198,4 @@ def _elaborate(scope: _Scope, a: Expr) -> tuple[LabeledExpr, Expr, str | None, L
         # is not, where the argument's type differs from the label's domain
         lty = None if _mentions_bound(head.cod) else instantiate(lpi.cod, larg)
         return LApp(lpi.hint, lpi.dom, lpi.cod, lfun, larg), instantiate(head.cod, arg), scope.spec.cod_sorts.get(s3), lty
-    _fail(ErrorKind.SIGMA_DISABLED, f"the labeled system covers core terms only: {scope.show(a)}")
+    _fail(ErrorKind.SIGMA_DISABLED, "the labeled system covers core terms only: {}", scope, a)

@@ -21,13 +21,17 @@ application's labels before its function, so there ``normalize``
 contracts in another order than ``trace`` but reaches the same tight
 normal form.
 
-``normalize`` and ``beta_eq`` evaluate plain core terms to closures and
-read them back (``_eval``, ``_quote``), call-by-name without sharing:
-each occurrence of an argument is reduced on its own, as substitution
-copies it, so the contractions and their order are normal order's.  A
-dangling index is a read-back level, as the typing walks' open types
-need.  The substituting ``_nf`` stays for labeled terms (tight-beta
-compares labels), pairs and projections, and ``FuelExhausted.last``.
+``normalize`` evaluates plain core terms to closures and reads them
+back (``_eval``, ``_quote``), call-by-name without sharing: each
+occurrence of an argument is reduced on its own, as substitution copies
+it, so the contractions and their order are normal order's.  A dangling
+index is a read-back level, as the typing walks' open types need.  The
+substituting ``_nf`` stays for labeled terms (tight-beta compares
+labels), pairs and projections, and ``FuelExhausted.last``.  ``beta_eq``
+converts lazily (Coquand, SCP 1996; Grégoire & Leroy, ICFP 2002): it
+compares weak head values and descends only while their heads agree, so
+distinct rigid heads are a definite False (Church-Rosser) before either
+side is normal.  Each side counts its own fuel.
 
 Each public entry point makes one ``_Budget`` from its ``fuel`` and
 ``max_depth`` arguments, refusing fuel below 1; the private functions of
@@ -256,7 +260,7 @@ def _nf(e: Node, budget: _Budget, stop_at: type | None = None) -> Node:
 
 
 class _Unsupported(Exception):
-    """The evaluator met a node it leaves to ``_nf``: a Sigma, a pair or a projection."""
+    """The evaluator met a node it leaves to ``_nf``: a Sigma, a pair, a projection or a labeled node."""
 
 
 def _eval(t: Expr, env: tuple | None, budget: _Budget):
@@ -369,8 +373,10 @@ def _whnf(e: Node, budget: _Budget) -> Node:
 def beta_eq(a: Expr, b: Expr, fuel: int = DEFAULT_FUEL):
     """Bounded beta-conversion: True, False, or UNDETERMINED.
 
-    Sound and complete on strongly normalizing terms with enough fuel;
-    fuel exhaustion is reported, never conflated with inequality.
+    Lazy on plain core terms (see the module docstring); sigma and labeled
+    terms are normalized whole.  Each side may make ``fuel`` contractions of
+    its own; running out before the answer is known is UNDETERMINED, never
+    False.  Sound and complete on strongly normalizing terms with enough fuel.
     """
     return _beta_eq(a, b, _Budget(fuel))
 
@@ -378,12 +384,43 @@ def beta_eq(a: Expr, b: Expr, fuel: int = DEFAULT_FUEL):
 def _beta_eq(a: Expr, b: Expr, budget: _Budget):
     if a == b:
         return True
+    env, n = None, max(a._loose, b._loose)
+    for level in range(n):  # a dangling index i is level n - 1 - i on both sides
+        env = (level, env)
+    budget.left = budget.fuel
     try:
-        na = _normal_form(a, budget)
-        nb = _normal_form(b, budget)
+        try:
+            return _same(a, env, b, env, n, budget, _Budget(budget.fuel))
+        except _Unsupported:  # sigma and labeled terms
+            na, nb = _normal_form(a, budget), _normal_form(b, budget)
     except FuelExhausted:
         return UNDETERMINED
     return na == nb
+
+
+def _same(s: Expr, se: tuple | None, t: Expr, te: tuple | None, depth: int, sb: _Budget, tb: _Budget) -> bool:
+    """Do ``s`` under ``se`` and ``t`` under ``te`` have one normal form under ``depth``
+    binders?  Their weak head values (each side on its own budget) must be one level,
+    ``Var`` or ``SortE``, or closures of one class, under spines of one length.  Their
+    parts follow in ``_quote``'s order, so each side makes a prefix of its normal order."""
+    while True:
+        x, y = _eval(s, se, sb), _eval(t, te, tb)
+        parts = []  # what is left to compare, the last first
+        while type(x) is tuple and len(x) == 3 and type(y) is tuple and len(y) == 3:  # from the last argument
+            parts.append((x[0].arg, x[1], y[0].arg, y[1], depth))
+            x, y = x[2], y[2]
+        if type(x) is tuple and type(y) is tuple and len(x) == len(y) == 2 and type(x[0]) is type(y[0]):
+            (s, se), (t, te) = x, y  # closures of a Lam or a Pi
+            x1, x2, y1, y2 = (s.annot, s.body, t.annot, t.body) if type(s) is Lam else (s.dom, s.cod, t.dom, t.cod)
+            parts += (x2, (depth, se), y2, (depth, te), depth + 1), (x1, se, y1, te, depth)
+        elif type(x) is tuple or x != y:  # a spine against no spine, or unlike heads
+            return False
+        while len(parts) > 1:
+            if not _same(*parts.pop(), sb, tb):
+                return False
+        if not parts:
+            return True
+        s, se, t, te, depth = parts[0]
 
 
 # ---------------------------------------------------------------------------

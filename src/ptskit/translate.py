@@ -404,7 +404,7 @@ def check_translation(ctx: Context, a: Expr, fuel: int = DEFAULT_FUEL) -> list[C
         a_ty = _term(scope, _infer(scope, a)[0])
         env, tctx, ta, t_ty = _translate_judgement(ctx, a, a_ty)
     except (TypeCheckError, ValueError, KeyError) as err:
-        return [CheckEntry(False, "translation", f"setup failed: {err}")]
+        return [CheckEntry(False, "translation", lambda err=err.with_traceback(None): f"setup failed: {err}")]
     return _check_translated(env, a, a_ty, tctx, ta, t_ty, scope.budget)
 
 
@@ -427,7 +427,7 @@ def _check_translated(env: TransEnv, a: Expr, a_ty: Expr, tctx: Context, ta: Exp
         _check_inferred(scope, ta, _infer(scope, ta)[0], t_ty)
         entries.append(CheckEntry(True, "term-translation", judgement))
     except (TypeCheckError, ValueError) as err:
-        entries.append(CheckEntry(False, "term-translation", f"{judgement()} ({err})"))
+        entries.append(CheckEntry(False, "term-translation", lambda err=err.with_traceback(None): f"{judgement()} ({err})"))
 
     w = _Walk(env.cc_context, env)
     if is_cc_kind(a) or _is_constructor(w, a):
@@ -438,7 +438,7 @@ def _check_translated(env: TransEnv, a: Expr, a_ty: Expr, tctx: Context, ta: Exp
             _check_inferred(scope, t_a, _infer(scope, t_a)[0], v_ty)
             entries.append(CheckEntry(True, "type-translation", lambda: f"|- {print_expr(t_a)} : {print_expr(v_ty)}"))
         except (TypeCheckError, ValueError) as err:
-            entries.append(CheckEntry(False, "type-translation", str(err)))
+            entries.append(CheckEntry(False, "type-translation", err.with_traceback(None).__str__))
     return entries
 
 
@@ -530,7 +530,7 @@ def check_subst_lemmas(ctx: Context, a: Expr, x: str, b: Expr, fuel: int = DEFAU
             return [CheckEntry(False, "subst-hypotheses", f"replacement is not of {x}'s type" if same is False else undecided)]
         _infer(scope, a)
     except TypeCheckError as err:
-        return [CheckEntry(False, "subst-hypotheses", str(err))]
+        return [CheckEntry(False, "subst-hypotheses", err.with_traceback(None).__str__)]
     entries.append(CheckEntry(True, "subst-hypotheses", f"[{print_expr(b)}/{x}]"))
 
     type_level = is_cc_kind(a) or _is_constructor(_Walk(ctx), a)

@@ -54,7 +54,6 @@ from .syntax import (
     BUILTIN_SPECS,
     Scope,
     instantiate,
-    print_expr,
     BOUND,
     _set,
     _shift,
@@ -76,13 +75,33 @@ class ErrorKind(enum.Enum):
 
 
 class TypeCheckError(Exception):
-    def __init__(self, kind: ErrorKind, message: str):
-        super().__init__(f"{kind.value}: {message}")
-        self.kind = kind
-        self.message = message
+    """A judgement that does not hold, of ``kind``.  ``message`` is a string or
+    a function of no arguments, rendered on the first read of ``message`` or
+    ``str(err)``, so an error nobody reads prints nothing."""
+
+    def __init__(self, kind: ErrorKind, message):
+        self.kind, self._message = kind, message
+
+    @property
+    def message(self) -> str:
+        if not isinstance(self._message, str):
+            self._message = self._message()
+        return self._message
+
+    def __str__(self) -> str:
+        return f"{self.kind.value}: {self.message}"
 
 
-def _fail(kind: ErrorKind, message: str):
+def _fail(kind: ErrorKind, message, scope: _Scope | None = None, *shown):
+    """Raise ``kind``.  With ``scope``, ``message`` is a format string filled when
+    read: strings and errors of ``shown`` as they are, terms and types printed
+    under a snapshot of ``scope`` taken now (its ``types``, a copy of its
+    binders, names made afresh).  The callers make no closure, so the walks'
+    functions keep no cell variables."""
+    if scope is not None:
+        snap, template = _Scope.__new__(_Scope), message
+        snap.types, snap.binders, snap.names = scope.types, scope.binders[:], None
+        message = lambda: template.format(*(x if isinstance(x, (str, Exception)) else snap.show(x) for x in shown))
     raise TypeCheckError(kind, message)
 
 
@@ -264,14 +283,14 @@ def _as_sort(scope: _Scope, ty, subject: Node) -> str:
     n = _reduced(scope, _normal_form, _term(scope, ty), "normalizing the type of", subject)
     if isinstance(n, (SortE, LSort)) and n.name in scope.spec.sorts:
         return n.name
-    _fail(ErrorKind.SORT_UNTYPEABLE, f"{scope.show(subject)} is classified by {scope.show(n)}, not a sort")
+    _fail(ErrorKind.SORT_UNTYPEABLE, "{} is classified by {}, not a sort", scope, subject, n)
 
 
 def _pi_sort(scope: _Scope, s1: str, s2: str, pi: Node) -> str:
     """The sort of product ``pi`` (plain or labeled) from its parts' sorts."""
     s3 = scope.spec.rule_for(s1, s2)
     if s3 is None:
-        _fail(ErrorKind.NO_RULE, f"no rule ({s1},{s2},_) to form {scope.show(pi)}")
+        _fail(ErrorKind.NO_RULE, "no rule ({},{},_) to form {}", scope, s1, s2, pi)
     return s3
 
 
@@ -282,7 +301,7 @@ def _reduced(scope: _Scope, reduce, ty: Node, doing: str, subject: Node) -> Node
     try:
         return reduce(ty, scope.budget)
     except FuelExhausted:
-        _fail(ErrorKind.FUEL_EXHAUSTED, f"{doing} {scope.show(subject)}")
+        _fail(ErrorKind.FUEL_EXHAUSTED, "{} {}", scope, doing, subject)
 
 
 def _fun_head(scope: _Scope, fun: Expr, fun_ty: Expr) -> Pi:
@@ -290,29 +309,26 @@ def _fun_head(scope: _Scope, fun: Expr, fun_ty: Expr) -> Pi:
     under ``whnf``; a head that is no product, or fuel that runs out, fails."""
     head = _reduced(scope, _whnf, fun_ty, "exposing the type of", fun)
     if not isinstance(head, Pi):
-        _fail(
-            ErrorKind.NOT_A_FUNCTION,
-            f"{scope.show(fun)} has type {scope.show(fun_ty)}, which is not a function type",
-        )
+        _fail(ErrorKind.NOT_A_FUNCTION, "{} has type {}, which is not a function type", scope, fun, fun_ty)
     return head
 
 
 def _convertible(scope: _Scope, a, b, where: str, subject: Expr | None = None) -> None:
     """Require types a and b to be convertible, as ``beta_eq`` decides it
     for the terms they stand for (``_term``): true at no cost in fuel if
-    those are equal, else by comparing normal forms, each within the fuel.
+    those are equal, else by lazy conversion, each side within the fuel.
 
     ``where`` names the site, followed by the printed ``subject`` if one
-    is given; the text is rendered only when the check fails.
+    is given; the text is rendered only when the error is read.
     """
     r = _beta_eq(_term(scope, a), _term(scope, b), scope.budget)
     if r is True:
         return
-    if subject is not None:
-        where = f"{where} {scope.show(subject)}"
+    shown = () if subject is None else (subject,)
+    where += " {}" * len(shown)  # the subject, printed after the site's name
     if r is UNDETERMINED:
-        _fail(ErrorKind.FUEL_EXHAUSTED, f"conversion undecided in {where}")
-    _fail(ErrorKind.MISMATCH, f"{where}: {scope.show(a)} is not convertible with {scope.show(b)}")
+        _fail(ErrorKind.FUEL_EXHAUSTED, "conversion undecided in " + where, scope, *shown)
+    _fail(ErrorKind.MISMATCH, where + ": {} is not convertible with {}", scope, *shown, a, b)
 
 
 def label_of(e: LLam | LApp) -> LPi:
@@ -329,8 +345,7 @@ def _directed(scope: _Scope, what: str, a: Node, b: Node, to: str) -> None:
     """Require ``directed_convertible(a, b)`` within the budget's depth, else
     fail: ``what`` type ``a`` does not reduce to or from ``to``, ``b`` in its ``{}``."""
     if not (_search(a, scope.budget, {b})[0] or _search(b, scope.budget, {a})[0]):
-        message = f"{what} type {scope.show(a)} does not reduce to or from " + to.format(scope.show(b))
-        _fail(ErrorKind.DIRECTED_CONVERSION_UNDETERMINED, message)
+        _fail(ErrorKind.DIRECTED_CONVERSION_UNDETERMINED, "{} type {} does not reduce to or from " + to, scope, what, a, b)
 
 
 def wf_context(spec: PtsSpec, ctx: Context, fuel: int = DEFAULT_FUEL) -> None:
@@ -348,10 +363,7 @@ def _context_scope(spec: PtsSpec, ctx: Context, budget: _Budget) -> _Scope:
         try:
             s = _sort_of(scope, ty)
         except TypeCheckError as err:
-            _fail(
-                ErrorKind.ILL_FORMED_CONTEXT,
-                f"binding {name} : {print_expr(ty)} is ill-formed ({err})",
-            )
+            _fail(ErrorKind.ILL_FORMED_CONTEXT, "binding {} : {} is ill-formed ({})", scope, name, ty, err)
         scope.types[name], scope.sorts[name] = ty, s
     return scope
 
@@ -593,7 +605,7 @@ def _classify(scope: _Scope, e: Expr, ty, s: str | None) -> Classification:
         return GammaConstructor(is_type=nty == SortE(STAR))
     if s == STAR:
         return GammaTerm()
-    _fail(ErrorKind.SORT_UNTYPEABLE, f"type of {print_expr(e)} is classified by {s}")
+    _fail(ErrorKind.SORT_UNTYPEABLE, "type of {} is classified by {}", scope, e, s)
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,6 @@ def test_labeled_body_of_another_normal_type_is_a_mismatch():
     assert info.value.kind is ErrorKind.MISMATCH
 
 
-@pytest.mark.xfail(strict=True, reason="conversion normalizes both sides whole before it compares their heads")
 def test_check_with_differing_heads_is_a_mismatch_at_fuel_one(capsys):
     binds = ["A : *", "B : *", "F : * -> *", r"y : F ((\x:*. x) ((\x:*. x) A))"]
     argv = ["check", "--fuel", "1"] + [a for b in binds for a in ("--bind", b)] + ["y", "B"]

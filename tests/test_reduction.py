@@ -24,6 +24,7 @@ from ptskit.reduction import (
 
 from generators import typed_terms, untyped_term
 from metatheory import is_base, joinable, key_redex_path
+from conversion_oracle import agrees_with_reference, reference_beta_eq
 
 
 def P(text):
@@ -586,14 +587,6 @@ def test_open_terms_evaluate_as_substitution_normalizes_them(monkeypatch):
     nf = reduction._nf
     substituted = _spy(monkeypatch, reduction, "_nf")
 
-    def reference_beta_eq(a, b, fuel):
-        if a == b:
-            return True
-        try:
-            return nf(a, _Budget(fuel)) == nf(b, _Budget(fuel))
-        except FuelExhausted:
-            return UNDETERMINED
-
     terms = _open_terms()
     assert len(terms) > 40 and max(t._loose for t in terms) >= 2
     checked = 0
@@ -611,6 +604,98 @@ def test_open_terms_evaluate_as_substitution_normalizes_them(monkeypatch):
             got, expected = _outcome(normalize, e, fuel), _outcome(lambda e, fuel: nf(e, _Budget(fuel)), e, fuel)
             assert got == expected and print_expr(got[1]) == print_expr(expected[1]), (print_expr(e), fuel)
             for b in (want, other):
-                assert beta_eq(e, b, fuel) is reference_beta_eq(e, b, fuel), (print_expr(e), print_expr(b), fuel)
+                assert agrees_with_reference(e, b, fuel, 1000), (print_expr(e), print_expr(b), fuel)
         checked += needed > 0
     assert checked > 20
+
+
+# ---------------------------------------------------------------------------
+# Lazy conversion against normalizing both sides (tests/conversion_oracle.py)
+
+
+def _reference_fuel(a, b, cap):
+    """The least fuel at which the reference decides ``a`` against ``b``, None above ``cap``."""
+    for fuel in range(1, cap + 1):
+        if reference_beta_eq(a, b, fuel) is not UNDETERMINED:
+            return fuel
+    return None
+
+
+def _conversion_pairs():
+    """Pairs that are convertible (a term and its reducts, reducts of one
+    term, a term and its normal form, a reduct's type and the term's type)
+    and pairs that mostly are not (neighbouring terms, ``T`` and ``T -> T``),
+    over untyped and well-typed generated terms and the open terms above."""
+    from ptskit.syntax import CC, Pi
+    from ptskit.typecheck import infer_type
+    from generators import typed_pool_context
+
+    def related(t, u):
+        reducts = sorted(step_all(t), key=print_expr)[:2]
+        out = [(t, u)] + [(t, r) for r in reducts] + [tuple(reducts)] * (len(reducts) == 2)
+        try:
+            out.append((t, normalize(t, 200)))
+        except FuelExhausted:
+            pass
+        return out
+
+    rng = random.Random(33)
+    untyped = [untyped_term(rng, 24) for _ in range(250)]
+    opened = _open_terms()
+    pairs = []
+    for terms in (untyped, opened):
+        for t, u in zip(terms, terms[1:] + terms[:1]):
+            pairs += related(t, u)
+    ctx = typed_pool_context()
+    typed = typed_terms(34, 120)
+    for t, u in zip(typed, typed[1:] + typed[:1]):
+        ty = infer_type(CC, ctx, t)
+        pairs += related(t, u) + [(ty, Pi("_", ty, ty)), (ty, infer_type(CC, ctx, u))]
+        pairs += [(infer_type(CC, ctx, r), ty) for r in sorted(step_all(t), key=print_expr)[:2]]
+    return pairs
+
+
+def test_lazy_conversion_agrees_with_normalizing_both_sides():
+    decided = {True: 0, False: 0}
+    earlier = 0  # pairs lazy conversion decides at a fuel the reference does not
+    for a, b in _conversion_pairs():
+        need = _reference_fuel(a, b, 60)
+        if need is None:
+            continue
+        want = reference_beta_eq(a, b, need)
+        decided[want] += 1
+        for fuel in range(1, need + 2):
+            assert agrees_with_reference(a, b, fuel, need), (print_expr(a), print_expr(b), fuel)
+        earlier += need > 1 and beta_eq(a, b, need - 1) is not UNDETERMINED
+    assert decided[True] > 500 and decided[False] > 500 and earlier > 50, (decided, earlier)
+
+
+def test_lazy_conversion_decides_distinct_heads_without_normal_forms():
+    omega = P(r"(\x:*. x x) (\x:*. x x)")
+    assert beta_eq(omega, Var("y"), 30) is UNDETERMINED  # a side that never reaches a head
+    assert beta_eq(App(Var("f"), omega), App(Var("g"), omega), 1) is False
+    assert beta_eq(App(Var("f"), omega), App(App(Var("f"), omega), Var("y")), 1) is False  # spine lengths
+    assert beta_eq(P(r"\x:*. x"), P(r"(A:*) -> A"), 1) is False  # binder classes
+    assert beta_eq(App(Var("f"), omega), App(Var("f"), Var("y")), 30) is UNDETERMINED
+    # arguments are compared left to right, as normal order reads them back
+    assert beta_eq(P(r"f a ((\x:*. x x) (\x:*. x x)) c"), P(r"f b ((\x:*. x x) (\x:*. x x)) c"), 30) is False
+    assert beta_eq(P(r"f ((\x:*. x x) (\x:*. x x)) a c"), P(r"f ((\x:*. x x) (\x:*. x x)) b c"), 30) is UNDETERMINED
+    # each side has the whole fuel: two contractions on the left, one on the right
+    two, one = P(r"(\x:*. x) ((\x:*. x) (f a))"), P(r"(\x:*. x) (f a)")
+    assert beta_eq(two, one, 2) is True and beta_eq(two, one, 1) is UNDETERMINED
+    assert reference_beta_eq(two, one, 2) is True
+
+
+def test_lazy_conversion_is_no_shallower_than_normalizing():
+    def spine(n, leaf):
+        e = Var(leaf)
+        for _ in range(n):
+            e = App(Var("f"), e)
+        return e
+
+    # normalizing both sides reads an argument spine back one frame per level
+    # and stops near 990 levels; lazy conversion follows the last argument in a loop
+    for depth in (990, 5000):
+        x, y = spine(depth, "x"), spine(depth, "y")
+        redex = App(P(r"\z:*. z"), x)
+        assert (beta_eq(x, y), beta_eq(redex, x), beta_eq(x, redex)) == (False, True, True)
