@@ -5,29 +5,28 @@ specification; ill-typed terms reduce too, which is why every bounded
 operation distinguishes "ran out of fuel" from a definite answer.
 
 Every walk here but the evaluator (``enumerate_steps``,
-``leftmost_step``, ``_nf``, ``whnf``, the key-redex functions and the
-bounded search) reads the shape tables of ``syntax.Node``, so each
+``leftmost_step``, ``_whnf``, ``_parts``, the key-redex functions and
+the bounded search) reads the shape tables of ``syntax.Node``, so each
 serves labeled terms, with tight reduction, as well as plain ones.
 
 ``leftmost_step``, ``trace`` and ``normalize`` follow the
 leftmost-outermost (normal-order) strategy.  ``leftmost_step`` contracts
 one redex and ``trace`` repeats it from the root; ``normalize`` makes
-the same contractions in one pass, contracting a term's head redexes
-first and then normalizing its components left to right.  Its fuel
-counts contractions, and on exhaustion ``FuelExhausted.last`` is the
-whole term after exactly ``fuel`` of them, the term ``trace`` shows
-after that many steps.  On labeled terms ``leftmost_step`` visits an
-application's labels before its function, so there ``normalize``
-contracts in another order than ``trace`` but reaches the same tight
-normal form.
+the same contractions in one pass.  Its fuel counts contractions, and on
+exhaustion ``FuelExhausted.last`` is the whole term after exactly
+``fuel`` of them, the term ``trace`` shows after that many steps.  On
+labeled terms ``leftmost_step`` visits an application's labels before
+its function, so there ``normalize`` contracts in another order than
+``trace`` but reaches the same tight normal form.
 
-``normalize`` evaluates plain core terms to closures and reads them
-back (``_eval``, ``_quote``), call-by-name without sharing: each
-occurrence of an argument is reduced on its own, as substitution copies
-it, so the contractions and their order are normal order's.  A dangling
-index is a read-back level, as the typing walks' open types need.  The
-substituting ``_nf`` stays for labeled terms (tight-beta compares
-labels), pairs and projections, and ``FuelExhausted.last``.  ``beta_eq``
+``normalize`` makes its contractions on one of two paths.  Plain core
+terms are evaluated to closures and read back (``_eval``, ``_quote``),
+call-by-name without sharing: each occurrence of an argument is reduced
+on its own, as substitution copies it.  A dangling index is a read-back
+level, as the typing walks' open types need.  Labeled terms (tight-beta
+compares labels), pairs and projections, and ``FuelExhausted.last``,
+take ``_nf``, which substitutes: ``_whnf``, then the parts (``_parts``),
+as ``_eval`` and then ``_quote`` do on closures.  ``beta_eq``
 converts lazily (Coquand, SCP 1996; Grégoire & Leroy, ICFP 2002): it
 compares weak head values and descends only while their heads agree, so
 distinct rigid heads are a definite False (Church-Rosser) before either
@@ -162,13 +161,11 @@ def normalize(e: Expr, fuel: int = DEFAULT_FUEL) -> Expr:
     A term's head redexes are contracted first, in the order ``whnf``
     uses; then its components are normalized left to right, in the
     order ``leftmost_step`` visits them (the annotation of a pair is
-    left untouched).  Once a term is in weak head normal form no
+    left untouched).  Once a plain term is in weak head normal form no
     reduction inside it can create a head redex, so this is exactly the
     contraction sequence of repeated ``leftmost_step`` from the root,
-    without the re-descent after every step.
-
-    Plain core terms are evaluated and read back, which makes the same
-    contractions (see the module docstring); other terms go to ``_nf``.
+    without the re-descent after every step.  The evaluator and ``_nf``
+    both make these contractions (see the module docstring).
 
     ``fuel`` bounds the number of contractions (beta and projection
     steps) over the whole term.  A term that needs at most ``fuel`` of
@@ -204,59 +201,57 @@ def _normal_form(e: Node, budget: _Budget) -> Node:
     return _nf(e, budget)
 
 
-def _nf(e: Node, budget: _Budget, stop_at: type | None = None) -> Node:
-    """Normal form of ``e`` by substitution, one frame per term level.
-
-    An elimination form first brings its head to normal form, stopping
-    at a weak head normal form of its ``_intro`` class (``Lam`` for the
-    function of an application, ``Pair`` for the subject of a
-    projection), because the redex above it comes next in
-    leftmost-outermost order.  With ``stop_at`` such a term is returned
-    as it is.  Head redexes are contracted in a loop at this level, so
-    successive contractions at the root do not deepen the stack; then
-    the other step positions are normalized in table order.  A head that
-    stopped at an introduction form that does not fire (tight-beta on
-    unequal labels) is normalized with them, and the node is checked
-    again, since normal labels may agree.  On fuel exhaustion each frame
-    rebuilds its own node around the partial child before re-raising.
-    """
+def _nf(e: Node, budget: _Budget) -> Node:
+    """Normal form of ``e`` by substitution: its weak head normal form, then
+    its parts, again while a tight-beta fires once its labels are normal."""
     while True:
-        if e._role is not None:
+        e = _parts(_whnf(e, budget), budget)
+        if e._redex is None or not e._fires():
             return e
+
+
+def _parts(e: Node, budget: _Budget) -> Node:
+    """The weak head normal form ``e`` with its step positions normalized,
+    one frame per term level.  The head goes first, as it is: ``_whnf``
+    left its whole head chain weak head normal.  The others follow in table
+    order, each as ``_parts(_whnf(child))``.  A head of the ``_intro`` class
+    is a tight-beta its labels block: then all positions go in table order,
+    and ``e`` comes back a redex if it fires once they are normal, for the
+    caller to contract; a parent whose head it is fires next if it can,
+    before the contractum's parts, as in leftmost-outermost order.  On fuel
+    exhaustion each frame rebuilds its own node around the partial child."""
+    while True:
         head = skip = e._head
-        if head is None:
-            if type(e) is stop_at:
-                return e
-        else:
+        if head is not None:
             h = getattr(e, head)
-            try:
-                f = _nf(h, budget, e._intro)
-            except FuelExhausted as exc:
-                exc.last = _rebuild(e, head, exc.last)
-                raise
-            if f is not h:
-                e = _rebuild(e, head, f)
-            if e._fires():
-                if budget.left <= 0:
-                    raise FuelExhausted(e)
-                budget.left -= 1
-                e = e._contract()
-                continue
-            if type(f) is e._intro:
-                skip = None  # a tight-beta blocked by labels: see below
+            if type(h) is e._intro:
+                skip = None
+            elif h._role is None:
+                try:
+                    f = _parts(h, budget)
+                    if f is not h and f._redex is not None and f._fires():
+                        e = _rebuild(e, head, _whnf(f, budget))
+                        if e._fires():
+                            return e
+                        continue
+                except FuelExhausted as exc:
+                    exc.last = _rebuild(e, head, exc.last)
+                    raise
+                if f is not h:
+                    e = _rebuild(e, head, f)
         for name, _ in e._positions:
-            if name == skip:
-                continue
             v = getattr(e, name)
-            try:
-                r = _nf(v, budget)
-            except FuelExhausted as exc:
-                exc.last = _rebuild(e, name, exc.last)
-                raise
-            if r is not v:
-                e = _rebuild(e, name, r)
-        if skip is not None or head is None or not e._fires():
-            return e
+            if name != skip and v._role is None:
+                try:
+                    r = _parts(_whnf(v, budget), budget)
+                    while r is not v and r._redex is not None and r._fires():
+                        r = _parts(_whnf(r, budget), budget)
+                except FuelExhausted as exc:
+                    exc.last = _rebuild(e, name, exc.last)
+                    raise
+                if r is not v:
+                    e = _rebuild(e, name, r)
+        return e
 
 
 class _Unsupported(Exception):
@@ -352,15 +347,15 @@ def whnf(e: Node, fuel: int = DEFAULT_FUEL) -> Node:
 
 def _whnf(e: Node, budget: _Budget) -> Node:
     """``whnf`` with what is ``left`` of ``budget``'s fuel."""
-    while e._head is not None:
-        h = getattr(e, e._head)
+    while (head := e._head) is not None:
+        h = getattr(e, head)
         try:
-            f = _whnf(h, budget)
+            f = h if h._head is None else _whnf(h, budget)
         except FuelExhausted as exc:
-            exc.last = _rebuild(e, e._head, exc.last)
+            exc.last = _rebuild(e, head, exc.last)
             raise
         if f is not h:
-            e = _rebuild(e, e._head, f)
+            e = _rebuild(e, head, f)
         if not e._fires():
             break
         if budget.left <= 0:

@@ -24,7 +24,7 @@ from ptskit.reduction import (
 
 from generators import typed_terms, untyped_term
 from metatheory import is_base, joinable, key_redex_path
-from conversion_oracle import agrees_with_reference, reference_beta_eq
+from conversion_oracle import agrees_with_reference, reference_beta_eq, reference_nf
 
 
 def P(text):
@@ -699,3 +699,136 @@ def test_lazy_conversion_is_no_shallower_than_normalizing():
         x, y = spine(depth, "x"), spine(depth, "y")
         redex = App(P(r"\z:*. z"), x)
         assert (beta_eq(x, y), beta_eq(redex, x), beta_eq(x, redex)) == (False, True, True)
+
+
+# ---------------------------------------------------------------------------
+# _nf, weak head reduction followed by the parts, against the substituting
+# normalizer with its own head loop (tests/conversion_oracle.py)
+
+
+def _nf_at(e, fuel):
+    from ptskit import reduction
+
+    return reduction._nf(e, _Budget(fuel))
+
+
+def _assert_nf_matches_reference(e, fuels=range(1, 12)):
+    """``_nf`` and ``normalize`` reach the reference's normal form, or its
+    ``FuelExhausted.last``, at every fuel; returns the pairs compared."""
+    for fuel in fuels:
+        want = _outcome(lambda e, fuel: reference_nf(e, _Budget(fuel)), e, fuel)
+        for norm in (_nf_at, normalize):
+            got = _outcome(norm, e, fuel)
+            assert got[0] == want[0] and got[1] == want[1], (print_expr(e), fuel, norm.__name__)
+            assert print_expr(got[1]) == print_expr(want[1]), (print_expr(e), fuel, norm.__name__)
+    return len(fuels)
+
+
+def test_nf_matches_the_reference_on_labeled_terms_and_their_tight_reducts():
+    # reducts that step inside an application's labels but not its lambda's
+    # block a tight-beta until the labels are normal
+    from ptskit.labeled import label_term, tight_step_all
+    from ptskit.syntax import CC
+    from generators import typed_pool_context
+
+    ctx, checked = typed_pool_context(), 0
+    for t in typed_terms(7, 600):
+        labeled = label_term(CC, ctx, t)
+        for e in [labeled, *sorted(tight_step_all(labeled), key=print_expr)]:
+            checked += _assert_nf_matches_reference(e)
+    assert checked > 15000
+
+
+def test_nf_matches_the_reference_on_plain_and_sigma_terms():
+    # below the fuel a plain term needs, normalize replays it through _nf
+    exprs = typed_terms(7, 600)
+    root = os.path.join(os.path.dirname(__file__), os.pardir, "corpus", "sigma")
+    for j in load_corpus_dir(root, True):
+        exprs += [j.term] + [ty for _, ty in j.ctx] + ([j.ty] if j.ty is not None else [])
+    assert sum(map(_assert_nf_matches_reference, exprs)) > 7000
+
+
+_LABEL = r"((\[X : * -> *] X : * . X) @[X : * -> *] A)"  # (\X:*. X) A, labeled
+_ID = r"(\[u : A -> A] u : A . u)"
+
+
+def test_nf_reduces_a_stuck_head_before_the_labels():
+    from ptskit.syntax import parse_labeled
+
+    e = parse_labeled(rf"(g @[x : A -> A] ((\[y : A -> A] y : A . y) @[y : A -> A] a)) @[z : {_LABEL} -> A] b")
+    with pytest.raises(FuelExhausted) as err:
+        _nf_at(e, 1)
+    assert print_expr(err.value.last) == rf"g @[x : A -> A] a @[z : {_LABEL[1:-1]} -> A] b"
+    assert print_expr(_nf_at(e, 2)) == "g @[x : A -> A] a @[z : A -> A] b"
+    _assert_nf_matches_reference(e)
+
+
+def test_nf_fires_a_tight_beta_once_its_labels_are_normal():
+    from ptskit.syntax import parse_labeled
+
+    e = parse_labeled(rf"(\[y : A -> A] y : A . y) @[y : {_LABEL} -> A] a")
+    with pytest.raises(FuelExhausted) as err:
+        _nf_at(e, 1)
+    assert print_expr(err.value.last) == r"(\[y : A -> A] y : A . y) @[y : A -> A] a"
+    assert print_expr(_nf_at(e, 2)) == "a"
+    _assert_nf_matches_reference(e)
+
+
+def test_nf_fires_the_parent_of_an_unblocked_head_before_the_contractum_parts():
+    # the inner tight-beta fires once its label is normal, to a lambda whose
+    # body holds the redex the substitution made; the outer application fires
+    # on that lambda next, as in leftmost-outermost order, and only then the
+    # redex in its body. Normalizing the lambda first would change .last
+    from ptskit.syntax import parse_labeled
+
+    fun = r"(\[y : A -> ((w : A) -> A)] y : A . (\[z : A -> A] z : A . (y @[u : A -> A] z)))"
+    inner = rf"({fun} @[y : {_LABEL} -> ((w : A) -> A)] {_ID})"
+    lasts = [
+        r"(\[y : A -> A -> A] y : A . \[z : A -> A] z : A . y @[u : A -> A] z) @[y : A -> A -> A] (\[u : A -> A] u : A . u) @[z : A -> A] b",
+        r"(\[z : A -> A] z : A . (\[u : A -> A] u : A . u) @[u : A -> A] z) @[z : A -> A] b",
+        r"(\[u : A -> A] u : A . u) @[u : A -> A] b",
+    ]
+    for text, prefix in ((rf"{inner} @[z : A -> A] b", ""), (rf"h @[v : A -> A] ({inner} @[z : A -> A] b)", "h @[v : A -> A] ")):
+        e = parse_labeled(text)
+        for fuel, last in enumerate(lasts, start=1):
+            with pytest.raises(FuelExhausted) as err:
+                _nf_at(e, fuel)
+            assert print_expr(err.value.last) == (f"{prefix}({last})" if prefix else last)
+        assert print_expr(_nf_at(e, 4)) == f"{prefix}b"
+        _assert_nf_matches_reference(e)
+    # a parent whose labels still block it normalizes them first, then fires;
+    # a head that fires to a stuck application is normalized before the rest
+    stuck = rf"(\[y : (A -> A) -> A] y : (A -> A) . (g @[x : A -> A] (y @[u : A -> A] a))) @[y : ((w : {_LABEL}) -> A) -> A] {_ID}"
+    for text in (rf"({inner} @[z : {_LABEL} -> A] b) @[q : A -> A] c", rf"({stuck}) @[z : A -> A] ({_ID} @[u : A -> A] b)"):
+        _assert_nf_matches_reference(parse_labeled(text))
+
+
+def test_nf_reduces_each_node_of_a_spine_once(monkeypatch):
+    # _whnf leaves the head chain weak head normal: reducing each head again
+    # would walk the spine once per argument, 81,401 _whnf calls here
+    from ptskit import reduction
+    from ptskit.syntax import SortE
+
+    r = App(Lam("y", SortE("*"), BVar(0)), Var("a"))
+    e, want = Var("f"), Var("f")
+    for _ in range(400):
+        e, want = App(e, r), App(want, Var("a"))
+    calls = _spy(monkeypatch, reduction, "_whnf")
+    assert reduction._nf(e, _Budget()) == want
+    assert 0 < len(calls) <= size(e) == 2401
+
+
+def test_nf_takes_one_frame_per_level_at_the_default_recursion_limit():
+    # the ceilings are ~993 on each shape; a frame per level more would halve them
+    from test_delayed_types import _probe
+
+    _probe(
+        900,
+        "from ptskit.reduction import _Budget, _nf\n"
+        "r, a = App(Lam('y', SortE('*'), BVar(0)), Var('a')), Var('a')\n"
+        "shapes = [(Var('f'), Var('f')), (r, a), (r, a)]\n"
+        "for i in range(d):\n"
+        "    (l, nl), (s, ns), (n, nn) = shapes\n"
+        "    shapes = [(App(l, r), App(nl, a)), (App(Var('f'), s), App(Var('f'), ns)), (Lam(f'x{i}', Var('A'), n), Lam(f'x{i}', Var('A'), nn))]\n"
+        "assert all(_nf(e, _Budget()) == want for e, want in shapes)",
+    )
