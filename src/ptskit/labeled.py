@@ -46,6 +46,9 @@ from .typecheck import (
     _fail,
     _fun_head,
     _infer,
+    _infer_bvar,
+    _infer_sort,
+    _infer_var,
     _pi_sort,
     _Scope,
     _term,
@@ -152,11 +155,11 @@ def _elaborate(scope: _Scope, a: Expr) -> tuple[LabeledExpr, Expr, str | None, L
     takes a function type that is a product as its head, with no reduction."""
     cls = type(a)
     if cls is SortE:
-        return LSort(a.name), *_infer(scope, a), None
+        return LSort(a.name), *_infer_sort(scope, a), None
     if cls is Var:
-        return LVar(a.name), *_infer(scope, a), scope.ltypes.get(a.name) or scope.once(scope.ltypes, a.name, _ltype_of)
+        return LVar(a.name), *_infer_var(scope, a), scope.ltypes.get(a.name) or scope.once(scope.ltypes, a.name, _ltype_of)
     if cls is BVar:
-        ty, s = _infer(scope, a)
+        ty, s = _infer_bvar(scope, a)
         return LBVar(a.index), _term(scope, ty), s, _shift(scope.binders[-1 - a.index][3], a.index + 1, 0)
     if cls is Pi:
         dom, cod = a.dom, a.cod
@@ -176,7 +179,7 @@ def _elaborate(scope: _Scope, a: Expr) -> tuple[LabeledExpr, Expr, str | None, L
         s1 = _as_sort(scope, annot_ty, annot)
         scope.binders.append((a, annot, s1, lannot))
         lbody, body_ty, s2, lcod = _elaborate(scope, a.body)
-        # the TLam product premise, settled as in _infer; elaborating the
+        # the TLam product premise, settled as in _infer_lam; elaborating the
         # body's type gives its labeled form and, if missing, its sort
         if lcod is None or s2 is None:
             lcod, cod_ty, _, _ = _elaborate(scope, body_ty)

@@ -201,8 +201,8 @@ def _node(cls):
 
     Slots must exist when a class is created, so the class is created
     again with them; a metaclass would slow every ``isinstance`` test
-    that misses.  The classes are final, so the hot walks (``_infer``,
-    ``_elaborate``, the translation maps, ``_pp``) test ``type(e) is C``
+    that misses.  The classes are final, so the hot walks (the typing
+    rules, ``_elaborate``, the translation maps, ``_pp``) test ``type(e) is C``
     for what a class pattern tests by ``isinstance`` and ``__match_args__``
     reads, 0.4-1.6 µs more per node (CPython 3.11); ``repr``, pickling
     and erasure still read ``__match_args__``.  A node's hash is fixed at
@@ -676,10 +676,7 @@ class Context(Record):
         return self._index
 
     def lookup(self, name: str) -> Node | None:
-        for n, ty in self.bindings:
-            if n == name:
-                return ty
-        return None
+        return self.index().get(name)
 
     def extend(self, name: str, ty: Node) -> Context:
         return Context(self.bindings + ((name, ty),))
@@ -688,10 +685,7 @@ class Context(Record):
         return {n for n, _ in self.bindings}
 
     def __contains__(self, name: str) -> bool:
-        for n, _ in self.bindings:
-            if n == name:
-                return True
-        return False
+        return name in self.index()
 
     def __iter__(self):
         return iter(self.bindings)

@@ -9,6 +9,19 @@ One walk types plain and labeled terms.  Labeled lambdas and
 applications check their labels and decide conversion by directed
 search: one side must reduce to the other.
 
+Each node class has one typing rule, a function in ``_RULES``.  Premises
+go in rule order: a product's domain sort, then its codomain; a lambda's
+annotation sort, then its body, then, if the body gave no sort, the sort
+of the body's type; a pair's annotation, then its components; a sigma
+node is rejected first if the spec has no sigma.  A rule hands up the
+sort of the type it gives where that is known: for a sort, product or
+Sig type (the axiom of the sort that types it), for a plain variable
+whose type checks (the sort of its type), for a lambda (the sort of its
+product) and for a plain application whose function's type has a known
+sort that fixes the codomain sort (``PtsSpec.cod_sorts``); labeled
+variables and applications, pairs and projections give None.  A sort or
+product is typed by a sort of its own AST.
+
 An open plain type travels up the walk under delayed substitution
 (Abadi, Cardelli, Curien & Lévy, JFP 1991), as Coquand types terms
 (SCP 1996): a variable's type is its binder's annotation with the
@@ -385,8 +398,10 @@ def infer_type(spec: PtsSpec, ctx: Context, e: Expr, fuel: int = DEFAULT_FUEL) -
 
 
 def _infer(scope: _Scope, e: Node) -> tuple:
-    """``(A, s)`` with scope |- e : A and, unless s is None, scope |- A : s;
-    ``e`` and ``A`` are open over ``scope``'s binders (see ``_Scope``).
+    """``(A, s)`` with scope |- e : A and, unless s is None, scope |- A : s,
+    by ``e``'s rule in ``_RULES``; ``e`` and ``A`` are open over ``scope``'s
+    binders (see ``_Scope``).  A rule types a subterm by the subterm's rule
+    in the table directly, so a term level costs one frame.
 
     A plain A may be delayed (see the module docstring): a variable's is its
     binder's annotation under the binder's environment, an application's
@@ -395,154 +410,173 @@ def _infer(scope: _Scope, e: Node) -> tuple:
     for (``_term``) only to ask a question of it: a conversion, a sort, the
     product of a function's type that is not one already, or the type of a
     body that hands up no sort; callers build it too.  Labeled types, and
-    the types sigma rules give, are terms.  An application whose function's
-    type is a ``Pi``, a closure of one or a ``_Prod`` takes its
-    parts as they are, the argument pushed onto the closure's environment or
-    bound at the product's level; any other head is built and exposed by
-    ``_fun_head``.  An argument whose type is, or equals as a node, the
-    domain, or stands for the same binder level (``_level``), needs no
-    ``_convertible``.
-
-    s is known for a sort, product or Sig type (the axiom of the sort that
-    types it), for a plain variable whose type checks (the sort of its
-    type), for a lambda (the sort of its product) and for a plain
-    application whose function's type has a known sort that fixes the
-    codomain sort (``PtsSpec.cod_sorts``); labeled variables and
-    applications, pairs and projections give None.  A sort or product
-    is typed by a sort of its own AST.  Premises go in rule order: a
-    product's domain sort, then its codomain; a lambda's annotation
-    sort, then its body, then, if the body gave no sort, the sort of the
-    body's type; a pair's annotation, then its components; a sigma node
-    is rejected first if the spec has no sigma.  The cases are ordered by
-    how often they occur.  The budget's ``depth`` serves labeled terms, as
-    ``labeled.labeled_infer`` describes.
+    the types sigma rules give, are terms.  The budget's ``depth`` serves
+    labeled terms, as ``labeled.labeled_infer`` describes.
     """
-    cls = type(e)
-    if cls is App:
-        fun, arg = e.fun, e.arg
-        fun_ty, s3 = _infer(scope, fun)
-        head = fun_ty
-        if not (type(head) is Pi or type(head) is _Prod or type(head) is tuple and type(head[0]) is Pi):
-            head = _fun_head(scope, fun, _term(scope, fun_ty))
-        if type(head) is Pi:
-            dom, cod = head.dom, head.cod
-            if cod._loose:
-                cod = (cod, (_thunk(scope, arg), scope.env())) if head._loose or arg._loose else instantiate(cod, arg)
-        elif type(head) is tuple:
-            pi, env = head
-            dom, cod = _clo(pi.dom, env), _clo(pi.cod, (_thunk(scope, arg), env))
+    rule = _RULES.get(type(e))
+    if rule is None:
+        raise TypeError(f"not an expression: {e!r}")
+    return rule(scope, e)
+
+
+def _infer_app(scope: _Scope, e: App) -> tuple:
+    """An application whose function's type is a ``Pi``, a closure of one
+    or a ``_Prod`` takes its parts as they are, the argument pushed onto
+    the closure's environment or bound at the product's level; any other
+    head is built and exposed by ``_fun_head``.  An argument whose type
+    is, or equals as a node, the domain, or stands for the same binder
+    level (``_level``), needs no ``_convertible``."""
+    fun, arg = e.fun, e.arg
+    fun_ty, s3 = _RULES[type(fun)](scope, fun)
+    head = fun_ty
+    if not (type(head) is Pi or type(head) is _Prod or type(head) is tuple and type(head[0]) is Pi):
+        head = _fun_head(scope, fun, _term(scope, fun_ty))
+    if type(head) is Pi:
+        dom, cod = head.dom, head.cod
+        if cod._loose:
+            cod = (cod, (_thunk(scope, arg), scope.env())) if head._loose or arg._loose else instantiate(cod, arg)
+    elif type(head) is tuple:
+        pi, env = head
+        dom, cod = _clo(pi.dom, env), _clo(pi.cod, (_thunk(scope, arg), env))
+    else:
+        dom, cod = head.dom, _Subst(head.cod, head.level, _thunk(scope, arg))
+    arg_ty = _RULES[type(arg)](scope, arg)[0]
+    if arg_ty is not dom and not (isinstance(dom, Node) and arg_ty == dom):  # a node is == only to a node
+        level = _level(scope, arg_ty)
+        if level is None or level != _level(scope, dom):
+            _convertible(scope, arg_ty, dom, "argument of", fun)
+    # the product reduces from fun_ty, so it has fun_ty's sort s3
+    return cod, scope.spec.cod_sorts.get(s3)
+
+
+def _infer_var(scope: _Scope, e: Var | LVar) -> tuple:
+    ty = scope.types.get(e.name)
+    if ty is None:
+        _fail(ErrorKind.UNBOUND_VARIABLE, f"unbound variable {e.name}")
+    return ty, scope.sorts.get(e.name) or scope.once(scope.sorts, e.name, _sort_of) if type(e) is Var else None
+
+
+def _infer_bvar(scope: _Scope, e: BVar | LBVar) -> tuple:
+    i = e.index
+    if i >= len(scope.binders):
+        raise ValueError("dangling bound variable reached the type checker")
+    entry = scope.binders[-1 - i]
+    ty = entry[1]
+    if ty._loose:
+        # labeled types stay terms; an index is shifted as cheaply as a closure is made
+        if ty._role is BOUND or type(e) is LBVar:
+            ty = _shift(ty, i + 1, 0)
         else:
-            dom, cod = head.dom, _Subst(head.cod, head.level, _thunk(scope, arg))
-        arg_ty = _infer(scope, arg)[0]
-        if arg_ty is not dom and not (isinstance(dom, Node) and arg_ty == dom):  # a node is == only to a node
-            level = _level(scope, arg_ty)
-            if level is None or level != _level(scope, dom):
-                _convertible(scope, arg_ty, dom, "argument of", fun)
-        # the product reduces from fun_ty, so it has fun_ty's sort s3
-        return cod, scope.spec.cod_sorts.get(s3)
-    if cls is Var or cls is LVar:
-        ty = scope.types.get(e.name)
-        if ty is None:
-            _fail(ErrorKind.UNBOUND_VARIABLE, f"unbound variable {e.name}")
-        return ty, scope.sorts.get(e.name) or scope.once(scope.sorts, e.name, _sort_of) if cls is Var else None
-    if cls is BVar or cls is LBVar:
-        i = e.index
-        if i >= len(scope.binders):
-            raise ValueError("dangling bound variable reached the type checker")
-        entry = scope.binders[-1 - i]
-        ty = entry[1]
-        if ty._loose:
-            # labeled types stay terms; an index is shifted as cheaply as a closure is made
-            if ty._role is BOUND or cls is LBVar:
-                ty = _shift(ty, i + 1, 0)
-            else:
-                ty = (ty, scope.env(len(scope.binders) - 1 - i))
-        return ty, entry[2]
-    if cls is Lam:
-        annot = e.annot
-        s1 = _as_sort(scope, _infer(scope, annot)[0], annot)
-        scope.binders.append((e, annot, s1))
-        body_ty, s2 = _infer(scope, e.body)
-        if s2 is None:
-            s2 = _sort_of(scope, _term(scope, body_ty))
-        scope.binders.pop()
-        # TLam demands the synthesized product itself be well-sorted.
-        if isinstance(body_ty, Node):
-            pi = Pi(e.hint, annot, body_ty)
-        else:
-            pi = _Prod(e.hint, _thunk(scope, annot) if annot._loose else annot, body_ty, len(scope.binders))
-        return pi, _pi_sort(scope, s1, s2, pi)
-    if cls is Pi or cls is LPi:
-        dom, cod = e.dom, e.cod
-        s1 = _as_sort(scope, _infer(scope, dom)[0], dom)
-        scope.binders.append((e, dom, s1))
-        s2 = _as_sort(scope, _infer(scope, cod)[0], cod)
-        scope.binders.pop()
-        s3 = _pi_sort(scope, s1, s2, e)
-        return (SortE if cls is Pi else LSort)(s3), scope.spec.axiom_for(s3)
-    if cls is SortE or cls is LSort:
-        s = e.name
-        if s not in scope.spec.sorts:
-            _fail(ErrorKind.SORT_UNTYPEABLE, f"unknown sort {s}")
-        s2 = scope.spec.axiom_for(s)
-        if s2 is None:
-            _fail(ErrorKind.NO_AXIOM, f"sort {s} has no type")
-        return cls(s2), scope.spec.axiom_for(s2)
-    if cls is LLam:
-        label = label_of(e)
-        s3 = _infer(scope, label)[0].name
-        # That checked the codomain whole, so a body lambda labeled with the
-        # codomain is entered here without checking its label again: once
-        # its own body checks, its type is that codomain.
-        depth = len(scope.binders)
-        dom, cod, body = e.dom, e.cod, e.body
-        while True:
-            scope.binders.append((e, dom, None))
-            if not (type(body) is LLam and label_of(body) == cod):
-                break
-            e, dom, cod, body = body, body.dom, body.cod, body.body
-        body_ty = _infer(scope, body)[0]
-        _directed(scope, "body", body_ty, cod, "the label codomain")
-        del scope.binders[depth:]
-        return label, s3
-    if cls is LApp:
-        fun_ty = _infer(scope, e.fun)[0]
-        label = label_of(e)
-        _directed(scope, "function", fun_ty, label, "the label {}")
-        arg_ty = _infer(scope, e.arg)[0]
-        _directed(scope, "argument", arg_ty, e.dom, "{}")
-        return instantiate(e.cod, e.arg), None
-    if (cls is Sigma or cls is Pair or cls is Proj1 or cls is Proj2) and not scope.spec.sigma_enabled:
-        _fail(ErrorKind.SIGMA_DISABLED, f"sigma extension is disabled: {scope.show(e)}")
-    if cls is Sigma:
-        first = e.first
-        first_sort = _sort_of(scope, first)
-        if first_sort != STAR:
-            _fail(
-                ErrorKind.MISMATCH,
-                f"Sig first component {scope.show(first)} must be a type, has sort {first_sort}",
-            )
-        scope.binders.append((e, first, first_sort))
-        s = _sort_of(scope, e.second)
-        scope.binders.pop()
-        return SortE(s), scope.spec.axiom_for(s)
-    if cls is Pair:
-        annot = e.annot
-        _infer(scope, annot)
-        head = _reduced(scope, _whnf, annot, "exposing the pair annotation", annot)
-        if not isinstance(head, Sigma):
-            _fail(ErrorKind.MISMATCH, f"pair annotation {scope.show(annot)} is not a Sig type")
-        _convertible(scope, _infer(scope, e.first)[0], head.first, "first pair component")
-        _convertible(scope, _infer(scope, e.second)[0], instantiate(head.second, e.first), "second pair component")
-        return annot, None
-    if cls is Proj1 or cls is Proj2:
-        p = e.pair
-        ty = _term(scope, _infer(scope, p)[0])
-        head = _reduced(scope, _whnf, ty, "exposing the type of", p)
-        if not isinstance(head, Sigma):
-            _fail(ErrorKind.MISMATCH, f"{scope.show(p)} has type {scope.show(ty)}, not a Sig type")
-        return (head.first if cls is Proj1 else instantiate(head.second, Proj1(p))), None
-    raise TypeError(f"not an expression: {e!r}")
+            ty = (ty, scope.env(len(scope.binders) - 1 - i))
+    return ty, entry[2]
+
+
+def _infer_lam(scope: _Scope, e: Lam) -> tuple:
+    annot = e.annot
+    s1 = _as_sort(scope, _RULES[type(annot)](scope, annot)[0], annot)
+    scope.binders.append((e, annot, s1))
+    body_ty, s2 = _RULES[type(e.body)](scope, e.body)
+    if s2 is None:
+        s2 = _sort_of(scope, _term(scope, body_ty))
+    scope.binders.pop()
+    # TLam demands the synthesized product itself be well-sorted.
+    if isinstance(body_ty, Node):
+        pi = Pi(e.hint, annot, body_ty)
+    else:
+        pi = _Prod(e.hint, _thunk(scope, annot) if annot._loose else annot, body_ty, len(scope.binders))
+    return pi, _pi_sort(scope, s1, s2, pi)
+
+
+def _infer_pi(scope: _Scope, e: Pi | LPi) -> tuple:
+    dom, cod = e.dom, e.cod
+    s1 = _as_sort(scope, _RULES[type(dom)](scope, dom)[0], dom)
+    scope.binders.append((e, dom, s1))
+    s2 = _as_sort(scope, _RULES[type(cod)](scope, cod)[0], cod)
+    scope.binders.pop()
+    s3 = _pi_sort(scope, s1, s2, e)
+    return (SortE if type(e) is Pi else LSort)(s3), scope.spec.axiom_for(s3)
+
+
+def _infer_sort(scope: _Scope, e: SortE | LSort) -> tuple:
+    s = e.name
+    if s not in scope.spec.sorts:
+        _fail(ErrorKind.SORT_UNTYPEABLE, f"unknown sort {s}")
+    s2 = scope.spec.axiom_for(s)
+    if s2 is None:
+        _fail(ErrorKind.NO_AXIOM, f"sort {s} has no type")
+    return type(e)(s2), scope.spec.axiom_for(s2)
+
+
+def _infer_llam(scope: _Scope, e: LLam) -> tuple:
+    label = label_of(e)
+    s3 = _infer_pi(scope, label)[0].name
+    # That checked the codomain whole, so a body lambda labeled with the
+    # codomain is entered here without checking its label again: once
+    # its own body checks, its type is that codomain.
+    depth = len(scope.binders)
+    dom, cod, body = e.dom, e.cod, e.body
+    while True:
+        scope.binders.append((e, dom, None))
+        if not (type(body) is LLam and label_of(body) == cod):
+            break
+        e, dom, cod, body = body, body.dom, body.cod, body.body
+    body_ty = _RULES[type(body)](scope, body)[0]
+    _directed(scope, "body", body_ty, cod, "the label codomain")
+    del scope.binders[depth:]
+    return label, s3
+
+
+def _infer_lapp(scope: _Scope, e: LApp) -> tuple:
+    fun_ty = _RULES[type(e.fun)](scope, e.fun)[0]
+    label = label_of(e)
+    _directed(scope, "function", fun_ty, label, "the label {}")
+    arg_ty = _RULES[type(e.arg)](scope, e.arg)[0]
+    _directed(scope, "argument", arg_ty, e.dom, "{}")
+    return instantiate(e.cod, e.arg), None
+
+
+def _infer_sig(scope: _Scope, e: Sigma) -> tuple:
+    if not scope.spec.sigma_enabled:
+        _fail(ErrorKind.SIGMA_DISABLED, "sigma extension is disabled: {}", scope, e)
+    first = e.first
+    first_sort = _sort_of(scope, first)
+    if first_sort != STAR:
+        _fail(ErrorKind.MISMATCH, "Sig first component {} must be a type, has sort {}", scope, first, first_sort)
+    scope.binders.append((e, first, first_sort))
+    s = _sort_of(scope, e.second)
+    scope.binders.pop()
+    return SortE(s), scope.spec.axiom_for(s)
+
+
+def _infer_pair(scope: _Scope, e: Pair) -> tuple:
+    if not scope.spec.sigma_enabled:
+        _fail(ErrorKind.SIGMA_DISABLED, "sigma extension is disabled: {}", scope, e)
+    annot = e.annot
+    _RULES[type(annot)](scope, annot)
+    head = _reduced(scope, _whnf, annot, "exposing the pair annotation", annot)
+    if not isinstance(head, Sigma):
+        _fail(ErrorKind.MISMATCH, "pair annotation {} is not a Sig type", scope, annot)
+    _convertible(scope, _RULES[type(e.first)](scope, e.first)[0], head.first, "first pair component")
+    _convertible(scope, _RULES[type(e.second)](scope, e.second)[0], instantiate(head.second, e.first), "second pair component")
+    return annot, None
+
+
+def _infer_proj(scope: _Scope, e: Proj1 | Proj2) -> tuple:
+    if not scope.spec.sigma_enabled:
+        _fail(ErrorKind.SIGMA_DISABLED, "sigma extension is disabled: {}", scope, e)
+    p = e.pair
+    ty = _term(scope, _RULES[type(p)](scope, p)[0])
+    head = _reduced(scope, _whnf, ty, "exposing the type of", p)
+    if not isinstance(head, Sigma):
+        _fail(ErrorKind.MISMATCH, "{} has type {}, not a Sig type", scope, p, ty)
+    return (head.first if type(e) is Proj1 else instantiate(head.second, Proj1(p))), None
+
+
+_RULES = {
+    App: _infer_app, Var: _infer_var, LVar: _infer_var, BVar: _infer_bvar, LBVar: _infer_bvar, Lam: _infer_lam,
+    Pi: _infer_pi, LPi: _infer_pi, SortE: _infer_sort, LSort: _infer_sort, LLam: _infer_llam, LApp: _infer_lapp,
+    Sigma: _infer_sig, Pair: _infer_pair, Proj1: _infer_proj, Proj2: _infer_proj,
+}
 
 
 def check_type(spec: PtsSpec, ctx: Context, e: Expr, ty: Expr, fuel: int = DEFAULT_FUEL) -> None:

@@ -201,12 +201,13 @@ def _head_kind(ty):
 
 def _calls_from_applications(monkeypatch, run):
     """``(name, head kind)`` (see ``_head_kind``) for each ``_whnf``,
-    ``_beta_eq`` and ``_fun_head`` call that ``run()`` makes from the App case
-    of ``_infer`` or ``_elaborate``: the innermost frame of either walk is an
-    application's."""
+    ``_beta_eq`` and ``_fun_head`` call that ``run()`` makes from the App rule
+    of typing or the App case of ``_elaborate``: the innermost frame of a
+    typing rule or of ``_elaborate`` is an application's."""
     from ptskit import labeled, typecheck
 
-    walks = {typecheck._infer.__code__: "e", labeled._elaborate.__code__: "a"}
+    walks = {rule.__code__: "e" for rule in typecheck._RULES.values()}
+    walks[labeled._elaborate.__code__] = "a"
     calls = []
 
     def spy(name, original):
@@ -274,7 +275,7 @@ def _conversions_of_indices(monkeypatch, run):
 
     def spy(scope, a, b, *rest):
         frame = sys._getframe(1)
-        if frame.f_code is typecheck._infer.__code__ and type(frame.f_locals["e"]) is App:
+        if frame.f_code is typecheck._RULES[App].__code__ and type(frame.f_locals["e"]) is App:
             calls[0] += _index_typed(a) and _index_typed(b)
         return original(scope, a, b, *rest)
 

@@ -3,6 +3,8 @@ until its report line is read, and then reads as it always did."""
 
 import hashlib
 
+import pytest
+
 from ptskit import syntax
 from ptskit.corpus import Judgement, run_report
 from ptskit.reduction import _Budget
@@ -63,6 +65,29 @@ def test_a_message_names_the_binders_of_its_raise():
     assert error.kind is ErrorKind.MISMATCH
     assert error.message == "argument of f: P x is not convertible with A"
     assert str(error) == "Mismatch: argument of f: P x is not convertible with A"
+
+
+# the sigma rules' errors under binders, with the texts they had when they
+# were made at the raise
+SIGMA_REJECTS = [
+    (CC, r"\x:A. <x, a> : Sig y:A. A", "SigmaDisabled: sigma extension is disabled: <x, a> : Sig y:A. A"),
+    (CC.with_sigma(), r"\X:*. Sig F:X -> *. X", "Mismatch: Sig first component X -> * must be a type, has sort #"),
+    (CC.with_sigma(), r"\X:*. \x:X. <x, x> : X", "Mismatch: pair annotation X is not a Sig type"),
+    (CC.with_sigma(), r"\X:*. \x:X. x.2", "Mismatch: x has type X, not a Sig type"),
+]
+
+
+def test_sigma_rejects_print_nothing_until_read(monkeypatch):
+    ctx = parse_context("A : *\na : A")
+    for spec, text, want in SIGMA_REJECTS:
+        term = parse_expr(text, sigma_enabled=True)
+        printed = _count_calls(monkeypatch, syntax, "_pp")
+        with pytest.raises(TypeCheckError) as info:
+            infer_type(spec, ctx, term)
+        assert printed[0] == 0, text
+        assert str(info.value) == want
+        assert printed[0] > 0
+        monkeypatch.undo()
 
 
 def test_a_message_is_a_string_or_rendered_once():

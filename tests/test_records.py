@@ -116,6 +116,12 @@ def test_keyword_construction_and_defaults():
     assert Judgement(name="j", ctx=CTX, term=STAR, ty=None).ty is None
 
 
+def test_a_name_bound_twice_answers_with_its_first_binding():
+    ctx = Context((("x", STAR), ("A", STAR), ("x", Var("A"))))
+    assert ctx.lookup("x") == ctx.index()["x"] == STAR
+    assert "x" in ctx and "A" in ctx and "y" not in ctx and ctx.lookup("y") is None
+
+
 def test_classify_match_patterns():
     # the patterns of ``ptskit classify``
     def label(cls):

@@ -143,6 +143,7 @@ def test_labeled_round_trips_on_generated_terms():
 # ``property-gen`` benchmark took 0.221 ms per case against 0.158 ms.
 HOT_WALKS = (
     typecheck._infer,
+    *dict.fromkeys(typecheck._RULES.values()),
     labeled._elaborate,
     translate._trans_term,
     translate._trans_type,
@@ -158,6 +159,12 @@ def test_node_classes_have_no_subclass():
     classes = [c for c in vars(syntax).values() if isinstance(c, type) and "_shape" in c.__dict__]
     assert len(classes) == 16
     assert [c for c in classes if c.__subclasses__()] == []
+
+
+def test_every_node_class_has_one_typing_rule():
+    # the table holds a rule for each node class and nothing else
+    classes = {c for c in vars(syntax).values() if isinstance(c, type) and "_shape" in c.__dict__}
+    assert len(classes) == 16 and set(typecheck._RULES) == classes
 
 
 def test_hot_walks_contain_no_match_statement():

@@ -31,6 +31,7 @@ from ptskit.typecheck import (
 
 import typing_oracle as oracle
 from typing_oracle import outcome
+from typing_spies import spy_on_rules
 
 CCS = CC.with_sigma()
 
@@ -354,20 +355,21 @@ def test_classify_matches_the_rechecking_oracle(typing_cases):
 def test_no_lambda_types_the_product_it_synthesized(monkeypatch, typing_cases):
     # a lambda checks its annotation's sort before its body and takes its
     # body's sort from the body or the body's type, never from the product
-    from ptskit import typecheck
     from ptskit.translate import check_translation
 
     received, products = [], []
-    infer = typecheck._infer
 
-    def guarded(scope, e):
-        received.append(e)
-        ty, s = infer(scope, e)
-        if isinstance(e, Lam):
-            products.append(ty)
-        return ty, s
+    def guard(rule):
+        def guarded(scope, e):
+            received.append(e)
+            ty, s = rule(scope, e)
+            if isinstance(e, Lam):
+                products.append(ty)
+            return ty, s
 
-    monkeypatch.setattr(typecheck, "_infer", guarded)
+        return guarded
+
+    spy_on_rules(monkeypatch, guard)
     for system, ctx, term, fuel in typing_cases:
         spec = BUILTIN_SPECS[system]
         outcome(infer_type, spec, ctx, term, fuel)
@@ -419,27 +421,28 @@ def test_no_lambda_over_a_variable_or_variable_headed_application_types_its_body
     # a variable's sort comes from its binder (a context variable's from its
     # type, found once per call), and an application's from its function's
     # type, so no lambda body leaves its sort to be found from its type
-    from ptskit import typecheck
     from ptskit.syntax import App, BVar
 
-    infer = typecheck._infer
     frames, fallbacks, bodies = [], [], {"var": 0, "app": 0}
 
-    def guarded(scope, e):
-        parent = frames[-1] if frames else None
-        if parent is not None and type(parent[0]) is Lam and parent[1] is e:
-            fallbacks.append(parent[0])
-        frames.append([e, None])
-        try:
-            ty, s = infer(scope, e)
-        finally:
-            frames.pop()
-        if parent is not None and type(parent[0]) is Lam and e is parent[0].body:
-            parent[1] = ty  # the body's type: the fallback would type it next
-        return ty, s
+    def guard(rule):
+        def guarded(scope, e):
+            parent = frames[-1] if frames else None
+            if parent is not None and type(parent[0]) is Lam and parent[1] is e:
+                fallbacks.append(parent[0])
+            frames.append([e, None])
+            try:
+                ty, s = rule(scope, e)
+            finally:
+                frames.pop()
+            if parent is not None and type(parent[0]) is Lam and e is parent[0].body:
+                parent[1] = ty  # the body's type: the fallback would type it next
+            return ty, s
+
+        return guarded
 
     cases = _well_typed_core_cases()
-    monkeypatch.setattr(typecheck, "_infer", guarded)
+    spy_on_rules(monkeypatch, guard)
     for ctx, term in cases:
         infer_type(CC, ctx, term)
         todo = [term]
