@@ -4,8 +4,10 @@ Exit codes: 0 success, 1 type error, 2 bad input (a parse error,
 ``--fuel`` or ``--depth`` below 1, a bad spec file, an unreadable or
 empty corpus path, a translation outside core CC), 3 a resource limit
 (fuel, search depth or term nesting) exhausted, 4 property-report
-failures.  A command imports the translation, the labeled system, the
-corpus and ``json`` only if it runs them, so typing commands start lean.
+failures; ``verify`` exits 4 if any check FAILs, else 3 if any is
+UNDECIDED (a simulation path cut at ``--depth``).  A command imports
+the translation, the labeled system, the corpus and ``json`` only if it
+runs them, so typing commands start lean.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ _EXHAUSTION_KINDS = (ErrorKind.FUEL_EXHAUSTED, ErrorKind.DIRECTED_CONVERSION_UND
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--system", default="cc", help="built-in name (stlc, f, fomega, cc) or a spec file")
     sub.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
-    sub.add_argument("--depth", type=int, default=DEFAULT_DEPTH, help="bound for reachability searches")
+    sub.add_argument("--depth", type=int, default=DEFAULT_DEPTH, help="bound on reduction paths: the simulation check's and labeled conversion's")
     sub.add_argument("--sigma", action="store_true", help="enable dependent pairs")
     sub.add_argument("--format", choices=("text", "machine"), default="text")
     sub.add_argument("--ctx", help="context file, one 'name : type' binding per line")
@@ -205,15 +207,16 @@ def _cmd_verify(s: _Session) -> int:
     judgements = load_corpus_dir(s.ns.corpus, s.ns.sigma)
     entries = run_report(judgements, s.spec, s.ns.fuel, s.ns.depth)
     failures = [e for e in entries if not e.ok]
+    undecided = sum(e.undecided for e in failures)
     if s.ns.format == "machine":
         import json
         for e in entries:
-            print(json.dumps({"ok": e.ok, "check": e.name, "detail": e.detail}, sort_keys=True))
-        print(json.dumps({"summary": True, "checks": len(entries), "failures": len(failures)}))
+            print(json.dumps({"ok": e.ok, "check": e.name, "detail": e.detail} | ({"undecided": True} if e.undecided else {}), sort_keys=True))
+        print(json.dumps({"summary": True, "checks": len(entries), "failures": len(failures)} | ({"undecided": undecided} if undecided else {})))
     else:
         print(render_report(entries))
         print(f"{len(entries) - len(failures)}/{len(entries)} checks passed")
-    return EXIT_REPORT_FAILED if failures else EXIT_OK
+    return EXIT_REPORT_FAILED if len(failures) > undecided else EXIT_EXHAUSTED if undecided else EXIT_OK
 
 
 _COMMANDS = {

@@ -30,6 +30,7 @@ from .syntax import (
     Lam,
     Pi,
     PtsSpec,
+    SIGMA_NODES,
     SortE,
     Var,
     _mentions_bound,
@@ -201,4 +202,6 @@ def _elaborate(scope: _Scope, a: Expr) -> tuple[LabeledExpr, Expr, str | None, L
         # is not, where the argument's type differs from the label's domain
         lty = None if _mentions_bound(head.cod) else instantiate(lpi.cod, larg)
         return LApp(lpi.hint, lpi.dom, lpi.cod, lfun, larg), instantiate(head.cod, arg), scope.spec.cod_sorts.get(s3), lty
-    _fail(ErrorKind.SIGMA_DISABLED, "the labeled system covers core terms only: {}", scope, a)
+    if cls in SIGMA_NODES:
+        _fail(ErrorKind.SIGMA_DISABLED, "the labeled system covers core terms only: {}", scope, a)
+    raise TypeError(f"not an expression: {a!r}")

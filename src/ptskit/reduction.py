@@ -42,7 +42,7 @@ from __future__ import annotations
 from .syntax import App, BVar, Expr, Lam, Node, Pi, Record, SortE, Var, _set
 
 DEFAULT_FUEL = 10000
-DEFAULT_DEPTH = 12  # bound on the steps of a reduction-path search (``reachable``)
+DEFAULT_DEPTH = 12  # bound on the steps of a reduction path (``reachable``, the simulation check)
 
 
 class FuelExhausted(Exception):
@@ -59,9 +59,10 @@ class FuelExhausted(Exception):
 class _Budget:
     """The bounds of one operation.  Each bounded call (a normalization, a
     weak head normalization) may make ``fuel`` contractions, and ``left`` is
-    what the current one has left.  A reduction-path search takes at most
-    ``depth`` steps, and sets ``cut`` when it stopped there with a frontier
-    still open: its miss is then no proof that no path exists."""
+    what the current one has left.  A reduction path is at most ``depth``
+    steps long; ``_search`` sets ``cut`` when it stopped there with a
+    frontier left, and ``_directed_steps`` with a key redex left, so a miss
+    proves nothing.  The simulation check clears it before each reduct."""
 
     __slots__ = ("fuel", "left", "depth", "cut")
 

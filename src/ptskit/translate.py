@@ -54,7 +54,7 @@ from .syntax import (
     Scope,
     CC,
 )
-from .reduction import DEFAULT_DEPTH, DEFAULT_FUEL, _beta_eq, _Budget, _search, key_redex_of, reduce_key_redex, step_all
+from .reduction import DEFAULT_DEPTH, DEFAULT_FUEL, _beta_eq, _Budget, key_redex_of, reduce_key_redex, step_all
 from .typecheck import TypeCheckError, _check_inferred, _context_scope, _infer, _Scope, _term
 
 ZERO = "_0"
@@ -377,6 +377,7 @@ class CheckEntry(Record):
 
     __slots__ = ("ok", "name", "_detail")
     __match_args__ = ("ok", "name", "detail")
+    undecided = False
 
     def __init__(self, ok: bool, name: str, detail):
         _set(self, "ok", ok)
@@ -391,6 +392,17 @@ class CheckEntry(Record):
 
     def line(self) -> str:
         return f"{'PASS' if self.ok else 'FAIL'} {self.name} {self.detail}"
+
+
+class _Undecided(CheckEntry):
+    """An entry whose check ran out of its bound before it could decide: not
+    ``ok``, and no FAIL either.  Its line reads ``UNDECIDED <name> <detail>``."""
+
+    __slots__ = ()
+    undecided = True
+
+    def line(self) -> str:
+        return f"UNDECIDED {self.name} {self.detail}"
 
 
 def render_report(entries) -> str:
@@ -445,9 +457,9 @@ def _check_translated(env: TransEnv, a: Expr, a_ty: Expr, tctx: Context, ta: Exp
 def check_reduction_preservation(ctx: Context, a: Expr, max_depth: int = DEFAULT_DEPTH) -> list[CheckEntry]:
     """Every step of a well-typed core CC ``a`` must be simulated by >= 1 translated steps.
 
-    The search follows key redexes in the subterms the step changed
-    before it searches from the whole translated term; ``max_depth``
-    bounds every path it tries, so its answer is the whole-term search's.
+    The check follows the simulation lemma's construction (``_directed_steps``):
+    an entry passes when the construction finds a path, and fails when it
+    ends with no path; a path cut off at ``max_depth`` steps is UNDECIDED.
     """
     try:
         env = TransEnv(ctx, _table={})
@@ -471,13 +483,13 @@ def _simulation(env: TransEnv, a: Expr, ta: Expr, reducts: set[Expr], budget: _B
         except (ValueError, KeyError) as err:
             entries.append(CheckEntry(False, "simulation", f"{detail()} ({err})"))
             continue
-        # a path of >= 1 step found without search, else the whole-term search
-        ok = bool(_directed_steps(ta, t_reduct, budget.depth)) or _search(ta, budget, {t_reduct}, 1)[0]
-        entries.append(CheckEntry(ok, "simulation", detail))
+        budget.cut = False
+        ok = bool(_directed_steps(ta, t_reduct, budget.depth, budget))  # a path of >= 1 step
+        entries.append((_Undecided if budget.cut and not ok else CheckEntry)(ok, "simulation", detail))
     return entries
 
 
-def _directed_steps(x: Expr, y: Expr, limit: int) -> int | None:
+def _directed_steps(x: Expr, y: Expr, limit: int, budget: _Budget) -> int | None:
     """The length of a path x ~>* y of at most ``limit`` steps, found without search; None if none is.
 
     A source step changes the translation only under the image of its
@@ -486,6 +498,8 @@ def _directed_steps(x: Expr, y: Expr, limit: int) -> int | None:
     at step positions, each differing pair of children is followed on its
     own and the lengths add up (paths in children are paths in the whole
     term); where that fails, x's key redexes are contracted one by one.
+    Stopping at ``limit`` with a key redex left, here or in a child pair,
+    sets ``budget.cut``: the path may be longer than the limit.
     """
     if x == y:
         return 0
@@ -494,7 +508,7 @@ def _directed_steps(x: Expr, y: Expr, limit: int) -> int | None:
         for name, _ in x._children:
             a, b = getattr(x, name), getattr(y, name)
             if a != b:
-                n = _directed_steps(a, b, limit - total) if name in positions else None
+                n = _directed_steps(a, b, limit - total, budget) if name in positions else None
                 if n is None:
                     break
                 total += n
@@ -502,10 +516,11 @@ def _directed_steps(x: Expr, y: Expr, limit: int) -> int | None:
             return total
     for n in range(1, limit + 1):
         if key_redex_of(x) is None:
-            break
+            return None
         x = reduce_key_redex(x)
         if x == y:
             return n
+    budget.cut |= key_redex_of(x) is not None
     return None
 
 

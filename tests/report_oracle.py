@@ -12,7 +12,10 @@ So that the battery is not checked against itself, the parts it changed
 since are copied here as they were: the reserved-name scans that
 ``TransEnv`` ran, ``_translate_judgement`` (which scanned the term and
 its type again), ``_simulation`` (which translated each reduct on a fresh
-walk and took its own ``step_all``) and the hand-written ``erase``.
+walk, took its own ``step_all`` and fell back to the whole-term search
+where the directed path missed) with the ``_directed_steps`` it called,
+and the hand-written ``erase``.  An entry the search misses because it
+stopped at the depth is UNDECIDED, as the live check's cut path is.
 """
 
 from __future__ import annotations
@@ -45,8 +48,10 @@ from ptskit.reduction import (
     FuelExhausted,
     _Budget,
     _normal_form,
+    _search,
     beta_eq,
-    reachable,
+    key_redex_of,
+    reduce_key_redex,
     reducts_within,
     step_all,
 )
@@ -55,8 +60,8 @@ from ptskit.translate import (
     CheckEntry,
     ReservedNameError,
     TransEnv,
+    _Undecided,
     _check_translated,
-    _directed_steps,
     _trans_term,
     _trans_type,
     _translate_context,
@@ -105,10 +110,47 @@ def _simulation(env: TransEnv, a: Expr, ta: Expr, max_depth: int) -> list[CheckE
         except (ValueError, KeyError) as err:
             entries.append(CheckEntry(False, "simulation", f"{detail()} ({err})"))
             continue
-        # a path of >= 1 step found without search, else the whole-term search
-        ok = bool(_directed_steps(ta, t_reduct, max_depth)) or reachable(ta, t_reduct, max_depth, min_steps=1)
-        entries.append(CheckEntry(ok, "simulation", detail))
+        # a path of >= 1 step found without search, else the whole-term search,
+        # whose miss is UNDECIDED where it stopped at the depth with a frontier open
+        if _directed_steps(ta, t_reduct, max_depth):
+            entries.append(CheckEntry(True, "simulation", detail))
+            continue
+        budget = _Budget(depth=max_depth)
+        ok = _search(ta, budget, {t_reduct}, 1)[0]
+        entries.append((_Undecided if budget.cut and not ok else CheckEntry)(ok, "simulation", detail))
     return entries
+
+
+def _directed_steps(x: Expr, y: Expr, limit: int) -> int | None:
+    """The length of a path x ~>* y of at most ``limit`` steps, found without search; None if none is.
+
+    A source step changes the translation only under the image of its
+    position, into the ``_y`` redex plus the image redex (Geuvers &
+    Nederhof, JFP 1991).  So where x and y have one class and differ only
+    at step positions, each differing pair of children is followed on its
+    own and the lengths add up (paths in children are paths in the whole
+    term); where that fails, x's key redexes are contracted one by one.
+    """
+    if x == y:
+        return 0
+    if type(x) is type(y) and x._role is None:
+        total, positions = 0, dict(x._positions)
+        for name, _ in x._children:
+            a, b = getattr(x, name), getattr(y, name)
+            if a != b:
+                n = _directed_steps(a, b, limit - total) if name in positions else None
+                if n is None:
+                    break
+                total += n
+        else:
+            return total
+    for n in range(1, limit + 1):
+        if key_redex_of(x) is None:
+            break
+        x = reduce_key_redex(x)
+        if x == y:
+            return n
+    return None
 
 
 def erase(la: LabeledExpr) -> Expr:

@@ -14,9 +14,11 @@ from ptskit import corpus, labeled, reduction, translate, typecheck
 from ptskit.cli import EXIT_EXHAUSTED, EXIT_TYPE_ERROR, main
 from ptskit.corpus import Judgement, run_report
 from ptskit.labeled import label_context, label_term, labeled_infer, parse_labeled
-from ptskit.reduction import FuelExhausted, StepTrace, _Budget, _search, beta_eq, normalize, reachable, trace, whnf
+from ptskit.reduction import FuelExhausted, StepTrace, _Budget, _search, beta_eq, normalize, reachable, step_all, trace, whnf
 from ptskit.syntax import CC, App, BVar, Context, LSort, Lam, SortE, Var, parse_context, parse_expr
-from ptskit.translate import check_subst_lemmas, check_translation
+from ptskit.translate import (
+    CheckEntry, TransEnv, _directed_steps, _simulation, check_reduction_preservation, check_subst_lemmas, check_translation, translate_term
+)
 from ptskit.typecheck import ErrorKind, TypeCheckError, _Scope, check_type, classify, infer_type, wf_context
 
 STAR = SortE("*")
@@ -117,14 +119,68 @@ def test_search_tells_an_empty_frontier_from_a_spent_depth():
         assert reachable(_identities(depth + 1), Var("a"), depth + 1)
 
 
+ID_CTX = parse_context("A : *\na : A")
+ID_APP = parse_expr(r"(\x:A. x) a")  # one step, simulated by 2 translated ones
+
+
+def test_directed_steps_tell_a_cut_from_a_miss():
+    for depth in (1, 2, 5):
+        budget = _Budget(depth=depth)
+        assert _directed_steps(_identities(depth + 1), Var("a"), depth, budget) is None
+        assert budget.cut is True  # a key redex left at the limit
+        budget = _Budget(depth=depth + 1)
+        assert _directed_steps(_identities(depth + 1), Var("a"), depth + 1, budget) == depth + 1
+        assert budget.cut is False
+    # in a child pair: the body's path is cut, and a lambda has no key redex of its own
+    budget = _Budget(depth=1)
+    assert _directed_steps(Lam("x", STAR, _identities(2)), Lam("x", STAR, Var("a")), 1, budget) is None
+    assert budget.cut is True
+    budget = _Budget(depth=12)
+    assert _directed_steps(Var("a"), Var("b"), 12, budget) is None
+    assert budget.cut is False  # two distinct normal terms: no key redex, no match
+
+
+def test_a_cut_path_is_undecided_and_a_miss_is_a_fail():
+    [entry] = check_reduction_preservation(ID_CTX, ID_APP, 1)
+    assert type(entry) is not CheckEntry and entry.undecided and not entry.ok
+    assert entry.line() == r"UNDECIDED simulation (\x:A. x) a ~> a"
+    assert entry != CheckEntry(False, "simulation", entry.detail)
+    [entry] = check_reduction_preservation(ID_CTX, ID_APP, 2)
+    assert entry == CheckEntry(True, "simulation", r"(\x:A. x) a ~> a")
+    # a translation that cannot reach the reduct's: a normal term, a definite miss
+    env = TransEnv(ID_CTX, _table={})
+    translate_term(env, ID_APP)
+    [entry] = _simulation(env, ID_APP, Var("b"), step_all(ID_APP), _Budget(depth=12))
+    assert entry == CheckEntry(False, "simulation", r"(\x:A. x) a ~> a") and not entry.undecided
+
+
+def test_a_cut_does_not_leak_into_the_next_entry(monkeypatch):
+    a = parse_expr(r"(\x:A. x) ((\y:A -> A. y) (\x:A. x) a)")  # two reducts
+    env = TransEnv(ID_CTX, _table={})
+    ta = translate_term(env, a)
+    budget = _Budget(depth=12)
+    budget.cut = True  # as an earlier search left it
+    assert [e.line()[:4] for e in _simulation(env, a, Var("b"), step_all(a), budget)] == ["FAIL", "FAIL"]
+    assert [e.line()[:4] for e in _simulation(env, a, ta, step_all(a), budget)] == ["PASS", "PASS"]
+
+    calls = []
+
+    def cut_once(x, y, limit, budget):
+        calls.append(x)
+        budget.cut = len(calls) == 1  # the first reduct's path is cut, the second's misses
+
+    monkeypatch.setattr(translate, "_directed_steps", cut_once)
+    assert [e.line()[:4] for e in _simulation(env, a, ta, step_all(a), _Budget(depth=12))] == ["UNDE", "FAIL"]
+
+
 # ---------------------------------------------------------------------------
 # Bounded answers that misreport (ROADMAP, Baseline): the right answers
 
 
-@pytest.mark.xfail(strict=True, reason="the simulation check reports a spent search depth as a failure")
 def test_verify_at_too_small_a_depth_is_undecided(tmp_path, capsys):
     (tmp_path / "id.judg").write_text("ctx:\nA : *\na : A\n\nterm:\n(\\x:A. x) a\n\ntype:\nA\n")
     assert main(["verify", str(tmp_path), "--depth", "1"]) == EXIT_EXHAUSTED
+    assert "UNDECIDED simulation (\\x:A. x) a ~> a" in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.xfail(strict=True, reason="directed conversion reports a definite miss as undetermined")

@@ -246,6 +246,30 @@ def test_verify_reports_failures(capsys, tmp_path):
     assert "FAIL" in out
 
 
+ANNOT_TERM = r"\x:(\X:*. X) A. x"  # its annotation step takes a 4-step translated path
+
+
+def test_verify_reports_a_path_cut_by_the_depth_as_undecided(capsys, tmp_path):
+    (tmp_path / "annot.judg").write_text(f"ctx:\nA : *\n\nterm:\n{ANNOT_TERM}\n\ntype:\nA -> A\n")
+    detail = rf"{ANNOT_TERM} ~> \x:A. x"
+    code, out, _ = run(capsys, "verify", str(tmp_path), "--depth", "2")
+    lines = out.splitlines()
+    assert code == EXIT_EXHAUSTED
+    assert f"UNDECIDED simulation {detail}" in lines and "FAIL" not in out
+    assert lines[-1] == "8/9 checks passed"
+    code, out, _ = run(capsys, "verify", str(tmp_path), "--depth", "2", "--format", "machine")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == EXIT_EXHAUSTED
+    assert {"ok": False, "check": "simulation", "detail": detail, "undecided": True} in records
+    assert sum("undecided" in r for r in records[:-1]) == 1
+    assert records[-1] == {"summary": True, "checks": 9, "failures": 1, "undecided": 1}
+    # the whole path fits at depth 4; a FAIL beside an UNDECIDED entry still exits 4
+    assert run(capsys, "verify", str(tmp_path), "--depth", "4")[0] == EXIT_OK
+    (tmp_path / "bad.judg").write_text("ctx:\n\nterm:\nx y z\n")
+    code, out, _ = run(capsys, "verify", str(tmp_path), "--depth", "2")
+    assert code == EXIT_REPORT_FAILED and f"UNDECIDED simulation {detail}" in out.splitlines()
+
+
 def test_spec_file_system(capsys, tmp_path):
     spec = tmp_path / "stlc-again.pts"
     spec.write_text("# simply typed\nsort *\nsort #\naxiom * #\nrule * * *\n")

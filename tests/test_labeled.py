@@ -216,6 +216,15 @@ def test_label_term_rejects_sigma():
     assert info.value.message == "the labeled system covers core terms only: <a, a> : Sig x:A. A"
 
 
+@pytest.mark.parametrize("bad", [LVar("x"), "x"])
+def test_elaboration_of_a_non_expression_is_a_caller_error(bad):
+    # a labeled node or a non-node is a caller's mistake, no type error: infer_type raises the same for "x"
+    with pytest.raises(TypeError, match=r"^not an expression: "):
+        label_term(CC, parse_context("x : *"), bad)
+    with pytest.raises(TypeError, match=r"^not an expression: "):
+        label_context(CC, Context().extend("y", bad))
+
+
 # ---------------------------------------------------------------------------
 # Labeled typing
 
